@@ -1,8 +1,5 @@
 #include "core/run_backend.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -12,13 +9,14 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "core/net.hpp"
 #include "core/run_protocol.hpp"
 #include "util/report.hpp"
 
@@ -113,10 +111,6 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
               const result_sink& deliver, const respawn_fn& respawn) {
     std::deque<std::size_t> queue(pending.begin(), pending.end());
     std::size_t outstanding = pending.size();  // runs not yet slotted
-    // Worker-side telemetry arrives as its own frame immediately before the
-    // result frame (the v0 result payload is frozen); stash it by run index
-    // and attach when the result lands.
-    std::map<std::uint64_t, util::metrics_snapshot> metrics_stash;
 
     auto assign = [&](worker_conn& w) -> bool {
         // Give `w` the next job; false when the worker is dead (peer gone).
@@ -196,12 +190,6 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
                 wire::frame f;
                 if (!wire::read_frame(workers[i].fd, f)) {
                     dead = true;  // clean EOF: worker gone between frames
-                } else if (f.type == wire::msg_type::metrics) {
-                    wire::run_metrics m =
-                        wire::decode_metrics(f.payload.data(), f.payload.size());
-                    metrics_stash[m.index] = std::move(m.entries);
-                    // The matching result frame follows on this fd; keep
-                    // polling (level-triggered, so it fires again).
                 } else {
                     util::require(f.type == wire::msg_type::result, "run_backend",
                                   "unexpected frame type from worker");
@@ -216,10 +204,6 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
                                   "worker reported a result for a run it was not given");
                     results[index] = std::move(r);
                     results[index].worker = workers[i].id;
-                    if (auto it = metrics_stash.find(index); it != metrics_stash.end()) {
-                        results[index].run_metrics = std::move(it->second);
-                        metrics_stash.erase(it);
-                    }
                     workers[i].in_flight = -1;
                     deliver(results[index], /*completed=*/true);
                     --outstanding;
@@ -309,27 +293,10 @@ int connect_endpoint(const std::string& endpoint) {
     const std::size_t colon = endpoint.rfind(':');
     util::require(colon != std::string::npos, "run_backend",
                   "endpoint '" + endpoint + "' is not of the form ip:port");
-    const std::string host = endpoint.substr(0, colon);
     const int port = std::atoi(endpoint.c_str() + colon + 1);
     util::require(port > 0 && port < 65536, "run_backend",
                   "endpoint '" + endpoint + "' has an invalid port");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    util::require(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1, "run_backend",
-                  "endpoint '" + endpoint + "' is not a numeric IPv4 address");
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "run_backend",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("run_backend", "cannot connect to worker endpoint '" +
-                                              endpoint + "': " + std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return fd;
+    return net::connect_tcp(endpoint.substr(0, colon), static_cast<std::uint16_t>(port));
 }
 
 }  // namespace
@@ -365,56 +332,15 @@ void run_worker_loop(const run_set& rs, int fd) {
                       "unexpected frame type on worker");
         const std::uint64_t index = wire::decode_job(f.payload.data(), f.payload.size());
         const run_result res = rs.run_one(static_cast<std::size_t>(index));
-        // Telemetry first, result second: the result frame is what retires
-        // the in-flight run on the parent, so its metrics are already
-        // stashed when it lands (and a parent that ignores metrics frames
-        // stays compatible — the v0 result payload is unchanged).
-        wire::run_metrics m;
-        m.index = index;
-        m.entries = res.run_metrics;
-        if (!wire::write_frame(fd, wire::msg_type::metrics, wire::encode_metrics(m))) {
-            return;  // parent gone mid-result
-        }
         if (!wire::write_frame(fd, wire::msg_type::result, wire::encode_result(res))) {
             return;  // parent gone mid-result
         }
     }
 }
 
-int listen_tcp(std::uint16_t& port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "run_backend",
-                  std::string("socket failed: ") + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("run_backend",
-                           std::string("cannot listen on 127.0.0.1: ") + std::strerror(err));
-    }
-    socklen_t len = sizeof addr;
-    util::require(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-                  "run_backend", "getsockname failed");
-    port = ntohs(addr.sin_port);
-    return fd;
-}
-
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions) {
     for (unsigned served = 0; max_sessions == 0 || served < max_sessions; ++served) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            util::report_fatal("run_backend",
-                               std::string("accept failed: ") + std::strerror(errno));
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        const int fd = net::accept(listen_fd, /*tcp=*/true);
         run_worker_loop(rs, fd);
         ::close(fd);
     }

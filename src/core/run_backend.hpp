@@ -22,7 +22,6 @@
 #ifndef SCA_CORE_RUN_BACKEND_HPP
 #define SCA_CORE_RUN_BACKEND_HPP
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -72,12 +71,9 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
 /// and when the parent disappears; protocol violations throw.
 void run_worker_loop(const run_set& rs, int fd);
 
-/// Create a listening TCP socket on 127.0.0.1.  `port` 0 picks an ephemeral
-/// port; the chosen port is written back.  Returns the listening fd.
-[[nodiscard]] int listen_tcp(std::uint16_t& port);
-
-/// Accept and serve worker sessions on `listen_fd` (blocking): each accepted
-/// connection runs run_worker_loop to completion.  Serves `max_sessions`
+/// Accept and serve worker sessions on `listen_fd` (blocking; see
+/// net::listen_tcp): each accepted connection runs run_worker_loop to
+/// completion.  Serves `max_sessions`
 /// sessions then returns (0 = serve forever).  This is the process body of a
 /// remote worker host; tests fork one on a loopback socket.
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions);

@@ -9,55 +9,33 @@
 #include <vector>
 
 #include "core/run_protocol.hpp"
+#include "util/bytes.hpp"
 #include "util/report.hpp"
 
 namespace sca::core {
 
 namespace {
 
-std::vector<std::uint8_t> encode_fingerprint(const checkpoint_fingerprint& fp) {
-    std::vector<std::uint8_t> buf;
-    auto put_u64 = [&](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    auto put_u32 = [&](std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    put_u32(static_cast<std::uint32_t>(fp.scenario_name.size()));
-    buf.insert(buf.end(), fp.scenario_name.begin(), fp.scenario_name.end());
-    put_u64(fp.base_seed);
-    put_u64(fp.n_runs);
-    buf.push_back(fp.keep_waveforms ? 1 : 0);
-    return buf;
+std::vector<std::uint8_t> encode_header(const checkpoint_fingerprint& fp) {
+    util::byte_writer w;
+    w.u32(wire::k_format_version);
+    w.str(fp.scenario_name);
+    w.u64(fp.base_seed);
+    w.u64(fp.n_runs);
+    w.boolean(fp.keep_waveforms);
+    return w.take();
 }
 
-checkpoint_fingerprint decode_fingerprint(const std::vector<std::uint8_t>& buf) {
+checkpoint_fingerprint decode_header(const std::vector<std::uint8_t>& payload,
+                                     const std::string& path) {
+    util::byte_reader r(payload);
+    wire::require_format_version(r.u32(), "journal '" + path + "'");
     checkpoint_fingerprint fp;
-    std::size_t pos = 0;
-    auto need = [&](std::size_t n) {
-        util::require(buf.size() - pos >= n, "run_checkpoint",
-                      "truncated journal header frame");
-    };
-    auto get_u32 = [&] {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf[pos++]) << (8 * i);
-        return v;
-    };
-    auto get_u64 = [&] {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[pos++]) << (8 * i);
-        return v;
-    };
-    const std::uint32_t name_len = get_u32();
-    need(name_len);
-    fp.scenario_name.assign(reinterpret_cast<const char*>(buf.data() + pos), name_len);
-    pos += name_len;
-    fp.base_seed = get_u64();
-    fp.n_runs = get_u64();
-    need(1);
-    fp.keep_waveforms = buf[pos++] != 0;
+    fp.scenario_name = r.str();
+    fp.base_seed = r.u64();
+    fp.n_runs = r.u64();
+    fp.keep_waveforms = r.boolean();
+    r.expect_end();
     return fp;
 }
 
@@ -88,10 +66,9 @@ std::vector<std::uint8_t> read_whole_file(const std::string& path, bool& exists)
 }
 
 /// Walk a journal byte image: header fingerprint + every following frame
-/// (results, warm-start snapshots...), stopping cleanly at a torn tail
-/// (partial final append).  Frame types a reader does not understand are
-/// simply skipped by its callback — an old loader reads a journal with a
-/// snapshot frame without noticing it.
+/// (results, warm-start snapshots), stopping cleanly at a torn tail
+/// (partial final append).  Each callback skips the frame types it does not
+/// want.
 template <typename OnFrame>
 checkpoint_fingerprint walk_journal(const std::vector<std::uint8_t>& bytes,
                                     const std::string& path, OnFrame&& on_frame) {
@@ -101,7 +78,7 @@ checkpoint_fingerprint walk_journal(const std::vector<std::uint8_t>& bytes,
                   "run_checkpoint", "journal '" + path + "' is empty");
     util::require(f.type == wire::msg_type::header, "run_checkpoint",
                   "journal '" + path + "' does not start with a header frame");
-    checkpoint_fingerprint fp = decode_fingerprint(f.payload);
+    checkpoint_fingerprint fp = decode_header(f.payload, path);
     for (;;) {
         const std::size_t record_start = offset;
         try {
@@ -132,7 +109,7 @@ checkpoint_writer::checkpoint_writer(const std::string& path,
                   "cannot open journal '" + path + "' for append: " +
                       std::string(std::strerror(errno)));
     if (fresh) {
-        util::require(wire::write_frame(fd_, wire::msg_type::header, encode_fingerprint(fp)),
+        util::require(wire::write_frame(fd_, wire::msg_type::header, encode_header(fp)),
                       "run_checkpoint", "journal header write failed");
     }
 }

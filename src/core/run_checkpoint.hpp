@@ -2,12 +2,13 @@
 // run results, so a campaign interrupted by worker death (or by the parent
 // process dying outright) resumes without recomputing finished runs.
 //
-// Format: a header frame fingerprinting the campaign (scenario name, base
-// seed, run count, keep-waveforms flag), then one wire-protocol result frame
-// per completed run, appended and flushed as results arrive.  Every frame
-// carries its own length prefix and FNV-1a checksum, so a torn tail — the
-// parent died mid-append — is detected and dropped on load instead of
-// corrupting the resume.
+// Format: a header frame (wire::k_format_version, then the campaign
+// fingerprint: scenario name, base seed, run count, keep-waveforms flag),
+// then one SCA1 result frame per completed run, run metrics included,
+// appended and flushed as results arrive.  A header of any other format
+// version is refused by name.  Every frame carries its own length prefix and
+// FNV-1a checksum, so a torn tail — the parent died mid-append — is detected
+// and dropped on load instead of corrupting the resume.
 //
 // What gets journaled: results of runs that *completed*, successfully or
 // with a run-level error (a deterministic model failure would just recur).
@@ -51,9 +52,8 @@ public:
     void append(const run_result& r);
 
     /// Append a full-state warm-start snapshot payload (core/snapshot
-    /// format, unframed) under the campaign fingerprint.  Journal readers
-    /// that predate snapshots skip the frame; load_checkpoint_snapshot()
-    /// recovers it.
+    /// format, unframed) under the campaign fingerprint.  load_checkpoint()
+    /// skips the frame; load_checkpoint_snapshot() recovers it.
     void append_snapshot(const std::vector<std::uint8_t>& snapshot_payload);
 
 private:
@@ -61,7 +61,8 @@ private:
 };
 
 /// Completed results recovered from a journal, keyed by run index.  A
-/// missing file yields an empty map; a fingerprint mismatch throws.  The
+/// missing file yields an empty map; a format-version or fingerprint
+/// mismatch throws.  The
 /// last record wins when an index somehow appears twice (it cannot through
 /// this API, but the loader is tolerant).
 [[nodiscard]] std::map<std::size_t, run_result> load_checkpoint(

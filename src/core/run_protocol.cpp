@@ -3,7 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -13,560 +12,467 @@
 
 namespace sca::core::wire {
 
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t n) noexcept {
-    std::uint32_t h = 0x811c9dc5U;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x01000193U;
+void require_format_version(std::uint32_t found, const std::string& what) {
+    if (found != k_format_version) {
+        util::report_fatal("run_protocol",
+                           "unsupported " + what + " version " + std::to_string(found) +
+                               " (this build reads and writes format version " +
+                               std::to_string(k_format_version) + " only)");
     }
-    return h;
 }
 
-namespace {
-
-// ------------------------------------------------------------- byte writer --
-
-struct writer {
-    std::vector<std::uint8_t> buf;
-
-    void put_u8(std::uint8_t v) { buf.push_back(v); }
-    void put_u32(std::uint32_t v) {
-        for (int i = 0; i < 4; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void put_u64(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-    void put_double(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
-    void put_string(const std::string& s) {
-        put_u32(static_cast<std::uint32_t>(s.size()));
-        buf.insert(buf.end(), s.begin(), s.end());
-    }
-    void put_doubles(const std::vector<double>& v) {
-        put_u64(v.size());
-        for (double d : v) put_double(d);
-    }
-};
-
-// ------------------------------------------------------------- byte reader --
-
-struct reader {
-    const std::uint8_t* data;
-    std::size_t size;
-    std::size_t pos = 0;
-
-    void need(std::size_t n) const {
-        util::require(size - pos >= n, "run_protocol",
-                      "truncated message: need " + std::to_string(n) + " bytes at offset " +
-                          std::to_string(pos) + ", have " + std::to_string(size - pos));
-    }
-    std::uint8_t get_u8() {
-        need(1);
-        return data[pos++];
-    }
-    std::uint32_t get_u32() {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    std::uint64_t get_u64() {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    double get_double() { return std::bit_cast<double>(get_u64()); }
-    std::string get_string() {
-        const std::uint32_t n = get_u32();
-        need(n);
-        std::string s(reinterpret_cast<const char*>(data + pos), n);
-        pos += n;
-        return s;
-    }
-    std::vector<double> get_doubles() {
-        const std::uint64_t n = get_u64();
-        // Bound the count against the actual payload size before allocating
-        // (and before n * 8 could wrap for a hostile length prefix).
-        util::require(n <= (size - pos) / 8, "run_protocol",
-                      "truncated message: double array count " + std::to_string(n) +
-                          " exceeds the remaining payload");
-        std::vector<double> v(n);
-        for (std::uint64_t i = 0; i < n; ++i) v[i] = get_double();
-        return v;
-    }
-    void expect_done() const {
-        util::require(pos == size, "run_protocol",
-                      "oversized message: " + std::to_string(size - pos) +
-                          " trailing bytes after a complete payload");
-    }
-};
-
-void put_params(writer& w, const params& p) {
+void put_params(util::byte_writer& w, const params& p) {
     const auto& entries = p.entries();
-    w.put_u64(p.run_index());
-    w.put_u64(p.seed());
-    w.put_u32(static_cast<std::uint32_t>(entries.size()));
+    w.u64(p.run_index());
+    w.u64(p.seed());
+    w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const auto& [name, v] : entries) {
-        w.put_string(name);
+        w.str(name);
         if (std::holds_alternative<double>(v)) {
-            w.put_u8(0);
-            w.put_double(std::get<double>(v));
+            w.u8(0);
+            w.f64(std::get<double>(v));
         } else {
-            w.put_u8(1);
-            w.put_string(std::get<std::string>(v));
+            w.u8(1);
+            w.str(std::get<std::string>(v));
         }
     }
 }
 
-params get_params(reader& r) {
+params get_params(util::byte_reader& r) {
     params p;
-    const std::uint64_t run_index = r.get_u64();
-    const std::uint64_t seed = r.get_u64();
+    const std::uint64_t run_index = r.u64();
+    const std::uint64_t seed = r.u64();
     p.set_run_identity(run_index, seed);
-    const std::uint32_t n = r.get_u32();
+    const std::uint32_t n = r.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
-        std::string name = r.get_string();
-        const std::uint8_t kind = r.get_u8();
+        std::string name = r.str();
+        const std::uint8_t kind = r.u8();
         util::require(kind <= 1, "run_protocol", "unknown params value kind");
         if (kind == 0) {
-            p.set(name, r.get_double());
+            p.set(name, r.f64());
         } else {
-            p.set(name, r.get_string());
+            p.set(name, r.str());
         }
     }
     return p;
 }
 
-}  // namespace
-
 // ----------------------------------------------------------- job messages --
 
 std::vector<std::uint8_t> encode_job(std::uint64_t index) {
-    writer w;
-    w.put_u64(index);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.u64(index);
+    return w.take();
 }
 
 std::uint64_t decode_job(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    const std::uint64_t index = r.get_u64();
-    r.expect_done();
+    util::byte_reader r(data, n);
+    const std::uint64_t index = r.u64();
+    r.expect_end();
     return index;
 }
 
 // -------------------------------------------------------- result messages --
 
 std::vector<std::uint8_t> encode_result(const run_result& res) {
-    writer w;
-    w.put_u64(res.index);
-    w.put_u64(res.seed);
-    w.put_u8(res.ok ? 1 : 0);
-    w.put_string(res.error);
+    util::byte_writer w;
+    w.u64(res.index);
+    w.u64(res.seed);
+    w.u8(res.ok ? 1 : 0);
+    w.str(res.error);
     put_params(w, res.parameters);
-    w.put_u32(static_cast<std::uint32_t>(res.measurements.size()));
+    w.u32(static_cast<std::uint32_t>(res.measurements.size()));
     for (const auto& [name, v] : res.measurements) {
-        w.put_string(name);
-        w.put_double(v);
+        w.str(name);
+        w.f64(v);
     }
-    w.put_doubles(res.times);
-    w.put_u32(static_cast<std::uint32_t>(res.probe_names.size()));
-    for (const auto& name : res.probe_names) w.put_string(name);
-    w.put_u32(static_cast<std::uint32_t>(res.waveforms.size()));
-    for (const auto& wf : res.waveforms) w.put_doubles(wf);
-    return std::move(w.buf);
+    w.f64_vec(res.times);
+    w.u32(static_cast<std::uint32_t>(res.probe_names.size()));
+    for (const auto& name : res.probe_names) w.str(name);
+    w.u32(static_cast<std::uint32_t>(res.waveforms.size()));
+    for (const auto& wf : res.waveforms) w.f64_vec(wf);
+    w.u32(static_cast<std::uint32_t>(res.run_metrics.size()));
+    for (const util::metric_value& mv : res.run_metrics) {
+        w.str(mv.name);
+        w.u8(static_cast<std::uint8_t>(mv.kind));
+        w.u64(mv.count);
+        w.f64(mv.value);
+        w.f64(mv.min);
+        w.f64(mv.max);
+    }
+    return w.take();
 }
 
 run_result decode_result(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     run_result res;
-    res.index = r.get_u64();
-    res.seed = r.get_u64();
-    res.ok = r.get_u8() != 0;
-    res.error = r.get_string();
+    res.index = r.u64();
+    res.seed = r.u64();
+    res.ok = r.u8() != 0;
+    res.error = r.str();
     res.parameters = get_params(r);
-    const std::uint32_t n_meas = r.get_u32();
+    const std::uint32_t n_meas = r.u32();
     for (std::uint32_t i = 0; i < n_meas; ++i) {
-        std::string name = r.get_string();
-        res.measurements[name] = r.get_double();
+        std::string name = r.str();
+        res.measurements[name] = r.f64();
     }
-    res.times = r.get_doubles();
-    const std::uint32_t n_probes = r.get_u32();
+    res.times = r.f64_vec();
+    const std::uint32_t n_probes = r.u32();
     res.probe_names.reserve(n_probes);
-    for (std::uint32_t i = 0; i < n_probes; ++i) res.probe_names.push_back(r.get_string());
-    const std::uint32_t n_waves = r.get_u32();
+    for (std::uint32_t i = 0; i < n_probes; ++i) res.probe_names.push_back(r.str());
+    const std::uint32_t n_waves = r.u32();
     res.waveforms.reserve(n_waves);
-    for (std::uint32_t i = 0; i < n_waves; ++i) res.waveforms.push_back(r.get_doubles());
-    r.expect_done();
+    for (std::uint32_t i = 0; i < n_waves; ++i) res.waveforms.push_back(r.f64_vec());
+    const std::uint32_t n_metrics = r.u32();
+    for (std::uint32_t i = 0; i < n_metrics; ++i) {
+        util::metric_value mv;
+        mv.name = r.str();
+        const std::uint8_t kind = r.u8();
+        util::require(kind <= static_cast<std::uint8_t>(
+                                  util::metric_value::metric_kind::histogram),
+                      "run_protocol", "unknown metric kind");
+        mv.kind = static_cast<util::metric_value::metric_kind>(kind);
+        mv.count = r.u64();
+        mv.value = r.f64();
+        mv.min = r.f64();
+        mv.max = r.f64();
+        res.run_metrics.push_back(std::move(mv));
+    }
+    r.expect_end();
     return res;
 }
 
 std::vector<std::uint8_t> encode_params(const params& p) {
-    writer w;
+    util::byte_writer w;
     put_params(w, p);
-    return std::move(w.buf);
+    return w.take();
 }
 
 params decode_params(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     params p = get_params(r);
-    r.expect_done();
+    r.expect_end();
     return p;
 }
 
 // ------------------------------------------------------- session messages --
 
 std::vector<std::uint8_t> encode_hello(std::uint8_t version) {
-    writer w;
-    w.put_u8(version);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.u8(version);
+    return w.take();
 }
 
 std::uint8_t decode_hello(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    const std::uint8_t version = r.get_u8();
-    // Versions start at 1; a future version still decodes (the reply tells
-    // the peer what this side actually speaks — negotiation, not rejection).
-    util::require(version >= 1, "run_protocol", "invalid session protocol version 0");
-    r.expect_done();
+    util::byte_reader r(data, n);
+    const std::uint8_t version = r.u8();
+    require_format_version(version, "hello");
+    r.expect_end();
     return version;
 }
 
 std::vector<std::uint8_t> encode_catalog(const std::vector<catalog_entry>& entries) {
-    writer w;
-    w.put_u32(static_cast<std::uint32_t>(entries.size()));
+    util::byte_writer w;
+    w.u32(static_cast<std::uint32_t>(entries.size()));
     for (const catalog_entry& e : entries) {
-        w.put_string(e.name);
+        w.str(e.name);
         put_params(w, e.defaults);
     }
-    return std::move(w.buf);
+    return w.take();
 }
 
 std::vector<catalog_entry> decode_catalog(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    const std::uint32_t count = r.get_u32();
+    util::byte_reader r(data, n);
+    const std::uint32_t count = r.u32();
     std::vector<catalog_entry> entries;
     entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         catalog_entry e;
-        e.name = r.get_string();
+        e.name = r.str();
         e.defaults = get_params(r);
         entries.push_back(std::move(e));
     }
-    r.expect_done();
+    r.expect_end();
     return entries;
 }
 
 std::vector<std::uint8_t> encode_open(const open_request& req) {
-    writer w;
-    w.put_string(req.scenario);
+    util::byte_writer w;
+    w.str(req.scenario);
     put_params(w, req.overrides);
-    w.put_u64(req.slice_us);
-    return std::move(w.buf);
+    w.u64(req.slice_us);
+    return w.take();
 }
 
 open_request decode_open(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     open_request req;
-    req.scenario = r.get_string();
+    req.scenario = r.str();
     req.overrides = get_params(r);
-    req.slice_us = r.get_u64();
-    r.expect_done();
+    req.slice_us = r.u64();
+    r.expect_end();
     return req;
 }
 
 std::vector<std::uint8_t> encode_opened(const session_info& info) {
-    writer w;
-    w.put_u64(info.session_id);
-    w.put_double(info.stop_time_s);
-    w.put_double(info.sample_period_s);
-    w.put_u32(static_cast<std::uint32_t>(info.probes.size()));
-    for (const std::string& p : info.probes) w.put_string(p);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.u64(info.session_id);
+    w.f64(info.stop_time_s);
+    w.f64(info.sample_period_s);
+    w.u32(static_cast<std::uint32_t>(info.probes.size()));
+    for (const std::string& p : info.probes) w.str(p);
+    return w.take();
 }
 
 session_info decode_opened(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     session_info info;
-    info.session_id = r.get_u64();
-    info.stop_time_s = r.get_double();
-    info.sample_period_s = r.get_double();
-    const std::uint32_t count = r.get_u32();
+    info.session_id = r.u64();
+    info.stop_time_s = r.f64();
+    info.sample_period_s = r.f64();
+    const std::uint32_t count = r.u32();
     info.probes.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) info.probes.push_back(r.get_string());
-    r.expect_done();
+    for (std::uint32_t i = 0; i < count; ++i) info.probes.push_back(r.str());
+    r.expect_end();
     return info;
 }
 
 std::vector<std::uint8_t> encode_poke(const param_poke& poke) {
-    writer w;
-    w.put_string(poke.name);
-    w.put_double(poke.value);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.str(poke.name);
+    w.f64(poke.value);
+    return w.take();
 }
 
 param_poke decode_poke(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     param_poke poke;
-    poke.name = r.get_string();
-    poke.value = r.get_double();
-    r.expect_done();
+    poke.name = r.str();
+    poke.value = r.f64();
+    r.expect_end();
     return poke;
 }
 
 std::vector<std::uint8_t> encode_subscribe(const subscribe_request& req) {
-    writer w;
-    w.put_string(req.probe);
-    w.put_u8(req.on ? 1 : 0);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.str(req.probe);
+    w.u8(req.on ? 1 : 0);
+    return w.take();
 }
 
 subscribe_request decode_subscribe(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     subscribe_request req;
-    req.probe = r.get_string();
-    req.on = r.get_u8() != 0;
-    r.expect_done();
+    req.probe = r.str();
+    req.on = r.u8() != 0;
+    r.expect_end();
     return req;
 }
 
 std::vector<std::uint8_t> encode_samples(const sample_batch& batch) {
-    writer w;
-    w.put_string(batch.probe);
-    w.put_u64(batch.first_index);
-    w.put_u64(batch.dropped);
-    w.put_doubles(batch.times);
-    w.put_doubles(batch.values);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.str(batch.probe);
+    w.u64(batch.first_index);
+    w.u64(batch.dropped);
+    w.f64_vec(batch.times);
+    w.f64_vec(batch.values);
+    return w.take();
 }
 
 sample_batch decode_samples(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     sample_batch batch;
-    batch.probe = r.get_string();
-    batch.first_index = r.get_u64();
-    batch.dropped = r.get_u64();
-    batch.times = r.get_doubles();
-    batch.values = r.get_doubles();
+    batch.probe = r.str();
+    batch.first_index = r.u64();
+    batch.dropped = r.u64();
+    batch.times = r.f64_vec();
+    batch.values = r.f64_vec();
     util::require(batch.times.size() == batch.values.size(), "run_protocol",
                   "sample batch times/values length mismatch");
-    r.expect_done();
+    r.expect_end();
     return batch;
 }
 
 std::vector<std::uint8_t> encode_pace(const pace_info& info) {
-    writer w;
-    w.put_double(info.real_time_factor);
-    w.put_double(info.drift_s);
-    w.put_double(info.max_drift_s);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.f64(info.real_time_factor);
+    w.f64(info.drift_s);
+    w.f64(info.max_drift_s);
+    return w.take();
 }
 
 pace_info decode_pace(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     pace_info info;
-    info.real_time_factor = r.get_double();
-    info.drift_s = r.get_double();
-    info.max_drift_s = r.get_double();
-    r.expect_done();
+    info.real_time_factor = r.f64();
+    info.drift_s = r.f64();
+    info.max_drift_s = r.f64();
+    r.expect_end();
     return info;
 }
 
 std::vector<std::uint8_t> encode_run_state(bool running) {
-    writer w;
-    w.put_u8(running ? 1 : 0);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.u8(running ? 1 : 0);
+    return w.take();
 }
 
 bool decode_run_state(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    const std::uint8_t v = r.get_u8();
+    util::byte_reader r(data, n);
+    const std::uint8_t v = r.u8();
     util::require(v <= 1, "run_protocol", "unknown run_state value");
-    r.expect_done();
+    r.expect_end();
     return v != 0;
 }
 
 std::vector<std::uint8_t> encode_close(const close_info& info) {
-    writer w;
-    w.put_u8(static_cast<std::uint8_t>(info.reason));
-    w.put_double(info.sim_time_s);
-    w.put_u64(info.samples_streamed);
-    w.put_u64(info.samples_dropped);
-    w.put_double(info.pace_drift_s);
-    w.put_double(info.pace_max_drift_s);
-    w.put_u64(info.max_queue_depth);
-    w.put_u64(info.slices);
-    w.put_u32(static_cast<std::uint32_t>(info.measurements.size()));
+    util::byte_writer w;
+    w.u8(static_cast<std::uint8_t>(info.reason));
+    w.f64(info.sim_time_s);
+    w.u64(info.samples_streamed);
+    w.u64(info.samples_dropped);
+    w.f64(info.pace_drift_s);
+    w.f64(info.pace_max_drift_s);
+    w.u64(info.max_queue_depth);
+    w.u64(info.slices);
+    w.u32(static_cast<std::uint32_t>(info.measurements.size()));
     for (const auto& [name, v] : info.measurements) {
-        w.put_string(name);
-        w.put_double(v);
+        w.str(name);
+        w.f64(v);
     }
-    return std::move(w.buf);
+    return w.take();
 }
 
 close_info decode_close(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     close_info info;
-    const std::uint8_t reason = r.get_u8();
+    const std::uint8_t reason = r.u8();
     util::require(reason <= static_cast<std::uint8_t>(close_reason::failed),
                   "run_protocol", "unknown close reason");
     info.reason = static_cast<close_reason>(reason);
-    info.sim_time_s = r.get_double();
-    info.samples_streamed = r.get_u64();
-    info.samples_dropped = r.get_u64();
-    info.pace_drift_s = r.get_double();
-    info.pace_max_drift_s = r.get_double();
-    info.max_queue_depth = r.get_u64();
-    info.slices = r.get_u64();
-    const std::uint32_t count = r.get_u32();
+    info.sim_time_s = r.f64();
+    info.samples_streamed = r.u64();
+    info.samples_dropped = r.u64();
+    info.pace_drift_s = r.f64();
+    info.pace_max_drift_s = r.f64();
+    info.max_queue_depth = r.u64();
+    info.slices = r.u64();
+    const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count; ++i) {
-        std::string name = r.get_string();
-        info.measurements[name] = r.get_double();
+        std::string name = r.str();
+        info.measurements[name] = r.f64();
     }
-    r.expect_done();
+    r.expect_end();
     return info;
 }
 
 std::vector<std::uint8_t> encode_error(const std::string& message) {
-    writer w;
-    w.put_string(message);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.str(message);
+    return w.take();
 }
 
 std::string decode_error(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    std::string message = r.get_string();
-    r.expect_done();
+    util::byte_reader r(data, n);
+    std::string message = r.str();
+    r.expect_end();
     return message;
 }
 
 std::vector<std::uint8_t> encode_stats(const stats_info& info) {
-    writer w;
-    w.put_double(info.sim_time_s);
-    w.put_u64(info.slices);
-    w.put_u64(info.samples_streamed);
-    w.put_u64(info.samples_dropped);
-    w.put_u64(info.queue_depth);
-    w.put_u64(info.max_queue_depth);
-    w.put_double(info.pace_drift_s);
-    w.put_double(info.pace_max_drift_s);
-    return std::move(w.buf);
+    util::byte_writer w;
+    w.f64(info.sim_time_s);
+    w.u64(info.slices);
+    w.u64(info.samples_streamed);
+    w.u64(info.samples_dropped);
+    w.u64(info.queue_depth);
+    w.u64(info.max_queue_depth);
+    w.f64(info.pace_drift_s);
+    w.f64(info.pace_max_drift_s);
+    return w.take();
 }
 
 stats_info decode_stats(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
+    util::byte_reader r(data, n);
     stats_info info;
-    info.sim_time_s = r.get_double();
-    info.slices = r.get_u64();
-    info.samples_streamed = r.get_u64();
-    info.samples_dropped = r.get_u64();
-    info.queue_depth = r.get_u64();
-    info.max_queue_depth = r.get_u64();
-    info.pace_drift_s = r.get_double();
-    info.pace_max_drift_s = r.get_double();
-    r.expect_done();
+    info.sim_time_s = r.f64();
+    info.slices = r.u64();
+    info.samples_streamed = r.u64();
+    info.samples_dropped = r.u64();
+    info.queue_depth = r.u64();
+    info.max_queue_depth = r.u64();
+    info.pace_drift_s = r.f64();
+    info.pace_max_drift_s = r.f64();
+    r.expect_end();
     return info;
-}
-
-std::vector<std::uint8_t> encode_metrics(const run_metrics& m) {
-    writer w;
-    w.put_u64(m.index);
-    w.put_u32(static_cast<std::uint32_t>(m.entries.size()));
-    for (const util::metric_value& mv : m.entries) {
-        w.put_string(mv.name);
-        w.put_u8(static_cast<std::uint8_t>(mv.kind));
-        w.put_u64(mv.count);
-        w.put_double(mv.value);
-        w.put_double(mv.min);
-        w.put_double(mv.max);
-    }
-    return std::move(w.buf);
-}
-
-run_metrics decode_metrics(const std::uint8_t* data, std::size_t n) {
-    reader r{data, n};
-    run_metrics m;
-    m.index = r.get_u64();
-    const std::uint32_t count = r.get_u32();
-    m.entries.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        util::metric_value mv;
-        mv.name = r.get_string();
-        const std::uint8_t kind = r.get_u8();
-        util::require(kind <= static_cast<std::uint8_t>(
-                                  util::metric_value::metric_kind::histogram),
-                      "run_protocol", "unknown metric kind");
-        mv.kind = static_cast<util::metric_value::metric_kind>(kind);
-        mv.count = r.get_u64();
-        mv.value = r.get_double();
-        mv.min = r.get_double();
-        mv.max = r.get_double();
-        m.entries.push_back(std::move(mv));
-    }
-    r.expect_done();
-    return m;
 }
 
 // ----------------------------------------------------------------- frames --
 
-std::vector<std::uint8_t> pack_frame(msg_type type,
-                                     const std::vector<std::uint8_t>& payload) {
-    util::require(payload.size() <= k_max_payload, "run_protocol",
-                  "frame payload exceeds the " + std::to_string(k_max_payload) +
-                      "-byte protocol limit");
-    writer w;
-    w.buf.reserve(payload.size() + 13);
-    w.put_u32(k_magic);
-    w.put_u32(static_cast<std::uint32_t>(payload.size()));
-    w.put_u8(static_cast<std::uint8_t>(type));
-    w.buf.insert(w.buf.end(), payload.begin(), payload.end());
-    w.put_u32(fnv1a(payload.data(), payload.size()));
-    return std::move(w.buf);
-}
-
 namespace {
 
-/// Shared frame-type validation: types 1..k_max_msg_type are assigned (the
-/// run_set originals plus the session protocol), everything else is rejected.
-bool known_type(std::uint8_t t) noexcept {
-    return t >= static_cast<std::uint8_t>(msg_type::job) && t <= k_max_msg_type;
+/// Header length: u32 magic | u32 payload_len | u8 type.
+constexpr std::size_t k_header_size = 9;
+
+struct frame_header {
+    msg_type type;
+    std::uint32_t payload_len;
+};
+
+/// The one decoder of the frame header.  Validates magic, the payload limit
+/// and the type byte (1..k_max_msg_type are assigned), so every reader
+/// refuses a garbage header before it allocates or waits for a payload.
+frame_header read_header(util::byte_reader& r) {
+    util::require(r.u32() == k_magic, "run_protocol", "bad frame magic");
+    const std::uint32_t len = r.u32();
+    if (len > k_max_payload) {
+        util::report_fatal("run_protocol", "frame payload length " + std::to_string(len) +
+                                               " exceeds the protocol limit");
+    }
+    const std::uint8_t type = r.u8();
+    if (type < static_cast<std::uint8_t>(msg_type::job) || type > k_max_msg_type) {
+        util::report_fatal("run_protocol", "unknown frame type " + std::to_string(type));
+    }
+    return {static_cast<msg_type>(type), len};
+}
+
+void check_sum(std::uint32_t sum, const std::vector<std::uint8_t>& payload) {
+    util::require(sum == util::fnv1a_32(payload.data(), payload.size()), "run_protocol",
+                  "frame checksum mismatch");
 }
 
 }  // namespace
 
+std::vector<std::uint8_t> pack_frame(msg_type type,
+                                     const std::vector<std::uint8_t>& payload) {
+    util::require(payload.size() <= k_max_payload, "run_protocol",
+                  "frame payload exceeds the 256 MiB protocol limit");
+    util::byte_writer w;
+    w.reserve(k_header_size + payload.size() + 4);
+    w.u32(k_magic);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.u8(static_cast<std::uint8_t>(type));
+    w.raw(payload);
+    w.u32(util::fnv1a_32(payload.data(), payload.size()));
+    return w.take();
+}
+
 bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offset,
                   frame& out) {
     if (offset == size) return false;
-    reader r{data, size, offset};
-    const std::uint32_t magic = r.get_u32();
-    util::require(magic == k_magic, "run_protocol", "bad frame magic");
-    const std::uint32_t len = r.get_u32();
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
-    const std::uint8_t type_byte = r.get_u8();
-    util::require(known_type(type_byte), "run_protocol", "unknown frame type");
-    const auto type = static_cast<msg_type>(type_byte);
-    r.need(len);
-    out.type = type;
-    out.payload.assign(r.data + r.pos, r.data + r.pos + len);
-    r.pos += len;
-    const std::uint32_t sum = r.get_u32();
-    util::require(sum == fnv1a(out.payload.data(), out.payload.size()), "run_protocol",
-                  "frame checksum mismatch");
-    offset = r.pos;
+    util::byte_reader r(data + offset, size - offset);
+    const frame_header h = read_header(r);
+    out.type = h.type;
+    r.raw(out.payload, h.payload_len);
+    check_sum(r.u32(), out.payload);
+    offset = size - r.remaining();
     return true;
 }
 
 std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) {
-    if (size < 9) return 0;  // header incomplete: read more
-    std::uint32_t magic = 0, len = 0;
-    for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(data[i]) << (8 * i);
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(data[4 + i]) << (8 * i);
-    util::require(magic == k_magic, "run_protocol", "bad frame magic");
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
-    return 13 + static_cast<std::size_t>(len);  // header + payload + checksum
+    if (size < k_header_size) return 0;  // header incomplete: read more
+    util::byte_reader r(data, k_header_size);
+    return k_header_size + read_header(r).payload_len + 4;  // + checksum
 }
 
 namespace {
@@ -623,26 +529,17 @@ std::size_t read_exact(int fd, std::uint8_t* data, std::size_t n, bool eof_ok) {
 }  // namespace
 
 bool read_frame(int fd, frame& out) {
-    std::uint8_t header[9];
+    std::uint8_t header[k_header_size];
     if (read_exact(fd, header, sizeof header, /*eof_ok=*/true) == 0) return false;
-    std::uint32_t magic = 0, len = 0;
-    for (int i = 0; i < 4; ++i) magic |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[4 + i]) << (8 * i);
-    util::require(magic == k_magic, "run_protocol", "bad frame magic on stream");
-    util::require(len <= k_max_payload, "run_protocol",
-                  "frame payload length " + std::to_string(len) +
-                      " exceeds the protocol limit");
-    util::require(known_type(header[8]), "run_protocol", "unknown frame type on stream");
-    const auto type = static_cast<msg_type>(header[8]);
-    out.type = type;
-    out.payload.resize(len);
-    if (len > 0) read_exact(fd, out.payload.data(), len, /*eof_ok=*/false);
-    std::uint8_t sum_bytes[4];
-    read_exact(fd, sum_bytes, sizeof sum_bytes, /*eof_ok=*/false);
-    std::uint32_t sum = 0;
-    for (int i = 0; i < 4; ++i) sum |= static_cast<std::uint32_t>(sum_bytes[i]) << (8 * i);
-    util::require(sum == fnv1a(out.payload.data(), out.payload.size()), "run_protocol",
-                  "frame checksum mismatch on stream");
+    util::byte_reader hr(header, sizeof header);
+    const frame_header h = read_header(hr);
+    out.type = h.type;
+    out.payload.resize(h.payload_len);
+    if (h.payload_len > 0) read_exact(fd, out.payload.data(), h.payload_len, false);
+    std::uint8_t sum[4];
+    read_exact(fd, sum, sizeof sum, /*eof_ok=*/false);
+    util::byte_reader sr(sum, sizeof sum);
+    check_sum(sr.u32(), out.payload);
     return true;
 }
 

@@ -1,7 +1,9 @@
-// Wire protocol for out-of-process run_set execution: length-prefixed binary
-// frames carrying jobs (parent -> worker) and run results (worker -> parent),
-// shared verbatim by the fork-based multiprocess backend, the remote-TCP
-// worker backend, and the checkpoint journal.
+// SCA1: the one binary format this build speaks.  Length-prefixed frames
+// carry run_set jobs and results between the parent and its fork-based or
+// remote-TCP workers, the streaming-server sessions (src/server/), the
+// checkpoint journal (core/run_checkpoint) and snapshot files
+// (core/snapshot).  This header owns the whole layout; the field encoding
+// itself is util::byte_writer / util::byte_reader.
 //
 // Framing (all integers little-endian regardless of host byte order):
 //
@@ -13,16 +15,12 @@
 // the multiprocess result table bit-identical to the in-thread one.
 //
 // Robustness contract (tests/test_run_protocol.cpp): truncated frames,
-// payloads above k_max_payload, magic/type/checksum mismatches and short
-// payloads all throw sca::util::error instead of yielding garbage.
+// payloads above k_max_payload, magic/type/checksum mismatches and short or
+// oversized payloads all throw sca::util::error instead of yielding garbage.
 //
-// Session protocol (src/server/): types 5..15 carry the streaming-server
-// session traffic over the same 'SCA1' framing.  The numeric values of the
-// original run_set frames (1..4) are frozen, so journals and multiprocess
-// workers from before the session extension stay byte-compatible; a client
-// and server agree on the session dialect through the version byte carried
-// by the hello frame (k_session_version) before any other session frame is
-// exchanged.
+// Versioning: one number, k_format_version, covers every SCA1 payload.  The
+// hello frame, the snapshot payload and the journal header carry it, and a
+// reader refuses any other value by name instead of guessing at a layout.
 #ifndef SCA_CORE_RUN_PROTOCOL_HPP
 #define SCA_CORE_RUN_PROTOCOL_HPP
 
@@ -32,7 +30,7 @@
 #include <vector>
 
 #include "core/run_set.hpp"
-#include "util/telemetry.hpp"
+#include "util/bytes.hpp"
 
 namespace sca::core::wire {
 
@@ -43,12 +41,15 @@ inline constexpr std::uint32_t k_magic = 0x31414353U;
 /// before any allocation happens).
 inline constexpr std::uint32_t k_max_payload = 256U * 1024U * 1024U;
 
-/// Version of the session dialect (frame types >= hello).  Negotiated once
-/// per connection: the client's hello carries the version it speaks, the
-/// server answers with the version it accepted or an error frame.
-/// v2 adds the stats frame (periodic/on-request in-band session telemetry)
-/// and extends the close reply with max_queue_depth and the slice count.
-inline constexpr std::uint8_t k_session_version = 2;
+/// Version of the SCA1 payload layouts.  The client's hello carries it (the
+/// server echoes it, or answers any other value with an error frame and
+/// hangs up), and so do the snapshot payload and the checkpoint journal
+/// header.
+inline constexpr std::uint8_t k_format_version = 3;
+
+/// Throw unless `found` equals k_format_version; `what` names the refused
+/// hello, file or journal in the diagnostic.
+void require_format_version(std::uint32_t found, const std::string& what);
 
 enum class msg_type : std::uint8_t {
     job = 1,       ///< parent -> worker: u64 run index
@@ -56,8 +57,8 @@ enum class msg_type : std::uint8_t {
     shutdown = 3,  ///< parent -> worker: finish and exit (empty payload)
     header = 4,    ///< checkpoint journal only: campaign fingerprint
 
-    // --- session protocol (version byte: k_session_version via hello) ------
-    hello = 5,      ///< both ways: u8 session protocol version
+    // --- session protocol ---------------------------------------------------
+    hello = 5,      ///< both ways: u8 k_format_version
     catalog = 6,    ///< request (empty) / reply (scenario names + defaults)
     open = 7,       ///< client -> server: scenario name + params + slice
     opened = 8,     ///< server -> client: session id, probes, timing
@@ -72,13 +73,11 @@ enum class msg_type : std::uint8_t {
     // --- full-state snapshots (core/snapshot) ------------------------------
     snapshot_state = 16,  ///< snapshot file / journal: full simulation state
 
-    // --- telemetry (session v2 / run_set metrics) --------------------------
-    stats = 17,    ///< session: request (empty) / reply or periodic push
-    metrics = 18,  ///< worker -> parent: per-run metrics (precedes result)
+    stats = 17,  ///< session: request (empty) / reply or periodic push
 };
 
 /// Largest assigned frame type (frame validation bound).
-inline constexpr std::uint8_t k_max_msg_type = 18;
+inline constexpr std::uint8_t k_max_msg_type = 17;
 
 /// One decoded frame.
 struct frame {
@@ -86,20 +85,22 @@ struct frame {
     std::vector<std::uint8_t> payload;
 };
 
-/// FNV-1a over the payload — cheap torn-write/corruption detection for the
-/// checkpoint journal and a sanity check on sockets.
-[[nodiscard]] std::uint32_t fnv1a(const std::uint8_t* data, std::size_t n) noexcept;
-
 // -------------------------------------------------------- encode / decode --
 
 [[nodiscard]] std::vector<std::uint8_t> encode_job(std::uint64_t index);
 [[nodiscard]] std::uint64_t decode_job(const std::uint8_t* data, std::size_t n);
 
+/// A whole run_result except `worker` (which the receiving dispatcher
+/// stamps), run_metrics included.
 [[nodiscard]] std::vector<std::uint8_t> encode_result(const run_result& r);
 [[nodiscard]] run_result decode_result(const std::uint8_t* data, std::size_t n);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_params(const params& p);
 [[nodiscard]] params decode_params(const std::uint8_t* data, std::size_t n);
+
+/// The params field encoding, for payloads that embed one (snapshots).
+void put_params(util::byte_writer& w, const params& p);
+[[nodiscard]] params get_params(util::byte_reader& r);
 
 // ------------------------------------------------- session protocol types --
 
@@ -176,8 +177,8 @@ struct close_info {
     std::uint64_t samples_dropped = 0;
     double pace_drift_s = 0.0;
     double pace_max_drift_s = 0.0;
-    std::uint64_t max_queue_depth = 0;  ///< session v2
-    std::uint64_t slices = 0;           ///< session v2
+    std::uint64_t max_queue_depth = 0;
+    std::uint64_t slices = 0;
     std::map<std::string, double> measurements;
 };
 
@@ -193,15 +194,6 @@ struct stats_info {
     std::uint64_t max_queue_depth = 0;  ///< deepest the queue has been
     double pace_drift_s = 0.0;
     double pace_max_drift_s = 0.0;
-};
-
-/// Per-run telemetry attached to a run_result: the deterministic
-/// counter/gauge subset of the worker context's registry (sorted by name),
-/// sent as its own frame immediately before the result frame so journals and
-/// old parents that ignore it stay compatible.
-struct run_metrics {
-    std::uint64_t index = 0;  ///< run index the metrics belong to
-    util::metrics_snapshot entries;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(std::uint8_t version);
@@ -242,9 +234,6 @@ struct run_metrics {
 [[nodiscard]] std::vector<std::uint8_t> encode_stats(const stats_info& info);
 [[nodiscard]] stats_info decode_stats(const std::uint8_t* data, std::size_t n);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_metrics(const run_metrics& m);
-[[nodiscard]] run_metrics decode_metrics(const std::uint8_t* data, std::size_t n);
-
 /// Serialize a full frame (header + payload + checksum) into a byte buffer —
 /// what write_frame() puts on the wire and the journal appends to disk.
 [[nodiscard]] std::vector<std::uint8_t> pack_frame(msg_type type,
@@ -257,8 +246,8 @@ bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offse
 
 /// Size in bytes of the complete frame starting at data[0], parsing only the
 /// header: 0 when fewer than the 9 header bytes are available yet ("read
-/// more"), the full frame length otherwise.  Validates magic and length so a
-/// server can reject a garbage stream before buffering k_max_payload bytes.
+/// more"), the full frame length otherwise.  Validates magic, length and type
+/// so a server can reject a garbage stream before buffering its payload.
 /// This is what lets a non-blocking reader distinguish "frame still in
 /// flight" (wait) from "frame torn/corrupt" (throw) — unpack_frame alone
 /// treats both as truncation.
@@ -272,8 +261,8 @@ bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offse
 bool write_frame(int fd, msg_type type, const std::vector<std::uint8_t>& payload);
 
 /// Read one frame from a blocking fd.  Returns false on clean EOF before any
-/// header byte; throws on mid-frame EOF, bad magic, oversized payload, or
-/// checksum mismatch.
+/// header byte; throws on mid-frame EOF, bad magic, oversized payload,
+/// unknown type, or checksum mismatch.
 bool read_frame(int fd, frame& out);
 
 }  // namespace sca::core::wire

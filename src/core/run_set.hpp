@@ -104,9 +104,8 @@ struct run_result {
     std::string error;
     /// Per-run telemetry: the deterministic counter/gauge subset of the
     /// run's context registry (sorted by name), identical across backends
-    /// and worker counts.  Travels as its own wire frame (not part of the
-    /// frozen v0 result payload); empty for journal-resumed runs and runs
-    /// lost to worker death.
+    /// and worker counts.  Travels inside the result payload, so the
+    /// checkpoint journal keeps it; empty for runs lost to worker death.
     util::metrics_snapshot run_metrics;
     /// Worker that executed the run (telemetry only — never affects result
     /// content): slot index for in_thread/multiprocess, endpoint index for

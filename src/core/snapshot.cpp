@@ -24,47 +24,6 @@ namespace sca::core {
 
 namespace {
 
-// ----------------------------------------------------------------- params --
-// Self-contained parameter encoding (the snapshot does not reuse the wire
-// result-table layout: the payload carries its own format version and must
-// stay decodable independently of protocol evolution).
-
-void write_params(util::byte_writer& w, const params& p) {
-    w.u64(p.entries().size());
-    for (const auto& [name, v] : p.entries()) {
-        w.str(name);
-        if (std::holds_alternative<double>(v)) {
-            w.u8(0);
-            w.f64(std::get<double>(v));
-        } else {
-            w.u8(1);
-            w.str(std::get<std::string>(v));
-        }
-    }
-    w.u64(p.run_index());
-    w.u64(p.seed());
-}
-
-params read_params(util::byte_reader& r) {
-    params p;
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::string name = r.str();
-        const std::uint8_t tag = r.u8();
-        if (tag == 0) {
-            p.set(name, r.f64());
-        } else if (tag == 1) {
-            p.set(name, r.str());
-        } else {
-            util::report_fatal("snapshot", "unknown parameter value tag");
-        }
-    }
-    const std::uint64_t run_index = r.u64();
-    const std::uint64_t seed = r.u64();
-    p.set_run_identity(static_cast<std::size_t>(run_index), seed);
-    return p;
-}
-
 // ----------------------------------------------------- structural identity --
 
 /// Fingerprint of the model *shape*: scenario, parameters, every object's
@@ -75,7 +34,7 @@ params read_params(util::byte_reader& r) {
 std::uint32_t structural_fingerprint(testbench& tb) {
     util::byte_writer w;
     w.str(tb.name());
-    write_params(w, tb.parameters());
+    wire::put_params(w, tb.parameters());
     de::simulation_context& ctx = tb.context();
     for (const de::object* o : ctx.hierarchy()) {
         w.str(o->name());
@@ -201,9 +160,9 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
     }
 
     util::byte_writer w;
-    w.u32(k_snapshot_version);
+    w.u32(wire::k_format_version);
     w.str(tb.name());
-    write_params(w, tb.parameters());
+    wire::put_params(w, tb.parameters());
     w.u32(structural_fingerprint(tb));
 
     // --- kernel clock & counters -------------------------------------------
@@ -272,13 +231,9 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
 std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t n) {
     util::byte_reader r(data, n);
 
-    const std::uint32_t version = r.u32();
-    util::require(version == k_snapshot_version, "snapshot",
-                  "unsupported snapshot version " + std::to_string(version) +
-                      " (this build reads version " +
-                      std::to_string(k_snapshot_version) + ")");
+    wire::require_format_version(r.u32(), "snapshot");
     const std::string scenario_name = r.str();
-    const params p = read_params(r);
+    const params p = wire::get_params(r);
     const std::uint32_t saved_fingerprint = r.u32();
 
     // Rebuild the model through the scenario factory, replicate the first

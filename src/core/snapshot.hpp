@@ -16,10 +16,11 @@
 //
 // On-disk format: exactly one SCA1 frame (the framing, checksum, and
 // size-limit discipline of core/run_protocol) of type
-// wire::msg_type::snapshot_state, whose payload starts with a format
-// version.  The same frame can be appended to a run_set checkpoint journal
-// (journal readers skip non-result frames), which is how a campaign records
-// a warm-start state under its fingerprint header.
+// wire::msg_type::snapshot_state, whose payload starts with
+// wire::k_format_version and encodes the scenario parameters with the wire
+// params encoder.  The same frame can be appended to a run_set checkpoint
+// journal (journal readers skip non-result frames), which is how a campaign
+// records a warm-start state under its fingerprint header.
 #ifndef SCA_CORE_SNAPSHOT_HPP
 #define SCA_CORE_SNAPSHOT_HPP
 
@@ -33,9 +34,6 @@
 namespace sca::core {
 
 class testbench;
-
-/// Version of the snapshot payload layout (inside the SCA1 frame).
-inline constexpr std::uint32_t k_snapshot_version = 1;
 
 // ----------------------------------------------------------- payload level --
 

@@ -1,14 +1,8 @@
 #include "server/server.hpp"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
-
-#include <arpa/inet.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -16,13 +10,14 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/run_backend.hpp"
+#include "core/net.hpp"
 #include "core/scenario.hpp"
 #include "server/session.hpp"
 #include "util/report.hpp"
 
 namespace sca::server {
 
+namespace net = core::net;
 namespace wire = core::wire;
 
 namespace {
@@ -33,32 +28,6 @@ namespace {
 constexpr std::size_t k_outbuf_high_watermark = 256 * 1024;
 
 constexpr std::size_t k_read_chunk = 64 * 1024;
-
-void set_nonblocking(int fd) {
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    util::require(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                  "sim_server", std::string("fcntl failed: ") + std::strerror(errno));
-}
-
-int listen_unix(const std::string& path) {
-    util::require(path.size() < sizeof(sockaddr_un{}.sun_path), "sim_server",
-                  "AF_UNIX path '" + path + "' is too long");
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_server",
-                  std::string("socket failed: ") + std::strerror(errno));
-    ::unlink(path.c_str());  // stale socket from a previous run
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0 ||
-        ::listen(fd, 128) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_server", "cannot listen on AF_UNIX path '" + path +
-                                             "': " + std::strerror(err));
-    }
-    return fd;
-}
 
 }  // namespace
 
@@ -88,17 +57,17 @@ void sim_server::start() {
                   std::string("pipe failed: ") + std::strerror(errno));
     wake_read_fd_ = pipefd[0];
     wake_write_fd_ = pipefd[1];
-    set_nonblocking(wake_read_fd_);
-    set_nonblocking(wake_write_fd_);
+    net::set_nonblocking(wake_read_fd_);
+    net::set_nonblocking(wake_write_fd_);
 
     if (opt_.tcp) {
         port_ = opt_.port;
-        listen_tcp_fd_ = core::listen_tcp(port_);
-        set_nonblocking(listen_tcp_fd_);
+        listen_tcp_fd_ = net::listen_tcp(port_);
+        net::set_nonblocking(listen_tcp_fd_);
     }
     if (!opt_.unix_path.empty()) {
-        listen_unix_fd_ = listen_unix(opt_.unix_path);
-        set_nonblocking(listen_unix_fd_);
+        listen_unix_fd_ = net::listen_unix(opt_.unix_path);
+        net::set_nonblocking(listen_unix_fd_);
     }
 
     stop_requested_.store(false, std::memory_order_relaxed);
@@ -130,17 +99,9 @@ void sim_server::wake() const {
 
 void sim_server::accept_clients(int listen_fd, bool tcp) {
     for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-            util::report_fatal("sim_server",
-                               std::string("accept failed: ") + std::strerror(errno));
-        }
-        set_nonblocking(fd);
-        if (tcp) {
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        }
+        const int fd = net::accept(listen_fd, tcp);
+        if (fd < 0) return;  // nothing more pending
+        net::set_nonblocking(fd);
         auto conn = std::make_unique<connection>();
         conn->fd = fd;
         conns_.push_back(std::move(conn));
@@ -156,11 +117,11 @@ void sim_server::queue_reply(connection& c, wire::msg_type type,
 void sim_server::handle_frame(connection& c, const wire::frame& f) {
     switch (f.type) {
         case wire::msg_type::hello:
-            // Version negotiation: decode validates the client's byte, the
-            // reply tells the client what the server actually speaks.
+            // decode_hello throws on any other format version, which
+            // on_readable answers with an error frame and a hang-up.
             (void)wire::decode_hello(f.payload.data(), f.payload.size());
             queue_reply(c, wire::msg_type::hello,
-                        wire::encode_hello(wire::k_session_version));
+                        wire::encode_hello(wire::k_format_version));
             break;
         case wire::msg_type::catalog: {
             std::vector<wire::catalog_entry> entries;
@@ -413,42 +374,11 @@ void client::close() {
 }
 
 client client::connect_tcp(const std::string& host, std::uint16_t port) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    util::require(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1,
-                  "sim_client", "'" + host + "' is not a numeric IPv4 address");
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_client",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_client", "cannot connect to " + host + ":" +
-                                             std::to_string(port) + ": " +
-                                             std::strerror(err));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return client(fd);
+    return client(net::connect_tcp(host, port));
 }
 
 client client::connect_unix(const std::string& path) {
-    util::require(path.size() < sizeof(sockaddr_un{}.sun_path), "sim_client",
-                  "AF_UNIX path '" + path + "' is too long");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    util::require(fd >= 0, "sim_client",
-                  std::string("socket failed: ") + std::strerror(errno));
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-        const int err = errno;
-        ::close(fd);
-        util::report_fatal("sim_client", "cannot connect to AF_UNIX path '" + path +
-                                             "': " + std::strerror(err));
-    }
-    return client(fd);
+    return client(net::connect_unix(path));
 }
 
 void client::send(wire::msg_type type, const std::vector<std::uint8_t>& payload) {
@@ -464,7 +394,7 @@ wire::frame client::read_frame() {
 }
 
 std::uint8_t client::hello() {
-    send(wire::msg_type::hello, wire::encode_hello(wire::k_session_version));
+    send(wire::msg_type::hello, wire::encode_hello(wire::k_format_version));
     const wire::frame f = read_frame();
     util::require(f.type == wire::msg_type::hello, "sim_client",
                   "expected a hello reply");

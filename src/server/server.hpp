@@ -132,7 +132,9 @@ public:
     [[nodiscard]] static client connect_tcp(const std::string& host, std::uint16_t port);
     [[nodiscard]] static client connect_unix(const std::string& path);
 
-    /// Version handshake; returns the server's session protocol version.
+    /// Version handshake; returns the server's format version, which
+    /// always equals wire::k_format_version (a server with another version
+    /// answers with an error frame, and this throws).
     std::uint8_t hello();
 
     /// The server's scenario catalog (names + default parameters).

@@ -16,17 +16,22 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/net.hpp"
 #include "core/run_backend.hpp"
 #include "core/run_checkpoint.hpp"
+#include "core/run_protocol.hpp"
 #include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
+#include "util/bytes.hpp"
 #include "util/measure.hpp"
 
 namespace core = sca::core;
@@ -90,6 +95,17 @@ std::string csv_of(const core::result_table& t) {
     std::ostringstream os;
     t.write_csv(os);
     return os.str();
+}
+
+std::string metrics_csv_of(const core::result_table& t) {
+    std::ostringstream os;
+    t.write_metrics_csv(os);
+    return os.str();
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
 std::string temp_journal(const std::string& tag) {
@@ -205,14 +221,17 @@ TEST(run_backend, checkpoint_resume_completes_a_killed_campaign) {
     EXPECT_EQ(core::checkpoint_indices(journal).size(), 8U);
 
     // Resume: same campaign, same journal — only run 4 recomputes, and the
-    // final table matches an uninterrupted sequential run byte for byte.
+    // final table and its run metrics match an uninterrupted sequential run
+    // byte for byte.
     const auto resumed = make_grid_set(rc)
                              .set_backend(core::run_backend::multiprocess)
                              .set_workers(2)
                              .set_checkpoint(journal)
                              .run_all();
     EXPECT_EQ(resumed.failed_count(), 0U);
-    EXPECT_EQ(csv_of(resumed), csv_of(make_grid_set(rc).set_workers(1).run_all()));
+    const auto sequential = make_grid_set(rc).set_workers(1).run_all();
+    EXPECT_EQ(csv_of(resumed), csv_of(sequential));
+    EXPECT_EQ(metrics_csv_of(resumed), metrics_csv_of(sequential));
 
     // Across both attempts, every run index was journaled exactly once.
     auto indices = core::checkpoint_indices(journal);
@@ -236,6 +255,9 @@ TEST(run_backend, completed_checkpoint_skips_all_work) {
                            .run_all();
     EXPECT_EQ(computed.load(), 0);
     EXPECT_EQ(csv_of(again), golden);
+    // The journal keeps each run's metrics along with its result.
+    EXPECT_EQ(metrics_csv_of(again),
+              metrics_csv_of(make_grid_set(rc).set_workers(1).run_all()));
     std::remove(journal.c_str());
 }
 
@@ -250,6 +272,39 @@ TEST(run_backend, mismatched_checkpoint_is_refused) {
                      .run_all(),
                  sca::util::error);
     std::remove(journal.c_str());
+
+    // A journal whose header carries another format version (here: the
+    // right campaign, one version back) is refused by name: nothing is
+    // computed and nothing is appended to it.
+    const std::string stale = temp_journal("ckpt_stale");
+    const std::uint32_t old_version = core::wire::k_format_version - 1;
+    sca::util::byte_writer header;
+    header.u32(old_version);
+    header.str("ckpt_mismatch");
+    header.u64(0xfeedULL);
+    header.u64(9);
+    header.boolean(true);
+    const auto bytes =
+        core::wire::pack_frame(core::wire::msg_type::header, header.take());
+    std::ofstream(stale, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    std::atomic<int> computed{0};
+    try {
+        (void)make_grid_set(rc)
+            .set_checkpoint(stale)
+            .on_result([&](const core::run_result&) { ++computed; })
+            .run_all();
+        ADD_FAILURE() << "a version " << old_version << " journal was resumed";
+    } catch (const sca::util::error& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported journal '" + stale + "' version " +
+                                             std::to_string(old_version)),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(computed.load(), 0);
+    EXPECT_EQ(read_file(stale), bytes);
+    std::remove(stale.c_str());
 }
 
 // ------------------------------------------------------ streaming delivery --
@@ -280,7 +335,7 @@ TEST(run_backend, remote_tcp_worker_matches_sequential) {
     const auto rc = define_rc("tcp");
     const auto rs = make_grid_set(rc);
     std::uint16_t port = 0;
-    const int listen_fd = core::listen_tcp(port);
+    const int listen_fd = core::net::listen_tcp(port);
     ASSERT_GT(listen_fd, 0);
     ASSERT_NE(port, 0);
     const pid_t server = fork();

@@ -13,6 +13,7 @@
 
 #include "core/run_protocol.hpp"
 #include "core/run_set.hpp"
+#include "util/bytes.hpp"
 #include "util/report.hpp"
 
 namespace core = sca::core;
@@ -210,19 +211,25 @@ TEST(run_protocol, trailing_garbage_after_payload_is_rejected) {
                  sca::util::error);
 }
 
-// -------------------------------------------------- session protocol (v1) --
+// ------------------------------------------------------- session protocol --
 
 TEST(session_protocol, hello_round_trip_and_version_guard) {
-    const auto payload = wire::encode_hello(wire::k_session_version);
+    const auto payload = wire::encode_hello(wire::k_format_version);
     EXPECT_EQ(wire::decode_hello(payload.data(), payload.size()),
-              wire::k_session_version);
-    // A hello from the future still decodes — the reply carries this side's
-    // version, so negotiation happens above the codec — but 0 is invalid.
-    const auto future = wire::encode_hello(wire::k_session_version + 1);
-    EXPECT_EQ(wire::decode_hello(future.data(), future.size()),
-              wire::k_session_version + 1);
-    const std::uint8_t zero[] = {0};
-    EXPECT_THROW((void)wire::decode_hello(zero, 1), sca::util::error);
+              wire::k_format_version);
+    // Any other version, older or newer, is refused by name.
+    for (const std::uint8_t other : {0, wire::k_format_version - 1, wire::k_format_version + 1}) {
+        const auto hello = wire::encode_hello(static_cast<std::uint8_t>(other));
+        try {
+            (void)wire::decode_hello(hello.data(), hello.size());
+            ADD_FAILURE() << "hello version " << int(other) << " was accepted";
+        } catch (const sca::util::error& e) {
+            EXPECT_NE(std::string(e.what()).find("unsupported hello version " +
+                                                 std::to_string(other)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(session_protocol, catalog_round_trip) {
@@ -382,32 +389,33 @@ TEST(session_protocol, stats_round_trip) {
 }
 
 TEST(run_protocol, metrics_round_trip_is_bit_exact_for_nasty_doubles) {
-    // Gauges carry arbitrary doubles: the metrics frame must move them
-    // bit-exactly, like results do.
+    // Gauges carry arbitrary doubles: the run metrics inside the result
+    // payload must move them bit-exactly, like measurements do.
     namespace util = sca::util;
-    wire::run_metrics m;
-    m.index = 17;
+    core::run_result r;
+    r.index = 17;
+    r.ok = true;
     util::metric_value c;
     c.name = "kernel.delta_cycles";
     c.kind = util::metric_value::metric_kind::counter;
     c.count = 123456789;
-    m.entries.push_back(c);
+    r.run_metrics.push_back(c);
     for (const double v : nasty_doubles()) {
         util::metric_value g;
-        g.name = "gauge_" + std::to_string(m.entries.size());
+        g.name = "gauge_" + std::to_string(r.run_metrics.size());
         g.kind = util::metric_value::metric_kind::gauge;
         g.value = v;
-        m.entries.push_back(g);
+        r.run_metrics.push_back(g);
     }
-    const auto payload = wire::encode_metrics(m);
-    const wire::run_metrics d = wire::decode_metrics(payload.data(), payload.size());
+    const auto payload = wire::encode_result(r);
+    const core::run_result d = wire::decode_result(payload.data(), payload.size());
     EXPECT_EQ(d.index, 17U);
-    ASSERT_EQ(d.entries.size(), m.entries.size());
-    for (std::size_t i = 0; i < m.entries.size(); ++i) {
-        EXPECT_EQ(d.entries[i].name, m.entries[i].name);
-        EXPECT_EQ(d.entries[i].kind, m.entries[i].kind);
-        EXPECT_EQ(d.entries[i].count, m.entries[i].count);
-        EXPECT_EQ(bits(d.entries[i].value), bits(m.entries[i].value)) << i;
+    ASSERT_EQ(d.run_metrics.size(), r.run_metrics.size());
+    for (std::size_t i = 0; i < r.run_metrics.size(); ++i) {
+        EXPECT_EQ(d.run_metrics[i].name, r.run_metrics[i].name);
+        EXPECT_EQ(d.run_metrics[i].kind, r.run_metrics[i].kind);
+        EXPECT_EQ(d.run_metrics[i].count, r.run_metrics[i].count);
+        EXPECT_EQ(bits(d.run_metrics[i].value), bits(r.run_metrics[i].value)) << i;
     }
 }
 
@@ -442,9 +450,8 @@ TEST(session_protocol, session_frames_truncate_and_corrupt_like_v0_frames) {
 }
 
 TEST(session_protocol, v0_frame_layout_is_frozen) {
-    // Byte-for-byte guard on the pre-session framing: header magic 'SCA1',
-    // little-endian length, type byte, payload, FNV-1a trailer.  The session
-    // protocol extension must not disturb frames old workers exchange.
+    // Byte-for-byte guard on the framing: header magic 'SCA1', little-endian
+    // length, type byte, payload, FNV-1a trailer.
     const auto bytes = wire::pack_frame(wire::msg_type::job, wire::encode_job(5));
     const std::vector<std::uint8_t> expected = {
         'S', 'C', 'A', '1',          // magic
@@ -461,7 +468,7 @@ TEST(session_protocol, v0_frame_layout_is_frozen) {
 
 TEST(session_protocol, frame_size_hint_distinguishes_wait_from_garbage) {
     const auto bytes = wire::pack_frame(wire::msg_type::hello,
-                                        wire::encode_hello(wire::k_session_version));
+                                        wire::encode_hello(wire::k_format_version));
     // Incomplete header: "read more", no exception.
     for (std::size_t n = 0; n < 9; ++n) {
         EXPECT_EQ(wire::frame_size_hint(bytes.data(), n), 0U) << n << " bytes";
@@ -481,12 +488,24 @@ TEST(session_protocol, frame_size_hint_distinguishes_wait_from_garbage) {
     }
     EXPECT_THROW((void)wire::frame_size_hint(huge.data(), huge.size()),
                  sca::util::error);
+    // An unassigned type byte is garbage from the 9 header bytes alone, even
+    // when the header announces a payload the peer never has to send.
+    auto untyped = bytes;
+    const std::uint32_t big = 200U * 1024U * 1024U;
+    for (int i = 0; i < 4; ++i) {
+        untyped[4 + i] = static_cast<std::uint8_t>(big >> (8 * i));
+    }
+    for (const std::uint8_t type : {0, wire::k_max_msg_type + 1, 0xff}) {
+        untyped[8] = type;
+        EXPECT_THROW((void)wire::frame_size_hint(untyped.data(), 9), sca::util::error)
+            << "type " << int(type);
+    }
 }
 
 TEST(run_protocol, fnv1a_is_stable) {
     // Reference vectors (FNV-1a 32-bit): guards the journal format across
     // refactors — a silent hash change would orphan existing checkpoints.
     const std::uint8_t abc[] = {'a', 'b', 'c'};
-    EXPECT_EQ(wire::fnv1a(abc, 3), 0x1a47e90bU);
-    EXPECT_EQ(wire::fnv1a(nullptr, 0), 0x811c9dc5U);
+    EXPECT_EQ(sca::util::fnv1a_32(abc, 3), 0x1a47e90bU);
+    EXPECT_EQ(sca::util::fnv1a_32(nullptr, 0), 0x811c9dc5U);
 }

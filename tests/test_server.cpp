@@ -173,7 +173,20 @@ TEST(sim_server, hello_and_catalog_over_tcp) {
     server::sim_server srv;
     srv.start();
     auto cl = server::client::connect_tcp("127.0.0.1", srv.port());
-    EXPECT_EQ(cl.hello(), wire::k_session_version);
+    EXPECT_EQ(cl.hello(), wire::k_format_version);
+
+    // A client speaking another format version gets an error frame naming
+    // the version, then the server hangs up.
+    {
+        auto stale = server::client::connect_tcp("127.0.0.1", srv.port());
+        ASSERT_TRUE(wire::write_frame(stale.fd(), wire::msg_type::hello,
+                                      wire::encode_hello(wire::k_format_version - 1)));
+        const wire::frame f = stale.read_frame();
+        ASSERT_EQ(f.type, wire::msg_type::error);
+        const std::string why = wire::decode_error(f.payload.data(), f.payload.size());
+        EXPECT_NE(why.find("unsupported hello version"), std::string::npos) << why;
+        EXPECT_THROW((void)stale.read_frame(), sca::util::error);
+    }
 
     const auto entries = cl.catalog();
     ASSERT_GE(entries.size(), 4U);
@@ -242,7 +255,7 @@ TEST(sim_server, eight_concurrent_sessions_bit_identical_to_offline) {
                 auto cl = j.via_unix
                               ? server::client::connect_unix("sim_server_test.sock")
                               : server::client::connect_tcp("127.0.0.1", srv.port());
-                EXPECT_EQ(cl.hello(), wire::k_session_version);
+                EXPECT_EQ(cl.hello(), wire::k_format_version);
                 // Sessions open paused: the subscribe is guaranteed applied
                 // before the first kernel slice because it precedes resume()
                 // on the wire, so the stream covers t=0 onward.
