@@ -131,7 +131,7 @@ int main() {
     sca::util::tabular_trace_file trace("hil_client_trace.dat");
     trace.add_channel("y", [] { return 0.0; });  // replay fills the values
     for (std::size_t i = 0; i < w.times.size(); ++i) {
-        trace.replay_row(w.times[i], {w.values[i]});
+        trace.replay_row(w.times[i], {&w.values[i], 1});
     }
     trace.close();
     std::printf("  streamed waveform written to hil_client_trace.dat\n");

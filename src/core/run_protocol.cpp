@@ -12,6 +12,18 @@
 
 namespace sca::core::wire {
 
+namespace {
+// The smallest encoding of one element of each u32-counted list: the bound
+// byte_reader::count() holds a count to before anything is reserved.
+constexpr std::size_t k_min_str = 4;                            // length, no bytes
+constexpr std::size_t k_min_param = k_min_str + 1 + k_min_str;  // name, kind, text
+constexpr std::size_t k_min_params = 8 + 8 + 4;                 // index, seed, count
+constexpr std::size_t k_min_named_f64 = k_min_str + 8;          // name, value
+constexpr std::size_t k_min_f64_vec = 8;                        // length, no values
+constexpr std::size_t k_min_metric = k_min_str + 1 + 8 + 3 * 8; // name, kind, count, 3 f64
+constexpr std::size_t k_min_catalog_entry = k_min_str + k_min_params;
+}  // namespace
+
 void require_format_version(std::uint32_t found, const std::string& what) {
     if (found != k_format_version) {
         util::report_fatal("run_protocol",
@@ -43,7 +55,7 @@ params get_params(util::byte_reader& r) {
     const std::uint64_t run_index = r.u64();
     const std::uint64_t seed = r.u64();
     p.set_run_identity(run_index, seed);
-    const std::uint32_t n = r.u32();
+    const std::uint32_t n = r.count(k_min_param);
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string name = r.str();
         const std::uint8_t kind = r.u8();
@@ -111,19 +123,19 @@ run_result decode_result(const std::uint8_t* data, std::size_t n) {
     res.ok = r.u8() != 0;
     res.error = r.str();
     res.parameters = get_params(r);
-    const std::uint32_t n_meas = r.u32();
+    const std::uint32_t n_meas = r.count(k_min_named_f64);
     for (std::uint32_t i = 0; i < n_meas; ++i) {
         std::string name = r.str();
         res.measurements[name] = r.f64();
     }
     res.times = r.f64_vec();
-    const std::uint32_t n_probes = r.u32();
+    const std::uint32_t n_probes = r.count(k_min_str);
     res.probe_names.reserve(n_probes);
     for (std::uint32_t i = 0; i < n_probes; ++i) res.probe_names.push_back(r.str());
-    const std::uint32_t n_waves = r.u32();
+    const std::uint32_t n_waves = r.count(k_min_f64_vec);
     res.waveforms.reserve(n_waves);
     for (std::uint32_t i = 0; i < n_waves; ++i) res.waveforms.push_back(r.f64_vec());
-    const std::uint32_t n_metrics = r.u32();
+    const std::uint32_t n_metrics = r.count(k_min_metric);
     for (std::uint32_t i = 0; i < n_metrics; ++i) {
         util::metric_value mv;
         mv.name = r.str();
@@ -183,7 +195,7 @@ std::vector<std::uint8_t> encode_catalog(const std::vector<catalog_entry>& entri
 
 std::vector<catalog_entry> decode_catalog(const std::uint8_t* data, std::size_t n) {
     util::byte_reader r(data, n);
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(k_min_catalog_entry);
     std::vector<catalog_entry> entries;
     entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -230,7 +242,7 @@ session_info decode_opened(const std::uint8_t* data, std::size_t n) {
     info.session_id = r.u64();
     info.stop_time_s = r.f64();
     info.sample_period_s = r.f64();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(k_min_str);
     info.probes.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) info.probes.push_back(r.str());
     r.expect_end();
@@ -357,7 +369,7 @@ close_info decode_close(const std::uint8_t* data, std::size_t n) {
     info.pace_max_drift_s = r.f64();
     info.max_queue_depth = r.u64();
     info.slices = r.u64();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(k_min_named_f64);
     for (std::uint32_t i = 0; i < count; ++i) {
         std::string name = r.str();
         info.measurements[name] = r.f64();
@@ -443,18 +455,25 @@ void check_sum(std::uint32_t sum, const std::vector<std::uint8_t>& payload) {
 
 }  // namespace
 
-std::vector<std::uint8_t> pack_frame(msg_type type,
-                                     const std::vector<std::uint8_t>& payload) {
+void append_frame(std::vector<std::uint8_t>& out, msg_type type,
+                  const std::vector<std::uint8_t>& payload) {
     util::require(payload.size() <= k_max_payload, "run_protocol",
                   "frame payload exceeds the 256 MiB protocol limit");
-    util::byte_writer w;
-    w.reserve(k_header_size + payload.size() + 4);
+    util::byte_writer w(std::move(out));
     w.u32(k_magic);
     w.u32(static_cast<std::uint32_t>(payload.size()));
     w.u8(static_cast<std::uint8_t>(type));
     w.raw(payload);
     w.u32(util::fnv1a_32(payload.data(), payload.size()));
-    return w.take();
+    out = w.take();
+}
+
+std::vector<std::uint8_t> pack_frame(msg_type type,
+                                     const std::vector<std::uint8_t>& payload) {
+    std::vector<std::uint8_t> out;
+    out.reserve(k_header_size + payload.size() + 4);
+    append_frame(out, type, payload);
+    return out;
 }
 
 bool unpack_frame(const std::uint8_t* data, std::size_t size, std::size_t& offset,

@@ -234,8 +234,13 @@ struct stats_info {
 [[nodiscard]] std::vector<std::uint8_t> encode_stats(const stats_info& info);
 [[nodiscard]] stats_info decode_stats(const std::uint8_t* data, std::size_t n);
 
-/// Serialize a full frame (header + payload + checksum) into a byte buffer —
-/// what write_frame() puts on the wire and the journal appends to disk.
+/// Append a full frame (header + payload + checksum) to the end of `out`;
+/// the server queues replies straight onto a connection's output buffer.
+void append_frame(std::vector<std::uint8_t>& out, msg_type type,
+                  const std::vector<std::uint8_t>& payload);
+
+/// Serialize a full frame into a fresh byte buffer — what write_frame() puts
+/// on the wire and the journal appends to disk.
 [[nodiscard]] std::vector<std::uint8_t> pack_frame(msg_type type,
                                                    const std::vector<std::uint8_t>& payload);
 

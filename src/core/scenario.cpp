@@ -158,8 +158,7 @@ void testbench::save_trace(const std::string& path) const {
         out.add_channel(trace_.channel_name(c), [] { return 0.0; });
     }
     const auto& times = trace_.times();
-    const auto& rows = trace_.rows();
-    for (std::size_t i = 0; i < times.size(); ++i) out.replay_row(times[i], rows[i]);
+    for (std::size_t i = 0; i < times.size(); ++i) out.replay_row(times[i], trace_.row(i));
     out.close();
 }
 

@@ -96,12 +96,12 @@ void event::trigger() {
         if (!p->dynamically_waiting()) sched.make_runnable(*p);
     }
     // Dynamic subscribers are one-shot; firing clears their wait state.
-    auto dynamics = std::move(dynamic_subscribers_);
-    dynamic_subscribers_.clear();
-    for (method_process* p : dynamics) {
+    firing_.swap(dynamic_subscribers_);
+    for (method_process* p : firing_) {
         p->dynamic_trigger_fired();
         sched.make_runnable(*p);
     }
+    firing_.clear();
 }
 
 }  // namespace sca::de

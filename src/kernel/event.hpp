@@ -84,6 +84,10 @@ private:
     simulation_context* context_ = nullptr;
     std::vector<method_process*> static_subscribers_;
     std::vector<method_process*> dynamic_subscribers_;
+    // trigger() swaps dynamic_subscribers_ into this list to fire it, so
+    // both keep their capacity and re-subscribing does not allocate.
+    // Empty outside trigger().
+    std::vector<method_process*> firing_;
     kind pending_kind_ = kind::none;
     time pending_time_;
     std::uint64_t generation_ = 0;

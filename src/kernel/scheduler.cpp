@@ -12,6 +12,15 @@
 
 namespace sca::de {
 
+namespace {
+/// The std::*_heap comparator that makes timed_queue_ a min-heap.
+constexpr auto min_heap_order = [](const auto& a, const auto& b) { return a.fires_after(b); };
+}  // namespace
+
+bool scheduler::timed_entry::live() const noexcept {
+    return generation == ev->generation() && ev->pending();
+}
+
 void scheduler::bind_telemetry(util::metrics_registry& registry,
                                util::event_tracer* tracer) {
     timed_notifications_m_ = &registry.get_counter("kernel.timed_notifications");
@@ -62,7 +71,8 @@ void scheduler::queue_delta_event(event& e) { delta_events_.push_back(&e); }
 void scheduler::queue_timed_event(event& e, const time& at) {
     util::require(at >= now_, "scheduler", "timed notification in the past");
     count_timed_notification();
-    timed_queue_.emplace(at, timed_entry{&e, e.generation()});
+    timed_queue_.push_back({at, timed_seq_++, &e, e.generation()});
+    std::push_heap(timed_queue_.begin(), timed_queue_.end(), min_heap_order);
 }
 
 void scheduler::request_update(signal_base& s) { update_queue_.push_back(&s); }
@@ -82,7 +92,7 @@ bool scheduler::idle() const noexcept {
 
 time scheduler::next_event_time() const noexcept {
     if (timed_queue_.empty()) return time::max();
-    return timed_queue_.begin()->first;
+    return timed_queue_.front().at;
 }
 
 bool scheduler::instant_active_ignoring(
@@ -107,12 +117,18 @@ bool scheduler::instant_active_ignoring(
 
 time scheduler::next_event_time_ignoring(
     const std::vector<const event*>& ignored) const noexcept {
-    for (const auto& [at, entry] : timed_queue_) {
-        if (entry.generation != entry.ev->generation() || !entry.ev->pending()) continue;
-        if (std::find(ignored.begin(), ignored.end(), entry.ev) != ignored.end()) continue;
-        return at;
+    const auto eligible = [&ignored](const timed_entry& entry) {
+        return entry.live() &&
+               std::find(ignored.begin(), ignored.end(), entry.ev) == ignored.end();
+    };
+    if (timed_queue_.empty()) return time::max();
+    // The common case is O(1): the heap's front is the earliest entry.
+    if (eligible(timed_queue_.front())) return timed_queue_.front().at;
+    time earliest = time::max();
+    for (const timed_entry& entry : timed_queue_) {
+        if (entry.at < earliest && eligible(entry)) earliest = entry.at;
     }
-    return time::max();
+    return earliest;
 }
 
 void scheduler::initialization_phase() {
@@ -135,19 +151,19 @@ void scheduler::evaluate_update_loop() {
             p->execute();
         }
         // Update phase: apply deferred signal writes.
-        auto updates = std::move(update_queue_);
-        update_queue_.clear();
-        for (signal_base* s : updates) s->update();
+        update_scratch_.swap(update_queue_);
+        for (signal_base* s : update_scratch_) s->update();
+        update_scratch_.clear();
         // Delta notification phase.
-        auto deltas = std::move(delta_events_);
-        delta_events_.clear();
+        delta_scratch_.swap(delta_events_);
         bool any = false;
-        for (event* e : deltas) {
+        for (event* e : delta_scratch_) {
             if (e->pending()) {
                 e->trigger();
                 any = true;
             }
         }
+        delta_scratch_.clear();
         if (any || !runnable_.empty()) count_delta_cycle();
     }
 }
@@ -190,17 +206,17 @@ time scheduler::run(const time& end) {
         evaluate_update_loop();
     }
     while (!timed_queue_.empty()) {
-        const time next = timed_queue_.begin()->first;
+        const time next = timed_queue_.front().at;
         if (next > end) break;
         pace_to(next);
         now_ = next;
-        // Pop and trigger every valid notification at this time point.
-        while (!timed_queue_.empty() && timed_queue_.begin()->first == now_) {
-            const timed_entry entry = timed_queue_.begin()->second;
-            timed_queue_.erase(timed_queue_.begin());
-            if (entry.generation == entry.ev->generation() && entry.ev->pending()) {
-                entry.ev->trigger();
-            }
+        // Pop and trigger every live notification at this time point, in the
+        // order the notifications were made.
+        while (!timed_queue_.empty() && timed_queue_.front().at == now_) {
+            std::pop_heap(timed_queue_.begin(), timed_queue_.end(), min_heap_order);
+            const timed_entry entry = timed_queue_.back();
+            timed_queue_.pop_back();
+            if (entry.live()) entry.ev->trigger();
         }
         evaluate_update_loop();
     }
@@ -215,12 +231,16 @@ time scheduler::run(const time& end) {
 }
 
 std::vector<std::pair<time, event*>> scheduler::pending_timed_events() const {
-    std::vector<std::pair<time, event*>> out;
-    out.reserve(timed_queue_.size());
-    for (const auto& [at, entry] : timed_queue_) {
-        if (entry.generation != entry.ev->generation() || !entry.ev->pending()) continue;
-        out.emplace_back(at, entry.ev);
+    std::vector<timed_entry> entries;
+    for (const timed_entry& entry : timed_queue_) {
+        if (entry.live()) entries.push_back(entry);
     }
+    // Firing order is (at, seq), the reverse of the heap comparator.
+    std::sort(entries.begin(), entries.end(),
+              [](const timed_entry& a, const timed_entry& b) { return b.fires_after(a); });
+    std::vector<std::pair<time, event*>> out;
+    out.reserve(entries.size());
+    for (const timed_entry& entry : entries) out.emplace_back(entry.at, entry.ev);
     return out;
 }
 
@@ -255,6 +275,7 @@ void scheduler::reset() {
     delta_events_.clear();
     update_queue_.clear();
     timed_queue_.clear();
+    timed_seq_ = 0;
     publish_telemetry();
 }
 

@@ -6,7 +6,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "kernel/time.hpp"
@@ -189,15 +188,35 @@ private:
     std::chrono::steady_clock::time_point pace_anchor_wall_;
 
     std::vector<method_process*> all_processes_;
+    // A LIFO stack: within one evaluation phase the last process made
+    // runnable runs first.
     std::vector<method_process*> runnable_;
     std::vector<event*> delta_events_;
     std::vector<signal_base*> update_queue_;
+    // evaluate_update_loop() swaps the two queues above with these, so every
+    // vector keeps its capacity and a steady-state delta cycle allocates
+    // nothing.  Empty outside the loop.
+    std::vector<event*> delta_scratch_;
+    std::vector<signal_base*> update_scratch_;
 
     struct timed_entry {
+        time at;
+        std::uint64_t seq;  ///< notification order; breaks ties between equal `at`
         event* ev;
         std::uint64_t generation;
+
+        /// Still the event's pending notification (not cancelled or superseded).
+        [[nodiscard]] bool live() const noexcept;
+        /// Heap order: true when this entry fires after `o`.
+        [[nodiscard]] bool fires_after(const timed_entry& o) const noexcept {
+            return at != o.at ? at > o.at : seq > o.seq;
+        }
     };
-    std::multimap<time, timed_entry> timed_queue_;
+    /// Binary min-heap on (at, seq): same-instant notifications fire in the
+    /// order they were made.  Cancelled or superseded entries stay until
+    /// popped and are skipped by their stale generation.
+    std::vector<timed_entry> timed_queue_;
+    std::uint64_t timed_seq_ = 0;
 };
 
 }  // namespace sca::de

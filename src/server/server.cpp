@@ -110,8 +110,7 @@ void sim_server::accept_clients(int listen_fd, bool tcp) {
 
 void sim_server::queue_reply(connection& c, wire::msg_type type,
                              const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> bytes = wire::pack_frame(type, payload);
-    c.outbuf.insert(c.outbuf.end(), bytes.begin(), bytes.end());
+    wire::append_frame(c.outbuf, type, payload);
 }
 
 void sim_server::handle_frame(connection& c, const wire::frame& f) {

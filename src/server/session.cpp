@@ -100,8 +100,8 @@ void session::send_stats(core::testbench& tb) {
 }
 
 void session::stream_new_rows(core::testbench& tb) {
-    const auto& times = tb.times();
-    const auto& rows = tb.trace().rows();
+    const util::memory_trace& trace = tb.trace();
+    const auto& times = trace.times();
     bool pushed = false;
     for (auto& [probe, sub] : subs_) {
         while (sub.next < times.size()) {
@@ -115,7 +115,7 @@ void session::stream_new_rows(core::testbench& tb) {
             batch.values.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
                 batch.times.push_back(times[sub.next + i]);
-                batch.values.push_back(rows[sub.next + i][sub.column]);
+                batch.values.push_back(trace.row(sub.next + i)[sub.column]);
             }
             // The kernel-side push never blocks: a full queue means the
             // consumer is slow, and the batch is dropped with its count —

@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/report.hpp"
@@ -35,6 +36,11 @@ namespace sca::util {
 /// Append-only little-endian encoder.
 class byte_writer {
 public:
+    byte_writer() = default;
+    /// Continue appending after the bytes already in `buf` (take() hands
+    /// the grown buffer back).
+    explicit byte_writer(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
     void reserve(std::size_t n) { buf_.reserve(n); }
 
     void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -146,6 +152,19 @@ public:
         v.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
         return v;
+    }
+
+    /// Read a u32 element count and refuse it unless that many elements of
+    /// at least `min_element_bytes` each fit in the bytes left — the bound
+    /// f64_vec applies, checked before a decoder reserve()s the count.
+    [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes) {
+        const std::uint32_t n = u32();
+        if (n > remaining() / min_element_bytes) {
+            report_fatal("byte_reader", "element count " + std::to_string(n) +
+                                            " exceeds the " + std::to_string(remaining()) +
+                                            " payload bytes left");
+        }
+        return n;
     }
 
     [[nodiscard]] std::vector<std::uint64_t> u64_vec() {

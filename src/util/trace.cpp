@@ -24,13 +24,12 @@ void trace_file::sample(double t) {
         write_header();
         header_written_ = true;
     }
-    std::vector<double> values;
-    values.reserve(channels_.size());
-    for (const auto& ch : channels_) values.push_back(ch.probe());
-    write_row(t, values);
+    row_.clear();
+    for (const auto& ch : channels_) row_.push_back(ch.probe());
+    write_row(t, row_);
 }
 
-void trace_file::replay_row(double t, const std::vector<double>& values) {
+void trace_file::replay_row(double t, std::span<const double> values) {
     require(values.size() == channels_.size(), "trace_file",
             "replay_row value count does not match channel count");
     if (!header_written_) {
@@ -58,7 +57,7 @@ void tabular_trace_file::write_header() {
     out_ << '\n';
 }
 
-void tabular_trace_file::write_row(double t, const std::vector<double>& values) {
+void tabular_trace_file::write_row(double t, std::span<const double> values) {
     out_ << t;
     for (double v : values) out_ << ' ' << v;
     out_ << '\n';
@@ -99,7 +98,7 @@ void vcd_trace_file::write_header() {
     last_.assign(channels_.size(), std::nan(""));
 }
 
-void vcd_trace_file::write_row(double t, const std::vector<double>& values) {
+void vcd_trace_file::write_row(double t, std::span<const double> values) {
     const auto stamp = static_cast<long long>(std::llround(t / resolution_));
     bool stamp_emitted = false;
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -119,14 +118,14 @@ void vcd_trace_file::write_row(double t, const std::vector<double>& values) {
 std::vector<double> memory_trace::column(std::size_t c) const {
     require(c < channel_count(), "memory_trace", "column index out of range");
     std::vector<double> col;
-    col.reserve(rows_.size());
-    for (const auto& row : rows_) col.push_back(row[c]);
+    col.reserve(times_.size());
+    for (std::size_t i = 0; i < times_.size(); ++i) col.push_back(row(i)[c]);
     return col;
 }
 
-void memory_trace::write_row(double t, const std::vector<double>& values) {
+void memory_trace::write_row(double t, std::span<const double> values) {
     times_.push_back(t);
-    rows_.push_back(values);
+    values_.insert(values_.end(), values.begin(), values.end());
 }
 
 }  // namespace sca::util

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,7 @@ public:
 
     /// Write an externally captured row (one value per channel) — used to
     /// re-emit an in-memory trace into another sink, e.g. a tabular file.
-    void replay_row(double t, const std::vector<double>& values);
+    void replay_row(double t, std::span<const double> values);
 
     /// Flush and close the underlying file. Idempotent.
     virtual void close() = 0;
@@ -50,10 +51,13 @@ protected:
     trace_file() = default;
 
     virtual void write_header() = 0;
-    virtual void write_row(double t, const std::vector<double>& values) = 0;
+    virtual void write_row(double t, std::span<const double> values) = 0;
 
     std::vector<trace_channel> channels_;
     bool header_written_ = false;
+
+private:
+    std::vector<double> row_;  ///< sample()'s reused row buffer
 };
 
 /// Tabular trace: one row per sample, first column is time.
@@ -65,7 +69,7 @@ public:
 
 private:
     void write_header() override;
-    void write_row(double t, const std::vector<double>& values) override;
+    void write_row(double t, std::span<const double> values) override;
 
     std::ofstream out_;
 };
@@ -80,7 +84,7 @@ public:
 
 private:
     void write_header() override;
-    void write_row(double t, const std::vector<double>& values) override;
+    void write_row(double t, std::span<const double> values) override;
 
     std::ofstream out_;
     double resolution_;
@@ -88,24 +92,31 @@ private:
     long long last_stamp_ = -1;
 };
 
-/// In-memory trace for tests and measurements: stores (t, values) rows.
+/// In-memory trace for tests and measurements.  Stored flat: one times
+/// vector and one row-major values vector with a stride of channel_count(),
+/// so recording a row appends to two vectors and allocates only when they
+/// grow.
 class memory_trace final : public trace_file {
 public:
     memory_trace() = default;
     void close() override {}
 
     [[nodiscard]] const std::vector<double>& times() const noexcept { return times_; }
-    [[nodiscard]] const std::vector<std::vector<double>>& rows() const noexcept { return rows_; }
+
+    /// Values of row `i` (the sample at times()[i]), one per channel.
+    [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
+        return {values_.data() + i * channel_count(), channel_count()};
+    }
 
     /// Column of samples for channel index `c`.
     [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
 private:
     void write_header() override {}
-    void write_row(double t, const std::vector<double>& values) override;
+    void write_row(double t, std::span<const double> values) override;
 
     std::vector<double> times_;
-    std::vector<std::vector<double>> rows_;
+    std::vector<double> values_;
 };
 
 }  // namespace sca::util

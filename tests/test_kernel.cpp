@@ -2,6 +2,9 @@
 // processes, module hierarchy, clocks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "kernel/clock.hpp"
 #include "kernel/context.hpp"
 #include "kernel/event.hpp"
@@ -127,6 +130,45 @@ TEST(event, cancel_stops_pending) {
     ev.cancel();
     ctx.run(20_ns);
     EXPECT_EQ(fired, 0);
+}
+
+TEST(scheduler, same_instant_timed_notifications_fire_in_notification_order) {
+    // Probes, cluster re-arms and PWM edges share instants, and the golden
+    // traces depend on the order they fire in: first notified, first fired.
+    // pending_timed_events() is what a snapshot saves, so it must list the
+    // live entries in exactly that order.
+    simulation_context ctx;
+    event a("a"), b("b"), c("c"), d("d"), e("e");
+    std::vector<std::string> ran;
+    for (event* ev : {&a, &b, &c, &d, &e}) {
+        auto& p = ctx.register_method(ev->name() + ".watch", [&ran, &ctx, ev] {
+            ran.push_back(ev->name() + "@" + ctx.now().to_string());
+        });
+        p.dont_initialize();
+        p.make_sensitive(*ev);
+    }
+    c.notify(10_ns);
+    a.notify(10_ns);
+    e.notify(10_ns);
+    d.notify(30_ns);
+    b.notify(10_ns);
+    d.notify(10_ns);  // supersedes the pending 30 ns notification, after b
+    e.cancel();       // never fires
+    a.cancel();
+    a.notify(10_ns);  // the new notification queues last
+
+    const auto pending = ctx.sched().pending_timed_events();
+    const std::vector<const event*> firing_order{&c, &b, &d, &a};
+    ASSERT_EQ(pending.size(), firing_order.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        EXPECT_EQ(pending[i].first, 10_ns) << i;
+        EXPECT_EQ(pending[i].second, firing_order[i]) << i;
+    }
+
+    ctx.run(50_ns);
+    // Fired c, b, d, a at 10 ns.  The runnable set is a LIFO stack, so the
+    // processes ran in reverse; the stale 30 ns entry did not fire d again.
+    EXPECT_EQ(ran, (std::vector<std::string>{"a@10 ns", "d@10 ns", "b@10 ns", "c@10 ns"}));
 }
 
 TEST(signal, update_semantics_are_deferred) {

@@ -202,6 +202,24 @@ TEST(run_protocol, short_payload_decoders_throw) {
     for (const std::size_t cut : {res.size() / 2, res.size() - 1}) {
         EXPECT_THROW((void)wire::decode_result(res.data(), cut), sca::util::error);
     }
+    // A hostile element count (0xFFFFFFFF) is refused by name before the
+    // decoder reserves it, instead of escaping as std::bad_alloc.
+    const auto hostile_count = [](std::vector<std::uint8_t> payload, std::size_t at) {
+        for (std::size_t i = 0; i < 4; ++i) payload[at + i] = 0xFF;
+        return payload;
+    };
+    // res has no probes, waveforms or run metrics: it ends in those three
+    // u32 counts.
+    const auto names = hostile_count(res, res.size() - 12);
+    EXPECT_THROW((void)wire::decode_result(names.data(), names.size()), sca::util::error);
+    const auto waves = hostile_count(res, res.size() - 8);
+    EXPECT_THROW((void)wire::decode_result(waves.data(), waves.size()), sca::util::error);
+    const auto catalog = hostile_count(wire::encode_catalog({}), 0);
+    EXPECT_THROW((void)wire::decode_catalog(catalog.data(), catalog.size()),
+                 sca::util::error);
+    const auto opened_payload = wire::encode_opened(wire::session_info{});
+    const auto opened = hostile_count(opened_payload, opened_payload.size() - 4);
+    EXPECT_THROW((void)wire::decode_opened(opened.data(), opened.size()), sca::util::error);
 }
 
 TEST(run_protocol, trailing_garbage_after_payload_is_rejected) {
