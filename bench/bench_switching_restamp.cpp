@@ -2,16 +2,24 @@
 // scenario for power electronics (buck converters, power-state-driven
 // models) — pay one stamp update + matrix factorization per DE switching
 // event.  The incremental restamp pipeline turns that into a values-only
-// slot rewrite plus a *numeric-only* refactorization against the symbolic
-// analysis cached at elaboration; the rebuild-the-world baseline restamps
-// every component and re-runs the full symbolic factorization per event.
+// slot rewrite, then looks the new iteration matrix up in the solver's
+// factor cache: a switch only ever revisits a few states (position x
+// BE/trapezoidal), so after the first period a toggle re-activates cached
+// factors and refactors nothing, and a state never seen before costs one
+// *numeric-only* refactorization against the symbolic analysis cached at
+// elaboration.  The rebuild-the-world baseline restamps every component and
+// re-runs the full symbolic factorization per event.
 //
 // Two networks, each driven by a 50 kHz PWM gate:
 //   switched_rc  - 8-section RC ladder with a shunt switch at the output
 //   buck         - 24 V buck-style half bridge: source ESR + input
 //                  decoupling, switch, freewheel path, LC output filter,
 //                  resistive load (the power_driver net)
-// Counters report events/sec, numeric factor passes, and symbolic analyses.
+// plus the buck with its switch held closed and the load resistor given a
+// fresh value every 10 us by a DE process (buck_fresh_load_values): every
+// update misses the cache, so it prices the miss path at the same event
+// rate.  Counters report events/sec, numeric factor passes, and symbolic
+// analyses.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -19,6 +27,7 @@
 #include "bench_util.hpp"
 #include "eln/converter.hpp"
 #include "lib/pwm.hpp"
+#include "util/report.hpp"
 
 namespace de = sca::de;
 namespace eln = sca::eln;
@@ -76,6 +85,28 @@ switching_counters run_buck(bool incremental, double& vout_sample) {
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }
 
+/// The buck with its switch held closed; a DE process sets the load to a
+/// value it never had before every 10 us, so no update repeats a state.
+switching_counters run_buck_fresh_load_values(double& vout_sample) {
+    sca::core::simulation sim;
+
+    de::signal<bool> gate("gate", true);
+    switched_buck buck;
+    buck.hi_side->ctrl.bind(gate);
+    auto* load = dynamic_cast<eln::resistor*>(buck.parts.back().get());
+    sca::util::require(load != nullptr, "bench", "switched_buck lost its load resistor");
+
+    int updates = 0;
+    sim.context().register_method("retune_load", [&] {
+        load->set_value(4.0 + 1e-3 * ++updates);
+        sim.context().next_trigger(10_us);
+    });
+
+    sim.run_seconds(k_sim_seconds);
+    vout_sample = buck.net->voltage(buck.vout_node);
+    return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
+}
+
 void report(benchmark::State& state, const switching_counters& c) {
     const double events = k_sim_seconds / 10e-6;  // two edges per 20 us period
     state.counters["events_per_sec"] =
@@ -112,11 +143,20 @@ void buck_full_restamp(benchmark::State& state) {
     report(state, c);
 }
 
+void buck_fresh_load_values(benchmark::State& state) {
+    switching_counters c;
+    double v = 0.0;
+    for (auto _ : state) c = run_buck_fresh_load_values(v);
+    benchmark::DoNotOptimize(v);
+    report(state, c);
+}
+
 }  // namespace
 
 BENCHMARK(switched_rc_incremental)->Unit(benchmark::kMillisecond);
 BENCHMARK(switched_rc_full_restamp)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_incremental)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_full_restamp)->Unit(benchmark::kMillisecond);
+BENCHMARK(buck_fresh_load_values)->Unit(benchmark::kMillisecond);
 
 SCA_BENCH_MAIN(bench_switching_restamp)

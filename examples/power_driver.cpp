@@ -6,9 +6,11 @@
 // factory over typed parameters (duty, load), then a run_set sweeps the duty
 // cycle across a worker pool — each run in its own simulation context — and
 // aggregates mean output voltage, ripple, and solver counters into one
-// result table.  Every switching edge still rewrites the switch's
-// conductance stamp slot in place (numeric-only refactorization against the
-// symbolic analysis cached at elaboration).
+// result table.  Every switching edge rewrites the switch's conductance
+// stamp slot in place; the solver then re-activates its cached factorization
+// of that switch state, so only the first visit of each of the four states
+// (position x backward-Euler/trapezoidal) refactors numerically, against
+// the symbolic analysis cached at elaboration.
 #include <cstdio>
 #include <vector>
 
@@ -110,8 +112,10 @@ int main() {
                     run.measurement("symbolic"));
     }
     std::printf("\nExpected shape: V_out tracks duty * 24 V (minus conduction losses);\n"
-                "every PWM edge rewrites the switch stamp slot and refactors the MNA\n"
-                "system numerically; the symbolic analysis (pivot order + fill\n"
+                "every PWM edge rewrites the switch stamp slot, and the solver\n"
+                "re-activates its cached factors for that switch state: 4 numeric\n"
+                "factorizations per run (switch position x BE/trapezoidal step),\n"
+                "not one per edge; the symbolic analysis (pivot order + fill\n"
                 "pattern) is computed once at elaboration and reused throughout.\n"
                 "The whole sweep ran as one run_set: one scenario definition, one\n"
                 "independent context per duty point, all worker threads busy.\n");

@@ -302,7 +302,8 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
         sp.dynamic_waiting = r.boolean();
         sp.activations = r.u64();
         sp.has_timeout = r.boolean();
-        const std::uint64_t n_keys = r.u64();
+        // Each key is at least a kind byte and a u64.
+        const std::uint64_t n_keys = r.count64(9);
         sp.keys.reserve(n_keys);
         for (std::uint64_t k = 0; k < n_keys; ++k) {
             const std::uint8_t kind = r.u8();

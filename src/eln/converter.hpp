@@ -141,8 +141,10 @@ public:
 /// activation boundaries — the synchronization quantization documented in
 /// DESIGN.md).  Both states stamp the same conductance pattern through one
 /// stamp slot, so a toggle is a values-only update: the dirty matrix entries
-/// are rewritten in place and the solver refactors numerically against its
-/// cached symbolic analysis — the hot path of switching workloads.
+/// are rewritten in place, and the solver re-activates its cached
+/// factorization of the new state, refactoring numerically (against its
+/// cached symbolic analysis) only on the first visit — the hot path of
+/// switching workloads.
 class de_rswitch : public component {
 public:
     de_rswitch(const std::string& name, network& net, double r_on = 1.0,

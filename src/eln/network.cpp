@@ -22,8 +22,9 @@ network::~network() {
 }
 
 void network::unregister_component(component& c) {
-    components_.erase(std::remove(components_.begin(), components_.end(), &c),
-                      components_.end());
+    for (auto* list : {&components_, &read_hooks_, &write_hooks_}) {
+        list->erase(std::remove(list->begin(), list->end(), &c), list->end());
+    }
 }
 
 node network::create_node(const std::string& name, nature k) {
@@ -199,7 +200,7 @@ void network::build_equations() {
 }
 
 void network::read_inputs() {
-    for (component* c : components_) {
+    for (component* c : hooks_pruned_ ? read_hooks_ : components_) {
         c->read_tdf_inputs(*this);
         switch (c->sample_inputs()) {
             case stamp_change::values:
@@ -215,7 +216,20 @@ void network::read_inputs() {
 }
 
 void network::write_outputs() {
-    for (component* c : components_) c->write_tdf_outputs(*this);
+    for (component* c : hooks_pruned_ ? write_hooks_ : components_) {
+        c->write_tdf_outputs(*this);
+    }
+    if (hooks_pruned_) return;
+    // Every component has run each hook once: keep those that did not fall
+    // through to a default.
+    read_hooks_.clear();
+    write_hooks_.clear();
+    constexpr auto read_defaults = component::default_read | component::default_sample;
+    for (component* c : components_) {
+        if ((c->default_hooks_ & read_defaults) != read_defaults) read_hooks_.push_back(c);
+        if ((c->default_hooks_ & component::default_write) == 0) write_hooks_.push_back(c);
+    }
+    hooks_pruned_ = true;
 }
 
 }  // namespace sca::eln

@@ -41,17 +41,6 @@ public:
     /// Contribute stamps to the network's equation system.
     virtual void stamp(network& net) = 0;
 
-    /// Sample event-driven control inputs and report which stamps changed:
-    /// components with stamp slots write the new values themselves (via
-    /// network::update_stamp_value) and return stamp_change::values, so only
-    /// the dirty entries are touched and the solver refactors numerically;
-    /// stamp_change::topology forces the full restamp + symbolic path.
-    virtual stamp_change sample_inputs() { return stamp_change::none; }
-
-    /// Exchange samples with TDF ports (called around each solver step).
-    virtual void read_tdf_inputs(network&) {}
-    virtual void write_tdf_outputs(network&) {}
-
     /// The network this component stamps into.
     [[nodiscard]] network& net() const noexcept { return *net_; }
 
@@ -66,6 +55,31 @@ private:
     // Teardown is order-agnostic: whichever of component/network dies first
     // unlinks from the other (see ~network).
     friend class network;
+
+    // --- per-step hooks (the network calls them around each solver step) ---
+    // A component overrides the ones it needs, at any access level.  The
+    // defaults here do nothing but record that they ran, so after the first
+    // step the network calls only components with a real hook.  They are
+    // private so that no override can call them and be dropped by mistake.
+
+    /// Sample event-driven control inputs and report which stamps changed:
+    /// components with stamp slots write the new values themselves (via
+    /// network::update_stamp_value) and return stamp_change::values, so only
+    /// the dirty entries are touched and the solver refactors numerically;
+    /// stamp_change::topology forces the full restamp + symbolic path.
+    virtual stamp_change sample_inputs() {
+        default_hooks_ |= default_sample;
+        return stamp_change::none;
+    }
+
+    /// Exchange samples with TDF ports (called around each solver step).
+    virtual void read_tdf_inputs(network&) { default_hooks_ |= default_read; }
+    virtual void write_tdf_outputs(network&) { default_hooks_ |= default_write; }
+
+    static constexpr std::uint8_t default_sample = 1;
+    static constexpr std::uint8_t default_read = 2;
+    static constexpr std::uint8_t default_write = 4;
+    std::uint8_t default_hooks_ = 0;  // defaults seen running on this object
 };
 
 /// Marker for "no row" (ground) in stamping helpers.
@@ -92,7 +106,10 @@ public:
     /// Reference node of a nature (0 V / 0 m/s / ambient).
     [[nodiscard]] node ground(nature k = nature::electrical);
 
-    void register_component(component& c) { components_.push_back(&c); }
+    void register_component(component& c) {
+        components_.push_back(&c);
+        hooks_pruned_ = false;  // the next step visits the newcomer's hooks
+    }
     void unregister_component(component& c);
 
     /// Terminals register at construction and deregister on destruction;
@@ -190,6 +207,11 @@ private:
     std::vector<node_info> nodes_;
     std::set<std::string> node_names_;
     std::vector<component*> components_;
+    // Components with a real read-side (read_tdf_inputs / sample_inputs) or
+    // write-side hook, in registration order; valid while hooks_pruned_.
+    std::vector<component*> read_hooks_;
+    std::vector<component*> write_hooks_;
+    bool hooks_pruned_ = false;
     std::vector<terminal*> terminals_;
     std::map<std::pair<const component*, std::string>, std::size_t> branch_rows_;
     // First branch row of each component: O(log #components) lookup for

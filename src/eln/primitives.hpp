@@ -162,8 +162,9 @@ private:
 
 /// Resistive switch: r_on when closed, r_off when open. Both states stamp
 /// the same conductance pattern through one stamp slot, so a state change is
-/// a values-only update: the solver refactors numerically against its cached
-/// symbolic analysis instead of rebuilding the world.
+/// a values-only update: the solver re-activates its cached factorization
+/// of the new state, or refactors numerically against its cached symbolic
+/// analysis on a first visit, instead of rebuilding the world.
 class rswitch : public component {
 public:
     terminal p, n;

@@ -19,6 +19,7 @@ void port_base::resolve() {
     }
     util::require(p->bound_signal_ != nullptr, name(), "port is unbound after elaboration");
     bound_signal_ = p->bound_signal_;
+    typed_signal_ = nullptr;
     for (method_process* proc : pending_sensitive_) {
         proc->make_sensitive(bound_signal_->value_changed_event());
     }

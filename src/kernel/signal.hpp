@@ -152,8 +152,14 @@ public:
     [[nodiscard]] const char* kind() const noexcept override { return "port"; }
 
     /// Bind to a signal or, hierarchically, to another port.
-    void bind(signal_base& s) { bound_signal_ = &s; }
-    void bind(port_base& p) { bound_port_ = &p; }
+    void bind(signal_base& s) {
+        bound_signal_ = &s;
+        typed_signal_ = nullptr;
+    }
+    void bind(port_base& p) {
+        bound_port_ = &p;
+        typed_signal_ = nullptr;
+    }
 
     [[nodiscard]] bool bound() const noexcept {
         return bound_signal_ != nullptr || bound_port_ != nullptr;
@@ -175,8 +181,23 @@ public:
 protected:
     explicit port_base(std::string name) : object(std::move(name)) {}
 
+    /// The bound signal as a signal<T>, or the named error `what`.
+    template <typename T>
+    [[nodiscard]] signal<T>& typed_signal(const char* what) const {
+        if (typed_signal_ == nullptr) {
+            auto* s = dynamic_cast<signal<T>*>(bound_signal_);
+            util::require(s != nullptr, name(), what);
+            typed_signal_ = s;
+        }
+        return *static_cast<signal<T>*>(typed_signal_);
+    }
+
     signal_base* bound_signal_ = nullptr;
     port_base* bound_port_ = nullptr;
+    // bound_signal_ once a typed port has checked it is a signal<T>: every
+    // later read/write skips the dynamic_cast.  Cleared whenever
+    // bound_signal_ may change (bind, resolve).
+    mutable signal_base* typed_signal_ = nullptr;
     bool optional_ = false;
     std::vector<method_process*> pending_sensitive_;
 };
@@ -188,28 +209,21 @@ public:
     explicit in(std::string name = "in") : port_base(std::move(name)) {}
 
     [[nodiscard]] const T& read() const {
-        return typed_signal("read of unbound port").read();
+        return typed_signal<T>("read of unbound port").read();
     }
 
     [[nodiscard]] event& value_changed_event() {
-        return typed_signal("event of unbound port").value_changed_event();
+        return typed_signal<T>("event of unbound port").value_changed_event();
     }
     [[nodiscard]] event& posedge_event() {
-        return typed_signal("event of unbound port").posedge_event();
+        return typed_signal<T>("event of unbound port").posedge_event();
     }
     [[nodiscard]] event& negedge_event() {
-        return typed_signal("event of unbound port").negedge_event();
+        return typed_signal<T>("event of unbound port").negedge_event();
     }
 
     void operator()(signal<T>& s) { this->bind(s); }
     void operator()(in<T>& p) { this->bind(p); }
-
-private:
-    [[nodiscard]] signal<T>& typed_signal(const char* what) const {
-        auto* s = dynamic_cast<signal<T>*>(bound_signal_);
-        util::require(s != nullptr, name(), what);
-        return *s;
-    }
 };
 
 /// Output port for signal<T>. Also readable (like sc_inout).
@@ -218,23 +232,16 @@ class out : public port_base {
 public:
     explicit out(std::string name = "out") : port_base(std::move(name)) {}
 
-    void write(const T& value) { typed_signal("write to unbound port").write(value); }
+    void write(const T& value) { typed_signal<T>("write to unbound port").write(value); }
     [[nodiscard]] const T& read() const {
-        return typed_signal("read of unbound port").read();
+        return typed_signal<T>("read of unbound port").read();
     }
     [[nodiscard]] event& value_changed_event() {
-        return typed_signal("event of unbound port").value_changed_event();
+        return typed_signal<T>("event of unbound port").value_changed_event();
     }
 
     void operator()(signal<T>& s) { this->bind(s); }
     void operator()(out<T>& p) { this->bind(p); }
-
-private:
-    [[nodiscard]] signal<T>& typed_signal(const char* what) const {
-        auto* s = dynamic_cast<signal<T>*>(bound_signal_);
-        util::require(s != nullptr, name(), what);
-        return *s;
-    }
 };
 
 }  // namespace sca::de

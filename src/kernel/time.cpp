@@ -15,8 +15,6 @@ time::time(double value, time_unit unit) {
 
 time time::from_seconds(double seconds) { return time(seconds, time_unit::sec); }
 
-double time::to_seconds() const noexcept { return static_cast<double>(fs_) * 1e-15; }
-
 std::string time::to_string() const {
     std::ostringstream os;
     os << *this;

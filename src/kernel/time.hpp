@@ -42,7 +42,9 @@ public:
     static time from_seconds(double seconds);
 
     [[nodiscard]] constexpr std::int64_t value_fs() const noexcept { return fs_; }
-    [[nodiscard]] double to_seconds() const noexcept;
+    [[nodiscard]] constexpr double to_seconds() const noexcept {
+        return static_cast<double>(fs_) * 1e-15;
+    }
 
     /// Largest representable time; used as "never" marker.
     static constexpr time max() { return from_fs(INT64_MAX); }

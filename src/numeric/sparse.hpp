@@ -11,7 +11,9 @@
 // changes only on structural edits, so solvers can detect when the cached
 // symbolic analysis is still valid and refactor values only — the hot path
 // for switching workloads where a DE event changes stamp values but not the
-// sparsity pattern.
+// sparsity pattern.  Under one pattern version an entry's value also keeps
+// its storage position, so values-only writers compile positions once and
+// write through them without a search.
 #ifndef SCA_NUMERIC_SPARSE_HPP
 #define SCA_NUMERIC_SPARSE_HPP
 
@@ -44,6 +46,14 @@ inline std::uint64_t next_pattern_version() noexcept {
 template <typename T>
 class sparse_matrix {
 public:
+    /// Where a stored value lives: its row and its offset within the row.
+    /// Valid while pattern_version() is unchanged — an inserted entry shifts
+    /// the offsets after it.
+    struct position {
+        std::size_t row;
+        std::size_t offset;
+    };
+
     sparse_matrix() = default;
     explicit sparse_matrix(std::size_t n) { resize(n); }
 
@@ -100,14 +110,21 @@ public:
 
     /// Overwrite the value of an *existing* entry (values-only update; the
     /// pattern version is untouched). Errors if (r, c) is not in the pattern.
-    void set_entry(std::size_t r, std::size_t c, T value) {
+    void set_entry(std::size_t r, std::size_t c, T value) { value_at(position_of(r, c)) = value; }
+
+    /// Position of the existing entry (r, c). Errors if it is not in the
+    /// pattern.
+    [[nodiscard]] position position_of(std::size_t r, std::size_t c) const {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
-        auto& idx = rows_idx_[r];
+        const auto& idx = rows_idx_[r];
         const auto it = std::lower_bound(idx.begin(), idx.end(), c);
         util::require(it != idx.end() && *it == c, "sparse_matrix",
-                      "set_entry target is not in the sparsity pattern");
-        rows_val_[r][static_cast<std::size_t>(it - idx.begin())] = value;
+                      "entry is not in the sparsity pattern");
+        return {r, static_cast<std::size_t>(it - idx.begin())};
     }
+
+    /// The value at a position taken under the current pattern version.
+    [[nodiscard]] T& value_at(position p) { return rows_val_[p.row][p.offset]; }
 
     [[nodiscard]] T get(std::size_t r, std::size_t c) const {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
@@ -421,6 +438,35 @@ public:
             }
             x[ii] = acc / u_val_[u_ptr_[ii]];
         }
+    }
+
+    /// The numeric half of a factorization: the values that fill one
+    /// symbolic analysis's layout.  `analysis` names that analysis, so the
+    /// values cannot be re-activated under a different pivot order.
+    struct numeric_factors {
+        std::vector<T> u_val, l_val, inv_diag;
+        std::uint64_t analysis = 0;
+    };
+
+    /// Copy the current numeric factors into `out` (no allocation once `out`
+    /// has capacity).
+    void save_numeric(numeric_factors& out) const {
+        util::require(factored_, "sparse_lu", "save_numeric before factor");
+        out.u_val = u_val_;
+        out.l_val = l_val_;
+        out.inv_diag = inv_diag_;
+        out.analysis = symbolic_count_;
+    }
+
+    /// Re-activate factors saved by save_numeric() since the last symbolic
+    /// analysis: the same values a refactor of the same matrix would compute.
+    void load_numeric(const numeric_factors& f) {
+        util::require(symbolic_valid_ && f.analysis == symbolic_count_, "sparse_lu",
+                      "numeric factors belong to another symbolic analysis");
+        u_val_ = f.u_val;
+        l_val_ = f.l_val;
+        inv_diag_ = f.inv_diag;
+        factored_ = true;
     }
 
     [[nodiscard]] bool factored() const noexcept { return factored_; }

@@ -29,8 +29,9 @@ void equation_system::clear_stamps() {
     ac_sources_.clear();
     noise_sources_.clear();
     slot_values_.clear();
-    ledger_a_.clear();
-    ledger_b_.clear();
+    ledgers_.clear();
+    ledger_index_a_.clear();
+    ledger_index_b_.clear();
     slot_entries_.clear();
     slots_finalized_ = false;
     ++generation_;
@@ -42,25 +43,24 @@ void equation_system::append_static_term(matrix_id which, std::size_t row,
     // of them must be recorded to keep replay order intact.  Purely static
     // entries never allocate a ledger (their accumulated value is folded
     // into the ledger's prefix constant if a slot reference arrives later).
-    auto& ledger = which == matrix_id::a ? ledger_a_ : ledger_b_;
-    if (ledger.empty()) return;
-    const auto it = ledger.find(entry_key(row, col));
-    if (it != ledger.end()) it->second.terms.push_back({no_stamp_handle, v});
+    const auto& index = which == matrix_id::a ? ledger_index_a_ : ledger_index_b_;
+    if (index.empty()) return;
+    const auto it = index.find(entry_key(row, col));
+    if (it != index.end()) ledgers_[it->second].terms.push_back({no_stamp_handle, v});
 }
 
 void equation_system::append_slot_term(matrix_id which, std::size_t row,
                                        std::size_t col, stamp_handle h, double weight) {
-    auto& ledger = which == matrix_id::a ? ledger_a_ : ledger_b_;
-    auto [it, created] = ledger.try_emplace(entry_key(row, col));
+    auto& index = which == matrix_id::a ? ledger_index_a_ : ledger_index_b_;
+    const auto [it, created] = index.try_emplace(entry_key(row, col), ledgers_.size());
     if (created) {
         // First slot reference on this entry: fold everything stamped so
         // far into one prefix constant.  The prefix is the exact value the
         // matrix accumulated, so replaying prefix + later terms in order
         // reproduces a full restamp bit for bit.
-        const auto& mat = which == matrix_id::a ? a_ : b_;
-        it->second.terms.push_back({no_stamp_handle, mat.get(row, col)});
+        ledgers_.push_back({which, row, col, {{no_stamp_handle, matrix(which).get(row, col)}}});
     }
-    it->second.terms.push_back({h, weight});
+    ledgers_[it->second].terms.push_back({h, weight});
     // A new slot dependency after finalize_stamps() must re-index.
     slots_finalized_ = false;
 }
@@ -101,43 +101,36 @@ double equation_system::stamp_value(stamp_handle h) const {
 }
 
 void equation_system::finalize_stamps() {
-    if (slots_finalized_) return;
-    slot_entries_.assign(slot_values_.size(), {});
-    const auto index = [this](const std::unordered_map<std::uint64_t, entry_ledger>& ledger,
-                              matrix_id which) {
-        for (const auto& [key, entry] : ledger) {
-            const auto row = static_cast<std::size_t>(key >> 32);
-            const auto col = static_cast<std::size_t>(key & 0xffffffffULL);
-            for (const auto& term : entry.terms) {
+    if (!slots_finalized_) {
+        slot_entries_.assign(slot_values_.size(), {});
+        for (std::size_t e = 0; e < ledgers_.size(); ++e) {
+            for (const auto& term : ledgers_[e].terms) {
                 if (term.slot == no_stamp_handle) continue;
                 auto& deps = slot_entries_[term.slot];
-                const entry_ref ref{which, row, col};
-                const bool seen = std::any_of(deps.begin(), deps.end(), [&](const entry_ref& e) {
-                    return e.which == which && e.row == row && e.col == col;
-                });
-                if (!seen) deps.push_back(ref);
+                if (std::find(deps.begin(), deps.end(), e) == deps.end()) deps.push_back(e);
             }
         }
-    };
-    index(ledger_a_, matrix_id::a);
-    index(ledger_b_, matrix_id::b);
-    slots_finalized_ = true;
+        slots_finalized_ = true;
+    } else if (compiled_a_pattern_ == a_.pattern_version() &&
+               compiled_b_pattern_ == b_.pattern_version()) {
+        return;
+    }
+    // A new entry shifts the stored positions after it in its row.
+    for (auto& e : ledgers_) e.pos = matrix(e.which).position_of(e.row, e.col);
+    compiled_a_pattern_ = a_.pattern_version();
+    compiled_b_pattern_ = b_.pattern_version();
 }
 
-void equation_system::rewrite_entry(const entry_ref& e) {
-    const auto& ledger = e.which == matrix_id::a ? ledger_a_ : ledger_b_;
-    const auto it = ledger.find(entry_key(e.row, e.col));
-    util::require(it != ledger.end(), "equation_system", "stamp ledger entry missing");
+void equation_system::rewrite_entry(const entry_ledger& e) {
     // Replay every contribution in original stamping order: the sum is
     // bit-identical to what a full restamp with the current slot values
     // would have accumulated through sparse_matrix::add.
     double total = 0.0;
-    for (const auto& term : it->second.terms) {
+    for (const auto& term : e.terms) {
         total += term.slot == no_stamp_handle ? term.weight
                                               : term.weight * slot_values_[term.slot];
     }
-    auto& mat = e.which == matrix_id::a ? a_ : b_;
-    mat.set_entry(e.row, e.col, total);
+    matrix(e.which).value_at(e.pos) = total;
 }
 
 void equation_system::set_stamp(stamp_handle h, double value) {
@@ -145,7 +138,7 @@ void equation_system::set_stamp(stamp_handle h, double value) {
     if (slot_values_[h] == value) return;
     finalize_stamps();
     slot_values_[h] = value;
-    for (const auto& e : slot_entries_[h]) rewrite_entry(e);
+    for (const std::size_t e : slot_entries_[h]) rewrite_entry(ledgers_[e]);
     ++values_generation_;
 }
 

@@ -112,8 +112,10 @@ public:
     void set_stamp(stamp_handle h, double value);
     [[nodiscard]] double stamp_value(stamp_handle h) const;
 
-    /// Build the slot -> entries index after (re)stamping completes. Lazy:
-    /// set_stamp calls it on demand; views call it eagerly after assembly.
+    /// Build the slot -> entries index after (re)stamping completes, and
+    /// compile where each slot-dependent entry's value lives in A/B. Lazy:
+    /// set_stamp calls it on demand (also after a new A/B entry moved the
+    /// positions); views call it eagerly after assembly.
     void finalize_stamps();
 
     // --- right-hand side -----------------------------------------------------
@@ -199,23 +201,24 @@ private:
     /// slot and static terms in stamping order.  Purely static entries
     /// carry no ledger at all.
     struct entry_ledger {
-        std::vector<contribution> terms;
-    };
-
-    struct entry_ref {
         matrix_id which;
         std::size_t row;
         std::size_t col;
+        std::vector<contribution> terms;
+        num::sparse_matrix_d::position pos{};  // compiled by finalize_stamps
     };
 
     static std::uint64_t entry_key(std::size_t row, std::size_t col) noexcept {
         return (static_cast<std::uint64_t>(row) << 32) | static_cast<std::uint64_t>(col);
     }
 
+    [[nodiscard]] num::sparse_matrix_d& matrix(matrix_id which) noexcept {
+        return which == matrix_id::a ? a_ : b_;
+    }
     void append_static_term(matrix_id which, std::size_t row, std::size_t col, double v);
     void append_slot_term(matrix_id which, std::size_t row, std::size_t col,
                           stamp_handle h, double weight);
-    void rewrite_entry(const entry_ref& e);
+    void rewrite_entry(const entry_ledger& e);
 
     std::vector<std::string> names_;
     num::sparse_matrix_d a_;
@@ -230,10 +233,15 @@ private:
     std::uint64_t values_generation_ = 0;
 
     std::vector<double> slot_values_;
-    std::unordered_map<std::uint64_t, entry_ledger> ledger_a_;
-    std::unordered_map<std::uint64_t, entry_ledger> ledger_b_;
-    std::vector<std::vector<entry_ref>> slot_entries_;  // slot -> dependent entries
+    std::vector<entry_ledger> ledgers_;
+    // (row, col) -> index into ledgers_, per matrix; used while stamping.
+    std::unordered_map<std::uint64_t, std::size_t> ledger_index_a_;
+    std::unordered_map<std::uint64_t, std::size_t> ledger_index_b_;
+    std::vector<std::vector<std::size_t>> slot_entries_;  // slot -> dependent ledgers
     bool slots_finalized_ = false;
+    // A/B pattern versions the compiled ledger positions belong to.
+    std::uint64_t compiled_a_pattern_ = 0;
+    std::uint64_t compiled_b_pattern_ = 0;
 };
 
 }  // namespace sca::solver

@@ -1,6 +1,9 @@
 #include "solver/linear_dae.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "util/bytes.hpp"
 #include "util/report.hpp"
@@ -34,36 +37,135 @@ void linear_dae_solver::set_timestep(double h) {
 
 void linear_dae_solver::invalidate() { factored_ = false; }
 
+namespace {
+
+/// Copy `m`'s values into `out` in row-major order and return their
+/// FNV-1a hash over the 64-bit patterns.
+std::uint64_t flatten_values(const num::sparse_matrix_d& m, std::vector<double>& out) {
+    out.clear();
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::size_t r = 0; r < m.size(); ++r) {
+        for (const double v : m.row_values(r)) {
+            out.push_back(v);
+            hash = (hash ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+        }
+    }
+    return hash;
+}
+
+/// Where each entry of `src` lands in `dst`, whose pattern contains it.
+void compile_positions(const num::sparse_matrix_d& dst, const num::sparse_matrix_d& src,
+                       std::vector<num::sparse_matrix_d::position>& out) {
+    out.clear();
+    for (std::size_t r = 0; r < src.size(); ++r) {
+        for (const std::size_t c : src.row_indices(r)) out.push_back(dst.position_of(r, c));
+    }
+}
+
+/// dst += beta * src through compiled positions: the same additions, in the
+/// same order, as sparse_matrix::add_scaled.
+void scatter_scaled(num::sparse_matrix_d& dst, const num::sparse_matrix_d& src,
+                    double beta, const std::vector<num::sparse_matrix_d::position>& map) {
+    std::size_t at = 0;
+    for (std::size_t r = 0; r < src.size(); ++r) {
+        for (const double v : src.row_values(r)) dst.value_at(map[at++]) += beta * v;
+    }
+}
+
+}  // namespace
+
 void linear_dae_solver::ensure_factored(integration_method m) {
-    const bool pattern_stale = stamp_generation_ != sys_->stamp_generation();
+    const bool pattern_stale = !iter_mat_valid_ ||
+                               stamp_generation_ != sys_->stamp_generation() ||
+                               a_pattern_ != sys_->a().pattern_version() ||
+                               b_pattern_ != sys_->b().pattern_version();
     const bool values_stale = values_generation_ != sys_->values_generation() ||
                               factored_method_ != m;
     if (factored_ && !pattern_stale && !values_stale) return;
     // M = c_a * A + B / h   (c_a = 1 for BE, 1/2 for trapezoidal)
     const double ca = m == integration_method::backward_euler ? 1.0 : 0.5;
-    if (pattern_stale || !iter_mat_valid_) {
-        // Pattern may have moved: rebuild the iteration matrix from scratch
-        // (fresh pattern version forces a full symbolic factorization).
-        iter_mat_ = num::sparse_matrix_d(sys_->size());
-        iter_mat_valid_ = true;
+    if (pattern_stale) {
+        build_iteration_matrix(ca);
     } else {
-        // Values-only: reuse the pattern, rewrite the values in place.
-        iter_mat_.zero_values();
+        assemble_iteration_values(ca);
     }
-    iter_mat_.add_scaled(sys_->a(), ca);
-    iter_mat_.add_scaled(sys_->b(), 1.0 / h_);
     if (use_dense_) {
         dense_lu_.factor(iter_mat_.to_dense());
         ++symbolic_factors_;
-    } else if (!lu_.refactor(iter_mat_)) {
-        lu_.factor(iter_mat_);
-        ++symbolic_factors_;
+        ++factors_;
+    } else {
+        factor_sparse();
     }
-    ++factors_;
     factored_ = true;
     factored_method_ = m;
     stamp_generation_ = sys_->stamp_generation();
     values_generation_ = sys_->values_generation();
+}
+
+void linear_dae_solver::build_iteration_matrix(double ca) {
+    // A fresh pattern version forces a full symbolic factorization.
+    const auto& a = sys_->a();
+    const auto& b = sys_->b();
+    iter_mat_ = num::sparse_matrix_d(sys_->size());
+    iter_mat_.add_scaled(a, ca);
+    iter_mat_.add_scaled(b, 1.0 / h_);
+    iter_mat_valid_ = true;
+    compile_positions(iter_mat_, a, a_map_);
+    compile_positions(iter_mat_, b, b_map_);
+    a_pattern_ = a.pattern_version();
+    b_pattern_ = b.pattern_version();
+    cache_.clear();
+}
+
+void linear_dae_solver::assemble_iteration_values(double ca) {
+    iter_mat_.zero_values();
+    scatter_scaled(iter_mat_, sys_->a(), ca, a_map_);
+    scatter_scaled(iter_mat_, sys_->b(), 1.0 / h_, b_map_);
+}
+
+void linear_dae_solver::factor_sparse() {
+    // The key is the iteration matrix's exact bits: equal bits under the
+    // same frozen pivot order give equal factors, so a hit re-activates the
+    // factorization a refactor would compute.
+    const std::uint64_t hash = flatten_values(iter_mat_, key_);
+    for (auto& entry : cache_) {
+        if (entry.hash == hash && entry.key.size() == key_.size() &&
+            std::memcmp(entry.key.data(), key_.data(), key_.size() * sizeof(double)) == 0) {
+            lu_.load_numeric(entry.factors);
+            entry.last_use = ++cache_clock_;
+            return;
+        }
+    }
+    if (!lu_.refactor(iter_mat_)) {
+        lu_.factor(iter_mat_);
+        ++symbolic_factors_;
+        reset_cache();
+    }
+    ++factors_;
+    cache_active(hash);
+}
+
+void linear_dae_solver::cache_active(std::uint64_t hash) {
+    if (cache_capacity_ == 0) return;
+    const auto older = [](const cached_factors& x, const cached_factors& y) {
+        return x.last_use < y.last_use;
+    };
+    cached_factors& slot = cache_.size() < cache_capacity_
+                               ? cache_.emplace_back()
+                               : *std::min_element(cache_.begin(), cache_.end(), older);
+    slot.key = key_;
+    slot.hash = hash;
+    lu_.save_numeric(slot.factors);
+    slot.last_use = ++cache_clock_;
+}
+
+void linear_dae_solver::reset_cache() {
+    // Cached factors belong to the old pivot order.
+    cache_.clear();
+    const std::size_t bytes =
+        sizeof(double) * (iter_mat_.nonzeros() + lu_.factor_nonzeros() + lu_.size());
+    cache_capacity_ =
+        std::min(factor_cache_entries, factor_cache_bytes / std::max<std::size_t>(bytes, 1));
 }
 
 void linear_dae_solver::step() {
@@ -158,12 +260,8 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
         // follow from the (already restored) A/B values and the factored
         // method/timestep, so the refactor below replays the exporting
         // process's last numeric factorization bit for bit.
-        const double ca =
-            factored_method_ == integration_method::backward_euler ? 1.0 : 0.5;
-        iter_mat_ = num::sparse_matrix_d(sys_->size());
-        iter_mat_.add_scaled(sys_->a(), ca);
-        iter_mat_.add_scaled(sys_->b(), 1.0 / h_);
-        iter_mat_valid_ = true;
+        build_iteration_matrix(
+            factored_method_ == integration_method::backward_euler ? 1.0 : 0.5);
         if (use_dense_) {
             dense_lu_.factor(iter_mat_.to_dense());
         } else {
@@ -175,6 +273,8 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
             util::require(lu_.refactor(iter_mat_), "snapshot",
                           "linear solver: numeric refactorization under the "
                           "restored pivot order failed");
+            reset_cache();
+            cache_active(flatten_values(iter_mat_, key_));
         }
         factored_ = true;
     }

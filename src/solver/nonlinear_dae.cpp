@@ -192,10 +192,11 @@ void save_pattern(util::byte_writer& w, const num::sparse_matrix_d& m) {
 /// Rebuild a matrix with the saved sparsity pattern as explicit zeros — the
 /// grown pattern history the Newton LU's frozen pivot order depends on.
 num::sparse_matrix_d restore_pattern(util::byte_reader& r) {
-    const auto n = static_cast<std::size_t>(r.u64());
+    // Every row carries at least its u64 entry count, every entry a u64.
+    const auto n = static_cast<std::size_t>(r.count64(8));
     num::sparse_matrix_d m(n);
     for (std::size_t row = 0; row < n; ++row) {
-        const auto count = static_cast<std::size_t>(r.u64());
+        const auto count = static_cast<std::size_t>(r.count64(8));
         for (std::size_t k = 0; k < count; ++k) {
             m.add(row, static_cast<std::size_t>(r.u64()), 0.0);
         }

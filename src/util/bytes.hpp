@@ -144,10 +144,7 @@ public:
     }
 
     [[nodiscard]] std::vector<double> f64_vec() {
-        std::uint64_t n = u64();
-        // Bound the count by the bytes actually left before allocating (and
-        // before n * 8 could wrap for a hostile length prefix).
-        require(n <= remaining() / 8, "byte_reader", "vector length exceeds payload");
+        const std::uint64_t n = count64(8);
         std::vector<double> v;
         v.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
@@ -155,21 +152,20 @@ public:
     }
 
     /// Read a u32 element count and refuse it unless that many elements of
-    /// at least `min_element_bytes` each fit in the bytes left — the bound
-    /// f64_vec applies, checked before a decoder reserve()s the count.
+    /// at least `min_element_bytes` each fit in the bytes left — checked
+    /// before a decoder reserve()s or loops over the count (and before a
+    /// hostile count times the element size could wrap).
     [[nodiscard]] std::uint32_t count(std::size_t min_element_bytes) {
-        const std::uint32_t n = u32();
-        if (n > remaining() / min_element_bytes) {
-            report_fatal("byte_reader", "element count " + std::to_string(n) +
-                                            " exceeds the " + std::to_string(remaining()) +
-                                            " payload bytes left");
-        }
-        return n;
+        return static_cast<std::uint32_t>(bounded(u32(), min_element_bytes));
+    }
+
+    /// The same bound for a u64 element count.
+    [[nodiscard]] std::uint64_t count64(std::size_t min_element_bytes) {
+        return bounded(u64(), min_element_bytes);
     }
 
     [[nodiscard]] std::vector<std::uint64_t> u64_vec() {
-        std::uint64_t n = u64();
-        require(n <= remaining() / 8, "byte_reader", "vector length exceeds payload");
+        const std::uint64_t n = count64(8);
         std::vector<std::uint64_t> v;
         v.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
@@ -189,6 +185,15 @@ public:
     [[nodiscard]] bool at_end() const noexcept { return pos_ == size_; }
 
 private:
+    [[nodiscard]] std::uint64_t bounded(std::uint64_t n, std::size_t min_element_bytes) const {
+        if (n > remaining() / min_element_bytes) {
+            report_fatal("byte_reader", "element count " + std::to_string(n) +
+                                            " exceeds the " + std::to_string(remaining()) +
+                                            " payload bytes left");
+        }
+        return n;
+    }
+
     void need(std::size_t n) const {
         if (size_ - pos_ < n) {
             report_fatal("byte_reader", "truncated payload: need " + std::to_string(n) +

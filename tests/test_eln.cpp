@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "core/simulation.hpp"
@@ -289,6 +290,88 @@ TEST(eln, switch_toggles_are_numeric_refactors_only) {
     // Toggles refactored (numeric) but never re-ran the symbolic phase.
     EXPECT_GT(net.factorizations(), factors_before);
     EXPECT_EQ(net.symbolic_factorizations(), 1U);
+}
+
+TEST(eln, revisited_switch_states_reuse_cached_factors) {
+    // The buck's switch has two positions and every toggle takes one BE step
+    // before returning to the trapezoidal rule: four states.  Once the first
+    // two toggles have factored them all, later toggles refactor nothing.
+    core::simulation sim;
+    de::signal<bool> gate("gate", false);
+    bench_util::switched_buck buck;
+    buck.hi_side->ctrl.bind(gate);
+    sim.run(5_us);
+    for (int seg = 0; seg < 2; ++seg) {
+        gate.write(seg % 2 == 0);
+        sim.run(10_us);
+    }
+    const auto factors = buck.net->factorizations();
+    EXPECT_EQ(factors, 4U);
+    for (int seg = 0; seg < 20; ++seg) {
+        gate.write(seg % 2 == 0);
+        sim.run(10_us);
+    }
+    EXPECT_EQ(buck.net->factorizations(), factors);
+    EXPECT_EQ(buck.net->symbolic_factorizations(), 1U);
+}
+
+namespace {
+
+/// Components that count calls of the one per-step hook they override.
+struct read_hook final : eln::component {
+    read_hook(const std::string& name, eln::network& net) : component(name, net) {}
+    void stamp(eln::network&) override {}
+    void read_tdf_inputs(eln::network&) override { ++calls; }
+    int calls = 0;
+};
+
+struct sample_hook final : eln::component {
+    sample_hook(const std::string& name, eln::network& net) : component(name, net) {}
+    void stamp(eln::network&) override {}
+    eln::stamp_change sample_inputs() override {
+        ++calls;
+        return eln::stamp_change::none;
+    }
+    int calls = 0;
+};
+
+struct write_hook final : eln::component {
+    write_hook(const std::string& name, eln::network& net) : component(name, net) {}
+    void stamp(eln::network&) override {}
+    void write_tdf_outputs(eln::network&) override { ++calls; }
+    int calls = 0;
+};
+
+}  // namespace
+
+TEST(eln, per_step_hooks_run_every_step) {
+    // After the first step the network calls only components with a real
+    // hook; each kind of hook must still run on every step, and a component
+    // destroyed mid-run must leave the hook lists.
+    core::simulation sim;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto a = net.create_node("a");
+    eln::isource is("is", net, gnd, a, eln::waveform::dc(1e-3));
+    eln::resistor r1("r1", net, a, gnd, 1000.0);
+    read_hook reads("reads", net);
+    sample_hook samples("samples", net);
+    write_hook writes("writes", net);
+    auto doomed = std::make_unique<write_hook>("doomed", net);
+
+    sim.run(10_us);
+    EXPECT_GE(reads.calls, 10);
+    EXPECT_EQ(samples.calls, reads.calls);
+    EXPECT_EQ(writes.calls, reads.calls);
+    EXPECT_EQ(doomed->calls, reads.calls);
+
+    doomed.reset();
+    sim.run(10_us);
+    EXPECT_GE(reads.calls, 20);
+    EXPECT_EQ(samples.calls, reads.calls);
+    EXPECT_EQ(writes.calls, reads.calls);
+    EXPECT_NEAR(net.voltage(a), 1.0, 1e-9);
 }
 
 TEST(eln, set_value_is_numeric_refactor_only) {

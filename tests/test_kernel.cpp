@@ -252,6 +252,63 @@ TEST(hierarchy, port_to_port_binding_resolves) {
     EXPECT_DOUBLE_EQ(inner.read(), 3.25);
 }
 
+namespace {
+
+template <typename Fn>
+std::string error_message(Fn&& fn) {
+    try {
+        fn();
+    } catch (const sca::util::error& e) {
+        return e.what();
+    }
+    return "no error";
+}
+
+}  // namespace
+
+TEST(hierarchy, typed_port_access_follows_chains_and_rebinding) {
+    // Typed ports check their signal's type once and keep it: reads through
+    // a port -> port -> port -> signal chain must see the live signal, a
+    // rebinding must drop the kept signal, and an unbound or mistyped port
+    // must keep failing with its named error.
+    simulation_context ctx;
+    de::signal<double> sig("sig", 1.5);
+    de::signal<double> other("other", -4.0);
+    de::signal<double> wrong_type("wrong_type", 0.0);
+    in<double> outer("outer");
+    in<double> middle("middle");
+    in<double> inner("inner");
+    in<int> mistyped("mistyped");
+    de::out<double> writer("writer");
+    outer.bind(sig);
+    middle.bind(outer);
+    inner.bind(middle);
+    mistyped.bind(wrong_type);
+    writer.bind(other);
+
+    // Unresolved before elaboration: the named error, and nothing kept.
+    EXPECT_EQ(error_message([&] { (void)inner.read(); }), "inner: read of unbound port");
+    ctx.elaborate();
+    EXPECT_DOUBLE_EQ(inner.read(), 1.5);
+    sig.initialize(2.5);
+    EXPECT_DOUBLE_EQ(inner.read(), 2.5);
+    EXPECT_DOUBLE_EQ(outer.read(), 2.5);
+
+    outer.bind(other);
+    EXPECT_DOUBLE_EQ(outer.read(), -4.0);
+    writer.write(3.0);
+    EXPECT_DOUBLE_EQ(writer.read(), -4.0);  // deferred until the update phase
+
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(error_message([&] { (void)mistyped.read(); }),
+                  "mistyped: read of unbound port");
+    }
+    in<double> dangling("dangling");
+    de::out<double> nowhere("nowhere");
+    EXPECT_EQ(error_message([&] { (void)dangling.read(); }), "dangling: read of unbound port");
+    EXPECT_EQ(error_message([&] { nowhere.write(1.0); }), "nowhere: write to unbound port");
+}
+
 TEST(hierarchy, unbound_port_fails_elaboration) {
     simulation_context ctx;
     in<double> dangling("dangling");

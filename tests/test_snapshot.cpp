@@ -11,6 +11,7 @@
 // fingerprint mismatch are refused with named diagnostics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -32,6 +33,8 @@
 #include "lib/filters.hpp"
 #include "lsf/primitives.hpp"
 #include "lsf/view.hpp"
+#include "solver/equation_system.hpp"
+#include "solver/nonlinear_dae.hpp"
 #include "tdf/cluster.hpp"
 #include "tdf/connect.hpp"
 #include "tdf/module.hpp"
@@ -518,6 +521,79 @@ TEST(snapshot_robustness, trailing_bytes_are_refused) {
     write_file(file, bytes);
     EXPECT_NE(error_of(file).find("trailing bytes"), std::string::npos);
     std::remove(file.c_str());
+}
+
+TEST(snapshot_robustness, hostile_process_key_count_is_refused) {
+    // A process record's u64 event-key count must fit in the bytes left
+    // before the decoder reserves it.  The record follows the process
+    // count: str(name), dynamic_waiting, activations, has_timeout, n_keys.
+    define_tiny();
+    sca::util::byte_writer head;
+    {
+        const auto tb = core::scenario::find("snap_tiny").build();
+        tb->run(20_us);  // as tiny_snapshot_bytes: the recorder is registered too
+        const auto& procs = tb->context().sched().processes();
+        ASSERT_FALSE(procs.empty());
+        head.u64(procs.size());
+        head.str(procs.front()->name());
+    }
+    const auto bytes = tiny_snapshot_bytes();
+    std::size_t offset = 0;
+    wire::frame f;
+    ASSERT_TRUE(wire::unpack_frame(bytes.data(), bytes.size(), offset, f));
+    const auto& needle = head.bytes();
+    const auto at = std::search(f.payload.begin(), f.payload.end(), needle.begin(), needle.end());
+    ASSERT_NE(at, f.payload.end());
+    ASSERT_EQ(std::search(at + 1, f.payload.end(), needle.begin(), needle.end()),
+              f.payload.end());
+    const auto record = static_cast<std::size_t>(at - f.payload.begin()) + needle.size();
+    const std::size_t n_keys = record + 1 + 8 + 1;
+    ASSERT_LE(n_keys + 8, f.payload.size());
+    for (int i = 0; i < 8; ++i) f.payload[n_keys + i] = i == 5 ? 0x01 : 0x00;  // 2^40
+
+    const std::string file = snap_path("hostilekeys");
+    write_file(file, wire::pack_frame(wire::msg_type::snapshot_state, f.payload));
+    EXPECT_NE(error_of(file).find("element count 1099511627776"), std::string::npos);
+    std::remove(file.c_str());
+}
+
+TEST(snapshot_robustness, hostile_solver_pattern_counts_are_refused) {
+    // nonlinear_dae_solver::restore_state rebuilds its Jacobian patterns
+    // from u64 row and entry counts; a count the bytes left cannot hold is
+    // refused before anything is allocated.
+    namespace solver = sca::solver;
+    solver::equation_system sys;
+    (void)sys.add_unknown("x");
+    sys.add_b(0, 0, 1.0);
+    for (const bool hostile_rows : {true, false}) {
+        sca::util::byte_writer w;
+        w.f64(0.0);     // t
+        w.f64(1e-6);    // h
+        w.f64(1e-6);    // h_prev
+        w.boolean(false);
+        w.f64_vec({0.0});  // x
+        w.f64_vec({0.0});  // x_prev
+        for (int i = 0; i < 5; ++i) w.u64(0);  // step and factorization counters
+        w.boolean(true);   // matrices follow
+        w.u64(0);          // stamp generation
+        if (hostile_rows) {
+            w.u64(1ULL << 40);
+        } else {
+            w.u64(1);
+            w.u64(1ULL << 40);
+        }
+        w.u64(0);
+        solver::nonlinear_dae_solver s(sys, solver::nonlinear_options{});
+        sca::util::byte_reader r(w.bytes());
+        try {
+            s.restore_state(r);
+            ADD_FAILURE() << "hostile count accepted (rows: " << hostile_rows << ")";
+        } catch (const sca::util::error& e) {
+            EXPECT_NE(std::string(e.what()).find("element count 1099511627776"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(snapshot_robustness, structural_fingerprint_mismatch_is_refused) {

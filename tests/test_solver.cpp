@@ -3,7 +3,10 @@
 // the external (RK4) engine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "solver/dc.hpp"
 #include "solver/equation_system.hpp"
@@ -23,6 +26,48 @@ solver::equation_system decay_system(double tau) {
     sys.add_a(x, x, 1.0 / tau);
     sys.add_b(x, x, 1.0);
     return sys;
+}
+
+/// Stamps an RC ladder of `n` nodes, fed by a 10 mA source with a 100 ohm
+/// shunt at node 0, with a switch conductance from the last node to ground:
+/// a stamp slot (its handle stored in `*slot`) or, with a null `slot`, a
+/// plain stamp.
+void stamp_switched_ladder(solver::equation_system& sys, std::size_t n, double g_switch,
+                           solver::stamp_handle* slot) {
+    const double g = 1e-2;
+    sys.add_a(0, 0, g);
+    sys.add_rhs_constant(0, 1e-2);
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+        sys.add_a(k, k, g);
+        sys.add_a(k, k + 1, -g);
+        sys.add_a(k + 1, k, -g);
+        sys.add_a(k + 1, k + 1, g);
+    }
+    for (std::size_t k = 0; k < n; ++k) sys.add_b(k, k, 1e-6);
+    if (slot != nullptr) {
+        *slot = sys.add_stamp(g_switch);
+        sys.stamp_a(*slot, n - 1, n - 1, 1.0);
+    } else {
+        sys.add_a(n - 1, n - 1, g_switch);
+    }
+}
+
+solver::equation_system switched_ladder(std::size_t n, double g_switch,
+                                        solver::stamp_handle* slot) {
+    solver::equation_system sys;
+    for (std::size_t k = 0; k < n; ++k) (void)sys.add_unknown("v" + std::to_string(k));
+    stamp_switched_ladder(sys, n, g_switch, slot);
+    return sys;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
+            return false;
+        }
+    }
+    return true;
 }
 
 }  // namespace
@@ -168,6 +213,31 @@ TEST(equation_system, static_adds_interleaved_with_slots_replay_in_order) {
     EXPECT_DOUBLE_EQ(sys.a().get(x, x), 16.5);
 }
 
+TEST(equation_system, new_entry_after_finalize_moves_compiled_positions) {
+    // finalize_stamps compiles where each slot-dependent entry's value is
+    // stored; a new entry inserted before it in the same row shifts that
+    // position, so set_stamp must recompile instead of writing the old one.
+    solver::equation_system sys;
+    for (const char* name : {"x", "y", "z"}) (void)sys.add_unknown(name);
+    sys.add_a(0, 0, 1.0);
+    const auto g = sys.add_stamp(2.0);
+    sys.stamp_a(g, 0, 2, 1.0);
+    sys.stamp_b(g, 1, 1, 3.0);
+    sys.finalize_stamps();
+    sys.set_stamp(g, 3.0);
+    EXPECT_DOUBLE_EQ(sys.a().get(0, 2), 3.0);
+    EXPECT_DOUBLE_EQ(sys.b().get(1, 1), 9.0);
+
+    sys.add_a(0, 1, 5.0);  // (0, 1) lands between (0, 0) and (0, 2)
+    sys.add_b(1, 0, 7.0);  // (1, 0) lands before (1, 1)
+    sys.set_stamp(g, 4.0);
+    EXPECT_DOUBLE_EQ(sys.a().get(0, 0), 1.0);
+    EXPECT_DOUBLE_EQ(sys.a().get(0, 1), 5.0);
+    EXPECT_DOUBLE_EQ(sys.a().get(0, 2), 4.0);
+    EXPECT_DOUBLE_EQ(sys.b().get(1, 0), 7.0);
+    EXPECT_DOUBLE_EQ(sys.b().get(1, 1), 12.0);
+}
+
 TEST(linear_dae, timestep_change_refactors_numerically_only) {
     auto sys = decay_system(1e-3);
     solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
@@ -232,6 +302,144 @@ TEST(linear_dae, dense_and_sparse_paths_agree) {
     dn.advance_to(2e-4);
 
     EXPECT_NEAR(sp.x()[0], dn.x()[0], 1e-12);
+}
+
+TEST(linear_dae, factor_cache_thrash_matches_full_restamp_bit_for_bit) {
+    // One slot cycles through more distinct values than the factor cache
+    // holds, each change followed by the forced BE step, so a state is
+    // (value x method): the cache both hits (value 0 comes back after every
+    // other value) and evicts.  The reference restamps from scratch before
+    // every step, so it factors every step symbolically and never reuses a
+    // cached factorization.  A key without the method would hand the
+    // trapezoidal step the BE factors.
+    constexpr std::size_t n = 3;
+    std::vector<double> values;
+    for (int k = 0; k < 12; ++k) values.push_back(1e-3 * (k + 1));
+    ASSERT_GT(values.size(), solver::linear_dae_solver::factor_cache_entries);
+
+    solver::stamp_handle slot = solver::no_stamp_handle;
+    auto sys_inc = switched_ladder(n, values[0], &slot);
+    auto sys_full = switched_ladder(n, values[0], nullptr);
+    solver::linear_dae_solver inc(sys_inc, solver::integration_method::trapezoidal, 1e-6);
+    solver::linear_dae_solver full(sys_full, solver::integration_method::trapezoidal, 1e-6);
+    inc.set_initial_state(std::vector<double>(n, 0.0), 0.0);
+    full.set_initial_state(std::vector<double>(n, 0.0), 0.0);
+
+    std::vector<std::size_t> order;
+    for (int round = 0; round < 3; ++round) {
+        for (std::size_t k = 1; k < values.size(); ++k) {
+            order.push_back(k);
+            order.push_back(0);
+        }
+    }
+    for (std::size_t change = 0; change < order.size(); ++change) {
+        const double v = values[order[change]];
+        sys_inc.set_stamp(slot, v);
+        inc.force_backward_euler_next();
+        full.force_backward_euler_next();
+        for (int i = 0; i < 3; ++i) {
+            sys_full.clear_stamps();
+            stamp_switched_ladder(sys_full, n, v, nullptr);
+            inc.step();
+            full.step();
+            ASSERT_TRUE(same_bits(inc.x(), full.x()))
+                << "diverged at step " << i << " after change " << change;
+        }
+    }
+    EXPECT_EQ(full.symbolic_factor_count(), 3 * order.size());
+    EXPECT_EQ(inc.symbolic_factor_count(), 1U);
+    // Hits: fewer passes than the two states each change visits ...
+    EXPECT_LT(inc.factor_count(), 2 * order.size());
+    // ... and evictions: more passes than there are distinct states.
+    EXPECT_GT(inc.factor_count(), 2 * values.size());
+}
+
+TEST(linear_dae, revisited_state_reuses_cached_factors) {
+    // A switch toggling between two positions visits four states (position
+    // x BE/trapezoidal); once each has been factored, no toggle refactors.
+    // The same holds for a timestep that changes and comes back.
+    solver::stamp_handle slot = solver::no_stamp_handle;
+    auto sys = switched_ladder(3, 1e-6, &slot);
+    solver::linear_dae_solver s(sys, solver::integration_method::trapezoidal, 1e-6);
+    s.set_initial_state(std::vector<double>(3, 0.0), 0.0);
+    s.step();  // (open, trapezoidal)
+    const auto toggle = [&](double g) {
+        sys.set_stamp(slot, g);
+        s.force_backward_euler_next();
+        for (int i = 0; i < 4; ++i) s.step();
+    };
+    toggle(20.0);  // (closed, BE), (closed, trapezoidal)
+    toggle(1e-6);  // (open, BE)
+    EXPECT_EQ(s.factor_count(), 4U);
+    for (int i = 0; i < 10; ++i) {
+        toggle(20.0);
+        toggle(1e-6);
+    }
+    EXPECT_EQ(s.factor_count(), 4U);
+
+    s.set_timestep(2e-6);
+    s.step();
+    EXPECT_EQ(s.factor_count(), 5U);
+    s.set_timestep(1e-6);
+    s.step();
+    EXPECT_EQ(s.factor_count(), 5U);
+    EXPECT_EQ(s.symbolic_factor_count(), 1U);
+    EXPECT_EQ(s.solve_count(), 1U + 20U * 4U + 2U + 2U * 4U);
+}
+
+TEST(linear_dae, refused_refactor_empties_the_factor_cache) {
+    // A = [[g, 1], [1, 2]], no dynamics, BE.  At g = 1 the first analysis
+    // keeps the diagonal pivot.  At g = 1e-14 that frozen pivot vanishes
+    // against its U row, refactor refuses and a new analysis swaps the rows.
+    // Back at g = 1 the matrix bits equal the first state's, but its cached
+    // factors belong to the old pivot order: the visit must refactor.
+    solver::equation_system sys;
+    (void)sys.add_unknown("x");
+    (void)sys.add_unknown("y");
+    const auto g = sys.add_stamp(1.0);
+    sys.stamp_a(g, 0, 0, 1.0);
+    sys.add_a(0, 1, 1.0);
+    sys.add_a(1, 0, 1.0);
+    sys.add_a(1, 1, 2.0);
+    sys.add_rhs_constant(0, 1.0);
+    solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
+    s.set_initial_state({0.0, 0.0}, 0.0);
+    s.step();
+    EXPECT_EQ(s.factor_count(), 1U);
+    EXPECT_EQ(s.symbolic_factor_count(), 1U);
+
+    sys.set_stamp(g, 1e-14);
+    s.step();
+    EXPECT_EQ(s.factor_count(), 2U);
+    EXPECT_EQ(s.symbolic_factor_count(), 2U);
+
+    sys.set_stamp(g, 1.0);
+    s.step();
+    EXPECT_EQ(s.factor_count(), 3U);
+    EXPECT_EQ(s.symbolic_factor_count(), 2U);
+    // [[1, 1], [1, 2]] x = [1, 0]
+    EXPECT_NEAR(s.x()[0], 2.0, 1e-12);
+    EXPECT_NEAR(s.x()[1], -1.0, 1e-12);
+}
+
+TEST(linear_dae, factors_over_the_byte_budget_refactor_on_every_revisit) {
+    constexpr std::size_t n = 1500;
+    solver::stamp_handle slot = solver::no_stamp_handle;
+    auto sys = switched_ladder(n, 1e-6, &slot);
+    // A lower bound on one cached factorization: the iteration-matrix key,
+    // at least as many L/U values, and the pivots.
+    ASSERT_GT(sizeof(double) * (2 * sys.a().nonzeros() + n),
+              solver::linear_dae_solver::factor_cache_bytes);
+    solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
+    s.set_initial_state(std::vector<double>(n, 0.0), 0.0);
+    s.step();
+    for (int i = 0; i < 6; ++i) {
+        const auto before = s.factor_count();
+        sys.set_stamp(slot, i % 2 == 0 ? 20.0 : 1e-6);
+        s.step();
+        EXPECT_EQ(s.factor_count(), before + 1) << "toggle " << i;
+    }
+    EXPECT_EQ(s.symbolic_factor_count(), 1U);
 }
 
 TEST(linear_dae, forced_oscillator_tracks_input) {
