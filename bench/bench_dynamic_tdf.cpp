@@ -156,7 +156,7 @@ struct rate_cycler : tdf::module {
     }
 };
 
-constexpr double k_run_seconds = 100e-3;
+constexpr double k_sim_seconds = 100e-3;
 
 void receiver_run(benchmark::State& state, bool adaptive, std::uint64_t max_batch) {
     std::uint64_t fe_firings = 0;
@@ -164,7 +164,7 @@ void receiver_run(benchmark::State& state, bool adaptive, std::uint64_t max_batc
     std::uint64_t recompiles = 0;
     std::uint64_t kernel_notifications = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         burst_source src("src");
         adaptive_frontend fe("fe", adaptive);
         accepting_sink sink("sink");
@@ -173,19 +173,19 @@ void receiver_run(benchmark::State& state, bool adaptive, std::uint64_t max_batc
         fe.in.bind(s1);
         fe.out.bind(s2);
         sink.in.bind(s2);
-        tdf::registry::of(sim.context()).set_default_max_batch_periods(max_batch);
-        sim.run_seconds(k_run_seconds);
+        tdf::registry::of(sim).set_default_max_batch_periods(max_batch);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         benchmark::DoNotOptimize(sink.last);
         fe_firings = fe.activation_count();
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        const auto& c = *tdf::registry::of(sim).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
-        kernel_notifications = sim.context().sched().timed_notification_count();
+        kernel_notifications = sim.sched().timed_notification_count();
     }
     // End-to-end coverage rate: both models sweep the same 100 ms of input
     // signal; the static one needs 8x the samples for the quiet 90%.
     state.counters["covered_samples_per_sec"] = benchmark::Counter(
-        k_run_seconds / (k_fast_step.to_seconds() / 8.0),
+        k_sim_seconds / (k_fast_step.to_seconds() / 8.0),
         benchmark::Counter::kIsIterationInvariantRate);
     state.counters["fe_firings"] = static_cast<double>(fe_firings);
     state.counters["reschedules"] = static_cast<double>(reschedules);
@@ -215,7 +215,7 @@ void reschedule_cost_cached(benchmark::State& state) {
     std::uint64_t reschedules = 0;
     std::uint64_t recompiles = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         accepting_src src("src");
         toggler tog("tog");
         accepting_sink sink("sink");
@@ -224,8 +224,8 @@ void reschedule_cost_cached(benchmark::State& state) {
         tog.in.bind(s1);
         tog.out.bind(s2);
         sink.in.bind(s2);
-        sim.run_seconds(20e-3);
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        sim.run(de::time::from_seconds(20e-3));
+        const auto& c = *tdf::registry::of(sim).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
         benchmark::DoNotOptimize(sink.last);
@@ -244,7 +244,7 @@ void reschedule_cost_cold(benchmark::State& state) {
     std::uint64_t reschedules = 0;
     std::uint64_t recompiles = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         accepting_src src("src");
         rate_cycler cyc("cyc", n);
         accepting_sink sink("sink");
@@ -253,8 +253,8 @@ void reschedule_cost_cold(benchmark::State& state) {
         cyc.in.bind(s1);
         cyc.out.bind(s2);
         sink.in.bind(s2);
-        sim.run_seconds(20e-3);
-        const auto& c = *tdf::registry::of(sim.context()).clusters().at(0);
+        sim.run(de::time::from_seconds(20e-3));
+        const auto& c = *tdf::registry::of(sim).clusters().at(0);
         reschedules = c.reschedule_count();
         recompiles = c.recompile_count();
         benchmark::DoNotOptimize(sink.last);

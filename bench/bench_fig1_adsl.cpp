@@ -40,7 +40,7 @@ namespace {
 constexpr de::time k_codec_step = de::time::from_fs(500'000'000);  // 2 MHz modulator
 
 struct adsl_system {
-    sca::core::simulation sim;
+    de::simulation_context sim;
 
     // --- transmit path stimulus (the "DSP" side): upstream tone ----------
     std::unique_ptr<sine_src> tone;
@@ -148,7 +148,7 @@ struct adsl_system {
         bool_sink_->in.bind(*bwires.back());
 
         // Software controller: counts link state changes.
-        auto& proc = sim.context().register_method("controller", [this] {
+        auto& proc = sim.register_method("controller", [this] {
             ++controller_events;
         });
         proc.dont_initialize();
@@ -167,7 +167,7 @@ void fig1_adsl_full_system(benchmark::State& state) {
     for (auto _ : state) {
         adsl_system sys;
         const auto t0 = std::chrono::steady_clock::now();
-        sys.sim.run_seconds(sim_seconds);
+        sys.sim.run(de::time::from_seconds(sim_seconds));
         wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         tdf_activations = sys.prefi->activation_count() + sys.pofi->activation_count() +
                           sys.rx_fir->activation_count() + sys.tone->activation_count();

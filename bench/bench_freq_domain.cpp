@@ -31,7 +31,7 @@ constexpr de::time k_step = de::time::from_fs(200'000'000);  // 0.2 us -> fs = 5
 
 /// The ladder with an AC-enabled source; returns the network ready to run.
 struct ac_ladder {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     std::unique_ptr<eln::network> net;
     std::vector<std::unique_ptr<eln::component>> parts;
     eln::node out_node;
@@ -106,7 +106,7 @@ void transient_fft(benchmark::State& state) {
         out_probe.outp.bind(s2);
         out_rec.in.bind(s2);
 
-        model.sim.run_seconds(3.2e-3);  // 16k samples at 5 MHz
+        model.sim.run(de::time::from_seconds(3.2e-3));  // 16k samples at 5 MHz
 
         const double fs = 1.0 / k_step.to_seconds();
         for (std::size_t i = 0; i < vout.size(); ++i) {

@@ -28,9 +28,9 @@ void linear_ladder(benchmark::State& state) {
     std::uint64_t factorizations = 0;
     std::uint64_t activations = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(sections, k_step);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         factorizations = ladder.net->factorizations();
         activations = ladder.net->activation_count();
         benchmark::DoNotOptimize(ladder.net->voltage(ladder.out_node));
@@ -46,7 +46,7 @@ void newton_ladder(benchmark::State& state) {
     std::uint64_t factorizations = 0;
     std::uint64_t activations = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(sections, k_step);
         // A vanishing nonlinearity: same equations, but the solver can no
         // longer assume linearity and must iterate.
@@ -55,7 +55,7 @@ void newton_ladder(benchmark::State& state) {
                                  ladder.out_node, gnd,
                                  [](double v) { return 1e-15 * v; },
                                  [](double) { return 1e-15; });
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         factorizations = ladder.net->factorizations();
         activations = ladder.net->activation_count();
         benchmark::DoNotOptimize(ladder.net->voltage(ladder.out_node));

@@ -3,15 +3,13 @@
 // simulation performances".
 //
 // MNA solver scaling on RC ladders of growing size: setup (stamp + first
-// factorization) versus per-step marginal cost, with a sparse-vs-dense
-// factorization ablation.  The sparse path keeps per-step cost near-linear
-// in N; the dense path goes superlinear quickly.
+// sparse factorization) versus per-step marginal cost, which stays
+// near-linear in N.  docs/benchmarks.md records the dense-LU comparison.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
 #include "bench_util.hpp"
-#include "numeric/dense.hpp"
 #include "numeric/sparse.hpp"
 #include "solver/equation_system.hpp"
 #include "solver/linear_dae.hpp"
@@ -72,42 +70,13 @@ void sparse_steps(benchmark::State& state) {
         benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 
-void dense_setup(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        auto sys = ladder_equations(n);
-        solver::linear_dae_solver s(sys, solver::integration_method::trapezoidal,
-                                    k_step.to_seconds());
-        s.set_use_dense(true);
-        s.set_initial_state(std::vector<double>(n, 0.0), 0.0);
-        s.step();
-        benchmark::DoNotOptimize(s.x());
-    }
-}
-
-void dense_steps(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    auto sys = ladder_equations(n);
-    solver::linear_dae_solver s(sys, solver::integration_method::trapezoidal,
-                                k_step.to_seconds());
-    s.set_use_dense(true);
-    s.set_initial_state(std::vector<double>(n, 0.0), 0.0);
-    s.step();
-    for (auto _ : state) {
-        s.step();
-        benchmark::DoNotOptimize(s.x());
-    }
-    state.counters["steps_per_sec"] =
-        benchmark::Counter(1.0, benchmark::Counter::kIsIterationInvariantRate);
-}
-
 /// Full-stack scaling: the same ladder through the TDF-embedded network.
 void network_transient(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(n, k_step);
-        sim.run_seconds(1e-4);  // 100 steps
+        sim.run(de::time::from_seconds(1e-4));  // 100 steps
         benchmark::DoNotOptimize(ladder.net->voltage(ladder.out_node));
     }
     state.counters["steps_per_sec"] = benchmark::Counter(
@@ -118,8 +87,6 @@ void network_transient(benchmark::State& state) {
 
 BENCHMARK(sparse_setup)->Arg(10)->Arg(50)->Arg(200)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(sparse_steps)->Arg(10)->Arg(50)->Arg(200)->Arg(1000)->Unit(benchmark::kMicrosecond);
-BENCHMARK(dense_setup)->Arg(10)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
-BENCHMARK(dense_steps)->Arg(10)->Arg(50)->Arg(200)->Unit(benchmark::kMicrosecond);
 BENCHMARK(network_transient)->Arg(10)->Arg(50)->Arg(200)->Unit(benchmark::kMillisecond);
 
 SCA_BENCH_MAIN(bench_mna_scale)

@@ -15,7 +15,7 @@
 #include "bench_util.hpp"
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
@@ -45,7 +45,7 @@ std::pair<std::vector<double>, std::vector<double>> lowpass_tf() {
 void ltf_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -53,7 +53,7 @@ void ltf_view_transient(benchmark::State& state) {
         lsf::source src("src", sys, u, lsf::waveform::sine(1.0, k_f0 / 10.0));
         const auto [num, den] = lowpass_tf();
         lsf::ltf_nd f("f", sys, u, y, num, den);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         final = sys.value(y);
     }
     state.counters["final"] = final;
@@ -62,7 +62,7 @@ void ltf_view_transient(benchmark::State& state) {
 void state_space_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -76,7 +76,7 @@ void state_space_view_transient(benchmark::State& state) {
         b(1, 0) = w0 * w0;
         c(0, 0) = 1.0;
         lsf::state_space ss("ss", sys, {u}, {y}, a, b, c, d);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         final = sys.value(y);
     }
     state.counters["final"] = final;
@@ -85,7 +85,7 @@ void state_space_view_transient(benchmark::State& state) {
 void netlist_view_transient(benchmark::State& state) {
     double final = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -101,7 +101,7 @@ void netlist_view_transient(benchmark::State& state) {
         eln::resistor res("r", net, n1, n2, r);
         eln::inductor ind("l", net, n2, n3, l);
         eln::capacitor cap("c", net, n3, gnd, c);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         final = net.voltage(n3);
     }
     state.counters["final"] = final;
@@ -111,7 +111,7 @@ void ac_and_noise_analyses(benchmark::State& state) {
     double mag_f0 = 0.0;
     double noise_rms = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -141,7 +141,7 @@ void ac_and_noise_analyses(benchmark::State& state) {
 void view_equivalence(benchmark::State& state) {
     double max_diff = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         lsf::system sys("sys");
         sys.set_timestep(k_step);
         auto u = sys.create_signal("u");
@@ -159,10 +159,11 @@ void view_equivalence(benchmark::State& state) {
         c(0, 0) = 1.0;
         lsf::state_space ss("ss", sys, {u}, {y2}, a, b, c, d);
 
-        sca::core::transient_recorder rec(sim, 10_us);
-        rec.add_probe("y1", [&] { return sys.value(y1); });
-        rec.add_probe("y2", [&] { return sys.value(y2); });
-        rec.run(de::time::from_seconds(k_sim_seconds));
+        sca::util::memory_trace rec;
+        sca::core::record(sim, rec, 10_us);
+        rec.add_channel("y1", [&] { return sys.value(y1); });
+        rec.add_channel("y2", [&] { return sys.value(y2); });
+        sim.run(de::time::from_seconds(k_sim_seconds));
 
         const auto v1 = rec.column(0);
         const auto v2 = rec.column(1);

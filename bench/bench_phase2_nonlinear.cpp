@@ -33,7 +33,7 @@ void diode_bridge_rectifier(benchmark::State& state) {
     std::uint64_t factorizations = 0;
     std::uint64_t steps = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -50,7 +50,7 @@ void diode_bridge_rectifier(benchmark::State& state) {
         eln::capacitor cf("cf", net, vp, gnd, 47e-6);
         eln::resistor load("load", net, vp, gnd, 1000.0);
 
-        sim.run_seconds(20e-3);
+        sim.run(de::time::from_seconds(20e-3));
         vout = net.voltage(vp);
         factorizations = net.factorizations();
         steps = net.activation_count();
@@ -64,7 +64,7 @@ void saturating_amplifier_chain(benchmark::State& state) {
     const auto n_stages = static_cast<std::size_t>(state.range(0));
     double last = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         sine_src src("src", 0.2, 5e3, k_step);
         std::vector<std::unique_ptr<lib::amplifier>> amps;
         std::vector<std::unique_ptr<tdf::signal<double>>> wires;
@@ -81,7 +81,7 @@ void saturating_amplifier_chain(benchmark::State& state) {
         }
         null_sink sink("sink");
         sink.in.bind(*wires.back());
-        sim.run_seconds(20e-3);
+        sim.run(de::time::from_seconds(20e-3));
         last = sink.last;
     }
     state.counters["last"] = last;
@@ -91,7 +91,7 @@ void rf_downconversion_chain(benchmark::State& state) {
     // Phase-2 "enriched mixed-signal library": oscillator + mixer + amp.
     double last = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         sine_src rf("rf", 0.1, 450e3, de::time::from_fs(200'000'000));  // 5 MHz rate
         lib::quadrature_oscillator lo("lo", 1.0, 440e3);
         lib::mixer mix("mix", 2.0);
@@ -110,7 +110,7 @@ void rf_downconversion_chain(benchmark::State& state) {
         ifamp.in.bind(s3);
         ifamp.out.bind(s4);
         sink.in.bind(s4);
-        sim.run_seconds(5e-3);
+        sim.run(de::time::from_seconds(5e-3));
         last = sink.last;
     }
     state.counters["last"] = last;
@@ -120,7 +120,7 @@ void nonlinear_vs_linear_step_cost(benchmark::State& state) {
     // Marginal cost of the Newton machinery on an otherwise identical model.
     const bool nonlinear = state.range(0) != 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
@@ -138,7 +138,7 @@ void nonlinear_vs_linear_step_cost(benchmark::State& state) {
                     return 1e-4 / (ch * ch);
                 });
         }
-        sim.run_seconds(50e-3);
+        sim.run(de::time::from_seconds(50e-3));
         benchmark::DoNotOptimize(net.voltage(b));
     }
     state.counters["steps_per_sec"] = benchmark::Counter(

@@ -26,7 +26,7 @@ void dc_drive_three_domains(benchmark::State& state) {
     double speed = 0.0;
     double temperature = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         eln::network net("net");
         net.set_timestep(100.0, de::time_unit::us);
         auto gnd = net.ground();
@@ -47,7 +47,7 @@ void dc_drive_three_domains(benchmark::State& state) {
         eln::thermal_capacitance cth("cth", net, tj, 10.0);
         eln::heat_source ploss("ploss", net, tamb, tj, eln::waveform::dc(8.0));
 
-        sim.run_seconds(10.0);
+        sim.run(de::time::from_seconds(10.0));
         speed = net.voltage(shaft);
         temperature = net.voltage(tj);
     }
@@ -62,7 +62,7 @@ void pwm_buck_stage(benchmark::State& state) {
     double vout = 0.0;
     std::uint64_t factorizations = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         de::signal<double> duty("duty", 0.5);
         de::signal<bool> gate("gate", false);
         lib::pwm pwm("pwm", 50_us);
@@ -84,7 +84,7 @@ void pwm_buck_stage(benchmark::State& state) {
         new eln::capacitor("c", net, out, gnd, 100e-6);
         new eln::resistor("load", net, out, gnd, 10.0);
 
-        sim.run_seconds(20e-3);
+        sim.run(de::time::from_seconds(20e-3));
         vout = net.voltage(out);
         factorizations = net.factorizations();
     }
@@ -97,7 +97,7 @@ void generic_sync_de_to_mechanical(benchmark::State& state) {
     // phase-3 "generic synchronization mechanism including software MoCs".
     double position = 0.0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         de::signal<double> setpoint("setpoint", 0.0);
 
         eln::network net("net");
@@ -128,13 +128,13 @@ void generic_sync_de_to_mechanical(benchmark::State& state) {
         f->inp.bind(setpoint);
 
         // Software-ish supervisor: steps the setpoint every 200 ms.
-        auto& proc = sim.context().register_method("supervisor", [&] {
+        auto& proc = sim.register_method("supervisor", [&] {
             setpoint.write(setpoint.read() + 10.0);
-            sim.context().next_trigger(200_ms);
+            sim.next_trigger(200_ms);
         });
         (void)proc;
 
-        sim.run_seconds(2.0);
+        sim.run(de::time::from_seconds(2.0));
         position = net.voltage(v);
         benchmark::DoNotOptimize(position);
     }

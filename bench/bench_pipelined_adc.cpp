@@ -20,7 +20,7 @@ namespace {
 constexpr de::time k_sample = de::time::from_fs(10'000'000'000);  // 100 kHz
 
 double measure_enob(double gain_error, double offset, bool correction) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     sine_src src("src", 0.95, 997.0, k_sample);
     lib::pipeline_adc adc("adc", 9, 1.0);
     std::vector<lib::pipeline_stage_params> params(9);
@@ -51,7 +51,7 @@ double measure_enob(double gain_error, double offset, bool correction) {
     csink.in.bind(s2);
     sink.in.bind(s3);
 
-    sim.run_seconds(82e-3);
+    sim.run(de::time::from_seconds(82e-3));
     std::vector<double> tail(sink.got.end() - 8192, sink.got.end());
     return sca::util::enob(sca::util::sinad_db(tail, 1.0 / k_sample.to_seconds()));
 }
@@ -84,7 +84,7 @@ void adc_enob_offset_without_correction(benchmark::State& state) {
 
 void adc_conversion_throughput(benchmark::State& state) {
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         sine_src src("src", 0.95, 997.0, k_sample);
         lib::pipeline_adc adc("adc", 9, 1.0);
         null_sink sink("sink");
@@ -101,7 +101,7 @@ void adc_conversion_throughput(benchmark::State& state) {
         adc.analog_estimate.bind(s3);
         csink.in.bind(s2);
         sink.in.bind(s3);
-        sim.run_seconds(100e-3);
+        sim.run(de::time::from_seconds(100e-3));
         benchmark::DoNotOptimize(sink.last);
     }
     state.counters["conversions_per_sec"] = benchmark::Counter(

@@ -27,7 +27,7 @@ constexpr double k_sim_seconds = 10e-3;  // 10k samples per run
 void tdf_pipeline(benchmark::State& state) {
     const auto n_stages = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         sine_src src("src", 1.0, 10e3, k_sample_period);
         std::vector<std::unique_ptr<gain_stage>> stages;
         std::vector<std::unique_ptr<tdf::signal<double>>> wires;
@@ -44,7 +44,7 @@ void tdf_pipeline(benchmark::State& state) {
         null_sink sink("sink");
         sink.in.bind(*wires.back());
 
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         benchmark::DoNotOptimize(sink.last);
     }
     const double samples = k_sim_seconds / k_sample_period.to_seconds();
@@ -84,7 +84,7 @@ struct de_source : de::module {
 void de_pipeline(benchmark::State& state) {
     const auto n_stages = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         de_model::de_source src("src", 1.0, 10e3);
         std::vector<std::unique_ptr<de_model::de_gain>> stages;
         std::vector<std::unique_ptr<de::signal<double>>> wires;
@@ -99,7 +99,7 @@ void de_pipeline(benchmark::State& state) {
             stages.back()->out.bind(*wires.back());
         }
 
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         benchmark::DoNotOptimize(wires.back()->read());
     }
     const double samples = k_sim_seconds / k_sample_period.to_seconds();

@@ -7,8 +7,9 @@
 // BE/trapezoidal), so after the first period a toggle re-activates cached
 // factors and refactors nothing, and a state never seen before costs one
 // *numeric-only* refactorization against the symbolic analysis cached at
-// elaboration.  The rebuild-the-world baseline restamps every component and
-// re-runs the full symbolic factorization per event.
+// elaboration.  docs/benchmarks.md records the comparison with rebuilding
+// the world (full restamp + symbolic factorization per event), and
+// tests/test_eln.cpp pins this buck bit-identical to it.
 //
 // Two networks, each driven by a 50 kHz PWM gate:
 //   switched_rc  - 8-section RC ladder with a shunt switch at the output
@@ -44,10 +45,9 @@ struct switching_counters {
     std::uint64_t symbolic = 0;
 };
 
-/// PWM-driven RC ladder with a shunt switch at the output; `incremental`
-/// selects the values-only pipeline or the full-restamp baseline.
-switching_counters run_switched_rc(bool incremental) {
-    sca::core::simulation sim;
+/// PWM-driven RC ladder with a shunt switch at the output.
+switching_counters run_switched_rc() {
+    de::simulation_context sim;
 
     de::signal<double> duty("duty", 0.5);
     de::signal<bool> gate("gate", false);
@@ -56,19 +56,18 @@ switching_counters run_switched_rc(bool incremental) {
     pwm.out.bind(gate);
 
     rc_ladder ladder(8, de::time(1.0, de::time_unit::us), 470.0, 220e-9);
-    ladder.net->set_incremental_updates(incremental);
     eln::de_rswitch sw("sw", *ladder.net, ladder.out_node, ladder.net->ground(), 10.0,
                        1e9);
     sw.ctrl.bind(gate);
 
-    sim.run_seconds(k_sim_seconds);
+    sim.run(de::time::from_seconds(k_sim_seconds));
     return {ladder.net->factorizations(), ladder.net->symbolic_factorizations()};
 }
 
 /// The power_driver buck converter (bench_util::switched_buck — the same
-/// netlist tests/test_eln.cpp asserts bit-identical between the pipelines).
-switching_counters run_buck(bool incremental, double& vout_sample) {
-    sca::core::simulation sim;
+/// netlist tests/test_eln.cpp asserts bit-identical to a full restamp).
+switching_counters run_buck(double& vout_sample) {
+    de::simulation_context sim;
 
     de::signal<double> duty("duty", 0.5);
     de::signal<bool> gate("gate", false);
@@ -77,10 +76,9 @@ switching_counters run_buck(bool incremental, double& vout_sample) {
     pwm.out.bind(gate);
 
     switched_buck buck;
-    buck.net->set_incremental_updates(incremental);
     buck.hi_side->ctrl.bind(gate);
 
-    sim.run_seconds(k_sim_seconds);
+    sim.run(de::time::from_seconds(k_sim_seconds));
     vout_sample = buck.net->voltage(buck.vout_node);
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }
@@ -88,7 +86,7 @@ switching_counters run_buck(bool incremental, double& vout_sample) {
 /// The buck with its switch held closed; a DE process sets the load to a
 /// value it never had before every 10 us, so no update repeats a state.
 switching_counters run_buck_fresh_load_values(double& vout_sample) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
 
     de::signal<bool> gate("gate", true);
     switched_buck buck;
@@ -97,12 +95,12 @@ switching_counters run_buck_fresh_load_values(double& vout_sample) {
     sca::util::require(load != nullptr, "bench", "switched_buck lost its load resistor");
 
     int updates = 0;
-    sim.context().register_method("retune_load", [&] {
+    sim.register_method("retune_load", [&] {
         load->set_value(4.0 + 1e-3 * ++updates);
-        sim.context().next_trigger(10_us);
+        sim.next_trigger(10_us);
     });
 
-    sim.run_seconds(k_sim_seconds);
+    sim.run(de::time::from_seconds(k_sim_seconds));
     vout_sample = buck.net->voltage(buck.vout_node);
     return {buck.net->factorizations(), buck.net->symbolic_factorizations()};
 }
@@ -117,28 +115,14 @@ void report(benchmark::State& state, const switching_counters& c) {
 
 void switched_rc_incremental(benchmark::State& state) {
     switching_counters c;
-    for (auto _ : state) c = run_switched_rc(true);
-    report(state, c);
-}
-
-void switched_rc_full_restamp(benchmark::State& state) {
-    switching_counters c;
-    for (auto _ : state) c = run_switched_rc(false);
+    for (auto _ : state) c = run_switched_rc();
     report(state, c);
 }
 
 void buck_incremental(benchmark::State& state) {
     switching_counters c;
     double v = 0.0;
-    for (auto _ : state) c = run_buck(true, v);
-    benchmark::DoNotOptimize(v);
-    report(state, c);
-}
-
-void buck_full_restamp(benchmark::State& state) {
-    switching_counters c;
-    double v = 0.0;
-    for (auto _ : state) c = run_buck(false, v);
+    for (auto _ : state) c = run_buck(v);
     benchmark::DoNotOptimize(v);
     report(state, c);
 }
@@ -154,9 +138,7 @@ void buck_fresh_load_values(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(switched_rc_incremental)->Unit(benchmark::kMillisecond);
-BENCHMARK(switched_rc_full_restamp)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_incremental)->Unit(benchmark::kMillisecond);
-BENCHMARK(buck_full_restamp)->Unit(benchmark::kMillisecond);
 BENCHMARK(buck_fresh_load_values)->Unit(benchmark::kMillisecond);
 
 SCA_BENCH_MAIN(bench_switching_restamp)

@@ -28,14 +28,14 @@ constexpr double k_sim_seconds = 10e-3;                        // 10k samples
 
 void pure_tdf(benchmark::State& state) {
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(4, k_step);
         eln::tdf_vsink probe("probe", *ladder.net, ladder.out_node, ladder.net->ground());
         null_sink sink("sink");
         tdf::signal<double> s("s");
         probe.outp.bind(s);
         sink.in.bind(s);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         benchmark::DoNotOptimize(sink.last);
     }
     state.counters["samples_per_sec"] = benchmark::Counter(
@@ -45,17 +45,17 @@ void pure_tdf(benchmark::State& state) {
 void tdf_to_de(benchmark::State& state) {
     std::uint64_t de_activations = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(4, k_step);
         eln::de_vsink probe("probe", *ladder.net, ladder.out_node, ladder.net->ground());
         de::signal<double> wire("wire");
         probe.outp.bind(wire);
         // A DE watcher reacts to every converted sample.
         double acc = 0.0;
-        auto& proc = sim.context().register_method("watch", [&] { acc += wire.read(); });
+        auto& proc = sim.register_method("watch", [&] { acc += wire.read(); });
         proc.dont_initialize();
         proc.make_sensitive(wire.value_changed_event());
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         de_activations = proc.activation_count();
         benchmark::DoNotOptimize(acc);
     }
@@ -67,7 +67,7 @@ void tdf_to_de(benchmark::State& state) {
 void de_control_roundtrip(benchmark::State& state) {
     std::uint64_t de_activations = 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(4, k_step);
         eln::de_vsink probe("probe", *ladder.net, ladder.out_node, ladder.net->ground());
         // Feedback current injection: every converted sample produces a DE
@@ -78,12 +78,12 @@ void de_control_roundtrip(benchmark::State& state) {
         de::signal<double> back("back");
         probe.outp.bind(wire);
         ctl.inp.bind(back);
-        auto& proc = sim.context().register_method("controller", [&] {
+        auto& proc = sim.register_method("controller", [&] {
             back.write(wire.read() * 1e-4);
         });
         proc.dont_initialize();
         proc.make_sensitive(wire.value_changed_event());
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         de_activations = proc.activation_count();
         benchmark::DoNotOptimize(back.read());
     }
@@ -97,7 +97,7 @@ void de_control_roundtrip(benchmark::State& state) {
 void oversampled_cluster(benchmark::State& state) {
     const auto oversample = static_cast<std::int64_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         rc_ladder ladder(4, de::time::from_fs(k_step.value_fs() / oversample));
         eln::tdf_vsink probe("probe", *ladder.net, ladder.out_node, ladder.net->ground());
         null_sink sink("sink");
@@ -105,7 +105,7 @@ void oversampled_cluster(benchmark::State& state) {
         tdf::signal<double> s("s");
         probe.outp.bind(s);
         sink.in.bind(s);
-        sim.run_seconds(k_sim_seconds);
+        sim.run(de::time::from_seconds(k_sim_seconds));
         benchmark::DoNotOptimize(sink.last);
     }
     state.counters["network_steps"] = static_cast<double>(

@@ -75,7 +75,7 @@ struct rot_src : tdf::module {
 void schedule_elaboration(benchmark::State& state) {
     const auto n_stages = static_cast<std::size_t>(state.range(0));
     for (auto _ : state) {
-        sca::core::simulation sim;
+        de::simulation_context sim;
         sine_src src("src", 1.0, 10e3, k_step);
         std::vector<std::unique_ptr<gain_stage>> stages;
         std::vector<std::unique_ptr<tdf::signal<double>>> wires;
@@ -106,8 +106,8 @@ void schedule_elaboration(benchmark::State& state) {
 void monorate_throughput(benchmark::State& state) {
     const bool block = state.range(0) != 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
-        tdf::registry::of(sim.context()).set_default_block_execution(block);
+        de::simulation_context sim;
+        tdf::registry::of(sim).set_default_block_execution(block);
         rot_src src("src", 1.0, 10e3, k_step);
         gain_stage g1("g1", 1.0), g2("g2", 1.0);
         null_sink sink("sink");
@@ -118,7 +118,7 @@ void monorate_throughput(benchmark::State& state) {
         g2.in.bind(s2);
         g2.out.bind(s3);
         sink.in.bind(s3);
-        sim.run_seconds(100e-3);
+        sim.run(de::time::from_seconds(100e-3));
         benchmark::DoNotOptimize(sink.last);
     }
     state.counters["tokens_per_sec"] = benchmark::Counter(
@@ -130,8 +130,8 @@ void multirate_throughput(benchmark::State& state) {
     // Interpolate 1:4, process, decimate 4:1 — 4x the internal token volume.
     const bool block = state.range(0) != 0;
     for (auto _ : state) {
-        sca::core::simulation sim;
-        tdf::registry::of(sim.context()).set_default_block_execution(block);
+        de::simulation_context sim;
+        tdf::registry::of(sim).set_default_block_execution(block);
         rot_src src("src", 1.0, 10e3, k_step);
         lib::interpolator up("up", 4);
         gain_stage g("g", 1.0);
@@ -146,7 +146,7 @@ void multirate_throughput(benchmark::State& state) {
         down.in.bind(s3);
         down.out.bind(s4);
         sink.in.bind(s4);
-        sim.run_seconds(100e-3);
+        sim.run(de::time::from_seconds(100e-3));
         benchmark::DoNotOptimize(sink.last);
     }
     state.counters["tokens_per_sec"] = benchmark::Counter(
@@ -162,8 +162,8 @@ void traced_multidomain(benchmark::State& state) {
     const char* trace_path = std::getenv("SCA_TRACE_JSON");
     const char* metrics_path = std::getenv("SCA_METRICS_JSON");
     for (auto _ : state) {
-        sca::core::simulation sim;
-        if (trace_path != nullptr) sim.context().tracer().enable();
+        de::simulation_context sim;
+        if (trace_path != nullptr) sim.tracer().enable();
         rot_src src("src", 1.0, 10e3, k_step);
         lib::interpolator up("up", 4);
         gain_stage g("g", 1.0);
@@ -179,17 +179,17 @@ void traced_multidomain(benchmark::State& state) {
         down.out.bind(s4);
         sink.in.bind(s4);
         rc_ladder ladder(8, k_step);
-        sim.run_seconds(10e-3);
+        sim.run(de::time::from_seconds(10e-3));
         benchmark::DoNotOptimize(sink.last);
         if (trace_path != nullptr || metrics_path != nullptr) {
             state.PauseTiming();
             if (trace_path != nullptr) {
                 std::ofstream os(trace_path);
-                sim.context().tracer().write_chrome_json(os);
+                sim.tracer().write_chrome_json(os);
             }
             if (metrics_path != nullptr) {
                 std::ofstream os(metrics_path);
-                sca::util::write_metrics_json(os, sim.context().collect_metrics());
+                sca::util::write_metrics_json(os, sim.collect_metrics());
             }
             state.ResumeTiming();
         }

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"

@@ -166,7 +166,7 @@ int main() {
     tb->run();
 
     std::printf("ADSL subscriber line interface (paper Figure 1), %.0f ms simulated\n",
-                tb->sim().now().to_seconds() * 1e3);
+                tb->context().now().to_seconds() * 1e3);
     std::printf("  MoC inventory:\n");
     std::printf("    TDF  modulator activations : %.0f (2 MHz)\n",
                 tb->measurement("prefi_activations"));

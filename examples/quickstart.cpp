@@ -99,7 +99,7 @@ int main() {
     tb->save_trace("quickstart_trace.dat");
 
     std::printf("quickstart: simulated %.1f ms of a TDF -> ELN -> DE loop\n",
-                tb->sim().now().to_seconds() * 1e3);
+                tb->context().now().to_seconds() * 1e3);
     std::printf("  filtered amplitude at vout : %.3f V (attenuated from 1.0 V)\n",
                 tb->measurement("vout_amplitude"));
     std::printf("  comparator edges seen in DE: %.0f (expect ~2 per 1 kHz cycle)\n",

@@ -8,6 +8,14 @@
 
 namespace sca::core {
 
+void record(de::simulation_context& ctx, util::trace_file& file, const de::time& period) {
+    util::require(period > de::time::zero(), "core::record", "trace period must be positive");
+    ctx.register_method("trace_recorder", [&ctx, &file, period] {
+        file.sample(ctx.now().to_seconds());
+        ctx.next_trigger(period);
+    });
+}
+
 // ----------------------------------------------------------------- params --
 
 double params::get(const std::string& name, double fallback) const {
@@ -46,12 +54,13 @@ params params::merged_onto(const params& defaults) const {
 
 // -------------------------------------------------------------- testbench --
 
-testbench::testbench(std::string name) : name_(std::move(name)) {}
+testbench::testbench(std::string name)
+    : name_(std::move(name)), ctx_(std::make_unique<de::simulation_context>()) {}
 
 testbench::~testbench() {
     // Model objects must unregister from a live context: activate ours (the
     // thread may have another testbench current) and drop them explicitly
-    // before the members' natural teardown reaches sim_.
+    // before the members' natural teardown reaches ctx_.
     activate();
     bag_.clear();
 }
@@ -95,7 +104,7 @@ double testbench::note(const std::string& name) const {
 
 void testbench::elaborate() {
     activate();
-    sim_.elaborate();
+    ctx_->elaborate();
 }
 
 void testbench::run() {
@@ -105,28 +114,22 @@ void testbench::run() {
 }
 
 void testbench::run(const de::time& duration) {
-    activate();
-    has_run_ = true;
-    if (!trace_attached_ && trace_.channel_count() > 0) {
-        util::require(sample_period_ > de::time::zero(), "testbench",
-                      "set_sample_period before running with probes");
-        sim_.trace(trace_, sample_period_);
-        trace_attached_ = true;
-    }
-    sim_.run(duration);
+    attach_trace();
+    ctx_->run(duration);
     measured_.clear();
     for (const auto& [name, fn] : measurement_defs_) measured_[name] = fn();
 }
 
-void testbench::attach_trace_for_resume() {
+void testbench::attach_trace_for_resume() { attach_trace(); }
+
+void testbench::attach_trace() {
     activate();
     has_run_ = true;
-    if (!trace_attached_ && trace_.channel_count() > 0) {
-        util::require(sample_period_ > de::time::zero(), "testbench",
-                      "set_sample_period before running with probes");
-        sim_.trace(trace_, sample_period_);
-        trace_attached_ = true;
-    }
+    if (trace_attached_ || trace_.channel_count() == 0) return;
+    util::require(sample_period_ > de::time::zero(), "testbench",
+                  "set_sample_period before running with probes");
+    record(*ctx_, trace_, sample_period_);
+    trace_attached_ = true;
 }
 
 std::vector<double> testbench::waveform(const std::string& probe_name) const {

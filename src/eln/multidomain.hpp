@@ -92,9 +92,6 @@ public:
     void stamp(network& net) override;
     void write_tdf_outputs(network& net) override;
 
-    /// Position unknown index (for direct probing / AC analysis).
-    [[nodiscard]] std::size_t position_row() const noexcept { return row_; }
-
 private:
     std::size_t row_ = 0;
 };

@@ -181,11 +181,6 @@ public:
     void add_noise_between(const node& a, const node& b, std::function<double(double)> psd,
                            std::string name);
 
-    /// Component-visible full-restamp request (topology/pattern changes).
-    void component_restamp() { request_restamp(); }
-    /// Component-visible values-only refresh request (after set_stamp).
-    void component_value_update() { request_value_update(); }
-
     [[nodiscard]] const std::vector<component*>& components() const noexcept {
         return components_;
     }

@@ -58,14 +58,6 @@ public:
     [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
     // --- checkpoint/restore (core/snapshot) --------------------------------
-    /// Pending-notification introspection for snapshot capture.  At a
-    /// settled point (run() returned, instant fully evaluated) only timed
-    /// notifications can still be pending.
-    [[nodiscard]] bool pending_timed() const noexcept {
-        return pending_kind_ == kind::timed;
-    }
-    [[nodiscard]] const time& pending_time() const noexcept { return pending_time_; }
-
     /// Ordered dynamic-subscriber list.  trigger() fires dynamic subscribers
     /// in subscription order, so a snapshot must record — and restore must
     /// replay — exactly this sequence.

@@ -176,8 +176,6 @@ public:
     /// Defer process sensitivity until the bound signal is known.
     void add_pending_sensitivity(method_process& p) { pending_sensitive_.push_back(&p); }
 
-    [[nodiscard]] signal_base* resolved_signal() const noexcept { return bound_signal_; }
-
 protected:
     explicit port_base(std::string name) : object(std::move(name)) {}
 

@@ -84,8 +84,6 @@ public:
 
     solver::equation_system& sys() { return raw_system(); }
 
-    /// Block-visible full-restamp request (pattern-level changes).
-    void component_restamp_request() { request_restamp(); }
     /// Block-visible values-only refresh (after sys().set_stamp on a slot).
     void component_value_update() { request_value_update(); }
 

@@ -474,10 +474,6 @@ public:
 
     /// True when a symbolic analysis (pivot order + fill pattern) is cached.
     [[nodiscard]] bool symbolic_valid() const noexcept { return symbolic_valid_; }
-    /// Pattern version of the matrix the cached analysis was computed for.
-    [[nodiscard]] std::uint64_t analyzed_pattern_version() const noexcept {
-        return pattern_version_;
-    }
 
     /// Factorization counters: full symbolic analyses vs. numeric factor
     /// passes (every factor() counts once in each; refactor() only numeric).

@@ -73,9 +73,9 @@ void session::send_close(wire::close_reason reason, core::testbench* tb) {
     info.max_queue_depth = out_.max_depth();
     info.slices = slices_.load(std::memory_order_relaxed);
     if (tb != nullptr) {
-        auto& sim = tb->sim();
-        info.sim_time_s = sim.now().to_seconds();
-        const auto& sched = sim.context().sched();
+        const auto& ctx = tb->context();
+        info.sim_time_s = ctx.now().to_seconds();
+        const auto& sched = ctx.sched();
         info.pace_drift_s = sched.pacing_drift();
         info.pace_max_drift_s = sched.pacing_max_drift();
         info.measurements = tb->measurements();
@@ -86,7 +86,7 @@ void session::send_close(wire::close_reason reason, core::testbench* tb) {
 
 void session::send_stats(core::testbench& tb) {
     wire::stats_info info;
-    info.sim_time_s = tb.sim().now().to_seconds();
+    info.sim_time_s = tb.context().now().to_seconds();
     info.slices = slices_.load(std::memory_order_relaxed);
     info.samples_streamed = streamed_.load(std::memory_order_relaxed);
     info.samples_dropped = dropped_.load(std::memory_order_relaxed);
@@ -259,7 +259,7 @@ void session::worker_body() {
             }
             if (paused_) continue;
 
-            const de::time now = tb->sim().now();
+            const de::time now = tb->context().now();
             const de::time stop = tb->stop_time();
             if (now >= stop) {
                 stream_new_rows(*tb);

@@ -45,10 +45,7 @@ public:
     /// Enqueue a sample batch unless the queue is full; false = dropped.
     [[nodiscard]] bool try_push_samples(outbound_frame f) {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (q_.size() >= capacity_) {
-            ++dropped_batches_;
-            return false;
-        }
+        if (q_.size() >= capacity_) return false;
         q_.push_back(std::move(f));
         if (q_.size() > max_depth_) max_depth_ = q_.size();
         return true;
@@ -68,11 +65,6 @@ public:
         return q_.size();
     }
 
-    [[nodiscard]] std::uint64_t dropped_batches() const {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return dropped_batches_;
-    }
-
     /// High-water mark of queued frames over the queue's lifetime — the
     /// backpressure headroom figure the close frame reports.
     [[nodiscard]] std::uint64_t max_depth() const {
@@ -84,7 +76,6 @@ private:
     mutable std::mutex mutex_;
     std::deque<outbound_frame> q_;
     std::size_t capacity_;
-    std::uint64_t dropped_batches_ = 0;
     std::uint64_t max_depth_ = 0;
 };
 

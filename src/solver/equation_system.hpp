@@ -138,9 +138,6 @@ public:
     // --- nonlinear -----------------------------------------------------------
     void add_nonlinear(nonlinear_fn fn) { nonlinear_.push_back(std::move(fn)); }
     [[nodiscard]] bool is_linear() const noexcept { return nonlinear_.empty(); }
-    [[nodiscard]] const std::vector<nonlinear_fn>& nonlinear_elements() const noexcept {
-        return nonlinear_;
-    }
 
     /// Evaluate g(x) and its Jacobian triplets at the iterate x.
     void eval_nonlinear(const std::vector<double>& x, std::vector<double>& residual,

@@ -89,13 +89,7 @@ void linear_dae_solver::ensure_factored(integration_method m) {
     } else {
         assemble_iteration_values(ca);
     }
-    if (use_dense_) {
-        dense_lu_.factor(iter_mat_.to_dense());
-        ++symbolic_factors_;
-        ++factors_;
-    } else {
-        factor_sparse();
-    }
+    factor_sparse();
     factored_ = true;
     factored_method_ = m;
     stamp_generation_ = sys_->stamp_generation();
@@ -191,11 +185,7 @@ void linear_dae_solver::step() {
             rhs_[i] = 0.5 * (q1_[i] + q_prev_[i]) + bx_[i] / h_ - 0.5 * ax_[i];
         }
     }
-    if (use_dense_) {
-        dense_lu_.solve_into(rhs_, x_next_);
-    } else {
-        lu_.solve_into(rhs_, x_next_);
-    }
+    lu_.solve_into(rhs_, x_next_);
     x_.swap(x_next_);
     ++solves_;
     t_ = t1;
@@ -217,7 +207,6 @@ void linear_dae_solver::save_state(util::byte_writer& w) const {
     w.f64_vec(x_);
     w.f64_vec(q_prev_);
     w.boolean(be_next_);
-    w.boolean(use_dense_);
     w.boolean(factored_);
     w.u8(static_cast<std::uint8_t>(factored_method_));
     w.u64(stamp_generation_);
@@ -225,7 +214,7 @@ void linear_dae_solver::save_state(util::byte_writer& w) const {
     w.u64(factors_);
     w.u64(symbolic_factors_);
     w.u64(solves_);
-    const bool has_symbolic = !use_dense_ && lu_.symbolic_valid();
+    const bool has_symbolic = lu_.symbolic_valid();
     w.boolean(has_symbolic);
     if (has_symbolic) w.u64_vec(lu_.export_symbolic());
 }
@@ -241,7 +230,6 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
     util::require(q_prev_.size() == sys_->size(), "snapshot",
                   "linear solver: rhs history dimension differs from rebuilt system");
     be_next_ = r.boolean();
-    use_dense_ = r.boolean();
     const bool was_factored = r.boolean();
     factored_method_ = static_cast<integration_method>(r.u8());
     const std::uint64_t stamp_gen = r.u64();
@@ -262,20 +250,16 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
         // process's last numeric factorization bit for bit.
         build_iteration_matrix(
             factored_method_ == integration_method::backward_euler ? 1.0 : 0.5);
-        if (use_dense_) {
-            dense_lu_.factor(iter_mat_.to_dense());
-        } else {
-            util::require(has_symbolic, "snapshot",
-                          "linear solver: snapshot lacks the LU symbolic analysis");
-            util::require(lu_.adopt_symbolic(symbolic, iter_mat_), "snapshot",
-                          "linear solver: LU symbolic analysis does not fit the "
-                          "rebuilt iteration matrix");
-            util::require(lu_.refactor(iter_mat_), "snapshot",
-                          "linear solver: numeric refactorization under the "
-                          "restored pivot order failed");
-            reset_cache();
-            cache_active(flatten_values(iter_mat_, key_));
-        }
+        util::require(has_symbolic, "snapshot",
+                      "linear solver: snapshot lacks the LU symbolic analysis");
+        util::require(lu_.adopt_symbolic(symbolic, iter_mat_), "snapshot",
+                      "linear solver: LU symbolic analysis does not fit the "
+                      "rebuilt iteration matrix");
+        util::require(lu_.refactor(iter_mat_), "snapshot",
+                      "linear solver: numeric refactorization under the "
+                      "restored pivot order failed");
+        reset_cache();
+        cache_active(flatten_values(iter_mat_, key_));
         factored_ = true;
     }
     stamp_generation_ = stamp_gen;

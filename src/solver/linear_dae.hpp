@@ -73,12 +73,6 @@ public:
     }
     [[nodiscard]] std::uint64_t solve_count() const noexcept { return solves_; }
 
-    /// Use dense factorization instead of sparse (ablation benches).
-    void set_use_dense(bool dense) {
-        use_dense_ = dense;
-        invalidate();
-    }
-
     // --- checkpoint/restore ----------------------------------------------------
     /// Serialize integration state (t, x, q_prev, method/timestep flags),
     /// the cached LU symbolic analysis, and the generation/counter book-
@@ -144,8 +138,6 @@ private:
     std::size_t cache_capacity_ = 0;
     std::uint64_t cache_clock_ = 0;
     std::vector<double> key_;  // scratch: iteration-matrix values, row-major
-    num::dense_lu_d dense_lu_;
-    bool use_dense_ = false;
     bool factored_ = false;
     bool be_next_ = false;
     integration_method factored_method_ = integration_method::backward_euler;

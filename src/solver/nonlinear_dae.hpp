@@ -66,7 +66,6 @@ public:
     [[nodiscard]] std::uint64_t symbolic_factorizations() const noexcept {
         return symbolic_factorizations_;
     }
-    [[nodiscard]] double current_h() const noexcept { return h_; }
 
     // --- checkpoint/restore ----------------------------------------------------
     /// Serialize integration state (t, h, x, predictor history), the grown

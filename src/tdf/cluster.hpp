@@ -90,16 +90,14 @@ public:
     /// synchronize with the DE kernel at every period boundary.
     [[nodiscard]] bool de_coupled() const noexcept { return de_coupled_; }
 
-    /// Cap the number of schedule periods executed per DE kernel
-    /// interaction (>= 1).  1 disables batching entirely.
-    void set_max_batch_periods(std::uint64_t n);
+    /// Schedule periods executed per DE kernel interaction at most (>= 1;
+    /// 1 disables batching).  Set through the registry defaults.
     [[nodiscard]] std::uint64_t max_batch_periods() const noexcept { return max_batch_; }
 
     // --- block execution (see tdf/block.hpp) --------------------------------
-    /// Enable/disable the block path (default on).  Off restores the exact
-    /// per-sample executor — the A/B baseline; results are bit-identical
-    /// either way.
-    void set_block_execution(bool on) noexcept { block_execution_ = on; }
+    /// Whether the block path is on (default).  Off is the exact per-sample
+    /// executor; results are bit-identical either way.  Set through the
+    /// registry defaults.
     [[nodiscard]] bool block_execution() const noexcept { return block_execution_; }
 
     /// Multi-period fused firing programs (pure static clusters only; empty
@@ -149,6 +147,12 @@ public:
     void restore_state(util::byte_reader& r);
 
 private:
+    // The registry applies its defaults (registry::set_default_*) to every
+    // cluster; these are not a per-cluster API.
+    friend class registry;
+    void set_max_batch_periods(std::uint64_t n);
+    void set_block_execution(bool on) noexcept { block_execution_ = on; }
+
     void compute_repetitions();
     void resolve_timesteps();
     void build_schedule();

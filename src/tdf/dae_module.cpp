@@ -117,7 +117,6 @@ void dae_module::save_state(util::byte_writer& w) const {
     w.boolean(first_activation_);
     w.boolean(restamp_requested_);
     w.boolean(value_update_requested_);
-    w.boolean(incremental_updates_);
     w.u8(static_cast<std::uint8_t>(method_));
     w.f64(solve_time_);
     w.f64_vec(state_);
@@ -142,7 +141,6 @@ void dae_module::restore_state(util::byte_reader& r) {
     first_activation_ = r.boolean();
     restamp_requested_ = r.boolean();
     value_update_requested_ = r.boolean();
-    incremental_updates_ = r.boolean();
     method_ = static_cast<solver::integration_method>(r.u8());
     solve_time_ = r.f64();
     state_ = r.f64_vec();

@@ -33,9 +33,6 @@ public:
     /// Integration method for the linear fixed-step path.
     void set_integration_method(solver::integration_method m) { method_ = m; }
 
-    /// Options for the nonlinear variable-step path.
-    void set_nonlinear_options(const solver::nonlinear_options& o) { nl_options_ = o; }
-
     /// Assemble equations if not done yet (for AC/noise before a transient).
     void build_now();
 
@@ -51,16 +48,6 @@ public:
     /// and the nonlinear solver by resynchronizing its internal variable
     /// step at the new sample points.
     [[nodiscard]] bool accept_attribute_changes() const override { return true; }
-
-    /// Incremental restamping (default on): components with stamp slots
-    /// push value updates straight into the equation system, and the solver
-    /// answers with a numeric-only refactor. When off, every value update is
-    /// escalated to a full restamp + symbolic factorization — the
-    /// rebuild-the-world baseline kept for A/B benches and equivalence tests.
-    void set_incremental_updates(bool on) noexcept { incremental_updates_ = on; }
-    [[nodiscard]] bool incremental_updates() const noexcept {
-        return incremental_updates_;
-    }
 
     void processing() final;
 
@@ -100,15 +87,8 @@ protected:
 
     /// Components call this after writing new values into existing stamp
     /// slots (switch toggle, parameter change): no rebuild, the solver does
-    /// a numeric-only refactor. Escalates to a full restamp when
-    /// incremental updates are disabled.
-    void request_value_update() {
-        if (incremental_updates_) {
-            value_update_requested_ = true;
-        } else {
-            restamp_requested_ = true;
-        }
-    }
+    /// a numeric-only refactor.
+    void request_value_update() { value_update_requested_ = true; }
 
     /// Continuous time of the sample being produced (seconds).
     [[nodiscard]] double solve_time() const noexcept { return solve_time_; }
@@ -126,7 +106,6 @@ private:
     bool first_activation_ = true;
     bool restamp_requested_ = false;
     bool value_update_requested_ = false;
-    bool incremental_updates_ = true;
     double solve_time_ = 0.0;
 };
 

@@ -71,7 +71,6 @@ public:
 
     /// Cap the number of cached configurations (>= 1).
     void set_max_entries(std::size_t n);
-    [[nodiscard]] std::size_t max_entries() const noexcept { return max_entries_; }
 
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }

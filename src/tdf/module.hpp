@@ -91,9 +91,6 @@ public:
     /// recompiled (or cache-hit) firing program applies from the next period.
     void request_rate(port_base& p, unsigned rate);
 
-    /// Called when the simulation finishes (optional).
-    virtual void end_of_simulation() {}
-
     /// Optional small-signal frequency-domain model (paper §4, [6]: the
     /// mixed-signal system can be simulated "in the frequency domain,
     /// provided frequency-domain models are added to the discrete-time

@@ -61,8 +61,6 @@ public:
     void set_owner(module& m);
 
     [[nodiscard]] signal_base* bound_signal() const noexcept { return signal_; }
-    /// Parent/child port this port forwards to (hierarchical binding).
-    [[nodiscard]] port_base* forwarded_port() const noexcept { return forward_; }
     [[nodiscard]] bool is_input() const noexcept { return is_input_; }
     [[nodiscard]] bool bound() const noexcept {
         return signal_ != nullptr || forward_ != nullptr;

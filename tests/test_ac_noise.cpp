@@ -7,7 +7,7 @@
 
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/network.hpp"
 #include "eln/nonlinear.hpp"
 #include "eln/primitives.hpp"
@@ -41,7 +41,7 @@ TEST(sweep, logarithmic_and_linear_grids) {
 namespace {
 
 struct rc_fixture {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net;
     eln::node vout;
@@ -83,7 +83,7 @@ TEST(ac, rc_lowpass_rolloff_20db_per_decade) {
 }
 
 TEST(ac, rl_divider_transfer) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -106,7 +106,7 @@ TEST(ac, rl_divider_transfer) {
 }
 
 TEST(ac, rlc_bandpass_peaks_at_resonance) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -132,7 +132,7 @@ TEST(ac, rlc_bandpass_peaks_at_resonance) {
 }
 
 TEST(ac, lsf_ltf_matches_ideal_response) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -156,7 +156,7 @@ TEST(ac, lsf_ltf_matches_ideal_response) {
 }
 
 TEST(ac, nonlinear_diode_linearized_at_dc) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -203,7 +203,7 @@ TEST(noise, integrated_rc_noise_approaches_kt_over_c) {
 
 TEST(noise, parallel_resistors_reduce_output_noise) {
     auto run_divider = [](double r2) {
-        core::simulation sim;
+        de::simulation_context sim;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -225,7 +225,7 @@ TEST(noise, parallel_resistors_reduce_output_noise) {
 }
 
 TEST(noise, noiseless_resistor_is_excluded) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -253,7 +253,7 @@ TEST(noise, per_source_contributions_sum_to_total) {
 }
 
 TEST(noise, vsource_noise_psd_contributes) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

@@ -9,7 +9,7 @@
 #include "core/ac_analysis.hpp"
 #include "core/dc_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/multidomain.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -33,7 +33,7 @@ namespace num = sca::num;
 using namespace sca::de::literals;
 
 TEST(coverage, ac_write_emits_frequency_rows) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -54,7 +54,7 @@ TEST(coverage, ac_write_emits_frequency_rows) {
 }
 
 TEST(coverage, noise_write_emits_per_source_columns) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -74,7 +74,7 @@ TEST(coverage, noise_write_emits_per_source_columns) {
 }
 
 TEST(coverage, pwm_extreme_duty_cycles) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> duty("duty", 0.0);
     de::signal<bool> out("out", true);
     lib::pwm gen("gen", 10_us);
@@ -88,7 +88,7 @@ TEST(coverage, pwm_extreme_duty_cycles) {
 }
 
 TEST(coverage, cccs_controlled_by_inductor_branch) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -130,7 +130,7 @@ TEST(coverage, waveform_pwl_requires_sorted_points) {
 }
 
 TEST(coverage, de_out_rate_bound_is_enforced) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> wire("wire", 0.0);
     struct bad_writer : tdf::module {
         tdf::de_out<double> out;
@@ -143,7 +143,7 @@ TEST(coverage, de_out_rate_bound_is_enforced) {
 }
 
 TEST(coverage, multidomain_rejects_nonpositive_parameters) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto v = net.create_node("v", eln::nature::mechanical_translational);
     auto g = net.ground(eln::nature::mechanical_translational);
@@ -153,7 +153,7 @@ TEST(coverage, multidomain_rejects_nonpositive_parameters) {
 }
 
 TEST(coverage, sigma_delta_rejects_unsupported_order) {
-    core::simulation sim;
+    de::simulation_context sim;
     EXPECT_THROW(lib::sigma_delta_modulator("m", 3, 1.0), sca::util::error);
     EXPECT_THROW(lib::sinc3_decimator("d", 1), sca::util::error);
 }
@@ -166,7 +166,7 @@ TEST(coverage, time_modulo_and_division) {
 
 TEST(coverage, first_order_amplifier_dc_probe_via_dc_analysis_options) {
     // dc_options pseudo-transient knob reachable through the facade.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

@@ -9,8 +9,7 @@
 
 #include "core/ac_analysis.hpp"
 #include "core/noise_analysis.hpp"
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "kernel/context.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -234,7 +233,7 @@ TEST(solver_edge, newton_failure_at_h_min_raises) {
 // --------------------------------------------------------------------- eln
 
 TEST(eln_edge, ideal_opamp_inverting_amplifier) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -253,7 +252,7 @@ TEST(eln_edge, ideal_opamp_inverting_amplifier) {
 TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
     // Gyrator loaded with C behaves as L = C/g^2: check the AC impedance
     // rises with frequency like an inductor.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -277,7 +276,7 @@ TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
 }
 
 TEST(eln_edge, de_isource_injects_controlled_current) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> cmd("cmd", 0.0);
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -295,7 +294,7 @@ TEST(eln_edge, de_isource_injects_controlled_current) {
 
 TEST(eln_edge, noise_scales_with_temperature) {
     auto psd_at = [](double kelvin) {
-        core::simulation sim;
+        de::simulation_context sim;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -312,7 +311,7 @@ TEST(eln_edge, noise_scales_with_temperature) {
 }
 
 TEST(eln_edge, vsource_ac_phase_propagates) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -329,7 +328,7 @@ TEST(eln_edge, vsource_ac_phase_propagates) {
 }
 
 TEST(eln_edge, invalid_switch_parameters_rejected) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto gnd = net.ground();
     auto n = net.create_node("n");
@@ -343,7 +342,7 @@ TEST(eln_edge, invalid_switch_parameters_rejected) {
 TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
     // H(s) = (s - w0)/(s + w0): numerator degree == denominator degree
     // exercises the direct-feedthrough path of the canonical realization.
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -364,7 +363,7 @@ TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
 }
 
 TEST(lsf_edge, ltf_initial_state_is_respected) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -379,7 +378,7 @@ TEST(lsf_edge, ltf_initial_state_is_respected) {
 }
 
 TEST(lsf_edge, runtime_gain_change_restamps) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -394,7 +393,7 @@ TEST(lsf_edge, runtime_gain_change_restamps) {
 }
 
 TEST(lsf_edge, improper_transfer_function_rejected) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     auto u = sys.create_signal("u");
     auto y = sys.create_signal("y");
@@ -406,7 +405,7 @@ TEST(lsf_edge, improper_transfer_function_rejected) {
 // --------------------------------------------------------------------- lib
 
 TEST(lib_edge, dac_bit_errors_distort_transfer) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct code_src : tdf::module {
         tdf::out<std::int64_t> out;
         std::int64_t v = -8;
@@ -444,7 +443,7 @@ TEST(lib_edge, dac_bit_errors_distort_transfer) {
 }
 
 TEST(lib_edge, amplifier_offset_shifts_output) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct zero_src : tdf::module {
         tdf::out<double> out;
         explicit zero_src(const de::module_name& nm) : tdf::module(nm), out("out") {}
@@ -469,7 +468,7 @@ TEST(lib_edge, amplifier_offset_shifts_output) {
 }
 
 TEST(lib_edge, decimator_last_sample_mode) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct ramp : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -508,7 +507,7 @@ class opamp_gain_sweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(opamp_gain_sweep, inverting_gain_tracks_resistor_ratio) {
     const double ratio = static_cast<double>(GetParam());
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

@@ -5,9 +5,9 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <optional>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -22,7 +22,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(eln, resistive_divider_dc) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -40,7 +40,7 @@ TEST(eln, resistive_divider_dc) {
 }
 
 TEST(eln, rc_step_response_matches_analytic) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -51,9 +51,10 @@ TEST(eln, rc_step_response_matches_analytic) {
     eln::resistor res("r", net, vin, vout, r);
     eln::capacitor cap("c", net, vout, gnd, c);
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("vout", [&] { return net.voltage(vout); });
-    rec.run(500_us);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 10_us);
+    rec.add_channel("vout", [&] { return net.voltage(vout); });
+    sim.run(500_us);
 
     // DC init puts the capacitor at the source level immediately (quiescent
     // state), so drive with a sine to see dynamics instead... here: the DC
@@ -63,7 +64,7 @@ TEST(eln, rc_step_response_matches_analytic) {
 }
 
 TEST(eln, rc_pulse_charging_curve) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -85,7 +86,7 @@ TEST(eln, rc_pulse_charging_curve) {
 }
 
 TEST(eln, rl_current_rise) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -103,7 +104,7 @@ TEST(eln, rl_current_rise) {
 }
 
 TEST(eln, rlc_underdamped_oscillation_frequency) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::ns);
     auto gnd = net.ground();
@@ -117,9 +118,10 @@ TEST(eln, rlc_underdamped_oscillation_frequency) {
     eln::inductor ind("l", net, n2, n3, l);
     eln::capacitor cap("c", net, n3, gnd, c);
 
-    core::transient_recorder rec(sim, 1_us);
-    rec.add_probe("v", [&] { return net.voltage(n3); });
-    rec.run(2_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 1_us);
+    rec.add_channel("v", [&] { return net.voltage(n3); });
+    sim.run(2_ms);
 
     // Underdamped series RLC: the capacitor voltage overshoots the step and
     // rings down to the source level.
@@ -131,7 +133,7 @@ TEST(eln, rlc_underdamped_oscillation_frequency) {
 }
 
 TEST(eln, vcvs_gain) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -145,7 +147,7 @@ TEST(eln, vcvs_gain) {
 }
 
 TEST(eln, vccs_transconductance) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -160,7 +162,7 @@ TEST(eln, vccs_transconductance) {
 }
 
 TEST(eln, cccs_current_mirror) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -178,7 +180,7 @@ TEST(eln, cccs_current_mirror) {
 }
 
 TEST(eln, ccvs_transresistance) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -193,7 +195,7 @@ TEST(eln, ccvs_transresistance) {
 }
 
 TEST(eln, ideal_transformer_ratio) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -209,7 +211,7 @@ TEST(eln, ideal_transformer_ratio) {
 }
 
 TEST(eln, ammeter_reads_branch_current) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -224,7 +226,7 @@ TEST(eln, ammeter_reads_branch_current) {
 }
 
 TEST(eln, switch_changes_divider) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -243,7 +245,7 @@ TEST(eln, switch_changes_divider) {
 }
 
 TEST(eln, de_switch_samples_control_signal) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<bool> ctl("ctl", false);
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -266,7 +268,7 @@ TEST(eln, switch_toggles_are_numeric_refactors_only) {
     // A PWM-style DE-controlled switch: after elaboration every toggle is a
     // values-only slot update, so the symbolic analysis runs exactly once
     // while the numeric factor count tracks the toggles.
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<bool> ctl("ctl", false);
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -296,7 +298,7 @@ TEST(eln, revisited_switch_states_reuse_cached_factors) {
     // The buck's switch has two positions and every toggle takes one BE step
     // before returning to the trapezoidal rule: four states.  Once the first
     // two toggles have factored them all, later toggles refactor nothing.
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<bool> gate("gate", false);
     bench_util::switched_buck buck;
     buck.hi_side->ctrl.bind(gate);
@@ -348,7 +350,7 @@ TEST(eln, per_step_hooks_run_every_step) {
     // After the first step the network calls only components with a real
     // hook; each kind of hook must still run on every step, and a component
     // destroyed mid-run must leave the hook lists.
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -375,7 +377,7 @@ TEST(eln, per_step_hooks_run_every_step) {
 }
 
 TEST(eln, set_value_is_numeric_refactor_only) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -394,13 +396,40 @@ TEST(eln, set_value_is_numeric_refactor_only) {
 
 namespace {
 
-/// Switched RC transient sampled every step; `incremental` selects the
-/// values-only pipeline or the rebuild-the-world baseline.
-std::vector<double> switched_rc_waveform(bool incremental) {
-    core::simulation sim;
+/// Stamps nothing and reports a topology change on every edge of `ctrl`.
+/// Bound to a switch's control, it sends each of that switch's values-only
+/// updates down the full restamp + symbolic factorization path as well: the
+/// rebuild-the-world reference for the incremental pipeline.
+class restamp_on_edge : public eln::component {
+public:
+    restamp_on_edge(const std::string& name, eln::network& net)
+        : eln::component(name, net), ctrl("ctrl") {}
+
+    de::in<bool> ctrl;
+
+    void stamp(eln::network&) override {}
+
+private:
+    eln::stamp_change sample_inputs() override {
+        if (ctrl.read() == last_) return eln::stamp_change::none;
+        last_ = !last_;
+        return eln::stamp_change::topology;
+    }
+
+    bool last_ = false;
+};
+
+struct switched_run {
+    std::vector<double> samples;
+    std::uint64_t symbolic = 0;
+};
+
+/// Switched RC transient sampled every step, 10 switch edges; `reference`
+/// restamps on every edge.
+switched_run switched_rc_waveform(bool reference) {
+    de::simulation_context sim;
     de::signal<bool> ctl("ctl", false);
     eln::network net("net");
-    net.set_incremental_updates(incremental);
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
     auto a = net.create_node("a");
@@ -410,57 +439,67 @@ std::vector<double> switched_rc_waveform(bool incremental) {
     eln::capacitor c1("c1", net, b, gnd, 100e-9);
     eln::de_rswitch sw("sw", net, b, gnd, 50.0, 1e9);
     sw.ctrl.bind(ctl);
+    std::optional<restamp_on_edge> edges;
+    if (reference) edges.emplace("edges", net).ctrl.bind(ctl);
 
-    std::vector<double> samples;
-    sca::core::transient_recorder rec(sim, 1_us);
-    rec.add_probe("vb", [&] { return net.voltage(b); });
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 1_us);
+    rec.add_channel("vb", [&] { return net.voltage(b); });
     for (int seg = 0; seg < 10; ++seg) {
         ctl.write(seg % 2 == 0);
-        rec.run(25_us);
+        sim.run(25_us);
     }
-    return rec.column(0);
+    return {rec.column(0), net.symbolic_factorizations()};
 }
 
 /// The bench_switching_restamp buck converter — the identical netlist, via
 /// the shared bench_util::switched_buck builder (source ESR + input
-/// decoupling keep the pivot order value-stable across switch states).
-std::vector<double> buck_waveform(bool incremental) {
-    core::simulation sim;
+/// decoupling keep the pivot order value-stable across switch states), 20
+/// switch edges; `reference` restamps on every edge.
+switched_run buck_waveform(bool reference) {
+    de::simulation_context sim;
     de::signal<bool> gate("gate", false);
     bench_util::switched_buck buck;
-    buck.net->set_incremental_updates(incremental);
     buck.hi_side->ctrl.bind(gate);
+    std::optional<restamp_on_edge> edges;
+    if (reference) edges.emplace("edges", *buck.net).ctrl.bind(gate);
 
-    sca::core::transient_recorder rec(sim, 1_us);
-    rec.add_probe("vout", [&] { return buck.net->voltage(buck.vout_node); });
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 1_us);
+    rec.add_channel("vout", [&] { return buck.net->voltage(buck.vout_node); });
     for (int seg = 0; seg < 20; ++seg) {
         gate.write(seg % 2 == 0);  // 50 kHz PWM edges
-        rec.run(10_us);
+        sim.run(10_us);
     }
-    return rec.column(0);
+    return {rec.column(0), buck.net->symbolic_factorizations()};
 }
 
-void expect_bit_identical(const std::vector<double>& inc,
-                          const std::vector<double>& full) {
-    ASSERT_EQ(inc.size(), full.size());
-    ASSERT_GT(inc.size(), 100U);
-    for (std::size_t i = 0; i < inc.size(); ++i) {
-        ASSERT_EQ(inc[i], full[i]) << "diverged at sample " << i;
+/// Bit-identical waveforms, and the reference really took the symbolic path:
+/// one analysis per switch edge (the first edge lands on the first
+/// activation and shares the initial one), the incremental run one in all.
+void expect_bit_identical(const switched_run& inc, const switched_run& full,
+                          std::uint64_t edges) {
+    EXPECT_EQ(inc.symbolic, 1U);
+    EXPECT_EQ(full.symbolic, edges);
+    ASSERT_EQ(inc.samples.size(), full.samples.size());
+    ASSERT_GT(inc.samples.size(), 100U);
+    for (std::size_t i = 0; i < inc.samples.size(); ++i) {
+        ASSERT_EQ(inc.samples[i], full.samples[i]) << "diverged at sample " << i;
     }
 }
 
 }  // namespace
 
 TEST(eln, incremental_restamp_is_bit_identical_to_full_restamp) {
-    expect_bit_identical(switched_rc_waveform(true), switched_rc_waveform(false));
+    expect_bit_identical(switched_rc_waveform(false), switched_rc_waveform(true), 10);
 }
 
 TEST(eln, buck_converter_is_bit_identical_to_full_restamp) {
-    expect_bit_identical(buck_waveform(true), buck_waveform(false));
+    expect_bit_identical(buck_waveform(false), buck_waveform(true), 20);
 }
 
 TEST(eln, nature_mismatch_is_rejected) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto shaft = net.create_node("shaft", eln::nature::mechanical_rotational);
     auto gnd = net.ground();
@@ -471,14 +510,14 @@ TEST(eln, nature_mismatch_is_rejected) {
 }
 
 TEST(eln, voltage_probe_before_run_returns_zero) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto n = net.create_node("n");
     EXPECT_DOUBLE_EQ(net.voltage(n), 0.0);
 }
 
 TEST(eln, component_without_branch_errors_on_current_probe) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto gnd = net.ground();
     auto a = net.create_node("a");

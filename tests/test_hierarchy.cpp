@@ -473,7 +473,7 @@ TEST(hierarchy, receiver_like_flat_and_hierarchical_are_bit_identical) {
     };
 
     auto run_flat = [] {
-        core::simulation sim;
+        de::simulation_context sim;
         lib::sine_source src("src", 20e-3, 455e3);
         src.set_timestep(0.2, de::time_unit::us);
         lib::amplifier lna("lna", 20.0, 1.0, -1.0);
@@ -500,7 +500,7 @@ TEST(hierarchy, receiver_like_flat_and_hierarchical_are_bit_identical) {
         return rec.got;
     };
     auto run_hier = [] {
-        core::simulation sim;
+        de::simulation_context sim;
         lib::sine_source src("src", 20e-3, 455e3);
         src.set_timestep(0.2, de::time_unit::us);
         front_end rx("rx", 445e3);
@@ -590,7 +590,7 @@ TEST(hierarchy, pipeline_adc_composite_matches_monolithic_reference) {
         return std::clamp<std::int64_t>(code, -max_code - 1, max_code);
     };
 
-    core::simulation sim;
+    de::simulation_context sim;
     struct wave_src : tdf::module {
         tdf::out<double> out;
         double t = 0.0;
@@ -624,7 +624,7 @@ TEST(hierarchy, pipeline_adc_composite_matches_monolithic_reference) {
 }
 
 TEST(hierarchy, sigma_delta_adc_composite_tracks_dc_input) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::waveform_source src("src", sca::util::waveform::dc(0.4));
     src.set_timestep(1.0, de::time_unit::us);
     lib::sigma_delta_adc adc("adc", 2, 1.0, 32);
@@ -641,7 +641,7 @@ TEST(hierarchy, sigma_delta_adc_composite_tracks_dc_input) {
 }
 
 TEST(hierarchy, pll_loop_composite_tracks_monolithic_pll_sample_for_sample) {
-    core::simulation sim;
+    de::simulation_context sim;
     const double f_ref = 10.2e3, f0 = 10e3, kv = 2e3, bw = 1000.0;
     lib::sine_source ref("ref", 1.0, f_ref);
     ref.set_timestep(2.0, de::time_unit::us);

@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -49,7 +48,7 @@ struct collector : tdf::module {
 TEST(integration, tdf_lsf_eln_chain_propagates_signal) {
     // Signal path crossing three MoCs: TDF sine -> LSF lowpass -> ELN RC
     // line -> TDF probe, all in a single cluster.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
 
     lib::sine_source src("src", 1.0, 1e3);
@@ -93,7 +92,7 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
     // Bang-bang temperature-style control: ELN RC integrator charges, a TDF
     // comparator publishes to DE, the DE controller toggles the charging
     // switch. The loop must regulate the capacitor voltage near setpoint.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
 
     de::signal<bool> heater_on("heater_on", true);
@@ -142,9 +141,10 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
     ctl.above_in.bind(above);
     ctl.heat_out.bind(heater_on);
 
-    core::transient_recorder rec(sim, 100_us);
-    rec.add_probe("vc", [&] { return plant.voltage(vc); });
-    rec.run(100_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 100_us);
+    rec.add_channel("vc", [&] { return plant.voltage(vc); });
+    sim.run(100_ms);
 
     const auto v = rec.column(0);
     // After the first rise, regulation holds the voltage near 5 V.
@@ -158,7 +158,7 @@ TEST(integration, de_controller_closes_loop_over_analog_plant) {
 
 TEST(integration, codec_path_sigma_delta_to_fir) {
     // Figure-1 codec slice: sine -> sigma-delta -> sinc3 decimator -> FIR.
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 0.5, 500.0);
     src.set_timestep(2.0, de::time_unit::us);  // 500 kHz modulator rate
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -187,7 +187,7 @@ TEST(integration, codec_path_sigma_delta_to_fir) {
 TEST(integration, trace_files_capture_mixed_signals) {
     const std::string path = ::testing::TempDir() + "sca_integration_trace.dat";
     {
-        core::simulation sim;
+        de::simulation_context sim;
         lib::sine_source src("src", 1.0, 1e3);
         src.set_timestep(10.0, de::time_unit::us);
         collector sink("sink");
@@ -196,8 +196,8 @@ TEST(integration, trace_files_capture_mixed_signals) {
         sink.in.bind(s);
 
         sca::util::tabular_trace_file file(path);
-        file.add_channel("sine", core::probe(s));
-        sim.trace(file, 100_us);
+        file.add_channel("sine", [&s] { return s.last_value(); });
+        core::record(sim, file, 100_us);
         sim.run(1_ms);
         file.close();
     }
@@ -213,7 +213,7 @@ TEST(integration, trace_files_capture_mixed_signals) {
 }
 
 TEST(integration, multiple_networks_in_one_simulation) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net_a("net_a");
     net_a.set_timestep(1.0, de::time_unit::us);
@@ -238,7 +238,7 @@ TEST(integration, multiple_networks_in_one_simulation) {
 
 TEST(integration, de_clock_gates_tdf_processing) {
     // A DE clock's value gates a TDF accumulator through a de_in port.
-    core::simulation sim;
+    de::simulation_context sim;
     de::clock clk("clk", 20_us);
 
     struct gated_accumulator : tdf::module {

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -53,7 +52,7 @@ struct int_collector : tdf::module {
 }  // namespace
 
 TEST(amplifier, gain_and_saturation) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 1.0, 10e3);
     src.set_timestep(1.0, de::time_unit::us);
     lib::amplifier amp("amp", 5.0, 2.5, -2.5);
@@ -76,7 +75,7 @@ TEST(amplifier, gain_and_saturation) {
 
 TEST(amplifier, bandwidth_attenuates_high_frequency) {
     auto amplitude_at = [](double f_signal) {
-        core::simulation sim;
+        de::simulation_context sim;
         lib::sine_source src("src", 1.0, f_signal);
         src.set_timestep(100.0, de::time_unit::ns);
         lib::amplifier amp("amp", 1.0);
@@ -106,7 +105,7 @@ TEST(fir, design_has_unity_dc_gain) {
 }
 
 TEST(fir, lowpass_rejects_high_frequency) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source lo("lo", 1.0, 1e3);
     lo.set_timestep(10.0, de::time_unit::us);  // fs = 100 kHz
     lib::sine_source hi("hi", 1.0, 40e3);
@@ -150,7 +149,7 @@ TEST(biquad, bilinear_lowpass_tracks_analog_prototype) {
     const double w0 = 2.0 * std::numbers::pi * fc;
     const auto c = lib::bilinear({1.0}, {1.0, 1.0 / w0}, 48e3);
 
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 1.0, fc);  // at the corner: -3 dB expected
     src.set_timestep(1.0 / 48e3, de::time_unit::sec);
     lib::biquad f("f", c);
@@ -170,7 +169,7 @@ TEST(biquad, bilinear_lowpass_tracks_analog_prototype) {
 }
 
 TEST(multirate, decimator_averages) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct ramp : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -193,7 +192,7 @@ TEST(multirate, decimator_averages) {
 }
 
 TEST(multirate, interpolator_is_linear) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct steps : tdf::module {
         tdf::out<double> out;
         double v = 0.0;
@@ -221,7 +220,7 @@ TEST(multirate, interpolator_is_linear) {
 }
 
 TEST(adc_dac, roundtrip_within_one_lsb) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 0.9, 1e3);
     src.set_timestep(10.0, de::time_unit::us);
     lib::adc a("a", 10, 1.0);
@@ -247,7 +246,7 @@ TEST(adc_dac, roundtrip_within_one_lsb) {
 }
 
 TEST(adc, saturates_at_full_scale) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 3.0, 1e3);  // overdrive
     src.set_timestep(10.0, de::time_unit::us);
     lib::adc a("a", 8, 1.0);
@@ -270,7 +269,7 @@ TEST(adc, saturates_at_full_scale) {
 }
 
 TEST(sample_hold, holds_value_across_output_rate) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 1.0, 1e3);
     src.set_timestep(100.0, de::time_unit::us);
     lib::sample_hold sh("sh", 4);
@@ -290,7 +289,7 @@ TEST(sample_hold, holds_value_across_output_rate) {
 }
 
 TEST(comparator, hysteresis_prevents_chatter) {
-    core::simulation sim;
+    de::simulation_context sim;
     struct noisy_ramp : tdf::module {
         tdf::out<double> out;
         explicit noisy_ramp(const de::module_name& nm) : tdf::module(nm), out("out") {}
@@ -324,7 +323,7 @@ TEST(comparator, hysteresis_prevents_chatter) {
 }
 
 TEST(sigma_delta, dc_average_tracks_input) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::waveform_source src("src", sca::util::waveform::dc(0.25));
     src.set_timestep(1.0, de::time_unit::us);
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -341,7 +340,7 @@ TEST(sigma_delta, dc_average_tracks_input) {
 }
 
 TEST(sigma_delta, sinc3_decimation_recovers_sine) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 0.5, 1e3);
     src.set_timestep(1.0, de::time_unit::us);  // 1 MHz, OSR 64 -> 15.6 kHz out
     lib::sigma_delta_modulator mod("mod", 2, 1.0);
@@ -362,7 +361,7 @@ TEST(sigma_delta, sinc3_decimation_recovers_sine) {
 }
 
 TEST(pipeline_adc, ideal_enob_close_to_nominal) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source src("src", 0.95, 997.0);  // avoid coherent sampling
     src.set_timestep(10.0, de::time_unit::us);
     lib::pipeline_adc adc("adc", 9, 1.0);  // 10-bit
@@ -383,7 +382,7 @@ TEST(pipeline_adc, ideal_enob_close_to_nominal) {
 
 TEST(pipeline_adc, correction_absorbs_comparator_offsets) {
     auto run_enob = [](bool correction) {
-        core::simulation sim;
+        de::simulation_context sim;
         lib::sine_source src("src", 0.9, 997.0);
         src.set_timestep(10.0, de::time_unit::us);
         lib::pipeline_adc adc("adc", 9, 1.0);
@@ -410,7 +409,7 @@ TEST(pipeline_adc, correction_absorbs_comparator_offsets) {
 }
 
 TEST(pwm, duty_cycle_sets_high_time) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> duty("duty", 0.25);
     de::signal<bool> out("out", false);
     lib::pwm gen("gen", 10_us);
@@ -418,8 +417,8 @@ TEST(pwm, duty_cycle_sets_high_time) {
     gen.out.bind(out);
 
     std::vector<std::pair<double, bool>> log;
-    auto& watch = sim.context().register_method("watch", [&] {
-        log.emplace_back(sim.context().now().to_seconds(), out.read());
+    auto& watch = sim.register_method("watch", [&] {
+        log.emplace_back(sim.now().to_seconds(), out.read());
     });
     watch.dont_initialize();
     watch.make_sensitive(out.value_changed_event());
@@ -432,7 +431,7 @@ TEST(pwm, duty_cycle_sets_high_time) {
 }
 
 TEST(mixer, produces_sum_and_difference_tones) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::sine_source rf("rf", 1.0, 12e3);
     rf.set_timestep(2.0, de::time_unit::us);  // fs = 500 kHz
     lib::sine_source lo("lo", 1.0, 10e3);
@@ -461,7 +460,7 @@ TEST(mixer, produces_sum_and_difference_tones) {
 }
 
 TEST(oscillator, quadrature_outputs_are_orthogonal) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::quadrature_oscillator osc("osc", 1.0, 5e3);
     osc.set_timestep(1.0, de::time_unit::us);
     collector si("si"), sq("sq");
@@ -479,7 +478,7 @@ TEST(oscillator, quadrature_outputs_are_orthogonal) {
 }
 
 TEST(noise_sources, statistics_match_parameters) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::gaussian_noise_source g("g", 0.5, 42);
     g.set_timestep(1.0, de::time_unit::us);
     lib::uniform_noise_source u("u", 1.0, 43);
@@ -505,7 +504,7 @@ TEST(external_ode, wrapped_rk4_matches_eln_rc) {
     // native ELN solver must agree (open solver-coupling objective).
     const double r = 1000.0, c = 100e-9;
 
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     // Native ELN reference.
     sca::eln::network net("net");
@@ -537,10 +536,11 @@ TEST(external_ode, wrapped_rk4_matches_eln_rc) {
     ext.out.bind(s2);
     sink.in.bind(s2);
 
-    core::transient_recorder rec(sim, 5_us);
-    rec.add_probe("eln", [&] { return net.voltage(vout); });
-    rec.add_probe("ext", [&] { return sink.samples.empty() ? 0.0 : sink.samples.back(); });
-    rec.run(400_us);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 5_us);
+    rec.add_channel("eln", [&] { return net.voltage(vout); });
+    rec.add_channel("ext", [&] { return sink.samples.empty() ? 0.0 : sink.samples.back(); });
+    sim.run(400_us);
 
     const auto eln_v = rec.column(0);
     const auto ext_v = rec.column(1);

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
 #include "lsf/primitives.hpp"
@@ -20,7 +19,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(lsf, gain_add_sub_relations) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -39,7 +38,7 @@ TEST(lsf, gain_add_sub_relations) {
 }
 
 TEST(lsf, integrator_ramp) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -52,7 +51,7 @@ TEST(lsf, integrator_ramp) {
 }
 
 TEST(lsf, integrator_initial_condition) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -65,7 +64,7 @@ TEST(lsf, integrator_initial_condition) {
 }
 
 TEST(lsf, differentiator_of_ramp) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     // Trapezoidal integration rings on a pure differentiator (marginally
@@ -82,7 +81,7 @@ TEST(lsf, differentiator_of_ramp) {
 }
 
 TEST(lsf, first_order_lowpass_step) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -92,9 +91,10 @@ TEST(lsf, first_order_lowpass_step) {
     lsf::source src("src", sys, u, lsf::waveform::dc(1.0));
     lsf::ltf_nd f("f", sys, u, y, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("y", [&] { return sys.value(y); });
-    rec.run(2_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 10_us);
+    rec.add_channel("y", [&] { return sys.value(y); });
+    sim.run(2_ms);
 
     const double tau = 1.0 / (2.0 * std::numbers::pi * fc);
     const auto v = rec.column(0);
@@ -105,7 +105,7 @@ TEST(lsf, first_order_lowpass_step) {
 }
 
 TEST(lsf, second_order_bandpass_rejects_dc) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -119,7 +119,7 @@ TEST(lsf, second_order_bandpass_rejects_dc) {
 }
 
 TEST(lsf, bandpass_passes_center_frequency) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(200.0, de::time_unit::ns);
     auto u = sys.create_signal("u");
@@ -129,9 +129,10 @@ TEST(lsf, bandpass_passes_center_frequency) {
     lsf::source src("src", sys, u, lsf::waveform::sine(1.0, f0));
     lsf::ltf_nd f("f", sys, u, y, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 5_us);
-    rec.add_probe("y", [&] { return sys.value(y); });
-    rec.run(3_ms);  // settle, then measure
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 5_us);
+    rec.add_channel("y", [&] { return sys.value(y); });
+    sim.run(3_ms);  // settle, then measure
 
     const auto v = rec.column(0);
     double amp = 0.0;
@@ -144,7 +145,7 @@ TEST(lsf, ltf_zp_matches_nd_realization) {
     const std::vector<std::complex<double>> zeros{{-1000.0, 0.0}};
     const std::vector<std::complex<double>> poles{{-2000.0, 3000.0}, {-2000.0, -3000.0}};
 
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -159,10 +160,11 @@ TEST(lsf, ltf_zp_matches_nd_realization) {
     }();
     lsf::ltf_nd nd("nd", sys, u, y2, num, lsf::poly_from_roots(poles));
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("y1", [&] { return sys.value(y1); });
-    rec.add_probe("y2", [&] { return sys.value(y2); });
-    rec.run(5_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 10_us);
+    rec.add_channel("y1", [&] { return sys.value(y1); });
+    rec.add_channel("y2", [&] { return sys.value(y2); });
+    sim.run(5_ms);
 
     const auto a = rec.column(0);
     const auto b = rec.column(1);
@@ -180,7 +182,7 @@ TEST(lsf, poly_from_roots_requires_conjugate_closure) {
 
 TEST(lsf, state_space_matches_transfer_function) {
     // dx/dt = -w x + w u, y = x  == first-order lowpass.
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -197,10 +199,11 @@ TEST(lsf, state_space_matches_transfer_function) {
     const auto tf = lsf::filters::first_order_lowpass(1000.0);
     lsf::ltf_nd f("f", sys, u, y_tf, tf.num, tf.den);
 
-    core::transient_recorder rec(sim, 20_us);
-    rec.add_probe("ss", [&] { return sys.value(y_ss); });
-    rec.add_probe("tf", [&] { return sys.value(y_tf); });
-    rec.run(1_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 20_us);
+    rec.add_channel("ss", [&] { return sys.value(y_ss); });
+    rec.add_channel("tf", [&] { return sys.value(y_tf); });
+    sim.run(1_ms);
 
     const auto va = rec.column(0);
     const auto vb = rec.column(1);
@@ -208,7 +211,7 @@ TEST(lsf, state_space_matches_transfer_function) {
 }
 
 TEST(lsf, double_driver_is_rejected) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -218,7 +221,7 @@ TEST(lsf, double_driver_is_rejected) {
 }
 
 TEST(lsf, undriven_signal_is_rejected) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -228,7 +231,7 @@ TEST(lsf, undriven_signal_is_rejected) {
 }
 
 TEST(lsf, tdf_converters_roundtrip) {
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/multidomain.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -19,7 +18,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(mechanical, damped_mass_reaches_terminal_velocity) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto mgnd = net.ground(eln::nature::mechanical_translational);
@@ -34,7 +33,7 @@ TEST(mechanical, damped_mass_reaches_terminal_velocity) {
 }
 
 TEST(mechanical, mass_spring_damper_oscillation) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto mgnd = net.ground(eln::nature::mechanical_translational);
@@ -68,7 +67,7 @@ TEST(mechanical, mass_spring_damper_oscillation) {
 }
 
 TEST(mechanical, rotational_inertia_spin_up) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::ms);
     auto rgnd = net.ground(eln::nature::mechanical_rotational);
@@ -82,7 +81,7 @@ TEST(mechanical, rotational_inertia_spin_up) {
 }
 
 TEST(thermal, rc_heating_curve) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::ms);
     auto ambient = net.ground(eln::nature::thermal);
@@ -101,7 +100,7 @@ TEST(thermal, rc_heating_curve) {
 }
 
 TEST(electromechanical, dc_motor_steady_state_speed) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -123,7 +122,7 @@ TEST(electromechanical, dc_motor_steady_state_speed) {
 }
 
 TEST(electromechanical, motor_back_emf_limits_current) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(100.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -136,9 +135,10 @@ TEST(electromechanical, motor_back_emf_limits_current) {
     eln::inertia inertia_("j", net, shaft, 0.01);
     eln::rotational_damper fric("b", net, shaft, rgnd, 0.001);
 
-    core::transient_recorder rec(sim, 1_ms);
-    rec.add_probe("i", [&] { return net.current(motor); });
-    rec.run(5_sec);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 1_ms);
+    rec.add_channel("i", [&] { return net.current(motor); });
+    sim.run(5_sec);
 
     const auto i = rec.column(0);
     double imax = 0.0;
@@ -149,7 +149,7 @@ TEST(electromechanical, motor_back_emf_limits_current) {
 }
 
 TEST(multidomain, nature_checks_guard_connections) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     auto electrical = net.create_node("e");
     auto thermal_node = net.create_node("t", eln::nature::thermal);

@@ -5,8 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/nonlinear.hpp"
 #include "eln/primitives.hpp"
@@ -20,7 +19,7 @@ namespace core = sca::core;
 using namespace sca::de::literals;
 
 TEST(nonlinear, diode_forward_voltage) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -37,7 +36,7 @@ TEST(nonlinear, diode_forward_voltage) {
 }
 
 TEST(nonlinear, diode_blocks_reverse) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -52,7 +51,7 @@ TEST(nonlinear, diode_blocks_reverse) {
 }
 
 TEST(nonlinear, half_wave_rectifier_with_filter) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -63,9 +62,10 @@ TEST(nonlinear, half_wave_rectifier_with_filter) {
     eln::capacitor c("c", net, vout, gnd, 10e-6);
     eln::resistor load("load", net, vout, gnd, 10e3);
 
-    core::transient_recorder rec(sim, 10_us);
-    rec.add_probe("vout", [&] { return net.voltage(vout); });
-    rec.run(10_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 10_us);
+    rec.add_channel("vout", [&] { return net.voltage(vout); });
+    sim.run(10_ms);
 
     const auto v = rec.column(0);
     // Peak detector: settles near the peak minus one diode drop, low ripple.
@@ -79,7 +79,7 @@ TEST(nonlinear, half_wave_rectifier_with_filter) {
 }
 
 TEST(nonlinear, nmos_saturation_current) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -96,7 +96,7 @@ TEST(nonlinear, nmos_saturation_current) {
 
 TEST(nonlinear, nmos_resistor_inverter_transfer) {
     auto vout_for = [](double vin_value) {
-        core::simulation sim;
+        de::simulation_context sim;
         sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::us);
@@ -117,7 +117,7 @@ TEST(nonlinear, nmos_resistor_inverter_transfer) {
 }
 
 TEST(nonlinear, pmos_mirror_of_nmos) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -135,7 +135,7 @@ TEST(nonlinear, pmos_mirror_of_nmos) {
 }
 
 TEST(nonlinear, saturating_vccs_clips_and_distorts) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(2.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -151,9 +151,10 @@ TEST(nonlinear, saturating_vccs_clips_and_distorts) {
                             });
     eln::resistor load("load", net, vout, gnd, 1000.0);
 
-    core::transient_recorder rec(sim, 2_us);
-    rec.add_probe("vout", [&] { return net.voltage(vout); });
-    rec.run(8_ms);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 2_us);
+    rec.add_channel("vout", [&] { return net.voltage(vout); });
+    sim.run(8_ms);
 
     auto v = rec.column(0);
     std::vector<double> tail(v.end() - 2048, v.end());
@@ -167,7 +168,7 @@ TEST(nonlinear, saturating_vccs_clips_and_distorts) {
 }
 
 TEST(nonlinear, variable_step_statistics_reported) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::us);
     auto gnd = net.ground();
@@ -183,7 +184,7 @@ TEST(nonlinear, variable_step_statistics_reported) {
 }
 
 TEST(nonlinear, linear_network_stays_on_fast_path) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
     auto gnd = net.ground();

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <random>
 
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
@@ -23,7 +23,6 @@ namespace de = sca::de;
 namespace eln = sca::eln;
 namespace lsf = sca::lsf;
 namespace tdf = sca::tdf;
-namespace core = sca::core;
 namespace solver = sca::solver;
 using namespace sca::de::literals;
 
@@ -36,7 +35,7 @@ TEST_P(random_ladder, dc_solution_satisfies_kirchhoff) {
     std::uniform_real_distribution<double> res(100.0, 100e3);
     std::uniform_int_distribution<int> len(2, 12);
 
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -132,7 +131,7 @@ TEST_P(random_rate_pair, token_stream_is_lossless_and_ordered) {
     std::mt19937 rng(static_cast<unsigned>(GetParam()) * 104729U + 17U);
     std::uniform_int_distribution<unsigned> rate(1, 5);
 
-    core::simulation sim;
+    de::simulation_context sim;
     rate_producer src("src", rate(rng));
     rate_consumer dst("dst", rate(rng));
     tdf::signal<double> s("s");
@@ -168,7 +167,7 @@ TEST_P(random_stable_filter, bounded_response_and_dc_gain) {
     auto den = lsf::poly_from_roots(poles);
     const std::vector<double> num{den[0]};  // unity DC gain
 
-    core::simulation sim;
+    de::simulation_context sim;
     lsf::system sys("sys");
     sys.set_timestep(1.0, de::time_unit::us);
     auto u = sys.create_signal("u");
@@ -224,7 +223,7 @@ TEST_P(random_rc_energy, discharge_is_monotonic_without_sources) {
 
     // A charged capacitor discharging through a random resistor mesh must
     // decay monotonically (passivity: no energy creation).
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

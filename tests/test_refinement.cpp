@@ -19,7 +19,7 @@
 #include <sstream>
 
 #include "core/dc_analysis.hpp"
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -142,17 +142,17 @@ TEST_P(refinement_levels, all_abstraction_levels_agree) {
 
     double amp[3] = {};
     {
-        core::simulation sim;
+        de::simulation_context sim;
         behavioral_filter f;
         amp[0] = steady_state_amplitude(f, freq);
     }
     {
-        core::simulation sim;
+        de::simulation_context sim;
         mathematical_filter f;
         amp[1] = steady_state_amplitude(f, freq);
     }
     {
-        core::simulation sim;
+        de::simulation_context sim;
         electrical_filter f;
         amp[2] = steady_state_amplitude(f, freq);
     }
@@ -170,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(frequencies, refinement_levels,
                          ::testing::Values(200.0, 1000.0, 2000.0, 8000.0));
 
 TEST(refinement, dc_analysis_reports_named_operating_point) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

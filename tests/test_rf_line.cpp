@@ -6,8 +6,7 @@
 #include <numbers>
 
 #include "core/ac_analysis.hpp"
-#include "core/simulation.hpp"
-#include "core/transient.hpp"
+#include "core/scenario.hpp"
 #include "eln/line.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -43,7 +42,7 @@ struct sink : tdf::module {
 }  // namespace
 
 TEST(pll, locks_to_offset_reference) {
-    core::simulation sim;
+    de::simulation_context sim;
     const double f_ref = 10.2e3;
     const double f0 = 10e3;
     const double kv = 2e3;  // Hz/V
@@ -70,7 +69,7 @@ TEST(pll, locks_to_offset_reference) {
 }
 
 TEST(pll, free_runs_at_f0_without_input) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::waveform_source zero("zero", sca::util::waveform::dc(0.0));
     zero.set_timestep(2.0, de::time_unit::us);
     lib::pll loop("loop", 10e3, 2e3, 500.0);
@@ -87,7 +86,7 @@ TEST(pll, free_runs_at_f0_without_input) {
 }
 
 TEST(pll, rejects_insufficient_sample_rate) {
-    core::simulation sim;
+    de::simulation_context sim;
     lib::waveform_source zero("zero", sca::util::waveform::dc(0.0));
     zero.set_timestep(100.0, de::time_unit::us);  // fs = 10 kHz < 2.5 f0
     lib::pll loop("loop", 10e3, 1e3, 100.0);
@@ -103,7 +102,7 @@ TEST(pll, rejects_insufficient_sample_rate) {
 }
 
 TEST(rc_line, dc_resistance_and_delay_scale_with_length) {
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(10.0, de::time_unit::ns);
     auto gnd = net.ground();
@@ -122,7 +121,7 @@ TEST(rc_line, dc_resistance_and_delay_scale_with_length) {
 TEST(rc_line, elmore_delay_matches_theory) {
     // Elmore delay of a distributed RC line is ~0.5 R C; the lumped ladder
     // should land near it (within discretization error).
-    core::simulation sim;
+    de::simulation_context sim;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::ns);
     auto gnd = net.ground();
@@ -134,9 +133,10 @@ TEST(rc_line, elmore_delay_matches_theory) {
     eln::rc_line line("line", net, a, b, gnd, r, c, 32);
     eln::resistor load("load", net, b, gnd, 1e9);
 
-    core::transient_recorder rec(sim, 500_ns);
-    rec.add_probe("vb", [&] { return net.voltage(b); });
-    rec.run(400_us);
+    sca::util::memory_trace rec;
+    core::record(sim, rec, 500_ns);
+    rec.add_channel("vb", [&] { return net.voltage(b); });
+    sim.run(400_us);
     const double t50 = sca::util::first_rising_crossing(
         rec.times(), rec.column(0), 0.5);
     // 50% crossing of a distributed RC step is ~0.38 RC after the edge.
@@ -144,7 +144,7 @@ TEST(rc_line, elmore_delay_matches_theory) {
 }
 
 TEST(rc_line, internal_nodes_are_probeable) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -169,7 +169,7 @@ TEST(rc_line, internal_nodes_are_probeable) {
 TEST(rlgc_line, matched_termination_passes_ac_flatly) {
     // A lossless LC line terminated in its characteristic impedance shows a
     // flat magnitude response well below the section cutoff.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);

@@ -492,14 +492,16 @@ TEST(snapshot_robustness, corrupt_payload_fails_the_checksum) {
 
 TEST(snapshot_robustness, unsupported_version_is_refused) {
     const auto bytes = tiny_snapshot_bytes();
-    // Re-frame the payload with its leading version word bumped.
+    // Re-frame the payload as the previous format version wrote it.
     std::size_t offset = 0;
     wire::frame f;
     ASSERT_TRUE(wire::unpack_frame(bytes.data(), bytes.size(), offset, f));
-    f.payload[0] += 1;  // little-endian u32 version
+    f.payload[0] = wire::k_format_version - 1;  // little-endian u32 version
     const std::string file = snap_path("badversion");
     write_file(file, wire::pack_frame(wire::msg_type::snapshot_state, f.payload));
-    EXPECT_NE(error_of(file).find("unsupported snapshot version"), std::string::npos);
+    EXPECT_NE(error_of(file).find("unsupported snapshot version " +
+                                  std::to_string(wire::k_format_version - 1)),
+              std::string::npos);
     std::remove(file.c_str());
 }
 

@@ -289,21 +289,6 @@ TEST(linear_dae, slot_update_matches_full_restamp_bit_for_bit) {
     EXPECT_GE(full.symbolic_factor_count(), 6U);
 }
 
-TEST(linear_dae, dense_and_sparse_paths_agree) {
-    auto sys = decay_system(5e-4);
-    solver::linear_dae_solver sp(sys, solver::integration_method::trapezoidal, 1e-6);
-    sp.set_initial_state({1.0}, 0.0);
-    sp.advance_to(2e-4);
-
-    auto sys2 = decay_system(5e-4);
-    solver::linear_dae_solver dn(sys2, solver::integration_method::trapezoidal, 1e-6);
-    dn.set_use_dense(true);
-    dn.set_initial_state({1.0}, 0.0);
-    dn.advance_to(2e-4);
-
-    EXPECT_NEAR(sp.x()[0], dn.x()[0], 1e-12);
-}
-
 TEST(linear_dae, factor_cache_thrash_matches_full_restamp_bit_for_bit) {
     // One slot cycles through more distinct values than the factor cache
     // holds, each change followed by the forced BE step, so a state is

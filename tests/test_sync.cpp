@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -19,7 +19,6 @@
 namespace de = sca::de;
 namespace tdf = sca::tdf;
 namespace eln = sca::eln;
-namespace core = sca::core;
 using namespace sca::de::literals;
 
 namespace {
@@ -53,7 +52,7 @@ struct staircase_writer : tdf::module {
 }  // namespace
 
 TEST(sync, de_out_multirate_timestamps_are_exact) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> wire("wire", -1.0);
     staircase_writer src("src");
     de_change_logger logger("logger");
@@ -83,14 +82,14 @@ struct de_in_sampler : tdf::module {
 }  // namespace
 
 TEST(sync, de_in_samples_at_activation_time) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> wire("wire", 0.0);
     de_in_sampler mod("mod");
     mod.in.bind(wire);
     // Change the DE value between cluster activations.
-    auto& driver = sim.context().register_method("driver", [&] {
+    auto& driver = sim.register_method("driver", [&] {
         wire.write(wire.read() + 1.0);
-        sim.context().next_trigger(10_us);
+        sim.next_trigger(10_us);
     });
     (void)driver;
 
@@ -109,7 +108,7 @@ TEST(sync, consistent_initial_state_at_t0) {
     // Paper: "the synchronization also requires the formal definition of a
     // consistent initial (quiescent) state".  The first TDF sample out of an
     // ELN network must be the DC solution, not zero.
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -137,7 +136,7 @@ TEST(sync, consistent_initial_state_at_t0) {
 }
 
 TEST(sync, de_event_reaches_network_within_one_period) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     de::signal<double> level("level", 0.0);
     eln::network net("net");
@@ -156,7 +155,7 @@ TEST(sync, de_event_reaches_network_within_one_period) {
 }
 
 TEST(sync, tdf_cluster_and_de_clock_interleave) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::clock clk("clk", 3_us);
     struct edge_counter : de::module {
         de::in<bool> c;
@@ -189,7 +188,7 @@ TEST(sync, tdf_cluster_and_de_clock_interleave) {
 }
 
 TEST(sync, network_activations_track_cluster_period) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(5.0, de::time_unit::us);
@@ -206,19 +205,19 @@ TEST(sync, network_activations_track_cluster_period) {
 // ------------------------------------------------- batched synchronization
 
 TEST(sync, converter_ports_mark_cluster_de_coupled) {
-    core::simulation sim;
+    de::simulation_context sim;
     de::signal<double> wire("wire", -1.0);
     staircase_writer src("src");
     src.out.bind(wire);
     sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    auto& reg = tdf::registry::of(sim);
     ASSERT_EQ(reg.clusters().size(), 1U);
     // A de_out converter port forces per-period synchronization.
     EXPECT_TRUE(reg.clusters()[0]->de_coupled());
 }
 
 TEST(sync, de_controlled_network_is_de_coupled) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     de::signal<double> level("level", 0.0);
     eln::network net("net");
@@ -229,13 +228,13 @@ TEST(sync, de_controlled_network_is_de_coupled) {
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     src.inp.bind(level);
     sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    auto& reg = tdf::registry::of(sim);
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_TRUE(reg.clusters()[0]->de_coupled());
 }
 
 TEST(sync, pure_network_cluster_is_not_de_coupled) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -244,7 +243,7 @@ TEST(sync, pure_network_cluster_is_not_de_coupled) {
     bag.make<eln::isource>("is", net, gnd, n, eln::waveform::dc(1e-3));
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     sim.elaborate();
-    auto& reg = tdf::registry::of(sim.context());
+    auto& reg = tdf::registry::of(sim);
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_FALSE(reg.clusters()[0]->de_coupled());
 }
@@ -255,8 +254,8 @@ namespace {
 /// signal buffer; returns the observer's log.  Guards the batching contract:
 /// timed DE observers must see exactly what per-period execution produces.
 std::vector<double> run_observed_pipeline(std::uint64_t max_batch_periods) {
-    core::simulation sim;
-    tdf::registry::of(sim.context()).set_default_max_batch_periods(max_batch_periods);
+    de::simulation_context sim;
+    tdf::registry::of(sim).set_default_max_batch_periods(max_batch_periods);
 
     struct ramp : tdf::module {
         tdf::out<double> out;
@@ -277,9 +276,9 @@ std::vector<double> run_observed_pipeline(std::uint64_t max_batch_periods) {
     // Periodic observer at 7 us (deliberately unaligned with the 2 us
     // cluster period), reading the most recent token.
     std::vector<double> log;
-    auto& watcher = sim.context().register_method("watch", [&] {
+    auto& watcher = sim.register_method("watch", [&] {
         log.push_back(s.last_value());
-        sim.context().next_trigger(7_us);
+        sim.next_trigger(7_us);
     });
     (void)watcher;
 
@@ -299,7 +298,7 @@ TEST(sync, batched_execution_invisible_to_timed_de_observer) {
 }
 
 TEST(sync, batched_network_reuses_factorization) {
-    core::simulation sim;
+    de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
     net.set_timestep(1.0, de::time_unit::us);
@@ -309,7 +308,7 @@ TEST(sync, batched_network_reuses_factorization) {
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
 
     sim.run(500_us);
-    auto& reg = tdf::registry::of(sim.context());
+    auto& reg = tdf::registry::of(sim);
     ASSERT_EQ(reg.clusters().size(), 1U);
     EXPECT_FALSE(reg.clusters()[0]->de_coupled());
     EXPECT_EQ(net.activation_count(), 501U);

@@ -7,7 +7,7 @@
 #include <numbers>
 
 #include "core/ac_analysis.hpp"
-#include "core/simulation.hpp"
+#include "kernel/context.hpp"
 #include "lib/amplifier.hpp"
 #include "lib/filters.hpp"
 #include "lib/oscillator.hpp"
@@ -40,8 +40,8 @@ struct gain_pair {
 
 template <typename MakeModule>
 gain_pair compare_gain(MakeModule make, double freq, const de::time& step,
-                       double run_seconds) {
-    sca::core::simulation sim;
+                       double seconds) {
+    de::simulation_context sim;
     lib::sine_source src("src", 1.0, freq);
     src.set_timestep(step);
     auto m = make();
@@ -51,7 +51,7 @@ gain_pair compare_gain(MakeModule make, double freq, const de::time& step,
     m->in.bind(s1);
     m->out.bind(s2);
     rec.in.bind(s2);
-    sim.run(de::time::from_seconds(run_seconds));
+    sim.run(de::time::from_seconds(seconds));
     double amp = 0.0;
     for (std::size_t i = rec.samples.size() / 2; i < rec.samples.size(); ++i) {
         amp = std::max(amp, std::abs(rec.samples[i]));
@@ -71,7 +71,7 @@ TEST(tdf_ac, fir_model_matches_time_domain) {
     EXPECT_NEAR(g.measured, g.modeled, 0.02);
 
     // Static properties on a second instance (post-elaboration).
-    sca::core::simulation sim;
+    de::simulation_context sim;
     lib::fir filt("filt2", lib::fir::design_lowpass(63, 0.1));
     struct src_t : tdf::module {
         tdf::out<double> out;
@@ -100,7 +100,7 @@ TEST(tdf_ac, biquad_model_matches_time_domain) {
 }
 
 TEST(tdf_ac, amplifier_model_is_single_pole) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     lib::amplifier amp("amp", 10.0);
     amp.set_bandwidth(5e3);
     EXPECT_NEAR(std::abs(amp.ac_response(0.0)), 10.0, 1e-12);
@@ -109,7 +109,7 @@ TEST(tdf_ac, amplifier_model_is_single_pole) {
 }
 
 TEST(tdf_ac, cascade_multiplies_responses) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     lib::amplifier a1("a1", 4.0);
     a1.set_bandwidth(10e3);
     lib::amplifier a2("a2", 2.5);
@@ -123,7 +123,7 @@ TEST(tdf_ac, cascade_multiplies_responses) {
 }
 
 TEST(tdf_ac, modules_without_model_are_rejected) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     struct plain : tdf::module {
         tdf::in<double> in;
         tdf::out<double> out;
@@ -138,7 +138,7 @@ TEST(tdf_ac, modules_without_model_are_rejected) {
 }
 
 TEST(tdf_ac, fir_response_before_elaboration_is_rejected) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     lib::fir filt("filt", {0.5, 0.5});
     EXPECT_THROW((void)filt.ac_response(1e3), sca::util::error);
 }

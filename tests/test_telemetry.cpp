@@ -14,7 +14,6 @@
 
 #include "core/run_set.hpp"
 #include "core/scenario.hpp"
-#include "core/simulation.hpp"
 #include "core/snapshot.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
@@ -335,14 +334,14 @@ TEST(event_tracer, off_by_default_and_bounded_with_drop_counting) {
 }
 
 TEST(event_tracer, chrome_json_from_multidomain_run_has_kernel_spans) {
-    sca::core::simulation sim;
-    sim.context().tracer().enable();
+    de::simulation_context sim;
+    sim.tracer().enable();
     multidomain_rig rig;
-    sim.run_seconds(2e-3);
-    sim.context().tracer().disable();
+    sim.run(de::time::from_seconds(2e-3));
+    sim.tracer().disable();
 
     std::ostringstream os;
-    sim.context().tracer().write_chrome_json(os);
+    sim.tracer().write_chrome_json(os);
     const std::string trace = os.str();
 
     EXPECT_TRUE(json_well_formed(trace));
@@ -393,10 +392,10 @@ TEST(event_tracer, concurrent_recording_is_race_free) {
 // ---------------------------------------------------- context integration --
 
 TEST(context_metrics, kernel_counters_live_in_the_registry) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     multidomain_rig rig;
-    sim.run_seconds(1e-3);
-    const util::metrics_snapshot snap = sim.context().collect_metrics();
+    sim.run(de::time::from_seconds(1e-3));
+    const util::metrics_snapshot snap = sim.collect_metrics();
     auto value_of = [&](const std::string& name) -> std::uint64_t {
         for (const util::metric_value& mv : snap) {
             if (mv.name == name) return mv.count;
@@ -409,42 +408,42 @@ TEST(context_metrics, kernel_counters_live_in_the_registry) {
     EXPECT_GT(value_of("tdf.module.activations"), 0U);
     EXPECT_GT(value_of("solver.numeric_factorizations"), 0U);
     // Accessors read through the registry: both views must agree.
-    EXPECT_EQ(value_of("kernel.delta_cycles"), sim.context().sched().delta_count());
+    EXPECT_EQ(value_of("kernel.delta_cycles"), sim.sched().delta_count());
 }
 
 TEST(context_metrics, contexts_are_isolated) {
     {
-        sca::core::simulation a;
+        de::simulation_context a;
         multidomain_rig rig;
-        a.run_seconds(1e-3);
-        EXPECT_GT(a.context().sched().delta_count(), 0U);
+        a.run(de::time::from_seconds(1e-3));
+        EXPECT_GT(a.sched().delta_count(), 0U);
     }
-    sca::core::simulation b;
-    EXPECT_EQ(b.context().sched().delta_count(), 0U)
+    de::simulation_context b;
+    EXPECT_EQ(b.sched().delta_count(), 0U)
         << "a fresh context must not inherit another context's counters";
 }
 
 // ------------------------------------------------------- reset / carryover --
 
 TEST(context_metrics, collectors_are_idempotent) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     multidomain_rig rig;
-    sim.run_seconds(1e-3);
-    const util::metrics_snapshot first = sim.context().collect_metrics();
-    const util::metrics_snapshot second = sim.context().collect_metrics();
+    sim.run(de::time::from_seconds(1e-3));
+    const util::metrics_snapshot first = sim.collect_metrics();
+    const util::metrics_snapshot second = sim.collect_metrics();
     EXPECT_EQ(first, second)
         << "collecting twice without running must not change any value";
 }
 
 TEST(context_metrics, counters_are_monotonic_across_repeated_run) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     multidomain_rig rig;
-    sim.run_seconds(1e-3);
-    const std::uint64_t dc1 = sim.context().sched().delta_count();
-    const util::metrics_snapshot snap1 = sim.context().collect_metrics();
-    sim.run_seconds(1e-3);
-    const std::uint64_t dc2 = sim.context().sched().delta_count();
-    const util::metrics_snapshot snap2 = sim.context().collect_metrics();
+    sim.run(de::time::from_seconds(1e-3));
+    const std::uint64_t dc1 = sim.sched().delta_count();
+    const util::metrics_snapshot snap1 = sim.collect_metrics();
+    sim.run(de::time::from_seconds(1e-3));
+    const std::uint64_t dc2 = sim.sched().delta_count();
+    const util::metrics_snapshot snap2 = sim.collect_metrics();
     EXPECT_GT(dc2, dc1);
     ASSERT_EQ(snap1.size(), snap2.size())
         << "a second run must not mint new metric names";
@@ -455,14 +454,14 @@ TEST(context_metrics, counters_are_monotonic_across_repeated_run) {
 }
 
 TEST(context_metrics, scheduler_reset_clears_registry_counters) {
-    sca::core::simulation sim;
+    de::simulation_context sim;
     multidomain_rig rig;
-    sim.run_seconds(1e-3);
-    ASSERT_GT(sim.context().sched().delta_count(), 0U);
-    sim.context().sched().reset();
-    EXPECT_EQ(sim.context().sched().delta_count(), 0U);
-    EXPECT_EQ(sim.context().sched().timed_notification_count(), 0U);
-    for (const util::metric_value& mv : sim.context().metrics().snapshot()) {
+    sim.run(de::time::from_seconds(1e-3));
+    ASSERT_GT(sim.sched().delta_count(), 0U);
+    sim.sched().reset();
+    EXPECT_EQ(sim.sched().delta_count(), 0U);
+    EXPECT_EQ(sim.sched().timed_notification_count(), 0U);
+    for (const util::metric_value& mv : sim.metrics().snapshot()) {
         if (mv.name == "kernel.delta_cycles" || mv.name == "kernel.timed_notifications") {
             EXPECT_EQ(mv.count, 0U) << mv.name << " held a stale value after reset";
         }
