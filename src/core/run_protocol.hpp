@@ -45,7 +45,7 @@ inline constexpr std::uint32_t k_max_payload = 256U * 1024U * 1024U;
 /// server echoes it, or answers any other value with an error frame and
 /// hangs up), and so do the snapshot payload and the checkpoint journal
 /// header.
-inline constexpr std::uint8_t k_format_version = 4;
+inline constexpr std::uint8_t k_format_version = 5;
 
 /// Throw unless `found` equals k_format_version; `what` names the refused
 /// hello, file or journal in the diagnostic.

@@ -98,7 +98,7 @@ void tdf_isink::write_tdf_outputs(network& net) { outp.write(net.current(*this))
 
 de_vsource::de_vsource(const std::string& name, network& net)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
-    net.declare_de_coupled();
+    net.declare_de_coupled(tdf::de_coupling::reads);
 }
 
 de_vsource::de_vsource(const std::string& name, network& net, node p_node, node n_node)
@@ -122,7 +122,7 @@ void de_vsource::read_tdf_inputs(network& net) { net.set_input(slot_, inp.read()
 
 de_isource::de_isource(const std::string& name, network& net)
     : component(name, net), p("p", *this), n("n", *this), inp("inp") {
-    net.declare_de_coupled();
+    net.declare_de_coupled(tdf::de_coupling::reads);
 }
 
 de_isource::de_isource(const std::string& name, network& net, node p_node, node n_node)
@@ -146,7 +146,7 @@ void de_isource::read_tdf_inputs(network& net) {
 
 de_vsink::de_vsink(const std::string& name, network& net)
     : component(name, net), p("p", *this), n("n", *this), outp("outp") {
-    net.declare_de_coupled();
+    net.declare_de_coupled(tdf::de_coupling::writes);
 }
 
 de_vsink::de_vsink(const std::string& name, network& net, node a, node b)
@@ -164,7 +164,7 @@ void de_vsink::write_tdf_outputs(network& net) {
 de_rswitch::de_rswitch(const std::string& name, network& net, double r_on, double r_off)
     : component(name, net), p("p", *this), n("n", *this), ctrl("ctrl"), r_on_(r_on),
       r_off_(r_off) {
-    net.declare_de_coupled();
+    net.declare_de_coupled(tdf::de_coupling::reads);
     util::require(r_on > 0.0 && r_off > r_on, this->name(),
                   "switch requires 0 < r_on < r_off");
 }

@@ -95,26 +95,6 @@ time scheduler::next_event_time() const noexcept {
     return timed_queue_.front().at;
 }
 
-bool scheduler::instant_active_ignoring(
-    const std::vector<const method_process*>& ignored_processes,
-    const std::vector<const event*>& ignored_events) const noexcept {
-    if (!update_queue_.empty()) return true;
-    for (const method_process* p : runnable_) {
-        if (std::find(ignored_processes.begin(), ignored_processes.end(), p) ==
-            ignored_processes.end()) {
-            return true;
-        }
-    }
-    for (const event* e : delta_events_) {
-        if (!e->pending()) continue;
-        if (std::find(ignored_events.begin(), ignored_events.end(), e) ==
-            ignored_events.end()) {
-            return true;
-        }
-    }
-    return false;
-}
-
 time scheduler::next_event_time_ignoring(
     const std::vector<const event*>& ignored) const noexcept {
     const auto eligible = [&ignored](const timed_entry& entry) {
@@ -168,6 +148,17 @@ void scheduler::evaluate_update_loop() {
     }
 }
 
+void scheduler::settle() {
+    do {
+        evaluate_update_loop();
+        while (!pre_timestep_.empty()) {
+            pre_timestep_callback* cb = pre_timestep_.back();
+            pre_timestep_.pop_back();
+            cb->pre_timestep();
+        }
+    } while (!settled());
+}
+
 void scheduler::set_pacing(double real_time_factor) noexcept {
     pacing_ = real_time_factor > 0.0 ? real_time_factor : 0.0;
     // Re-anchor at the next paced advance: wall time spent while pacing was
@@ -203,7 +194,7 @@ time scheduler::run(const time& end) {
     run_end_ = end;
     if (!initialized_) {
         initialization_phase();
-        evaluate_update_loop();
+        settle();
     }
     while (!timed_queue_.empty()) {
         const time next = timed_queue_.front().at;
@@ -218,7 +209,7 @@ time scheduler::run(const time& end) {
             timed_queue_.pop_back();
             if (entry.live()) entry.ev->trigger();
         }
-        evaluate_update_loop();
+        settle();
     }
     if (now_ < end) {
         // Quiet tail: no events up to `end`, but a paced session still owes
@@ -247,8 +238,7 @@ std::vector<std::pair<time, event*>> scheduler::pending_timed_events() const {
 void scheduler::begin_restore(const time& now) {
     util::require(!initialized_, "snapshot",
                   "state restore requires a context that has never run");
-    util::require(runnable_.empty() && delta_events_.empty() && update_queue_.empty() &&
-                      timed_queue_.empty(),
+    util::require(settled() && timed_queue_.empty(),
                   "snapshot", "state restore into a scheduler with pending activity");
     now_ = now;
     initialized_ = true;
@@ -274,6 +264,7 @@ void scheduler::reset() {
     runnable_.clear();
     delta_events_.clear();
     update_queue_.clear();
+    pre_timestep_.clear();
     timed_queue_.clear();
     timed_seq_ = 0;
     publish_telemetry();

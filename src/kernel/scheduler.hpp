@@ -23,6 +23,17 @@ class event;
 class method_process;
 class signal_base;
 
+/// A client of the pre-timestep stage (SystemC's SC_PRE_TIMESTEP stage
+/// callback), requested per instant via scheduler::request_pre_timestep().
+class pre_timestep_callback {
+public:
+    /// Runs once the instant that requested it has settled.
+    virtual void pre_timestep() = 0;
+
+protected:
+    ~pre_timestep_callback() = default;
+};
+
 class scheduler {
 public:
     scheduler() = default;
@@ -61,6 +72,14 @@ public:
     void queue_timed_event(event& e, const time& at);
     void request_update(signal_base& s);
 
+    /// Pre-timestep stage: call `cb` once the current instant (or the
+    /// initialization phase) has settled, before time advances.  Callbacks
+    /// requested during one instant run last-requested first; activity they
+    /// create runs the evaluate/update loop again, then any callbacks
+    /// requested meanwhile.  TDF clusters plan batches and re-arm here, where
+    /// every same-instant process has run and armed its next timed event.
+    void request_pre_timestep(pre_timestep_callback& cb) { pre_timestep_.push_back(&cb); }
+
     /// Register a process for the initialization phase.
     void register_process(method_process& p);
     void unregister_process(method_process& p);
@@ -72,16 +91,6 @@ public:
 
     /// True when no timed events, delta events, or runnables remain.
     [[nodiscard]] bool idle() const noexcept;
-
-    /// True while the current instant still has pending evaluation work —
-    /// runnable processes, queued signal updates, or delta notifications —
-    /// other than the given processes/events.  TDF batch planning defers
-    /// until the instant is settled (so every same-timestamp process has
-    /// armed its next timed event), ignoring independent peer clusters,
-    /// whose same-instant activity cannot interact with the caller.
-    [[nodiscard]] bool instant_active_ignoring(
-        const std::vector<const method_process*>& ignored_processes,
-        const std::vector<const event*>& ignored_events) const noexcept;
 
     /// Time of the next pending timed event (time::max() if none).
     [[nodiscard]] time next_event_time() const noexcept;
@@ -140,7 +149,8 @@ public:
     /// run() always returns at a settled point; the snapshot writer asserts
     /// it rather than trying to serialize mid-instant evaluation state.
     [[nodiscard]] bool settled() const noexcept {
-        return runnable_.empty() && delta_events_.empty() && update_queue_.empty();
+        return runnable_.empty() && delta_events_.empty() && update_queue_.empty() &&
+               pre_timestep_.empty();
     }
 
     /// Snapshot restore, step one: adopt the saved simulation clock on a
@@ -159,6 +169,9 @@ private:
     void initialization_phase();
     /// One evaluate/update/delta sequence; returns true if any process ran.
     void evaluate_update_loop();
+    /// evaluate_update_loop(), then the pre-timestep stage, until neither
+    /// has work left at the current instant.
+    void settle();
     /// Sleep until wall time reaches sim time `t` under the pacing factor;
     /// records drift when the kernel is already late.  No-op when pacing is
     /// off or `t` is the time::max() "never" marker.
@@ -198,6 +211,8 @@ private:
     // nothing.  Empty outside the loop.
     std::vector<event*> delta_scratch_;
     std::vector<signal_base*> update_scratch_;
+    // Pre-timestep requests of the current instant: a stack settle() pops.
+    std::vector<pre_timestep_callback*> pre_timestep_;
 
     struct timed_entry {
         time at;

@@ -170,6 +170,10 @@ public:
     void set_optional() noexcept { optional_ = true; }
     [[nodiscard]] bool optional() const noexcept { return optional_; }
 
+    /// True for out<T>: the owner writes the bound signal.  The TDF
+    /// synchronization layer lets clusters that only read DE signals batch.
+    [[nodiscard]] virtual bool is_output() const noexcept { return false; }
+
     /// Follow port-to-port chains; sets the final signal. Elaboration only.
     void resolve();
 
@@ -229,6 +233,8 @@ template <typename T>
 class out : public port_base {
 public:
     explicit out(std::string name = "out") : port_base(std::move(name)) {}
+
+    [[nodiscard]] bool is_output() const noexcept override { return true; }
 
     void write(const T& value) { typed_signal<T>("write to unbound port").write(value); }
     [[nodiscard]] const T& read() const {

@@ -164,7 +164,7 @@ void to_tdf::write_tdf_outputs(system& sys) { outp.write(sys.value(in_)); }
 
 from_de::from_de(const std::string& name, system& sys, signal out)
     : block(name, sys), inp("inp"), out_(out) {
-    sys.declare_de_coupled();
+    sys.declare_de_coupled(tdf::de_coupling::reads);
 }
 
 void from_de::stamp(system& sys) {
@@ -187,7 +187,7 @@ void from_de::read_tdf_inputs(system& sys) {
 
 to_de::to_de(const std::string& name, system& sys, signal in)
     : block(name, sys), outp("outp"), in_(in) {
-    sys.declare_de_coupled();
+    sys.declare_de_coupled(tdf::de_coupling::writes);
 }
 
 void to_de::write_tdf_outputs(system& sys) { outp.write(sys.value(in_)); }

@@ -18,16 +18,18 @@ namespace sca::tdf {
 
 namespace {
 
-/// True if any object below `o` is a bound DE port (converter ports are
-/// members of the module, so they appear in its object subtree).
-bool subtree_has_bound_de_port(const de::object* o) {
-    for (const de::object* c : o->children()) {
-        if (const auto* p = dynamic_cast<const de::port_base*>(c); p != nullptr && p->bound()) {
-            return true;
+/// The strongest DE coupling of the bound DE ports below `o` (converter
+/// ports are members of the module, so they appear in its object subtree).
+de_coupling subtree_de_coupling(const de::object* o) {
+    de_coupling c = de_coupling::none;
+    for (const de::object* child : o->children()) {
+        if (const auto* p = dynamic_cast<const de::port_base*>(child);
+            p != nullptr && p->bound()) {
+            c = std::max(c, p->is_output() ? de_coupling::writes : de_coupling::reads);
         }
-        if (subtree_has_bound_de_port(c)) return true;
+        c = std::max(c, subtree_de_coupling(child));
     }
-    return false;
+    return c;
 }
 
 }  // namespace
@@ -140,9 +142,10 @@ void cluster::build_fused_programs(std::vector<std::size_t>& caps) {
     // Power-of-two ladder of fused programs for pure static clusters: the
     // batch planner hands run_cycles() up to max_batch_ periods at a time,
     // and greedy decomposition over {.., 16, 8, 4, 2} periods turns almost
-    // all of them into long block calls.  DE-coupled clusters execute one
-    // period per kernel interaction and dynamic clusters must offer the
-    // change_attributes() window between periods, so neither fuses.
+    // all of them into long block calls.  DE-coupled clusters run their
+    // batches (if they batch at all) through the per-period program, and
+    // dynamic clusters must offer the change_attributes() window between
+    // periods, so neither fuses.
     fused_.clear();
     if (de_coupled_ || dynamic_ || max_batch_ < 2) return;
     // Guard: fused buffers hold `periods` periods of tokens per signal; stop
@@ -211,13 +214,12 @@ void cluster::build_schedule() {
 }
 
 void cluster::detect_de_coupling() {
-    de_coupled_ = false;
-    for (module* m : modules_) {
-        if (m->de_coupled_declared() || subtree_has_bound_de_port(m)) {
-            de_coupled_ = true;
-            return;
-        }
+    de_coupling c = de_coupling::none;
+    for (const module* m : modules_) {
+        c = std::max({c, m->de_coupling_declared(), subtree_de_coupling(m)});
     }
+    de_coupled_ = c != de_coupling::none;
+    de_writer_ = c == de_coupling::writes;
 }
 
 void cluster::elaborate() {
@@ -378,6 +380,7 @@ void cluster::apply_attribute_changes() {
 void cluster::attach(de::simulation_context& ctx) {
     ctx_ = &ctx;
     proc_ = &ctx.register_method("tdf_cluster_exec", [this] { on_wake(); });
+    proc_->ensure_timeout_event();  // the re-arm event peers ignore
 }
 
 void cluster::set_max_batch_periods(std::uint64_t n) {
@@ -385,8 +388,10 @@ void cluster::set_max_batch_periods(std::uint64_t n) {
     max_batch_ = n;
 }
 
-void cluster::set_peer_processes(std::vector<const de::method_process*> peers) {
-    peers_ = std::move(peers);
+void cluster::set_batch_bounds(std::vector<const de::event*> peer_rearms,
+                               std::vector<const cluster*> writers) {
+    peer_rearms_ = std::move(peer_rearms);
+    writers_ = std::move(writers);
 }
 
 void cluster::exec_program(const std::vector<program_entry>& prog, const de::time& t) {
@@ -433,121 +438,72 @@ void cluster::run_cycles(const de::time& start, std::uint64_t n) {
     next_cycle_start_ = t;
 }
 
-std::uint64_t cluster::plan_batch_ahead(bool for_peek) const {
+std::uint64_t cluster::plan_batch_ahead() const {
     // Batching contract: run cycles ahead of DE time only when no DE process
-    // could observe the difference.  DE-coupled clusters never qualify.  For
-    // pure clusters the bound is the next pending timed event — except the
-    // re-arms of independent peer clusters, which provably cannot interact —
-    // and the end of the current scheduler run, so the final state matches
-    // per-period execution exactly.  This runs in a zero-delay re-activation
-    // of the driving process: every same-timestamp process has already
-    // executed and re-armed, making the timed queue authoritative.
+    // could observe the difference.  Clusters that write DE signals never
+    // batch.  The bound is the next pending timed event — except the re-arms
+    // of the other batchable clusters, which provably cannot interact — the
+    // next wake of every DE-writing cluster (one woken at this instant may
+    // not have re-armed yet), and the end of the current scheduler run, so
+    // the final state matches per-period execution exactly.  This runs in
+    // the pre-timestep stage: every same-instant process has already run and
+    // armed its next timed event, making the timed queue authoritative.
     const std::int64_t p = period_.value_fs();
-    if (p <= 0) return 0;
-    const de::time s = next_cycle_start_;
     std::uint64_t n = max_batch_ - 1;  // one cycle already ran this interaction
+    if (n == 0 || p <= 0) return 0;
+    const de::time s = next_cycle_start_;
+    const auto bound_by = [&](const de::time& t) {
+        if (t <= s) {
+            n = 0;
+        } else {
+            n = std::min(n, static_cast<std::uint64_t>(((t - s).value_fs() + p - 1) / p));
+        }
+    };
 
     const de::scheduler& sch = static_cast<const de::simulation_context&>(*ctx_).sched();
     const de::time end = sch.run_end();
-    // The run_end clamp is a batch-size bound only.  The peek must ignore it
-    // (see the header comment): whether the re-arm goes through the settled
-    // delta has to be a function of the model state alone, not of the
-    // caller's slice length, or sliced and continuous runs diverge in
-    // same-instant event order right after a run() boundary.
-    if (!for_peek && end != de::time::max()) {
+    if (end != de::time::max()) {
         if (s > end) return 0;
         n = std::min(n, static_cast<std::uint64_t>((end - s).value_fs() / p) + 1);
     }
-    ignore_scratch_.clear();
-    for (const de::method_process* peer : peers_) {
-        if (const de::event* ev = peer->timeout_event(); ev != nullptr) {
-            ignore_scratch_.push_back(ev);
-        }
-    }
-    const de::time next_ev = sch.next_event_time_ignoring(ignore_scratch_);
-    if (next_ev != de::time::max()) {
-        if (next_ev <= s) return 0;
-        const std::int64_t gap = (next_ev - s).value_fs();
-        n = std::min(n, static_cast<std::uint64_t>((gap + p - 1) / p));
-    }
+    for (const cluster* w : writers_) bound_by(w->next_cycle_start_);
+    const de::time next_ev = sch.next_event_time_ignoring(peer_rearms_);
+    if (next_ev != de::time::max()) bound_by(next_ev);
     return n;
 }
 
 void cluster::on_wake() {
-    const de::time now = ctx_->now();
-    if (!batch_check_pending_) {
-        // Timed wake at a cycle boundary.
-        run_cycles(now, 1);
-        if (dynamic_) {
-            // Dynamic clusters give their members the change_attributes()
-            // window between periods, then re-arm with whatever period the
-            // (possibly rescheduled) configuration resolved to — this is the
-            // DE re-sync: the next timed wake lands on the new grid.  The
-            // cycle just run still spans its old period, so the next cycle
-            // starts at next_cycle_start_ regardless of a period change.
-            run_change_attributes();
-            // Pure dynamic clusters batch too (via the settled re-check
-            // below): periods execute back-to-back with the change window
-            // interleaved, so only the kernel re-arms are elided — the
-            // per-period sequence the modules observe is unchanged.
-            if (!de_coupled_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
-                batch_check_pending_ = true;
-                ctx_->next_trigger(de::time::zero());
-                return;
-            }
-            ctx_->next_trigger(next_cycle_start_ - now);
-            return;
-        }
-        // Peek: schedule the batch-check re-activation only when the (possibly
-        // still unsettled) queue suggests batching could yield anything —
-        // event-dense models otherwise pay a useless delta round per period.
-        // The peek may overestimate; the settled re-check below is what
-        // guarantees correctness.
-        if (!de_coupled_ && max_batch_ > 1 && plan_batch_ahead(true) > 0) {
-            batch_check_pending_ = true;
-            ctx_->next_trigger(de::time::zero());
-            return;
-        }
-        ctx_->next_trigger(period_);
-        return;
-    }
-    // Zero-delay (delta) re-activation: plan only once the instant has
-    // settled, so every same-timestamp process has executed and armed its
-    // next timed event.  Peer pure clusters are ignored — their same-instant
-    // wakes and deferral deltas cannot interact with this cluster, and two
-    // deferring clusters would otherwise ping-pong forever.  Anything else
-    // still active at this instant -> defer one more delta cycle.
-    ignore_scratch_.clear();
-    for (const de::method_process* peer : peers_) {
-        if (const de::event* ev = peer->timeout_event(); ev != nullptr) {
-            ignore_scratch_.push_back(ev);
-        }
-    }
-    if (static_cast<const de::simulation_context&>(*ctx_).sched().instant_active_ignoring(
-            peers_, ignore_scratch_)) {
-        ctx_->next_trigger(de::time::zero());
-        return;
-    }
-    batch_check_pending_ = false;
+    // Timed wake at a cycle boundary: one cycle, then (dynamic clusters) the
+    // change_attributes() window between periods.  The re-arm waits for the
+    // pre-timestep stage, so it is always made after every same-instant
+    // process has armed its own next event, whatever the batch size: a
+    // probe sharing the cluster's next instant then always runs after the
+    // cluster, and max_batch_periods = 1 matches batched execution.
+    run_cycles(ctx_->now(), 1);
+    if (dynamic_) run_change_attributes();
+    ctx_->sched().request_pre_timestep(*this);
+}
+
+void cluster::pre_timestep() {
+    std::uint64_t ahead = de_writer_ ? 0 : plan_batch_ahead();
     if (dynamic_) {
         // Interleaved batch: the same per-period sequence as the timed path
         // (one cycle, then the change_attributes() window), minus the DE
         // re-arm between periods.  A reschedule invalidates the plan — the
         // remaining periods were bounded assuming the old timestep — so the
         // batch breaks and the next timed wake re-syncs on the new grid.
-        std::uint64_t ahead = plan_batch_ahead();
         const std::uint64_t planned_at = reschedules_;
-        while (ahead-- > 0) {
+        for (; ahead > 0 && reschedules_ == planned_at; --ahead) {
             run_cycles(next_cycle_start_, 1);
             run_change_attributes();
-            if (reschedules_ != planned_at) break;
         }
-        ctx_->next_trigger(next_cycle_start_ - now);
-        return;
+    } else if (ahead > 0) {
+        run_cycles(next_cycle_start_, ahead);
     }
-    const std::uint64_t ahead = plan_batch_ahead();
-    if (ahead > 0) run_cycles(next_cycle_start_, ahead);
-    ctx_->next_trigger(next_cycle_start_ - now);
+    // The cycle just run spans its (possibly old) period, so the next wake is
+    // next_cycle_start_ even after a reschedule: the DE re-sync lands on the
+    // new grid from there.
+    proc_->next_trigger(next_cycle_start_ - ctx_->now());
 }
 
 // ------------------------------------------------------------------ snapshot
@@ -671,7 +627,6 @@ void cluster::restore_state(util::byte_reader& r) {
                   "cluster: DE coupling differs from snapshot");
     util::require(r.boolean() == dynamic_, "snapshot",
                   "cluster: dynamic membership differs from snapshot");
-    batch_check_pending_ = false;  // settled points never carry a pending check
 }
 
 // ------------------------------------------------------------------ registry
@@ -800,14 +755,20 @@ void registry::elaborate_clusters() {
         clusters_.back()->attach(*ctx_);
     }
 
-    // Independent clusters cannot observe one another, so batch planning may
-    // ignore the re-arm events of every pure (non-DE-coupled) peer.
-    std::vector<const de::method_process*> pure_procs;
+    // Clusters that write no DE signal cannot observe one another, so batch
+    // planning may ignore their re-arm events; a DE-writing cluster's next
+    // wake bounds every batch.
+    std::vector<const de::event*> batchable;
+    std::vector<const cluster*> writers;
     for (const auto& c : clusters_) {
-        if (!c->de_coupled()) pure_procs.push_back(c->process());
+        if (c->de_writer()) {
+            writers.push_back(c.get());
+        } else {
+            batchable.push_back(c->process()->timeout_event());
+        }
     }
     for (const auto& c : clusters_) {
-        if (!c->de_coupled()) c->set_peer_processes(pure_procs);
+        if (!c->de_writer()) c->set_batch_bounds(batchable, writers);
     }
 }
 

@@ -6,10 +6,11 @@
 // At elaboration each cluster compiles its repetition vector into a flat
 // firing program (run-length-encoded {module, count} entries with
 // preallocated ring buffers); at runtime the program executes as a tight
-// loop with no map lookups or allocations.  Clusters that do not exchange
-// samples with the DE world batch several schedule periods per DE kernel
-// interaction, bounded by the next pending DE event and the end of the
-// current run; converter-coupled clusters synchronize every period.
+// loop with no map lookups or allocations.  Clusters that do not write DE
+// signals batch several schedule periods per DE kernel interaction, planned
+// once their wake instant has settled and bounded by the next pending DE
+// event and the end of the current run; clusters that write DE signals
+// synchronize every period.
 #ifndef SCA_TDF_CLUSTER_HPP
 #define SCA_TDF_CLUSTER_HPP
 
@@ -33,7 +34,7 @@ class signal_base;
 
 /// A maximal set of TDF modules connected through TDF signals, executed as
 /// one statically scheduled unit from a single DE process.
-class cluster {
+class cluster : private de::pre_timestep_callback {
 public:
     /// One compiled firing-program entry: `count` consecutive firings of
     /// `mod`, the first at cycle-relative firing index `first_firing`.
@@ -62,15 +63,19 @@ public:
     void elaborate();
 
     /// Register the driving DE process with the kernel.  The driving process
-    /// runs one cycle per timed wake; for clusters without DE coupling a
-    /// zero-delay re-activation then runs further cycles ahead of DE time
-    /// once the event queue has settled — never past the next pending DE
-    /// event or the end of the current scheduler run.
+    /// runs one cycle per timed wake and requests the pre-timestep stage;
+    /// there, once every same-instant process has run, a cluster that writes
+    /// no DE signal runs further cycles ahead of DE time — never past the
+    /// next pending DE event or the end of the current scheduler run — and
+    /// every cluster re-arms its next timed wake.
     void attach(de::simulation_context& ctx);
 
-    /// Peer-cluster processes whose re-arm events batch planning may ignore
-    /// (independent clusters cannot observe each other); set by the registry.
-    void set_peer_processes(std::vector<const de::method_process*> peers);
+    /// Set by the registry: the re-arm events of the batchable clusters,
+    /// which batch planning may ignore (they cannot observe one another),
+    /// and the clusters that write DE signals, whose next wakes bound every
+    /// batch (at a shared instant their re-arm may still be pending).
+    void set_batch_bounds(std::vector<const de::event*> peer_rearms,
+                          std::vector<const cluster*> writers);
 
     /// The driving DE process (valid after attach()).
     [[nodiscard]] const de::method_process* process() const noexcept { return proc_; }
@@ -85,10 +90,15 @@ public:
     }
     [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
 
-    /// True when any member module exchanges samples with the DE world
-    /// (converter ports or DE-controlled ELN/LSF components); such clusters
-    /// synchronize with the DE kernel at every period boundary.
+    /// True when any member module reads or writes DE signals (converter
+    /// ports or DE-controlled ELN/LSF components); such clusters compile no
+    /// fused programs.
     [[nodiscard]] bool de_coupled() const noexcept { return de_coupled_; }
+
+    /// True when any member writes DE signals (tdf::de_out, a bound de::out
+    /// port, eln::de_vsink, lsf::to_de): such clusters synchronize with the
+    /// DE kernel every period, while clusters that only read DE batch.
+    [[nodiscard]] bool de_writer() const noexcept { return de_writer_; }
 
     /// Schedule periods executed per DE kernel interaction at most (>= 1;
     /// 1 disables batching).  Set through the registry defaults.
@@ -157,19 +167,15 @@ private:
     void resolve_timesteps();
     void build_schedule();
     void detect_de_coupling();
-    /// Driving-process body: one cycle per timed wake plus the batched
-    /// continuation on the zero-delay re-activation.
+    /// Driving-process body: one cycle per timed wake (plus the
+    /// change_attributes() window), then a pre-timestep request.
     void on_wake();
+    /// Pre-timestep stage of a wake instant: run the batch, then re-arm.
+    void pre_timestep() override;
     /// Fire `n` cluster cycles, the first starting at virtual time `start`.
     void run_cycles(const de::time& start, std::uint64_t n);
     /// Cycles safe to run ahead of DE time, starting at next_cycle_start_.
-    /// `for_peek` skips the run_end clamp: the peek decides only whether to
-    /// defer the re-arm to a settled delta, and that decision must not
-    /// depend on where the current run() call happens to stop — otherwise a
-    /// sliced run re-arms through a different path than a continuous one,
-    /// flips same-instant event order after the boundary, and breaks
-    /// bit-identity between sliced and full runs.
-    [[nodiscard]] std::uint64_t plan_batch_ahead(bool for_peek = false) const;
+    [[nodiscard]] std::uint64_t plan_batch_ahead() const;
 
     // --- dynamic rescheduling (see tdf/dynamic.hpp) -------------------------
     /// Compile the current rates/anchors into a firing program (the PASS run
@@ -206,10 +212,10 @@ private:
     std::vector<program_entry> program_;
     std::vector<module*> schedule_;               // expanded firing order
     std::vector<std::uint64_t> schedule_firing_;  // firing index per entry
-    std::vector<const de::method_process*> peers_;
+    std::vector<const de::event*> peer_rearms_;
+    std::vector<const cluster*> writers_;
     std::vector<module*> dynamic_modules_;
     std::vector<fused_program> fused_;  // descending periods, pure static only
-    mutable std::vector<const de::event*> ignore_scratch_;
     schedule_cache cache_;
     compiled_schedule last_compiled_;  // index form of the installed program
     de::time period_;
@@ -220,9 +226,9 @@ private:
     std::uint64_t recompiles_ = 0;
     std::uint64_t fused_cycles_ = 0;
     bool de_coupled_ = false;
+    bool de_writer_ = false;
     bool dynamic_ = false;
     bool block_execution_ = true;
-    bool batch_check_pending_ = false;
     de::method_process* proc_ = nullptr;
     de::simulation_context* ctx_ = nullptr;
 };

@@ -3,9 +3,13 @@
 // discrete-time MoCs "have to be formally defined").
 //
 // Semantics implemented here (documented in DESIGN.md):
-//  * de_in:  reads the DE signal value valid at the cluster activation time;
-//            multirate reads within one activation see the same value
-//            (zero-order hold across the cluster period).
+//  * de_in:  reads the DE signal value valid at the sample's time.  A
+//            cluster that only reads DE signals batches periods ahead of DE
+//            time but never past the next pending DE event, so that value
+//            still holds when the batch reads it; a sample sharing an instant
+//            with a DE write reads the value before the write.  Multirate
+//            reads within one activation see the same value (zero-order
+//            hold across the module period).
 //  * de_out: writes are timestamped with the exact TDF sample time; samples
 //            that fall after the current DE time are scheduled through a
 //            helper process, so the DE world observes them at the right time.

@@ -30,6 +30,11 @@ class cluster;
 class registry;
 class block_view;
 
+/// How a module exchanges samples with the DE world, in increasing order of
+/// coupling: a cluster with a DE writer synchronizes with the kernel every
+/// period, one that only reads DE signals batches periods like a pure one.
+enum class de_coupling : std::uint8_t { none, reads, writes };
+
 class module : public de::module {
 public:
     [[nodiscard]] const char* kind() const noexcept override { return "tdf_module"; }
@@ -152,12 +157,14 @@ public:
         return block_firings_;
     }
 
-    /// Declare that this module exchanges samples with the DE world outside
-    /// the TDF converter-port protocol (ELN/LSF converter components call
-    /// this).  The owning cluster then synchronizes with the DE kernel every
-    /// cycle instead of batching cycles.
-    void declare_de_coupled() noexcept { de_coupled_ = true; }
-    [[nodiscard]] bool de_coupled_declared() const noexcept { return de_coupled_; }
+    /// Declare that this module reads or writes DE signals outside its own
+    /// object subtree (the DE-controlled ELN/LSF components call this on
+    /// their network or system; bound DE ports below the module count on
+    /// their own).  The strongest declaration wins.
+    void declare_de_coupled(de_coupling c) noexcept {
+        if (c > de_coupling_) de_coupling_ = c;
+    }
+    [[nodiscard]] de_coupling de_coupling_declared() const noexcept { return de_coupling_; }
 
     [[nodiscard]] cluster* owning_cluster() const noexcept { return cluster_; }
     void set_owning_cluster(cluster& c) noexcept { cluster_ = &c; }
@@ -202,7 +209,7 @@ private:
     std::uint64_t activations_ = 0;
     std::uint64_t block_calls_ = 0;
     std::uint64_t block_firings_ = 0;
-    bool de_coupled_ = false;
+    de_coupling de_coupling_ = de_coupling::none;
     bool in_change_attributes_ = false;
     bool has_pending_timestep_ = false;
     cluster* cluster_ = nullptr;

@@ -2,6 +2,7 @@
 // processes, module hierarchy, clocks.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,54 @@ TEST(scheduler, same_instant_timed_notifications_fire_in_notification_order) {
     // Fired c, b, d, a at 10 ns.  The runnable set is a LIFO stack, so the
     // processes ran in reverse; the stale 30 ns entry did not fire d again.
     EXPECT_EQ(ran, (std::vector<std::string>{"a@10 ns", "d@10 ns", "b@10 ns", "c@10 ns"}));
+}
+
+namespace {
+
+/// Logs "<name>@<time>" when the pre-timestep stage calls it, then runs an
+/// optional action (which may create activity).
+struct stage_logger final : de::pre_timestep_callback {
+    stage_logger(std::string name, simulation_context& ctx, std::vector<std::string>& log)
+        : name(std::move(name)), ctx(&ctx), log(&log) {}
+    void pre_timestep() override {
+        log->push_back(name + "@" + ctx->now().to_string());
+        if (action) action();
+    }
+    std::string name;
+    simulation_context* ctx;
+    std::vector<std::string>* log;
+    std::function<void()> action;
+};
+
+}  // namespace
+
+TEST(scheduler, pre_timestep_stage_runs_once_the_instant_settles) {
+    // SC_PRE_TIMESTEP: requested callbacks run after the instant's last delta
+    // cycle, last-requested first, before time advances; activity they
+    // create runs the evaluate/update loop again.
+    simulation_context ctx;
+    de::signal<int> level("level", 0);
+    std::vector<std::string> log;
+    stage_logger first("first", ctx, log), second("second", ctx, log);
+    second.action = [&] { level.write(level.read() + 1); };
+    auto& reader = ctx.register_method(
+        "reader", [&] { log.push_back("reader@" + ctx.now().to_string()); });
+    reader.dont_initialize();
+    reader.make_sensitive(level.value_changed_event());
+    auto& writer = ctx.register_method("writer", [&] {
+        level.write(level.read() + 1);
+        ctx.sched().request_pre_timestep(first);
+        ctx.sched().request_pre_timestep(second);
+        ctx.next_trigger(10_ns);
+    });
+    (void)writer;
+
+    ctx.run(15_ns);
+    EXPECT_EQ(log, (std::vector<std::string>{"reader@0 s", "second@0 s", "first@0 s",
+                                             "reader@0 s", "reader@10 ns", "second@10 ns",
+                                             "first@10 ns", "reader@10 ns"}));
+    EXPECT_TRUE(ctx.sched().settled());
+    EXPECT_EQ(ctx.sched().delta_count(), 4U);
 }
 
 TEST(signal, update_semantics_are_deferred) {

@@ -20,6 +20,7 @@
 #include "eln/sources.hpp"
 #include "kernel/context.hpp"
 #include "kernel/scheduler.hpp"
+#include "kernel/signal.hpp"
 #include "tdf/module.hpp"
 #include "tdf/port.hpp"
 #include "util/telemetry.hpp"
@@ -67,9 +68,29 @@ struct sink : tdf::module {
     }
 };
 
-/// Multirate TDF chain + RC lowpass ELN network in one context: every span
-/// family (elaboration, cluster firing, DAE solve) shows up in the trace.
+/// A periodic DE writer and a reader sensitive to its signal: every write
+/// wakes the reader one delta cycle later.  TDF clusters create no delta
+/// cycles, so this is what gives the rigs below a delta-cycle count to pin.
+struct de_ticker : de::module {
+    de::signal<int> level{"level", 0};
+    int seen = 0;
+
+    explicit de_ticker(const de::module_name& nm) : de::module(nm) {
+        declare_method("write", [this] {
+            level.write(level.read() + 1);
+            next_trigger(50_us);
+        });
+        declare_method("read", [this] { seen = level.read(); })
+            .sensitive(level.value_changed_event())
+            .dont_initialize();
+    }
+};
+
+/// Multirate TDF chain + RC lowpass ELN network + DE ticker in one context:
+/// every span family (elaboration, cluster firing, DAE solve) shows up in
+/// the trace.
 struct multidomain_rig {
+    de_ticker ticker{"ticker"};
     sine_src src{"src"};
     doubler up{"up"};
     sink snk{"snk"};
@@ -94,7 +115,7 @@ struct multidomain_rig {
 };
 
 /// RC lowpass scenario for run_set metrics aggregation (mirrors the
-/// backend-suite reference testbench).
+/// backend-suite reference testbench), plus a DE ticker as delta source.
 core::scenario define_rc(const std::string& name) {
     return core::scenario::define(
         name, core::params{{"r", 1e3}, {"c", 100e-9}},
@@ -107,6 +128,7 @@ core::scenario define_rc(const std::string& name) {
             tb.make<eln::vsource>("vs", net, vin, gnd, eln::waveform::sine(1.0, 1e3));
             tb.make<eln::resistor>("r", net, vin, vout, p.get("r", 1e3));
             tb.make<eln::capacitor>("c", net, vout, gnd, p.get("c", 100e-9));
+            tb.make<de_ticker>("ticker");
             tb.probe("vout", [&net, vout] { return net.voltage(vout); });
             tb.measure("vout_final", [&net, vout] { return net.voltage(vout); });
             tb.set_stop_time(de::time::from_seconds(0.5e-3));
