@@ -139,7 +139,8 @@ public:
 
 /// Switch controlled by a DE boolean signal (state is sampled at TDF
 /// activation boundaries — the synchronization quantization documented in
-/// DESIGN.md).  Both states stamp the same conductance pattern through one
+/// docs/architecture.md, "The batched-sync contract at converter ports").
+/// Both states stamp the same conductance pattern through one
 /// stamp slot, so a toggle is a values-only update: the dirty matrix entries
 /// are rewritten in place, and the solver re-activates its cached
 /// factorization of the new state, refactoring numerically (against its

@@ -113,12 +113,11 @@ void cluster::resolve_timesteps() {
     }
 }
 
-compiled_schedule cluster::compile_current(std::uint64_t periods) const {
-    // Describe the graph abstractly and compile it (PASS construction and
-    // run-length encoding live in schedule.cpp).  `periods` > 1 scales the
-    // repetition vector: the resulting program is a legal schedule for that
-    // many periods fused into one super-cycle (SDF determinacy makes the
-    // token streams identical to per-period execution).
+compiled_schedule cluster::compile_current() const {
+    // Describe the graph abstractly and compile it (PASS construction,
+    // run-length encoding and the pass rule live in schedule.cpp).  Dynamic
+    // clusters must offer the change_attributes() window after every
+    // period, so their passes never fuse periods.
     std::map<const module*, std::size_t> index;
     for (std::size_t i = 0; i < modules_.size(); ++i) index[modules_[i]] = i;
 
@@ -131,58 +130,16 @@ compiled_schedule cluster::compile_current(std::uint64_t periods) const {
         }
     }
     std::vector<std::uint64_t> reps(modules_.size());
-    for (std::size_t i = 0; i < modules_.size(); ++i) {
-        reps[i] = modules_[i]->repetitions() * periods;
-    }
+    for (std::size_t i = 0; i < modules_.size(); ++i) reps[i] = modules_[i]->repetitions();
 
-    return compile_schedule(reps, descs);
-}
-
-void cluster::build_fused_programs(std::vector<std::size_t>& caps) {
-    // Power-of-two ladder of fused programs for pure static clusters: the
-    // batch planner hands run_cycles() up to max_batch_ periods at a time,
-    // and greedy decomposition over {.., 16, 8, 4, 2} periods turns almost
-    // all of them into long block calls.  DE-coupled clusters run their
-    // batches (if they batch at all) through the per-period program, and
-    // dynamic clusters must offer the change_attributes() window between
-    // periods, so neither fuses.
-    fused_.clear();
-    if (de_coupled_ || dynamic_ || max_batch_ < 2) return;
-    // Guard: fused buffers hold `periods` periods of tokens per signal; stop
-    // the ladder before memory blows up on very high-rate clusters.
-    constexpr std::size_t k_max_tokens_per_signal = std::size_t{1} << 16;
-    for (std::uint64_t b = 2; b <= max_batch_; b *= 2) {
-        compiled_schedule cs = compile_current(b);
-        if (std::any_of(cs.buffer_capacity.begin(), cs.buffer_capacity.end(),
-                        [&](std::size_t c) { return c > k_max_tokens_per_signal; })) {
-            break;
-        }
-        for (std::size_t s = 0; s < caps.size(); ++s) {
-            caps[s] = std::max(caps[s], cs.buffer_capacity[s]);
-        }
-        std::vector<program_entry> entries;
-        entries.reserve(cs.program.size());
-        for (const firing_entry& e : cs.program) {
-            entries.push_back({modules_[e.module], e.first_firing, e.count});
-        }
-        fused_.push_back({b, std::move(entries)});
-    }
-    std::reverse(fused_.begin(), fused_.end());  // descending periods
+    return compile_schedule(reps, descs, dynamic_ ? 1 : max_batch_);
 }
 
 void cluster::install_program(const compiled_schedule& compiled) {
     program_.clear();
     program_.reserve(compiled.program.size());
-    schedule_.clear();
-    schedule_firing_.clear();
-    schedule_.reserve(compiled.total_firings);
-    schedule_firing_.reserve(compiled.total_firings);
     for (const firing_entry& e : compiled.program) {
         program_.push_back({modules_[e.module], e.first_firing, e.count});
-        for (std::uint64_t k = 0; k < e.count; ++k) {
-            schedule_.push_back(modules_[e.module]);
-            schedule_firing_.push_back(e.first_firing + k);
-        }
     }
 }
 
@@ -205,12 +162,7 @@ void cluster::size_buffers(const std::vector<std::size_t>& capacities, bool in_p
 void cluster::build_schedule() {
     last_compiled_ = compile_current();
     install_program(last_compiled_);
-    // Ring buffers are sized for the largest program that can run on them:
-    // the per-period program or any fused multi-period program.  Capacity
-    // only affects layout, not values, so the per-sample path is unchanged.
-    std::vector<std::size_t> caps = last_compiled_.buffer_capacity;
-    build_fused_programs(caps);
-    size_buffers(caps, /*in_place=*/false);
+    size_buffers(last_compiled_.buffer_capacity, /*in_place=*/false);
 }
 
 void cluster::detect_de_coupling() {
@@ -225,8 +177,8 @@ void cluster::detect_de_coupling() {
 void cluster::elaborate() {
     compute_repetitions();
     resolve_timesteps();
-    // DE-coupling and dynamic membership gate fused-program compilation, so
-    // both are detected before the schedule is built.
+    // Dynamic membership caps the pass length, so it is detected before the
+    // schedule is built.
     detect_de_coupling();
     dynamic_modules_.clear();
     for (module* m : modules_) {
@@ -287,11 +239,10 @@ void cluster::install_config(const cluster_config& cfg) {
 }
 
 void cluster::run_change_attributes() {
-    // Block/reschedule barrier: this window only opens between periods, and
-    // block calls never span a period boundary on dynamic clusters (they
-    // compile no fused programs), so any in-flight block is already flushed
-    // — every staged token is written and every port position advanced —
-    // before a reschedule can land.
+    // Block/reschedule barrier: this window only opens after a pass, and
+    // passes of dynamic clusters span one period, so any in-flight block is
+    // already flushed — every staged token is written and every port
+    // position advanced — before a reschedule can land.
     bool any = false;
     for (module* m : dynamic_modules_) {
         m->set_in_change_attributes(true);
@@ -363,7 +314,10 @@ void cluster::apply_attribute_changes() {
     SCA_TRACE_SPAN(ctx_ != nullptr ? &ctx_->tracer() : nullptr, "tdf.cluster.reschedule",
                    "tdf");
     ++reschedules_;
-    const attribute_signature sig = compute_signature();
+    install_signature(compute_signature());
+}
+
+void cluster::install_signature(const attribute_signature& sig) {
     if (const cluster_config* cfg = cache_.find(sig)) {
         install_config(*cfg);
         return;
@@ -394,46 +348,32 @@ void cluster::set_batch_bounds(std::vector<const de::event*> peer_rearms,
     writers_ = std::move(writers);
 }
 
-void cluster::exec_program(const std::vector<program_entry>& prog, const de::time& t) {
-    if (block_execution_) {
-        for (const program_entry& e : prog) {
-            if (e.mod->has_block_processing()) {
-                e.mod->fire_block_run(t, e.first_firing, e.count);
-            } else {
-                e.mod->fire_run(t, e.first_firing, e.count);
-            }
-        }
-    } else {
-        for (const program_entry& e : prog) {
-            e.mod->fire_run(t, e.first_firing, e.count);
-        }
-    }
-}
-
 void cluster::run_cycles(const de::time& start, std::uint64_t n) {
     SCA_TRACE_SPAN_T(ctx_ != nullptr ? &ctx_->tracer() : nullptr, "tdf.cluster.cycles",
                      "tdf", start.to_seconds());
     de::time t = start;
-    std::uint64_t left = n;
-    // Greedy decomposition over the fused-program ladder (descending
-    // periods): a 63-period batch runs as 32+16+8+4+2 fused super-cycles
-    // plus one per-period pass.  Fused programs only exist for pure static
-    // clusters and only pay off on the block path.
-    if (block_execution_) {
-        for (const fused_program& fp : fused_) {
-            while (left >= fp.periods) {
-                exec_program(fp.entries, t);
-                cycles_ += fp.periods;
-                fused_cycles_ += fp.periods;
-                t += period_ * static_cast<std::int64_t>(fp.periods);
-                left -= fp.periods;
+    const std::uint64_t planned_at = reschedules_;
+    for (std::uint64_t left = n; left > 0 && reschedules_ == planned_at;) {
+        // One pass: the program with every count scaled by k (legal up to
+        // batch_periods(), see compile_schedule), so a chain collapses into
+        // long run-length entries, i.e. large block calls.
+        const std::uint64_t k = std::min(left, batch_periods());
+        for (const program_entry& e : program_) {
+            if (block_execution_ && e.mod->has_block_processing()) {
+                e.mod->fire_block_run(t, e.first_firing * k, e.count * k);
+            } else {
+                e.mod->fire_run(t, e.first_firing * k, e.count * k);
             }
         }
-    }
-    for (std::uint64_t c = 0; c < left; ++c) {
-        exec_program(program_, t);
-        ++cycles_;
-        t += period_;
+        cycles_ += k;
+        if (k > 1) fused_cycles_ += k;
+        t += period_ * static_cast<std::int64_t>(k);
+        left -= k;
+        // Dynamic clusters (one-period passes) open the change_attributes()
+        // window after each pass.  A reschedule invalidates the rest of the
+        // plan, which was bounded on the old timestep: the loop stops and
+        // the next timed wake re-syncs on the new grid.
+        if (dynamic_) run_change_attributes();
     }
     next_cycle_start_ = t;
 }
@@ -473,33 +413,18 @@ std::uint64_t cluster::plan_batch_ahead() const {
 }
 
 void cluster::on_wake() {
-    // Timed wake at a cycle boundary: one cycle, then (dynamic clusters) the
-    // change_attributes() window between periods.  The re-arm waits for the
+    // Timed wake at a cycle boundary: one cycle.  The re-arm waits for the
     // pre-timestep stage, so it is always made after every same-instant
     // process has armed its own next event, whatever the batch size: a
     // probe sharing the cluster's next instant then always runs after the
     // cluster, and max_batch_periods = 1 matches batched execution.
     run_cycles(ctx_->now(), 1);
-    if (dynamic_) run_change_attributes();
     ctx_->sched().request_pre_timestep(*this);
 }
 
 void cluster::pre_timestep() {
-    std::uint64_t ahead = de_writer_ ? 0 : plan_batch_ahead();
-    if (dynamic_) {
-        // Interleaved batch: the same per-period sequence as the timed path
-        // (one cycle, then the change_attributes() window), minus the DE
-        // re-arm between periods.  A reschedule invalidates the plan — the
-        // remaining periods were bounded assuming the old timestep — so the
-        // batch breaks and the next timed wake re-syncs on the new grid.
-        const std::uint64_t planned_at = reschedules_;
-        for (; ahead > 0 && reschedules_ == planned_at; --ahead) {
-            run_cycles(next_cycle_start_, 1);
-            run_change_attributes();
-        }
-    } else if (ahead > 0) {
-        run_cycles(next_cycle_start_, ahead);
-    }
+    const std::uint64_t ahead = de_writer_ ? 0 : plan_batch_ahead();
+    if (ahead > 0) run_cycles(next_cycle_start_, ahead);
     // The cycle just run spans its (possibly old) period, so the next wake is
     // next_cycle_start_ even after a reschedule: the DE re-sync lands on the
     // new grid from there.
@@ -590,20 +515,7 @@ void cluster::restore_state(util::byte_reader& r) {
         // schedule-cache hit when this configuration was visited before
         // (elaboration seeds the cache), otherwise a full recompile that
         // seeds it now.  Counters are overlaid afterwards either way.
-        if (const cluster_config* cfg = cache_.find(saved_sig)) {
-            install_config(*cfg);
-        } else {
-            compute_repetitions();
-            resolve_timesteps();
-            last_compiled_ = compile_current();
-            install_program(last_compiled_);
-            size_buffers(last_compiled_.buffer_capacity, /*in_place=*/true);
-            cache_.insert(saved_sig, snapshot_config());
-        }
-        // install_config/resolve_timesteps recompute what the overlay already
-        // set; re-overlay repetitions and timesteps so bookkeeping that is
-        // not signature-determined (an unanchored module's resolved step) is
-        // exactly the saved one.  Port positions are overlaid below.
+        install_signature(saved_sig);
     }
 
     // Positions and tokens go last: schedule installation resets both.
@@ -616,7 +528,19 @@ void cluster::restore_state(util::byte_reader& r) {
     }
     util::require(r.u64() == signals_.size(), "snapshot",
                   "cluster: rebuilt signal count differs from snapshot");
-    for (signal_base* s : signals_) s->restore_tokens(r);
+    // Rings come back at their saved capacity (placement is modulo the
+    // capacity), so one saved under a smaller batch cap cannot hold the
+    // installed schedule's passes.  Dynamic rings only grow, hence >=.
+    for (std::size_t s = 0; s < signals_.size(); ++s) {
+        signals_[s]->restore_tokens(r);
+        const std::size_t need = last_compiled_.buffer_capacity[s];
+        util::require(signals_[s]->capacity() >= need, "snapshot",
+                      "signal '" + signals_[s]->name() + "': saved ring of " +
+                          std::to_string(signals_[s]->capacity()) +
+                          " tokens is smaller than the " + std::to_string(need) +
+                          " the installed schedule needs (saved under a smaller batch "
+                          "cap?)");
+    }
     period_ = de::time::from_fs(r.i64());
     next_cycle_start_ = de::time::from_fs(r.i64());
     cycles_ = r.u64();

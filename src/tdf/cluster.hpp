@@ -4,13 +4,15 @@
 // us call it the synchronization layer").
 //
 // At elaboration each cluster compiles its repetition vector into a flat
-// firing program (run-length-encoded {module, count} entries with
-// preallocated ring buffers); at runtime the program executes as a tight
-// loop with no map lookups or allocations.  Clusters that do not write DE
-// signals batch several schedule periods per DE kernel interaction, planned
-// once their wake instant has settled and bounded by the next pending DE
-// event and the end of the current run; clusters that write DE signals
-// synchronize every period.
+// one-period firing program (run-length-encoded {module, count} entries)
+// plus the number of periods one pass of it may fuse, with ring buffers
+// preallocated for such a pass; at runtime every cluster executes passes of
+// that program scaled by their period count, as a tight loop with no map
+// lookups or allocations.  Clusters that do not write DE signals batch
+// several schedule periods per DE kernel interaction, planned once their
+// wake instant has settled and bounded by the next pending DE event and the
+// end of the current run; clusters that write DE signals synchronize every
+// period.
 #ifndef SCA_TDF_CLUSTER_HPP
 #define SCA_TDF_CLUSTER_HPP
 
@@ -37,20 +39,12 @@ class signal_base;
 class cluster : private de::pre_timestep_callback {
 public:
     /// One compiled firing-program entry: `count` consecutive firings of
-    /// `mod`, the first at cycle-relative firing index `first_firing`.
+    /// `mod`, the first at cycle-relative firing index `first_firing`.  A
+    /// pass of k periods fires `count * k` of them from `first_firing * k`.
     struct program_entry {
         module* mod;
         std::uint64_t first_firing;
         std::uint64_t count;
-    };
-
-    /// A firing program compiled for `periods` schedule periods fused into
-    /// one super-cycle: the PASS construction run on repetitions x periods,
-    /// so chains collapse into long run-length entries (= large block calls)
-    /// while delay-broken feedback loops keep their legal alternation.
-    struct fused_program {
-        std::uint64_t periods;
-        std::vector<program_entry> entries;
     };
 
     /// Default cap on schedule periods executed per DE kernel interaction.
@@ -82,17 +76,20 @@ public:
 
     [[nodiscard]] const de::time& period() const noexcept { return period_; }
     [[nodiscard]] const std::vector<module*>& modules() const noexcept { return modules_; }
-    /// Expanded firing order (one entry per firing); introspection/tests.
-    [[nodiscard]] const std::vector<module*>& schedule() const noexcept { return schedule_; }
-    /// The compiled (run-length-encoded) firing program.
+    /// The compiled (run-length-encoded) one-period firing program.
     [[nodiscard]] const std::vector<program_entry>& program() const noexcept {
         return program_;
+    }
+    /// Periods one pass of the program fuses at most, as compile_schedule
+    /// decided (<= max_batch_periods(); 1 on dynamic clusters and on loops
+    /// with a single delay token through several modules).
+    [[nodiscard]] std::uint64_t batch_periods() const noexcept {
+        return last_compiled_.batch_periods;
     }
     [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
 
     /// True when any member module reads or writes DE signals (converter
-    /// ports or DE-controlled ELN/LSF components); such clusters compile no
-    /// fused programs.
+    /// ports or DE-controlled ELN/LSF components).
     [[nodiscard]] bool de_coupled() const noexcept { return de_coupled_; }
 
     /// True when any member writes DE signals (tdf::de_out, a bound de::out
@@ -110,12 +107,7 @@ public:
     /// registry defaults.
     [[nodiscard]] bool block_execution() const noexcept { return block_execution_; }
 
-    /// Multi-period fused firing programs (pure static clusters only; empty
-    /// for DE-coupled and dynamic clusters).  Descending period counts.
-    [[nodiscard]] const std::vector<fused_program>& fused_programs() const noexcept {
-        return fused_;
-    }
-    /// Cycles executed through fused programs (diagnostics/benches).
+    /// Cycles executed in passes of more than one period (diagnostics).
     [[nodiscard]] std::uint64_t fused_cycle_count() const noexcept {
         return fused_cycles_;
     }
@@ -172,23 +164,20 @@ private:
     void on_wake();
     /// Pre-timestep stage of a wake instant: run the batch, then re-arm.
     void pre_timestep() override;
-    /// Fire `n` cluster cycles, the first starting at virtual time `start`.
+    /// Fire `n` cluster cycles, the first starting at virtual time `start`,
+    /// in passes of at most batch_periods() periods.  A dynamic cluster opens
+    /// the change_attributes() window after each pass and stops early once a
+    /// reschedule lands.
     void run_cycles(const de::time& start, std::uint64_t n);
     /// Cycles safe to run ahead of DE time, starting at next_cycle_start_.
     [[nodiscard]] std::uint64_t plan_batch_ahead() const;
 
     // --- dynamic rescheduling (see tdf/dynamic.hpp) -------------------------
     /// Compile the current rates/anchors into a firing program (the PASS run
-    /// shared by elaboration and reschedule misses).  `periods` > 1 fuses
-    /// that many schedule periods into one super-cycle program.
-    [[nodiscard]] compiled_schedule compile_current(std::uint64_t periods = 1) const;
-    /// Compile the power-of-two ladder of fused programs and fold their
-    /// ring-buffer needs into `caps` (elementwise max).
-    void build_fused_programs(std::vector<std::size_t>& caps);
-    /// Install a compiled program into program_/schedule_.
+    /// shared by elaboration and reschedule misses).
+    [[nodiscard]] compiled_schedule compile_current() const;
+    /// Install a compiled program into program_.
     void install_program(const compiled_schedule& compiled);
-    /// Run one pass of `prog` at cycle start `t` (block or per-sample).
-    void exec_program(const std::vector<program_entry>& prog, const de::time& t);
     /// Allocate ring buffers and restart stream positions.  `in_place`
     /// grows buffers only when needed (reschedules); elaboration allocates
     /// exactly.
@@ -196,10 +185,12 @@ private:
     /// Call change_attributes() on every dynamic member; reschedule if a
     /// request landed.  Runs between periods (after a cycle's firings).
     void run_change_attributes();
-    /// Gate, apply staged requests, and swap in the new configuration —
-    /// from the schedule cache when this signature was visited before,
-    /// otherwise via a full recompile that seeds the cache.
+    /// Gate, apply staged requests, and swap in the new configuration.
     void apply_attribute_changes();
+    /// Swap in the configuration of the current attributes, whose signature
+    /// is `sig`: from the schedule cache when it was visited before,
+    /// otherwise via a full recompile that seeds the cache.
+    void install_signature(const attribute_signature& sig);
     /// Current schedule-determining attributes as a cache key.
     [[nodiscard]] attribute_signature compute_signature() const;
     /// Snapshot the installed configuration (for caching after a compile).
@@ -210,12 +201,9 @@ private:
     std::vector<module*> modules_;
     std::vector<signal_base*> signals_;
     std::vector<program_entry> program_;
-    std::vector<module*> schedule_;               // expanded firing order
-    std::vector<std::uint64_t> schedule_firing_;  // firing index per entry
     std::vector<const de::event*> peer_rearms_;
     std::vector<const cluster*> writers_;
     std::vector<module*> dynamic_modules_;
-    std::vector<fused_program> fused_;  // descending periods, pure static only
     schedule_cache cache_;
     compiled_schedule last_compiled_;  // index form of the installed program
     de::time period_;

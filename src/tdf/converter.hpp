@@ -2,7 +2,8 @@
 // synchronization layer (paper §3: interactions between continuous-time and
 // discrete-time MoCs "have to be formally defined").
 //
-// Semantics implemented here (documented in DESIGN.md):
+// Semantics implemented here (documented in docs/architecture.md, "The
+// batched-sync contract at converter ports"):
 //  * de_in:  reads the DE signal value valid at the sample's time.  A
 //            cluster that only reads DE signals batches periods ahead of DE
 //            time but never past the next pending DE event, so that value

@@ -94,72 +94,72 @@ std::vector<std::uint64_t> repetition_vector(std::size_t n,
 }
 
 compiled_schedule compile_schedule(const std::vector<std::uint64_t>& repetitions,
-                                   const std::vector<sdf_signal_desc>& signals) {
+                                   const std::vector<sdf_signal_desc>& signals,
+                                   std::uint64_t max_batch_periods) {
+    util::require(max_batch_periods >= 1, "compile_schedule",
+                  "max batch periods must be >= 1");
     const std::size_t n_mod = repetitions.size();
     const std::size_t n_sig = signals.size();
 
-    // Flat per-module port tables so the PASS loop below runs on plain
-    // indexed vectors (no associative lookups).
+    // Flat per-module port tables so the PASS loop and the pass replay below
+    // run on plain indexed vectors (no associative lookups).
     struct input_ref {
         std::size_t signal;
         std::size_t reader;  // index into signals[signal].readers
-        unsigned rate;
-        unsigned delay;
+        std::int64_t rate;
+        std::int64_t delay;
+        std::int64_t own_rate;  // tokens this module writes to `signal` per firing
     };
     struct output_ref {
         std::size_t signal;
-        unsigned rate;
+        std::int64_t rate;
     };
     std::vector<std::vector<input_ref>> inputs(n_mod);
     std::vector<std::vector<output_ref>> outputs(n_mod);
-
-    std::vector<std::uint64_t> produced(n_sig);  // tokens written, incl. writer delay
-    std::vector<std::vector<std::uint64_t>> consumed(n_sig);  // per reader
-    std::vector<std::uint64_t> max_span(n_sig, 0);
 
     for (std::size_t s = 0; s < n_sig; ++s) {
         const sdf_signal_desc& sig = signals[s];
         util::require(sig.writer.module < n_mod, "compile_schedule",
                       "writer module index out of range");
         util::require(sig.writer.rate > 0, "compile_schedule", "writer rate must be positive");
-        produced[s] = sig.writer.delay;
         outputs[sig.writer.module].push_back({s, sig.writer.rate});
-        consumed[s].assign(sig.readers.size(), 0);
         for (std::size_t r = 0; r < sig.readers.size(); ++r) {
             const sdf_endpoint& rd = sig.readers[r];
             util::require(rd.module < n_mod, "compile_schedule",
                           "reader module index out of range");
             util::require(rd.rate > 0, "compile_schedule", "reader rate must be positive");
-            inputs[rd.module].push_back({s, r, rd.rate, rd.delay});
+            const std::int64_t own = rd.module == sig.writer.module ? sig.writer.rate : 0;
+            inputs[rd.module].push_back({s, r, rd.rate, rd.delay, own});
         }
     }
 
-    // Live-token span of a signal: newest produced minus oldest still needed
-    // (delayed readers reach `delay` tokens into the past).  The maximum over
-    // the constructed schedule is the exact ring-buffer requirement.
-    auto update_span = [&](std::size_t s) {
-        std::int64_t oldest = static_cast<std::int64_t>(produced[s]);
-        const sdf_signal_desc& sig = signals[s];
-        for (std::size_t r = 0; r < sig.readers.size(); ++r) {
-            oldest = std::min(oldest, static_cast<std::int64_t>(consumed[s][r]) -
-                                          static_cast<std::int64_t>(sig.readers[r].delay));
+    // Token bookkeeping shared by PASS and the replay: tokens written per
+    // signal (including the writer's delay tokens) and consumed per reader.
+    std::vector<std::int64_t> produced(n_sig);
+    std::vector<std::vector<std::int64_t>> consumed(n_sig);
+    auto reset_tokens = [&] {
+        for (std::size_t s = 0; s < n_sig; ++s) {
+            produced[s] = signals[s].writer.delay;
+            consumed[s].assign(signals[s].readers.size(), 0);
         }
-        const auto span = static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, static_cast<std::int64_t>(produced[s]) - oldest));
-        max_span[s] = std::max(max_span[s], span);
     };
-    for (std::size_t s = 0; s < n_sig; ++s) update_span(s);
-
-    std::vector<std::uint64_t> fired(n_mod, 0);
-    auto fireable = [&](std::size_t m) {
-        if (fired[m] >= repetitions[m]) return false;
+    // Whether `c` consecutive firings of `m` from the current state read
+    // only tokens that exist.  Firing i needs consumed + (i + 1) x rate -
+    // delay <= produced + i x own_rate: linear in i, so checking the first
+    // and the last firing covers all of them.
+    auto can_fire = [&](std::size_t m, std::int64_t c) {
         for (const input_ref& in : inputs[m]) {
-            const std::int64_t needed = static_cast<std::int64_t>(consumed[in.signal][in.reader]) +
-                                        static_cast<std::int64_t>(in.rate) -
-                                        static_cast<std::int64_t>(in.delay);
-            if (needed > static_cast<std::int64_t>(produced[in.signal])) return false;
+            const std::int64_t short_by =
+                consumed[in.signal][in.reader] - in.delay - produced[in.signal];
+            if (short_by + in.rate > 0 || short_by + c * in.rate > (c - 1) * in.own_rate) {
+                return false;
+            }
         }
         return true;
+    };
+    auto fire = [&](std::size_t m, std::int64_t c) {
+        for (const input_ref& in : inputs[m]) consumed[in.signal][in.reader] += c * in.rate;
+        for (const output_ref& o : outputs[m]) produced[o.signal] += c * o.rate;
     };
 
     compiled_schedule out;
@@ -169,17 +169,15 @@ compiled_schedule compile_schedule(const std::vector<std::uint64_t>& repetitions
     // module to exhaustion before moving on maximizes run lengths, so the
     // run-length-encoded program stays short.  Any PASS order produces the
     // same token streams (SDF is determinate).
+    reset_tokens();
+    std::vector<std::uint64_t> fired(n_mod, 0);
     std::uint64_t scheduled = 0;
     while (scheduled < out.total_firings) {
         bool progress = false;
         for (std::size_t m = 0; m < n_mod; ++m) {
             std::uint64_t run = 0;
-            while (fireable(m)) {
-                for (const input_ref& in : inputs[m]) consumed[in.signal][in.reader] += in.rate;
-                for (const output_ref& o : outputs[m]) {
-                    produced[o.signal] += o.rate;
-                    update_span(o.signal);
-                }
+            while (fired[m] < repetitions[m] && can_fire(m, 1)) {
+                fire(m, 1);
                 ++fired[m];
                 ++run;
             }
@@ -197,17 +195,70 @@ compiled_schedule compile_schedule(const std::vector<std::uint64_t>& repetitions
                       "break the cycle");
     }
 
-    // Ring capacity: the observed live-token span plus one firing of slack
-    // (the seed's rule), but never less than a full period of tokens
-    // (writer rate x writer repetitions) so a cycle never wraps mid-period.
-    out.buffer_capacity.resize(n_sig);
-    for (std::size_t s = 0; s < n_sig; ++s) {
-        const sdf_endpoint& w = signals[s].writer;
-        const std::uint64_t span_rule = std::max<std::uint64_t>(max_span[s], 1) + w.rate;
-        const std::uint64_t period_rule = static_cast<std::uint64_t>(w.rate) *
-                                          repetitions[w.module];
-        out.buffer_capacity[s] = static_cast<std::size_t>(std::max(span_rule, period_rule));
+    // Replay a pass of `k` periods entry by entry (every count scaled by k).
+    // Returns false when a firing would read a token before it exists;
+    // otherwise `caps` receives each signal's ring capacity: the largest
+    // live-token span (newest produced minus oldest still needed; delayed
+    // readers reach `delay` tokens into the past) plus one firing of slack,
+    // but never less than the pass's tokens (writer rate x repetitions x k),
+    // so a pass never wraps mid-period.  Within an entry the span is convex
+    // in the firing index, so sampling it after the first and after the last
+    // firing finds its maximum.
+    std::vector<std::int64_t> max_span(n_sig);
+    auto span = [&](std::size_t s) {
+        std::int64_t oldest = produced[s];
+        const sdf_signal_desc& sig = signals[s];
+        for (std::size_t r = 0; r < sig.readers.size(); ++r) {
+            oldest = std::min(oldest, consumed[s][r] -
+                                          static_cast<std::int64_t>(sig.readers[r].delay));
+        }
+        max_span[s] = std::max(max_span[s], produced[s] - oldest);
+    };
+    auto replay = [&](std::uint64_t k, std::vector<std::size_t>& caps) {
+        reset_tokens();
+        std::fill(max_span.begin(), max_span.end(), 0);
+        for (std::size_t s = 0; s < n_sig; ++s) span(s);
+        for (const firing_entry& e : out.program) {
+            const auto n = static_cast<std::int64_t>(e.count * k);
+            for (const std::int64_t chunk : {std::int64_t{1}, n - 1}) {
+                if (chunk == 0) continue;
+                if (!can_fire(e.module, chunk)) return false;
+                fire(e.module, chunk);
+                for (const output_ref& o : outputs[e.module]) span(o.signal);
+            }
+        }
+        caps.resize(n_sig);
+        for (std::size_t s = 0; s < n_sig; ++s) {
+            const sdf_endpoint& w = signals[s].writer;
+            const std::uint64_t span_rule =
+                static_cast<std::uint64_t>(std::max<std::int64_t>(max_span[s], 1)) + w.rate;
+            const std::uint64_t pass_rule = w.rate * repetitions[w.module] * k;
+            caps[s] = static_cast<std::size_t>(std::max(span_rule, pass_rule));
+        }
+        return true;
+    };
+
+    // Legality and ring size are both monotone in k, so a binary search
+    // finds the largest k that fits; its first probe is the cap itself, the
+    // usual answer.  A ring holds at least k tokens, so k never exceeds the
+    // ring bound (a cluster without signals is held to it as well).
+    constexpr std::uint64_t k_max_ring_tokens = std::uint64_t{1} << 16;
+    std::vector<std::size_t> caps;
+    std::uint64_t lo = 1;
+    std::uint64_t hi = std::min(max_batch_periods, k_max_ring_tokens);
+    for (std::uint64_t k = hi; lo < hi; k = lo + (hi - lo + 1) / 2) {
+        if (replay(k, caps) &&
+            std::all_of(caps.begin(), caps.end(),
+                        [](std::size_t c) { return c <= k_max_ring_tokens; })) {
+            lo = k;
+            out.buffer_capacity.swap(caps);
+        } else {
+            hi = k - 1;
+        }
     }
+    // One period is legal by construction (PASS built it).
+    if (lo == 1) (void)replay(1, out.buffer_capacity);
+    out.batch_periods = lo;
     return out;
 }
 

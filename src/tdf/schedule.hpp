@@ -7,8 +7,9 @@
 // integer solution) and reports rate inconsistencies (graphs with no finite
 // static schedule).  compile_schedule() then runs the PASS construction
 // (Lee/Messerschmitt) once at elaboration and emits a run-length-encoded
-// firing program plus exact ring-buffer capacities, so per-sample execution
-// needs no dynamic scheduling, map lookups, or allocations.
+// one-period firing program, the number of periods one pass of it may fuse,
+// and exact ring-buffer capacities for such a pass, so execution needs no
+// dynamic scheduling, map lookups, or allocations.
 #ifndef SCA_TDF_SCHEDULE_HPP
 #define SCA_TDF_SCHEDULE_HPP
 
@@ -55,22 +56,33 @@ struct firing_entry {
     std::uint64_t count = 0;
 };
 
-/// Result of schedule compilation: the flat firing program and, per signal,
-/// the ring-buffer capacity (in tokens) needed to run it.  Buffers hold at
-/// least one full period of tokens (writer rate x writer repetitions), so a
-/// cluster cycle never wraps mid-period.
+/// Result of schedule compilation.  A pass of k <= batch_periods periods
+/// fires every program entry `count * k` times, in program order, starting
+/// at firing index `first_firing * k` (k = 1 is the one-period program).
+/// `buffer_capacity` is, per signal, the ring capacity (in tokens) a pass of
+/// batch_periods periods needs; it also fits every shorter pass.  Buffers
+/// hold at least a full pass of tokens (writer rate x writer repetitions x
+/// batch_periods), so a pass never wraps mid-period.
 struct compiled_schedule {
     std::vector<firing_entry> program;
     std::vector<std::size_t> buffer_capacity;  // indexed like `signals`
-    std::uint64_t total_firings = 0;
+    std::uint64_t total_firings = 0;           // per period
+    std::uint64_t batch_periods = 1;
 };
 
 /// Run the PASS construction over the graph described by `repetitions` (from
-/// repetition_vector) and `signals`, producing the firing program and buffer
-/// capacities.  Throws sca::util::error on dataflow deadlock (a cycle with
-/// insufficient delay tokens).
+/// repetition_vector) and `signals`, producing the one-period firing
+/// program, then choose batch_periods: the largest k <= max_batch_periods
+/// (and <= 2^16) for which an entry-by-entry replay of the program scaled by
+/// k never reads a token before it exists (a module reading its own output
+/// counts its own writes) and no ring exceeds 2^16 tokens.  A chain whose
+/// program fires every writer before its readers, and a self-loop, fuse up
+/// to the cap; a loop through several modules closed by D delay tokens
+/// fuses at most D periods.  Throws sca::util::error on dataflow deadlock
+/// (a cycle with insufficient delay tokens).
 [[nodiscard]] compiled_schedule compile_schedule(const std::vector<std::uint64_t>& repetitions,
-                                                 const std::vector<sdf_signal_desc>& signals);
+                                                 const std::vector<sdf_signal_desc>& signals,
+                                                 std::uint64_t max_batch_periods = 1);
 
 }  // namespace sca::tdf
 

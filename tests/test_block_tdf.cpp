@@ -2,7 +2,9 @@
 // produce BIT-IDENTICAL waveforms to the per-sample path on every topology —
 // seeded-random chains and fan-outs with rates 1..8 and delays 0..4,
 // multirate up/down pipelines built from the DSP library, feedback loops,
-// and batch caps chosen so block runs straddle ring-buffer wrap points.
+// and batch caps chosen so block runs straddle ring-buffer wrap points — and
+// multi-period passes must match per-period execution.  It also pins how
+// many periods a pass fuses on each topology (cluster::batch_periods()).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 
 #include "kernel/context.hpp"
 #include "lib/filters.hpp"
+#include "lib/pll.hpp"
 #include "lib/sigma_delta.hpp"
 #include "tdf/block.hpp"
 #include "tdf/cluster.hpp"
@@ -164,8 +167,8 @@ struct graph {
 /// Derive exactly-divisible timing from the graph's repetition vector: the
 /// cluster period is lcm(reps) picoseconds-ish, so every module timestep is
 /// an integer femtosecond count.  Returns a run duration covering an odd,
-/// non-power-of-two period count plus a fraction (forces fused-program
-/// decomposition remainders and a final partial batch).
+/// non-power-of-two period count plus a fraction (forces a final batch
+/// shorter than a full pass).
 de::time setup_timing(idx_source& src, std::size_t n_mods,
                       const std::vector<tdf::rate_edge>& edges) {
     const auto reps = tdf::repetition_vector(n_mods, edges);
@@ -259,6 +262,19 @@ std::vector<std::vector<double>> run_graph(BuildFn&& build, bool block,
     return waves;
 }
 
+/// batch_periods() of the single cluster `build` elaborates under the batch
+/// cap `max_batch`.
+template <typename BuildFn>
+std::uint64_t batch_periods_of(BuildFn&& build, std::uint64_t max_batch) {
+    de::simulation_context ctx;
+    auto& reg = tdf::registry::of(ctx);
+    reg.set_default_max_batch_periods(max_batch);
+    graph g;
+    (void)build(g);
+    ctx.elaborate();
+    return reg.clusters().at(0)->batch_periods();
+}
+
 void expect_identical(const std::vector<std::vector<double>>& a,
                       const std::vector<std::vector<double>>& b,
                       const std::string& what) {
@@ -283,11 +299,14 @@ TEST(block_equivalence, seeded_random_chains) {
             std::mt19937 rng(seed);
             return build_chain(g, rng);
         };
+        // Per-sample execution, one period per pass: the reference order.
+        const auto ref = run_graph(build, false, 1);
         const auto base = run_graph(build, false, 64);
         const auto blk = run_graph(build, true, 64);
-        ASSERT_FALSE(base.empty());
-        ASSERT_FALSE(base[0].empty());
-        expect_identical(base, blk, "chain seed " + std::to_string(seed));
+        ASSERT_FALSE(ref.empty());
+        ASSERT_FALSE(ref[0].empty());
+        expect_identical(ref, base, "chain seed " + std::to_string(seed) + " per-sample");
+        expect_identical(ref, blk, "chain seed " + std::to_string(seed) + " block");
     }
 }
 
@@ -297,22 +316,25 @@ TEST(block_equivalence, seeded_random_fanout) {
             std::mt19937 rng(seed);
             return build_fanout(g, rng);
         };
+        const auto ref = run_graph(build, false, 1);
         const auto base = run_graph(build, false, 64);
         const auto blk = run_graph(build, true, 64);
-        expect_identical(base, blk, "fanout seed " + std::to_string(seed));
+        expect_identical(ref, base, "fanout seed " + std::to_string(seed) + " per-sample");
+        expect_identical(ref, blk, "fanout seed " + std::to_string(seed) + " block");
     }
 }
 
 TEST(block_equivalence, wrap_straddling_batch_caps) {
-    // Odd batch caps vs the power-of-two fusion ladder force remainder
-    // cycles and block runs that hit the ring-buffer wrap mid-run; every cap
-    // must still reproduce the per-sample waveform exactly.
+    // Odd batch caps give passes of odd period counts (a chain fuses up to
+    // the cap) and block runs that hit the ring-buffer wrap mid-run; every
+    // cap must still reproduce the per-sample waveform exactly.
     auto build = [](graph& g) {
         std::mt19937 rng(42);
         return build_chain(g, rng);
     };
     const auto base = run_graph(build, false, 1);
     for (std::uint64_t cap : {1ULL, 2ULL, 3ULL, 5ULL, 7ULL, 13ULL, 64ULL}) {
+        EXPECT_EQ(batch_periods_of(build, cap), cap);
         const auto blk = run_graph(build, true, cap);
         expect_identical(base, blk, "batch cap " + std::to_string(cap));
     }
@@ -376,8 +398,9 @@ TEST(block_equivalence, sigma_delta_adc_composite) {
 // --------------------------------------------------------------- feedback
 
 TEST(block_equivalence, delayed_feedback_loop) {
-    // src -> (+) -> out, out fed back through a 1-token delay: fusion must
-    // keep the legal alternation inside the super-cycle.
+    // src -> (+) -> out, out fed back into the adder through a 1-token
+    // delay: a module reading its own output counts its own writes, so the
+    // self-loop still fuses the full 64 periods.
     auto build = [](graph& g) {
         auto& src = g.add<idx_source>(de::module_name("src"), 1U);
         auto& add = g.add<fb_adder>(de::module_name("add"));
@@ -392,10 +415,63 @@ TEST(block_equivalence, delayed_feedback_loop) {
         g.sinks.push_back(&sink);
         return de::time(733.0, de::time_unit::us);
     };
-    const auto base = run_graph(build, false, 64);
+    EXPECT_EQ(batch_periods_of(build, 64), 64U);
+    const auto ref = run_graph(build, false, 1);
     const auto blk = run_graph(build, true, 64);
-    ASSERT_GT(base[0].size(), 700U);
-    expect_identical(base, blk, "feedback loop");
+    ASSERT_GT(ref[0].size(), 700U);
+    expect_identical(ref, blk, "feedback loop");
+}
+
+TEST(block_equivalence, delay_d_loop_through_two_modules_fuses_d_periods) {
+    // src -> (+) -> stage -> back into (+) through a D-token delay: a pass
+    // of k periods fires the adder k times before the stage fires once, so
+    // only k <= D is legal.
+    for (unsigned d : {1U, 2U, 3U, 5U}) {
+        auto build = [d](graph& g) {
+            auto& src = g.add<idx_source>(de::module_name("src"), 1U);
+            auto& add = g.add<fb_adder>(de::module_name("add"));
+            auto& st = g.add<poly_stage>(de::module_name("st"), 1U, 1U);
+            auto& sink = g.add<collector>(de::module_name("sink"));
+            auto &w1 = g.wire("w1"), &w2 = g.wire("w2"), &w3 = g.wire("w3");
+            src.out.bind(w1);
+            add.a.bind(w1);
+            add.out.bind(w2);
+            st.in.bind(w2);
+            st.out.bind(w3);
+            add.fb.set_delay(d);
+            add.fb.bind(w3);
+            sink.in.bind(w2);
+            g.sinks.push_back(&sink);
+            return de::time(733.0, de::time_unit::us);
+        };
+        EXPECT_EQ(batch_periods_of(build, 64), d) << "delay " << d;
+        EXPECT_EQ(batch_periods_of(build, 2), std::min(d, 2U)) << "delay " << d;
+        const auto ref = run_graph(build, false, 1);
+        ASSERT_GT(ref[0].size(), 700U);
+        expect_identical(ref, run_graph(build, false, 64), "delay " + std::to_string(d));
+        expect_identical(ref, run_graph(build, true, 64), "delay " + std::to_string(d));
+    }
+}
+
+TEST(block_equivalence, pll_loop_never_fuses_periods) {
+    // lib::pll_loop closes mixer -> loop filter -> VCO -> mixer through one
+    // delay token: one period per pass.
+    auto build = [](graph& g) {
+        auto& src = g.add<idx_source>(de::module_name("src"), 1U);
+        auto& loop = g.add<lib::pll_loop>(de::module_name("pll"), 10e3, 2e3, 1000.0);
+        auto& sink = g.add<collector>(de::module_name("sink"));
+        auto &w1 = g.wire("w1"), &w2 = g.wire("w2");
+        src.out.bind(w1);
+        loop.ref.bind(w1);
+        loop.out.bind(w2);
+        sink.in.bind(w2);
+        g.sinks.push_back(&sink);
+        return de::time(500.0, de::time_unit::us);
+    };
+    EXPECT_EQ(batch_periods_of(build, 64), 1U);
+    const auto ref = run_graph(build, false, 1);
+    ASSERT_GT(ref[0].size(), 400U);
+    expect_identical(ref, run_graph(build, true, 64), "pll_loop");
 }
 
 // ------------------------------------------------------------- diagnostics
@@ -414,7 +490,7 @@ TEST(block_execution, counters_report_block_calls) {
     sink.in.bind(w2);
     ctx.run(1000_us);
 
-    // Fused programs collapsed many firings into few block calls.
+    // Multi-period passes collapsed many firings into few block calls.
     EXPECT_GT(st.block_firing_count(), 0U);
     EXPECT_GT(st.block_call_count(), 0U);
     EXPECT_LT(st.block_call_count(), st.block_firing_count());
@@ -422,7 +498,7 @@ TEST(block_execution, counters_report_block_calls) {
 
     const auto& cl = *reg.clusters().at(0);
     EXPECT_TRUE(cl.block_execution());
-    EXPECT_FALSE(cl.fused_programs().empty());
+    EXPECT_EQ(cl.batch_periods(), cl.max_batch_periods());  // a chain fuses up to the cap
     EXPECT_GT(cl.fused_cycle_count(), 0U);
 }
 
@@ -442,14 +518,14 @@ TEST(block_execution, disabled_means_no_block_calls) {
 
 // ------------------------------------------- ring-buffer span arithmetic ----
 // Audit regressions for the contiguity machinery: ring offsets, wrap-point
-// splitting, the per-sample wrap fallback, and the fused-ladder capacity
-// guard.
+// splitting, the per-sample wrap fallback, and the ring capacity guard of
+// the pass rule.
 
 TEST(block_spans, wrap_exactly_at_batch_boundary) {
-    // Buffers are sized for the LARGEST fused program, so executing it
-    // consumes exactly the ring capacity: every super-cycle ends with the
-    // write/read offsets back at zero (wrap exactly at the block boundary,
-    // never inside a span).  No firing should need the per-sample fallback.
+    // Buffers are sized for the longest pass, so executing one consumes
+    // exactly the ring capacity: every full pass ends with the write/read
+    // offsets back at zero (wrap exactly at the block boundary, never inside
+    // a span).  No firing should need the per-sample fallback.
     de::simulation_context ctx;
     auto& reg = tdf::registry::of(ctx);
     reg.set_default_block_execution(true);
@@ -459,7 +535,7 @@ TEST(block_spans, wrap_exactly_at_batch_boundary) {
     tdf::signal<double> w("w");
     src.out.bind(w);
     sink.in.bind(w);
-    ctx.run(1600_us);  // 1601 periods: many full 8-period super-cycles
+    ctx.run(1600_us);  // 1601 periods: many full 8-period passes
 
     // Zero wrap-straddle fallbacks: every firing went through a block call.
     EXPECT_EQ(src.block_firing_count(), src.activation_count());
@@ -505,32 +581,34 @@ TEST(block_spans, misaligned_delay_takes_wrap_fallback_and_stays_exact) {
     EXPECT_LT(sink.block_firing_count(), sink.activation_count());
 }
 
-TEST(block_spans, fused_ladder_respects_capacity_guard) {
-    // 9000 tokens per period on the inner wire: the power-of-two ladder must
-    // stop before any signal needs more than 2^16 tokens (9000*8 > 65536),
-    // so the largest fused program is at most 4 periods despite max_batch 64.
+TEST(block_spans, batch_respects_ring_capacity_guard) {
+    // 9000 tokens per period on both wires: a pass of k periods needs rings
+    // of 9000 k tokens plus one firing of slack, so the 2^16-token bound
+    // stops the pass at 6 periods (9000 x 7 = 63000 <= 65536 < 72000)
+    // despite max_batch 64.
     de::simulation_context ctx;
     auto& reg = tdf::registry::of(ctx);
     reg.set_default_block_execution(true);
     reg.set_default_max_batch_periods(64);
-    idx_source src(de::module_name("src"), 8U);
-    poly_stage widen(de::module_name("widen"), 8U, 7U);  // tokens/cycle: lcm-ish
-    collector sink(de::module_name("sink"), 7U);
+    idx_source src(de::module_name("src"), 9000U);
+    poly_stage widen(de::module_name("widen"), 9000U, 9000U);
+    collector sink(de::module_name("sink"), 9000U);
     tdf::signal<double> w1("w1"), w2("w2");
     src.out.bind(w1);
     widen.in.bind(w1);
     widen.out.bind(w2);
     sink.in.bind(w2);
-    ctx.run(4000_us);
+    ctx.run(40_us);
 
     const auto& cl = *reg.clusters().at(0);
-    for (const auto& fp : cl.fused_programs()) {
-        EXPECT_LE(fp.periods, 64U);
-    }
-    ASSERT_FALSE(sink.samples.empty());
+    EXPECT_EQ(cl.batch_periods(), 6U);
+    EXPECT_EQ(w1.capacity(), 63000U);
+    EXPECT_EQ(w2.capacity(), 63000U);
+    EXPECT_GT(cl.fused_cycle_count(), 0U);
     // And the stream is still exact.
-    std::uint64_t produced = src.next;
-    EXPECT_EQ(produced, src.activation_count() * 8U);
+    EXPECT_EQ(src.activation_count(), 41U);
+    EXPECT_EQ(src.next, src.activation_count() * 9000U);
+    ASSERT_EQ(sink.samples.size(), src.next);
 }
 
 TEST(block_spans, prefilled_delay_slots_read_initial_value) {

@@ -522,7 +522,7 @@ struct block_dynamic_run {
     std::uint64_t src_block_calls = 0;
     std::uint64_t src_block_firings = 0;
     std::uint64_t src_activations = 0;
-    bool fused_empty = false;
+    std::uint64_t batch_periods = 0;
 };
 
 block_dynamic_run run_block_dynamic(bool block, bool toggle, const de::time& dur) {
@@ -550,18 +550,18 @@ block_dynamic_run run_block_dynamic(bool block, bool toggle, const de::time& dur
     out.src_block_calls = src.block_call_count();
     out.src_block_firings = src.block_firing_count();
     out.src_activations = src.activation_count();
-    out.fused_empty = c.fused_programs().empty();
+    out.batch_periods = c.batch_periods();
     return out;
 }
 
 }  // namespace
 
-TEST(block_dynamic, dynamic_cluster_compiles_no_fused_programs) {
+TEST(block_dynamic, dynamic_cluster_never_fuses_periods) {
     const auto run = run_block_dynamic(true, false, 2000_us);
     // The reschedule barrier: change_attributes() only opens between periods
     // and dynamic clusters never fuse periods, so any in-flight block is
     // flushed before a reschedule can land.
-    EXPECT_TRUE(run.fused_empty);
+    EXPECT_EQ(run.batch_periods, 1U);
     EXPECT_GE(run.reschedules, 1U);
     // Block calls still happen INSIDE a period (repetition 4 per period).
     EXPECT_GT(run.src_block_calls, 0U);

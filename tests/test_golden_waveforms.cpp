@@ -383,9 +383,9 @@ golden_case pll_lock_case() {
 golden_case pwm_switch_rc_case() {
     // The power_driver family: a DE PWM gating a switched RC through a
     // de_rswitch.  The cluster only reads DE signals, so it batches periods
-    // between PWM edges through its per-period program and never compiles
-    // fused programs — the golden trace pins down that neither the block
-    // executor nor the batch planner moves a bit on this path.
+    // between PWM edges as multi-period passes of its firing program — the
+    // golden trace pins down that neither the block executor nor the batch
+    // planner moves a bit on this path.
     return {"pwm_switch_rc",
             {{"vout", 1e-9}},  // MNA-solved: tolerance-tagged
             [](core::testbench& tb) {

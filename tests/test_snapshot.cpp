@@ -278,6 +278,30 @@ void define_nonlinear() {
         });
 }
 
+/// Batch cap the "snap_batch_cap" scenario builds with: set by the test, not
+/// a scenario parameter, so a resume can rebuild under another cap.
+std::uint64_t g_batch_cap = tdf::cluster::k_default_max_batch_periods;
+
+/// Ramp -> 31-tap FIR under the batch cap g_batch_cap: its rings are sized
+/// for passes of that many periods.
+void define_batch_cap() {
+    core::scenario::define(
+        "snap_batch_cap", core::params{},
+        [](core::testbench& tb, const core::params&) {
+            tdf::registry::of(tb.context()).set_default_max_batch_periods(g_batch_cap);
+            auto& src = tb.make<snap_ramp>("src", de::time(1.0, de::time_unit::us));
+            auto& f = tb.make<lib::fir>("fir", lib::fir::design_lowpass(31, 0.1));
+            auto& w1 = tb.make<tdf::signal<double>>("w1");
+            auto& w2 = tb.make<tdf::signal<double>>("w2");
+            src.out.bind(w1);
+            f.in.bind(w1);
+            f.out.bind(w2);
+            tb.probe("y", w2);
+            tb.set_sample_period(1_us);
+            tb.set_stop_time(1_ms);
+        });
+}
+
 /// Tiny scenario for the byte-level robustness sweeps: small payload, fast
 /// rebuilds.
 void define_tiny() {
@@ -622,6 +646,46 @@ TEST(snapshot_robustness, structural_fingerprint_mismatch_is_refused) {
         });
     EXPECT_NE(error_of(file).find("structural fingerprint mismatch"), std::string::npos);
     define_tiny();  // restore the canonical definition for other tests
+    std::remove(file.c_str());
+}
+
+TEST(snapshot_robustness, ring_smaller_than_schedule_is_refused) {
+    // Rings come back at their saved capacity: one saved under batch cap 1
+    // holds a single period, too small for the 64-period passes of a model
+    // rebuilt at cap 64, which would misplace every resumed token.
+    define_batch_cap();
+    const std::string file = snap_path("batchcap");
+    g_batch_cap = 1;
+    {
+        auto tb = core::scenario::find("snap_batch_cap").build();
+        tb->run(300_us);
+        tb->snapshot(file);
+    }
+    g_batch_cap = 64;
+    const std::string err = error_of(file);
+    EXPECT_NE(err.find("smaller than"), std::string::npos) << err;
+    EXPECT_NE(err.find("'w1'"), std::string::npos) << err;
+
+    // A ring larger than the schedule needs is fine: saved at 64, resumed at
+    // 1, the tail replays the uninterrupted run bit-identically.
+    auto ref = core::scenario::find("snap_batch_cap").build();
+    ref->run(300_us);
+    ref->run(200_us);
+    {
+        auto tb = core::scenario::find("snap_batch_cap").build();
+        tb->run(300_us);
+        tb->snapshot(file);
+    }
+    g_batch_cap = 1;
+    auto resumed = core::scenario::resume(file);
+    resumed->run(200_us);
+    const auto full = ref->waveform("y");
+    const auto tail = resumed->waveform("y");
+    ASSERT_FALSE(tail.empty());
+    ASSERT_GE(full.size(), tail.size());
+    const std::size_t off = full.size() - tail.size();
+    for (std::size_t i = 0; i < tail.size(); ++i) ASSERT_EQ(full[off + i], tail[i]) << i;
+    g_batch_cap = tdf::cluster::k_default_max_batch_periods;
     std::remove(file.c_str());
 }
 

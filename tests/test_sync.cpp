@@ -362,6 +362,7 @@ struct de_reading_run {
     std::vector<double> followed;  // the de_in cluster's samples
     std::uint64_t timed_notifications = 0;
     std::uint64_t cycles = 0;
+    std::uint64_t fused_cycles = 0;
     std::vector<bool> writers;  // cluster::de_writer() per cluster
 };
 
@@ -413,6 +414,7 @@ de_reading_run run_de_reading_model(std::uint64_t max_batch_periods) {
         EXPECT_TRUE(c->de_coupled());
         r.writers.push_back(c->de_writer());
         r.cycles += c->cycle_count();
+        r.fused_cycles += c->fused_cycle_count();
     }
     return r;
 }
@@ -426,6 +428,10 @@ TEST(sync, de_reading_clusters_batch_bit_identically) {
     ASSERT_EQ(batched.writers, std::vector<bool>(2, false));
     EXPECT_EQ(batched.cycles, 802U);  // two clusters, t = 0 .. 400 us
     EXPECT_EQ(per_period.cycles, batched.cycles);
+    // Nothing a DE-reading cluster reads changes before the batch bound, so
+    // its batches run as multi-period passes.
+    EXPECT_GT(batched.fused_cycles, 0U);
+    EXPECT_EQ(per_period.fused_cycles, 0U);
 
     // Batched: the clusters wake only where a DE event (PWM edge, probe,
     // level step) is due, so the kernel sees far fewer timed notifications

@@ -315,12 +315,12 @@ TEST(tdf_cluster, schedule_respects_data_dependencies) {
 
     auto& reg = tdf::registry::of(ctx);
     ASSERT_EQ(reg.clusters().size(), 1U);
-    const auto& schedule = reg.clusters()[0]->schedule();
-    ASSERT_EQ(schedule.size(), 4U);
+    const auto& program = reg.clusters()[0]->program();
+    ASSERT_EQ(program.size(), 4U);
     // src before a before b before sink.
     auto pos = [&](const tdf::module* m) {
-        for (std::size_t i = 0; i < schedule.size(); ++i) {
-            if (schedule[i] == m) return i;
+        for (std::size_t i = 0; i < program.size(); ++i) {
+            if (program[i].mod == m) return i;
         }
         return std::size_t{999};
     };
@@ -364,6 +364,43 @@ TEST(compile_schedule, buffer_holds_full_period_of_tokens) {
     EXPECT_GE(compiled.buffer_capacity[0], 12U);
 }
 
+TEST(compile_schedule, batch_periods_follow_the_pass_rule) {
+    // Chain 0 -> 1: every scaled program is legal, so a pass fuses up to the
+    // cap, and the ring holds the pass's 64 tokens plus one firing of slack.
+    std::vector<tdf::sdf_signal_desc> chain(1);
+    chain[0].writer = {0, 1, 0};
+    chain[0].readers = {{1, 1, 0}};
+    EXPECT_EQ(tdf::compile_schedule({1, 1}, chain).batch_periods, 1U);
+    const auto fused = tdf::compile_schedule({1, 1}, chain, 64);
+    EXPECT_EQ(fused.batch_periods, 64U);
+    EXPECT_EQ(fused.buffer_capacity, (std::vector<std::size_t>{65}));
+    EXPECT_EQ(tdf::compile_schedule({1, 1}, chain, 1).buffer_capacity,
+              (std::vector<std::size_t>{2}));
+
+    // Self-loop through a 1-token delay: the module counts its own writes.
+    std::vector<tdf::sdf_signal_desc> self(1);
+    self[0].writer = {0, 1, 0};
+    self[0].readers = {{0, 1, 1}};
+    EXPECT_EQ(tdf::compile_schedule({1}, self, 64).batch_periods, 64U);
+
+    // Loop 0 -> 1 -> 0 closed by 3 delay tokens: module 0 may run at most 3
+    // firings ahead of module 1.
+    std::vector<tdf::sdf_signal_desc> loop(2);
+    loop[0].writer = {0, 1, 0};
+    loop[0].readers = {{1, 1, 0}};
+    loop[1].writer = {1, 1, 0};
+    loop[1].readers = {{0, 1, 3}};
+    EXPECT_EQ(tdf::compile_schedule({1, 1}, loop, 64).batch_periods, 3U);
+    EXPECT_EQ(tdf::compile_schedule({1, 1}, loop, 2).batch_periods, 2U);
+
+    // A reader listed before its writer fires first on its 2 delay tokens
+    // (PASS sweeps in index order), so those tokens bound the pass too.
+    std::vector<tdf::sdf_signal_desc> reversed(1);
+    reversed[0].writer = {1, 1, 0};
+    reversed[0].readers = {{0, 1, 2}};
+    EXPECT_EQ(tdf::compile_schedule({1, 1}, reversed, 64).batch_periods, 2U);
+}
+
 TEST(compile_schedule, deadlock_without_delay_throws) {
     // 0 <-> 1 cycle with no initial tokens: nothing can fire.
     std::vector<tdf::sdf_signal_desc> sigs(2);
@@ -405,8 +442,7 @@ TEST(tdf_cluster, program_is_run_length_compressed) {
     auto& reg = tdf::registry::of(ctx);
     ASSERT_EQ(reg.clusters().size(), 1U);
     const auto& c = *reg.clusters()[0];
-    EXPECT_EQ(c.schedule().size(), 5U);       // expanded: 4 src + 1 sink firings
-    ASSERT_EQ(c.program().size(), 2U);        // compiled: {src x4}, {sink x1}
+    ASSERT_EQ(c.program().size(), 2U);  // compiled: {src x4}, {sink x1}
     EXPECT_EQ(c.program()[0].mod, &src);
     EXPECT_EQ(c.program()[0].count, 4U);
     EXPECT_EQ(c.program()[1].mod, &sink);
