@@ -60,16 +60,12 @@ int main() {
             auto gnd = net.ground();
             auto vin = net.create_node("vin");
             auto vout = net.create_node("vout");
-            auto& drive = tb.make<eln::tdf_vsource>("drive", net);
-            drive.p(vin);
-            drive.n(gnd);
+            auto& drive = tb.make<eln::tdf_vsource>("drive", net, vin, gnd);
             auto& rc = tb.make<eln::rc_lowpass>("rc", net, p.number("r"), p.number("c"));
             rc.in(vin);
             rc.out(vout);
             rc.ref(gnd);
-            auto& probe = tb.make<eln::tdf_vsink>("probe", net);
-            probe.p(vout);
-            probe.n(gnd);
+            auto& probe = tb.make<eln::tdf_vsink>("probe", net, vout, gnd);
 
             // 3. Back to digital: comparator with hysteresis -> DE counter.
             auto& cmp = tb.make<lib::comparator>("cmp", 0.0, 0.05);

@@ -85,14 +85,8 @@ struct lc_tank : eln::subcircuit {
 
     lc_tank(const de::module_name& nm, eln::network& net, double l, double c)
         : subcircuit(nm, net), in("in", *this), out("out", *this), ref("ref", *this),
-          rs("rs", net, 10e3), l1("l1", net, l), c1("c1", net, c) {
-        rs.p(in);
-        rs.n(out);
-        l1.p(out);
-        l1.n(ref);
-        c1.p(out);
-        c1.n(ref);
-    }
+          rs("rs", net, in, out, 10e3), l1("l1", net, out, ref, l),
+          c1("c1", net, out, ref, c) {}
 };
 
 core::scenario define_receiver() {

@@ -21,26 +21,28 @@ void record(de::simulation_context& ctx, util::trace_file& file, const de::time&
 double params::get(const std::string& name, double fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    util::require(std::holds_alternative<double>(it->second), "params",
-                  "parameter '" + name + "' is not numeric");
+    if (!std::holds_alternative<double>(it->second)) {
+        util::report_fatal("params", "parameter '" + name + "' is not numeric");
+    }
     return std::get<double>(it->second);
 }
 
 std::string params::get(const std::string& name, const std::string& fallback) const {
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    util::require(std::holds_alternative<std::string>(it->second), "params",
-                  "parameter '" + name + "' is not a string");
+    if (!std::holds_alternative<std::string>(it->second)) {
+        util::report_fatal("params", "parameter '" + name + "' is not a string");
+    }
     return std::get<std::string>(it->second);
 }
 
 double params::number(const std::string& name) const {
-    util::require(has(name), "params", "missing required parameter '" + name + "'");
+    if (!has(name)) util::report_fatal("params", "missing required parameter '" + name + "'");
     return get(name, 0.0);
 }
 
 std::string params::text(const std::string& name) const {
-    util::require(has(name), "params", "missing required parameter '" + name + "'");
+    if (!has(name)) util::report_fatal("params", "missing required parameter '" + name + "'");
     return get(name, std::string());
 }
 

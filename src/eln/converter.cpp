@@ -4,23 +4,14 @@ namespace sca::eln {
 
 // --------------------------------------------------------------- tdf_vsource
 
-tdf_vsource::tdf_vsource(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), inp("inp") {
+tdf_vsource::tdf_vsource(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), inp("inp") {
     inp.set_owner(net);
-}
-
-tdf_vsource::tdf_vsource(const std::string& name, network& net, node p_node, node n_node)
-    : tdf_vsource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
 }
 
 void tdf_vsource::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
-    net.add_a(network::row_of(p.get()), k, 1.0);
-    net.add_a(network::row_of(n.get()), k, -1.0);
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     slot_ = net.add_input(k);
 }
 
@@ -30,15 +21,9 @@ void tdf_vsource::read_tdf_inputs(network& net) {
 
 // --------------------------------------------------------------- tdf_isource
 
-tdf_isource::tdf_isource(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), inp("inp") {
+tdf_isource::tdf_isource(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), inp("inp") {
     inp.set_owner(net);
-}
-
-tdf_isource::tdf_isource(const std::string& name, network& net, node p_node, node n_node)
-    : tdf_isource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
 }
 
 void tdf_isource::stamp(network& net) {
@@ -54,15 +39,9 @@ void tdf_isource::read_tdf_inputs(network& net) {
 
 // ----------------------------------------------------------------- tdf_vsink
 
-tdf_vsink::tdf_vsink(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), outp("outp") {
+tdf_vsink::tdf_vsink(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), outp("outp") {
     outp.set_owner(net);
-}
-
-tdf_vsink::tdf_vsink(const std::string& name, network& net, node a, node b)
-    : tdf_vsink(name, net) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void tdf_vsink::stamp(network&) {}
@@ -73,46 +52,27 @@ void tdf_vsink::write_tdf_outputs(network& net) {
 
 // ----------------------------------------------------------------- tdf_isink
 
-tdf_isink::tdf_isink(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), outp("outp") {
+tdf_isink::tdf_isink(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), outp("outp") {
     outp.set_owner(net);
 }
 
-tdf_isink::tdf_isink(const std::string& name, network& net, node a, node b)
-    : tdf_isink(name, net) {
-    p.bind(a);
-    n.bind(b);
-}
-
 void tdf_isink::stamp(network& net) {
-    const std::size_t k = net.branch_row(*this);
-    net.add_a(network::row_of(p.get()), k, 1.0);
-    net.add_a(network::row_of(n.get()), k, -1.0);
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(net.branch_row(*this), p.get(), n.get());
 }
 
 void tdf_isink::write_tdf_outputs(network& net) { outp.write(net.current(*this)); }
 
 // ---------------------------------------------------------------- de_vsource
 
-de_vsource::de_vsource(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), inp("inp") {
+de_vsource::de_vsource(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), inp("inp") {
     net.declare_de_coupled(tdf::de_coupling::reads);
-}
-
-de_vsource::de_vsource(const std::string& name, network& net, node p_node, node n_node)
-    : de_vsource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
 }
 
 void de_vsource::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
-    net.add_a(network::row_of(p.get()), k, 1.0);
-    net.add_a(network::row_of(n.get()), k, -1.0);
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     slot_ = net.add_input(k);
 }
 
@@ -120,15 +80,9 @@ void de_vsource::read_tdf_inputs(network& net) { net.set_input(slot_, inp.read()
 
 // ---------------------------------------------------------------- de_isource
 
-de_isource::de_isource(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), inp("inp") {
+de_isource::de_isource(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), inp("inp") {
     net.declare_de_coupled(tdf::de_coupling::reads);
-}
-
-de_isource::de_isource(const std::string& name, network& net, node p_node, node n_node)
-    : de_isource(name, net) {
-    p.bind(p_node);
-    n.bind(n_node);
 }
 
 void de_isource::stamp(network& net) {
@@ -144,15 +98,9 @@ void de_isource::read_tdf_inputs(network& net) {
 
 // ------------------------------------------------------------------ de_vsink
 
-de_vsink::de_vsink(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this), outp("outp") {
+de_vsink::de_vsink(const std::string& name, network& net, pin p_pin, pin n_pin)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), outp("outp") {
     net.declare_de_coupled(tdf::de_coupling::writes);
-}
-
-de_vsink::de_vsink(const std::string& name, network& net, node a, node b)
-    : de_vsink(name, net) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void de_vsink::write_tdf_outputs(network& net) {
@@ -161,19 +109,13 @@ void de_vsink::write_tdf_outputs(network& net) {
 
 // ---------------------------------------------------------------- de_rswitch
 
-de_rswitch::de_rswitch(const std::string& name, network& net, double r_on, double r_off)
-    : component(name, net), p("p", *this), n("n", *this), ctrl("ctrl"), r_on_(r_on),
-      r_off_(r_off) {
+de_rswitch::de_rswitch(const std::string& name, network& net, pin p_pin, pin n_pin,
+                       double r_on, double r_off)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin), ctrl("ctrl"),
+      r_on_(r_on), r_off_(r_off) {
     net.declare_de_coupled(tdf::de_coupling::reads);
     util::require(r_on > 0.0 && r_off > r_on, this->name(),
                   "switch requires 0 < r_on < r_off");
-}
-
-de_rswitch::de_rswitch(const std::string& name, network& net, node a, node b, double r_on,
-                       double r_off)
-    : de_rswitch(name, net, r_on, r_off) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void de_rswitch::stamp(network& net) {

@@ -3,8 +3,8 @@
 // conservative-law models couple to discrete-time models "by providing the
 // appropriate interface models (mixed-signal or mixed-domain interfaces)").
 //
-// Like the primitives, converters expose their network pins as bindable
-// eln::terminal ports (p/n); the legacy node constructors forward to them.
+// Like the primitives, converters take their network pins (p, n) at
+// construction, each a node or a terminal of the enclosing subcircuit.
 #ifndef SCA_ELN_CONVERTER_HPP
 #define SCA_ELN_CONVERTER_HPP
 
@@ -19,8 +19,7 @@ namespace sca::eln {
 /// Voltage source whose value is the current TDF input sample.
 class tdf_vsource : public component {
 public:
-    tdf_vsource(const std::string& name, network& net);
-    tdf_vsource(const std::string& name, network& net, node p, node n);
+    tdf_vsource(const std::string& name, network& net, pin p, pin n);
 
     terminal p, n;
 
@@ -41,8 +40,7 @@ private:
 /// Current source whose value is the current TDF input sample (p -> n).
 class tdf_isource : public component {
 public:
-    tdf_isource(const std::string& name, network& net);
-    tdf_isource(const std::string& name, network& net, node p, node n);
+    tdf_isource(const std::string& name, network& net, pin p, pin n);
 
     terminal p, n;
 
@@ -62,8 +60,7 @@ private:
 /// Voltage probe writing v(p) - v(n) to a TDF output each step.
 class tdf_vsink : public component {
 public:
-    tdf_vsink(const std::string& name, network& net);
-    tdf_vsink(const std::string& name, network& net, node a, node b);
+    tdf_vsink(const std::string& name, network& net, pin a, pin b);
 
     terminal p, n;
 
@@ -76,8 +73,7 @@ public:
 /// Current probe (0 V branch) writing the branch current to a TDF output.
 class tdf_isink : public component {
 public:
-    tdf_isink(const std::string& name, network& net);
-    tdf_isink(const std::string& name, network& net, node a, node b);
+    tdf_isink(const std::string& name, network& net, pin a, pin b);
 
     terminal p, n;
 
@@ -90,8 +86,7 @@ public:
 /// Voltage source controlled by a DE signal (sampled at each activation).
 class de_vsource : public component {
 public:
-    de_vsource(const std::string& name, network& net);
-    de_vsource(const std::string& name, network& net, node p, node n);
+    de_vsource(const std::string& name, network& net, pin p, pin n);
 
     terminal p, n;
 
@@ -108,8 +103,7 @@ private:
 /// current flows p -> n inside the source).
 class de_isource : public component {
 public:
-    de_isource(const std::string& name, network& net);
-    de_isource(const std::string& name, network& net, node p, node n);
+    de_isource(const std::string& name, network& net, pin p, pin n);
 
     terminal p, n;
 
@@ -126,8 +120,7 @@ private:
 /// Voltage probe writing into a DE signal at each activation.
 class de_vsink : public component {
 public:
-    de_vsink(const std::string& name, network& net);
-    de_vsink(const std::string& name, network& net, node a, node b);
+    de_vsink(const std::string& name, network& net, pin a, pin b);
 
     terminal p, n;
 
@@ -148,9 +141,7 @@ public:
 /// switching workloads.
 class de_rswitch : public component {
 public:
-    de_rswitch(const std::string& name, network& net, double r_on = 1.0,
-               double r_off = 1e9);
-    de_rswitch(const std::string& name, network& net, node a, node b, double r_on = 1.0,
+    de_rswitch(const std::string& name, network& net, pin a, pin b, double r_on = 1.0,
                double r_off = 1e9);
 
     terminal p, n;

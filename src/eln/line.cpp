@@ -6,11 +6,11 @@ namespace sca::eln {
 
 // ------------------------------------------------------------------ rc_line
 
-rc_line::rc_line(const std::string& name, network& net, double r_total, double c_total,
-                 std::size_t sections)
-    : component(name, net), a("a", *this, nature::electrical),
-      b("b", *this, nature::electrical), ref("ref", *this), r_total_(r_total),
-      c_total_(c_total), sections_(sections) {
+rc_line::rc_line(const std::string& name, network& net, pin a_pin, pin b_pin,
+                 pin ref_pin, double r_total, double c_total, std::size_t sections)
+    : component(name, net), a("a", *this, nature::electrical, a_pin),
+      b("b", *this, nature::electrical, b_pin), ref("ref", *this, ref_pin),
+      r_total_(r_total), c_total_(c_total), sections_(sections) {
     util::require(r_total > 0.0 && c_total > 0.0, this->name(),
                   "line parameters must be positive");
     util::require(sections >= 1, this->name(), "at least one section required");
@@ -18,14 +18,6 @@ rc_line::rc_line(const std::string& name, network& net, double r_total, double c
         internal_.push_back(
             net.create_node(this->name() + ".n" + std::to_string(i)));
     }
-}
-
-rc_line::rc_line(const std::string& name, network& net, node a_node, node b_node,
-                 node ref_node, double r_total, double c_total, std::size_t sections)
-    : rc_line(name, net, r_total, c_total, sections) {
-    a.bind(a_node);
-    b.bind(b_node);
-    ref.bind(ref_node);
 }
 
 void rc_line::stamp(network& net) {
@@ -43,12 +35,13 @@ void rc_line::stamp(network& net) {
 
 // ---------------------------------------------------------------- rlgc_line
 
-rlgc_line::rlgc_line(const std::string& name, network& net, double r_total,
-                     double l_total, double g_total, double c_total,
-                     std::size_t sections)
-    : component(name, net), a("a", *this, nature::electrical),
-      b("b", *this, nature::electrical), ref("ref", *this), r_total_(r_total),
-      l_total_(l_total), g_total_(g_total), c_total_(c_total), sections_(sections) {
+rlgc_line::rlgc_line(const std::string& name, network& net, pin a_pin, pin b_pin,
+                     pin ref_pin, double r_total, double l_total, double g_total,
+                     double c_total, std::size_t sections)
+    : component(name, net), a("a", *this, nature::electrical, a_pin),
+      b("b", *this, nature::electrical, b_pin), ref("ref", *this, ref_pin),
+      r_total_(r_total), l_total_(l_total), g_total_(g_total), c_total_(c_total),
+      sections_(sections) {
     util::require(r_total >= 0.0 && l_total > 0.0 && g_total >= 0.0 && c_total > 0.0,
                   this->name(), "line parameters out of range");
     util::require(sections >= 1, this->name(), "at least one section required");
@@ -60,15 +53,6 @@ rlgc_line::rlgc_line(const std::string& name, network& net, double r_total,
             nodes_.push_back(net.create_node(this->name() + ".n" + std::to_string(i)));
         }
     }
-}
-
-rlgc_line::rlgc_line(const std::string& name, network& net, node a_node, node b_node,
-                     node ref_node, double r_total, double l_total, double g_total,
-                     double c_total, std::size_t sections)
-    : rlgc_line(name, net, r_total, l_total, g_total, c_total, sections) {
-    a.bind(a_node);
-    b.bind(b_node);
-    ref.bind(ref_node);
 }
 
 void rlgc_line::stamp(network& net) {
@@ -91,10 +75,7 @@ void rlgc_line::stamp(network& net) {
             net.stamp_conductance(prev, mid, 1e12);
         }
         const std::size_t k = net.branch_row(*this, "il" + std::to_string(i));
-        net.add_a(network::row_of(mid), k, 1.0);
-        net.add_a(network::row_of(next), k, -1.0);
-        net.add_a(k, network::row_of(mid), 1.0);
-        net.add_a(k, network::row_of(next), -1.0);
+        net.stamp_branch(k, mid, next);
         net.add_b(k, k, -l);
         // Shunt G + C at the section end.
         if (g_sh > 0.0) net.stamp_conductance(next, ref.get(), g_sh);

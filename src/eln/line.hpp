@@ -2,10 +2,9 @@
 // the subscriber-line macromodel of the paper's Figure 1 ("the system
 // environment would be modelled as linear electrical networks").
 //
-// Like the primitives, lines expose their pins as bindable eln::terminal
-// ports (a, b, ref), so they compose hierarchically with subcircuits; the
-// legacy (network&, node, node, node) constructors remain as thin wrappers
-// that bind the terminals immediately.
+// Like the primitives, lines take their pins (a, b, ref) at construction,
+// each a node or a terminal of the enclosing subcircuit, so they compose
+// hierarchically with subcircuits.
 #ifndef SCA_ELN_LINE_HPP
 #define SCA_ELN_LINE_HPP
 
@@ -25,9 +24,7 @@ class rc_line : public component {
 public:
     terminal a, b, ref;
 
-    rc_line(const std::string& name, network& net, double r_total, double c_total,
-            std::size_t sections);
-    rc_line(const std::string& name, network& net, node a, node b, node ref,
+    rc_line(const std::string& name, network& net, pin a, pin b, pin ref,
             double r_total, double c_total, std::size_t sections);
 
     void stamp(network& net) override;
@@ -48,9 +45,7 @@ class rlgc_line : public component {
 public:
     terminal a, b, ref;
 
-    rlgc_line(const std::string& name, network& net, double r_total, double l_total,
-              double g_total, double c_total, std::size_t sections);
-    rlgc_line(const std::string& name, network& net, node a, node b, node ref,
+    rlgc_line(const std::string& name, network& net, pin a, pin b, pin ref,
               double r_total, double l_total, double g_total, double c_total,
               std::size_t sections);
 

@@ -5,44 +5,22 @@
 namespace sca::eln {
 
 namespace {
-void stamp_waveform_flow(network& net, const node& p, const node& n, const waveform& w) {
-    // A through-quantity source (force/torque/heat flow) is the analog of a
-    // current source: inject into n, extract from p.
-    const std::size_t rp = network::row_of(p);
-    const std::size_t rn = network::row_of(n);
-    if (w.is_dc()) {
-        net.add_rhs_constant(rp, -w.dc_value());
-        net.add_rhs_constant(rn, w.dc_value());
-    } else {
-        net.add_rhs_source(rp, [w](double t) { return -w.at(t); });
-        net.add_rhs_source(rn, [w](double t) { return w.at(t); });
-    }
-}
-
 void stamp_integral_branch(network& net, component& c, const node& a, const node& b,
                            double inverse_stiffness) {
     // Spring/torsion-spring: through quantity F with dF/dt = k*(v_a - v_b),
     // the exact analog of an inductor with L = 1/k.
     const std::size_t k = net.branch_row(c, "f");
-    net.add_a(network::row_of(a), k, 1.0);
-    net.add_a(network::row_of(b), k, -1.0);
-    net.add_a(k, network::row_of(a), 1.0);
-    net.add_a(k, network::row_of(b), -1.0);
+    net.stamp_branch(k, a, b);
     net.add_b(k, k, -inverse_stiffness);
 }
 }  // namespace
 
 // ---------------------------------------------------------------------- mass
 
-mass::mass(const std::string& name, network& net, double kilograms)
-    : component(name, net), p("p", *this, nature::mechanical_translational),
+mass::mass(const std::string& name, network& net, pin n, double kilograms)
+    : component(name, net), p("p", *this, nature::mechanical_translational, n),
       m_(kilograms) {
     util::require(kilograms > 0.0, this->name(), "mass must be positive");
-}
-
-mass::mass(const std::string& name, network& net, node n, double kilograms)
-    : mass(name, net, kilograms) {
-    p.bind(n);
 }
 
 void mass::stamp(network& net) {
@@ -51,34 +29,22 @@ void mass::stamp(network& net) {
 
 // -------------------------------------------------------------------- damper
 
-damper::damper(const std::string& name, network& net, double n_s_per_m)
-    : component(name, net), a("a", *this, nature::mechanical_translational),
-      b("b", *this, nature::mechanical_translational), d_(n_s_per_m) {
-    util::require(n_s_per_m > 0.0, this->name(), "damping must be positive");
-}
-
-damper::damper(const std::string& name, network& net, node a_node, node b_node,
+damper::damper(const std::string& name, network& net, pin a_pin, pin b_pin,
                double n_s_per_m)
-    : damper(name, net, n_s_per_m) {
-    a.bind(a_node);
-    b.bind(b_node);
+    : component(name, net), a("a", *this, nature::mechanical_translational, a_pin),
+      b("b", *this, nature::mechanical_translational, b_pin), d_(n_s_per_m) {
+    util::require(n_s_per_m > 0.0, this->name(), "damping must be positive");
 }
 
 void damper::stamp(network& net) { net.stamp_conductance(a.get(), b.get(), d_); }
 
 // -------------------------------------------------------------------- spring
 
-spring::spring(const std::string& name, network& net, double n_per_m)
-    : component(name, net), a("a", *this, nature::mechanical_translational),
-      b("b", *this, nature::mechanical_translational), k_(n_per_m) {
-    util::require(n_per_m > 0.0, this->name(), "stiffness must be positive");
-}
-
-spring::spring(const std::string& name, network& net, node a_node, node b_node,
+spring::spring(const std::string& name, network& net, pin a_pin, pin b_pin,
                double n_per_m)
-    : spring(name, net, n_per_m) {
-    a.bind(a_node);
-    b.bind(b_node);
+    : component(name, net), a("a", *this, nature::mechanical_translational, a_pin),
+      b("b", *this, nature::mechanical_translational, b_pin), k_(n_per_m) {
+    util::require(n_per_m > 0.0, this->name(), "stiffness must be positive");
 }
 
 void spring::stamp(network& net) {
@@ -87,16 +53,10 @@ void spring::stamp(network& net) {
 
 // -------------------------------------------------------------- force_source
 
-force_source::force_source(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::mechanical_translational),
-      n("n", *this, nature::mechanical_translational), wave_(std::move(w)) {}
-
-force_source::force_source(const std::string& name, network& net, node p_node,
-                           node n_node, waveform w)
-    : force_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+force_source::force_source(const std::string& name, network& net, pin p_pin,
+                           pin n_pin, waveform w)
+    : component(name, net), p("p", *this, nature::mechanical_translational, p_pin),
+      n("n", *this, nature::mechanical_translational, n_pin), wave_(std::move(w)) {}
 
 void force_source::stamp(network& net) {
     stamp_waveform_flow(net, p.get(), n.get(), wave_);
@@ -104,15 +64,10 @@ void force_source::stamp(network& net) {
 
 // ------------------------------------------------------------ position_probe
 
-position_probe::position_probe(const std::string& name, network& net)
-    : component(name, net), p("p", *this, nature::mechanical_translational),
+position_probe::position_probe(const std::string& name, network& net, pin n)
+    : component(name, net), p("p", *this, nature::mechanical_translational, n),
       outp("outp") {
     outp.set_owner(net);
-}
-
-position_probe::position_probe(const std::string& name, network& net, node n)
-    : position_probe(name, net) {
-    p.bind(n);
 }
 
 void position_probe::stamp(network& net) {
@@ -128,14 +83,9 @@ void position_probe::write_tdf_outputs(network& net) {
 
 // ------------------------------------------------------------------- inertia
 
-inertia::inertia(const std::string& name, network& net, double kg_m2)
-    : component(name, net), p("p", *this, nature::mechanical_rotational), j_(kg_m2) {
+inertia::inertia(const std::string& name, network& net, pin n, double kg_m2)
+    : component(name, net), p("p", *this, nature::mechanical_rotational, n), j_(kg_m2) {
     util::require(kg_m2 > 0.0, this->name(), "inertia must be positive");
-}
-
-inertia::inertia(const std::string& name, network& net, node n, double kg_m2)
-    : inertia(name, net, kg_m2) {
-    p.bind(n);
 }
 
 void inertia::stamp(network& net) {
@@ -144,18 +94,11 @@ void inertia::stamp(network& net) {
 
 // --------------------------------------------------------- rotational_damper
 
-rotational_damper::rotational_damper(const std::string& name, network& net,
-                                     double n_m_s_per_rad)
-    : component(name, net), a("a", *this, nature::mechanical_rotational),
-      b("b", *this, nature::mechanical_rotational), d_(n_m_s_per_rad) {
+rotational_damper::rotational_damper(const std::string& name, network& net, pin a_pin,
+                                     pin b_pin, double n_m_s_per_rad)
+    : component(name, net), a("a", *this, nature::mechanical_rotational, a_pin),
+      b("b", *this, nature::mechanical_rotational, b_pin), d_(n_m_s_per_rad) {
     util::require(n_m_s_per_rad > 0.0, this->name(), "damping must be positive");
-}
-
-rotational_damper::rotational_damper(const std::string& name, network& net, node a_node,
-                                     node b_node, double n_m_s_per_rad)
-    : rotational_damper(name, net, n_m_s_per_rad) {
-    a.bind(a_node);
-    b.bind(b_node);
 }
 
 void rotational_damper::stamp(network& net) {
@@ -164,18 +107,11 @@ void rotational_damper::stamp(network& net) {
 
 // ------------------------------------------------------------ torsion_spring
 
-torsion_spring::torsion_spring(const std::string& name, network& net,
-                               double n_m_per_rad)
-    : component(name, net), a("a", *this, nature::mechanical_rotational),
-      b("b", *this, nature::mechanical_rotational), k_(n_m_per_rad) {
+torsion_spring::torsion_spring(const std::string& name, network& net, pin a_pin,
+                               pin b_pin, double n_m_per_rad)
+    : component(name, net), a("a", *this, nature::mechanical_rotational, a_pin),
+      b("b", *this, nature::mechanical_rotational, b_pin), k_(n_m_per_rad) {
     util::require(n_m_per_rad > 0.0, this->name(), "stiffness must be positive");
-}
-
-torsion_spring::torsion_spring(const std::string& name, network& net, node a_node,
-                               node b_node, double n_m_per_rad)
-    : torsion_spring(name, net, n_m_per_rad) {
-    a.bind(a_node);
-    b.bind(b_node);
 }
 
 void torsion_spring::stamp(network& net) {
@@ -184,16 +120,10 @@ void torsion_spring::stamp(network& net) {
 
 // ------------------------------------------------------------- torque_source
 
-torque_source::torque_source(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::mechanical_rotational),
-      n("n", *this, nature::mechanical_rotational), wave_(std::move(w)) {}
-
-torque_source::torque_source(const std::string& name, network& net, node p_node,
-                             node n_node, waveform w)
-    : torque_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+torque_source::torque_source(const std::string& name, network& net, pin p_pin,
+                             pin n_pin, waveform w)
+    : component(name, net), p("p", *this, nature::mechanical_rotational, p_pin),
+      n("n", *this, nature::mechanical_rotational, n_pin), wave_(std::move(w)) {}
 
 void torque_source::stamp(network& net) {
     stamp_waveform_flow(net, p.get(), n.get(), wave_);
@@ -201,16 +131,10 @@ void torque_source::stamp(network& net) {
 
 // ------------------------------------------------------- thermal_capacitance
 
-thermal_capacitance::thermal_capacitance(const std::string& name, network& net,
+thermal_capacitance::thermal_capacitance(const std::string& name, network& net, pin n,
                                          double j_per_k)
-    : component(name, net), p("p", *this, nature::thermal), c_(j_per_k) {
+    : component(name, net), p("p", *this, nature::thermal, n), c_(j_per_k) {
     util::require(j_per_k > 0.0, this->name(), "heat capacity must be positive");
-}
-
-thermal_capacitance::thermal_capacitance(const std::string& name, network& net, node n,
-                                         double j_per_k)
-    : thermal_capacitance(name, net, j_per_k) {
-    p.bind(n);
 }
 
 void thermal_capacitance::stamp(network& net) {
@@ -220,17 +144,10 @@ void thermal_capacitance::stamp(network& net) {
 // -------------------------------------------------------- thermal_resistance
 
 thermal_resistance::thermal_resistance(const std::string& name, network& net,
-                                       double k_per_w)
-    : component(name, net), a("a", *this, nature::thermal),
-      b("b", *this, nature::thermal), r_(k_per_w) {
+                                       pin a_pin, pin b_pin, double k_per_w)
+    : component(name, net), a("a", *this, nature::thermal, a_pin),
+      b("b", *this, nature::thermal, b_pin), r_(k_per_w) {
     util::require(k_per_w > 0.0, this->name(), "thermal resistance must be positive");
-}
-
-thermal_resistance::thermal_resistance(const std::string& name, network& net,
-                                       node a_node, node b_node, double k_per_w)
-    : thermal_resistance(name, net, k_per_w) {
-    a.bind(a_node);
-    b.bind(b_node);
 }
 
 void thermal_resistance::stamp(network& net) {
@@ -239,16 +156,10 @@ void thermal_resistance::stamp(network& net) {
 
 // --------------------------------------------------------------- heat_source
 
-heat_source::heat_source(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::thermal),
-      n("n", *this, nature::thermal), wave_(std::move(w)) {}
-
-heat_source::heat_source(const std::string& name, network& net, node p_node,
-                         node n_node, waveform w)
-    : heat_source(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+heat_source::heat_source(const std::string& name, network& net, pin p_pin,
+                         pin n_pin, waveform w)
+    : component(name, net), p("p", *this, nature::thermal, p_pin),
+      n("n", *this, nature::thermal, n_pin), wave_(std::move(w)) {}
 
 void heat_source::stamp(network& net) {
     stamp_waveform_flow(net, p.get(), n.get(), wave_);
@@ -256,36 +167,22 @@ void heat_source::stamp(network& net) {
 
 // ------------------------------------------------------------------ dc_motor
 
-dc_motor::dc_motor(const std::string& name, network& net, double resistance,
-                   double inductance, double k_torque)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical),
-      shaft("shaft", *this, nature::mechanical_rotational), r_(resistance),
+dc_motor::dc_motor(const std::string& name, network& net, pin elec_p, pin elec_n,
+                   pin shaft_pin, double resistance, double inductance,
+                   double k_torque)
+    : component(name, net), p("p", *this, nature::electrical, elec_p),
+      n("n", *this, nature::electrical, elec_n),
+      shaft("shaft", *this, nature::mechanical_rotational, shaft_pin), r_(resistance),
       l_(inductance), k_(k_torque) {
     util::require(resistance > 0.0 && inductance > 0.0 && k_torque > 0.0, this->name(),
                   "motor parameters must be positive");
 }
 
-dc_motor::dc_motor(const std::string& name, network& net, node elec_p, node elec_n,
-                   node shaft_node, double resistance, double inductance,
-                   double k_torque)
-    : dc_motor(name, net, resistance, inductance, k_torque) {
-    p.bind(elec_p);
-    n.bind(elec_n);
-    shaft.bind(shaft_node);
-}
-
 void dc_motor::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);  // armature current
-    const std::size_t rp = network::row_of(p.get());
-    const std::size_t rn = network::row_of(n.get());
     const std::size_t rw = network::row_of(shaft.get());
-    // Electrical KCL.
-    net.add_a(rp, k, 1.0);
-    net.add_a(rn, k, -1.0);
-    // Armature branch: v_p - v_n - R i - L di/dt - K w = 0.
-    net.add_a(k, rp, 1.0);
-    net.add_a(k, rn, -1.0);
+    // Electrical KCL and the armature branch: v_p - v_n - R i - L di/dt - K w = 0.
+    net.stamp_branch(k, p.get(), n.get());
     net.add_a(k, k, -r_);
     net.add_b(k, k, -l_);
     net.add_a(k, rw, -k_);

@@ -10,11 +10,17 @@
 //   mech. rot.    ang.vel rad/s   torque N*m     inertia    damper    spring
 //   thermal       temperature K   heat flow W    heat cap.  R_th      (none)
 //
-// Every component exposes its pins as bindable eln::terminal ports carrying
-// the expected nature, so cross-domain connections are rejected at bind time
-// except through explicit transducers (dc_motor couples the electrical and
-// rotational disciplines).  The legacy node constructors remain as thin
-// wrappers that bind the terminals immediately.
+// Every component here takes its pins at construction (a node or a terminal
+// of the enclosing subcircuit) and declares their nature: a node of another
+// discipline is rejected as the pin binds, and a pin forwarded through a
+// subcircuit terminal when elaboration resolves the chain.  dc_motor, the
+// transducer, has electrical p/n and a rotational shaft.
+//
+// Outside this file only resistor, capacitor, inductor, ideal_opamp, vsource,
+// isource and the a/b pins of rc_line and rlgc_line check a nature
+// (electrical).  The controlled sources, converters, switches, gyrator,
+// ideal_transformer, ammeter and the semiconductor devices declare none and
+// accept a node of any discipline.
 #ifndef SCA_ELN_MULTIDOMAIN_HPP
 #define SCA_ELN_MULTIDOMAIN_HPP
 
@@ -32,8 +38,7 @@ class mass : public component {
 public:
     terminal p;
 
-    mass(const std::string& name, network& net, double kilograms);
-    mass(const std::string& name, network& net, node n, double kilograms);
+    mass(const std::string& name, network& net, pin n, double kilograms);
     void stamp(network& net) override;
 
 private:
@@ -45,8 +50,7 @@ class damper : public component {
 public:
     terminal a, b;
 
-    damper(const std::string& name, network& net, double n_s_per_m);
-    damper(const std::string& name, network& net, node a, node b, double n_s_per_m);
+    damper(const std::string& name, network& net, pin a, pin b, double n_s_per_m);
     void stamp(network& net) override;
 
 private:
@@ -58,8 +62,7 @@ class spring : public component {
 public:
     terminal a, b;
 
-    spring(const std::string& name, network& net, double n_per_m);
-    spring(const std::string& name, network& net, node a, node b, double n_per_m);
+    spring(const std::string& name, network& net, pin a, pin b, double n_per_m);
     void stamp(network& net) override;
 
 private:
@@ -71,8 +74,7 @@ class force_source : public component {
 public:
     terminal p, n;
 
-    force_source(const std::string& name, network& net, waveform w);
-    force_source(const std::string& name, network& net, node p, node n, waveform w);
+    force_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -86,8 +88,7 @@ public:
     terminal p;
     tdf::out<double> outp;
 
-    position_probe(const std::string& name, network& net);
-    position_probe(const std::string& name, network& net, node n);
+    position_probe(const std::string& name, network& net, pin n);
 
     void stamp(network& net) override;
     void write_tdf_outputs(network& net) override;
@@ -103,8 +104,7 @@ class inertia : public component {
 public:
     terminal p;
 
-    inertia(const std::string& name, network& net, double kg_m2);
-    inertia(const std::string& name, network& net, node n, double kg_m2);
+    inertia(const std::string& name, network& net, pin n, double kg_m2);
     void stamp(network& net) override;
 
 private:
@@ -116,8 +116,7 @@ class rotational_damper : public component {
 public:
     terminal a, b;
 
-    rotational_damper(const std::string& name, network& net, double n_m_s_per_rad);
-    rotational_damper(const std::string& name, network& net, node a, node b,
+    rotational_damper(const std::string& name, network& net, pin a, pin b,
                       double n_m_s_per_rad);
     void stamp(network& net) override;
 
@@ -130,8 +129,7 @@ class torsion_spring : public component {
 public:
     terminal a, b;
 
-    torsion_spring(const std::string& name, network& net, double n_m_per_rad);
-    torsion_spring(const std::string& name, network& net, node a, node b,
+    torsion_spring(const std::string& name, network& net, pin a, pin b,
                    double n_m_per_rad);
     void stamp(network& net) override;
 
@@ -144,8 +142,7 @@ class torque_source : public component {
 public:
     terminal p, n;
 
-    torque_source(const std::string& name, network& net, waveform w);
-    torque_source(const std::string& name, network& net, node p, node n, waveform w);
+    torque_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -159,8 +156,7 @@ class thermal_capacitance : public component {
 public:
     terminal p;
 
-    thermal_capacitance(const std::string& name, network& net, double j_per_k);
-    thermal_capacitance(const std::string& name, network& net, node n, double j_per_k);
+    thermal_capacitance(const std::string& name, network& net, pin n, double j_per_k);
     void stamp(network& net) override;
 
 private:
@@ -172,8 +168,7 @@ class thermal_resistance : public component {
 public:
     terminal a, b;
 
-    thermal_resistance(const std::string& name, network& net, double k_per_w);
-    thermal_resistance(const std::string& name, network& net, node a, node b,
+    thermal_resistance(const std::string& name, network& net, pin a, pin b,
                        double k_per_w);
     void stamp(network& net) override;
 
@@ -186,8 +181,7 @@ class heat_source : public component {
 public:
     terminal p, n;
 
-    heat_source(const std::string& name, network& net, waveform w);
-    heat_source(const std::string& name, network& net, node p, node n, waveform w);
+    heat_source(const std::string& name, network& net, pin p, pin n, waveform w);
     void stamp(network& net) override;
 
 private:
@@ -202,9 +196,7 @@ class dc_motor : public component {
 public:
     terminal p, n, shaft;
 
-    dc_motor(const std::string& name, network& net, double resistance,
-             double inductance, double k_torque);
-    dc_motor(const std::string& name, network& net, node elec_p, node elec_n, node shaft,
+    dc_motor(const std::string& name, network& net, pin elec_p, pin elec_n, pin shaft,
              double resistance, double inductance, double k_torque);
 
     void stamp(network& net) override;

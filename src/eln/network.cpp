@@ -28,10 +28,12 @@ void network::unregister_component(component& c) {
 }
 
 node network::create_node(const std::string& name, nature k) {
-    util::require(node_names_.insert(name).second, this->name(),
-                  "duplicate node name '" + name +
-                      "': node names are unique per network (subcircuit-internal "
-                      "nodes are auto-prefixed with the instance path)");
+    if (!node_names_.insert(name).second) {
+        util::report_fatal(this->name(),
+                           "duplicate node name '" + name +
+                               "': node names are unique per network (subcircuit-internal "
+                               "nodes are auto-prefixed with the instance path)");
+    }
     const std::size_t index = raw_system().add_unknown("v(" + name + ")");
     nodes_.push_back({name, k});
     return node(this, index, k, /*ground=*/false);
@@ -92,6 +94,15 @@ void network::add_a(std::size_t r, std::size_t c, double v) {
 void network::add_b(std::size_t r, std::size_t c, double v) {
     if (r == ground_row || c == ground_row) return;
     raw_system().add_b(r, c, v);
+}
+
+void network::stamp_branch(std::size_t k, const node& a, const node& b) {
+    const std::size_t ra = row_of(a);
+    const std::size_t rb = row_of(b);
+    add_a(ra, k, 1.0);
+    add_a(rb, k, -1.0);
+    add_a(k, ra, 1.0);
+    add_a(k, rb, -1.0);
 }
 
 void network::stamp_conductance(const node& a, const node& b, double g) {
@@ -189,9 +200,11 @@ void network::add_noise_between(const node& a, const node& b,
 
 void network::check_nature(const node& n, nature expected, const std::string& who) {
     util::require(n.valid(), who, "terminal is not connected to a node");
-    util::require(n.kind() == expected, who,
-                  std::string("terminal nature mismatch: expected ") +
-                      nature_name(expected) + ", got " + nature_name(n.kind()));
+    if (n.kind() != expected) {
+        util::report_fatal(who, std::string("terminal nature mismatch: expected ") +
+                                    nature_name(expected) + ", got " +
+                                    nature_name(n.kind()));
+    }
 }
 
 void network::build_equations() {

@@ -152,6 +152,10 @@ public:
     /// Ground-aware stamps into A / B.
     void add_a(std::size_t r, std::size_t c, double v);
     void add_b(std::size_t r, std::size_t c, double v);
+    /// Branch of through-unknown `k` from `a` to `b`: its KCL columns (+1 at
+    /// a, -1 at b) and its across row v(a) - v(b); the element adds the rest
+    /// of its constitutive row.
+    void stamp_branch(std::size_t k, const node& a, const node& b);
     /// Conductance / capacitance two-terminal patterns.
     void stamp_conductance(const node& a, const node& b, double g);
     void stamp_capacitance(const node& a, const node& b, double c);

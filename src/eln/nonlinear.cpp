@@ -34,21 +34,14 @@ void add_transconductance(std::vector<solver::jacobian_entry>& jac, std::size_t 
 
 // --------------------------------------------------------------------- diode
 
-diode::diode(const std::string& name, network& net, double saturation_current,
-             double emission_coefficient)
-    : component(name, net), a("a", *this), c("c", *this), is_(saturation_current),
-      n_(emission_coefficient) {
+diode::diode(const std::string& name, network& net, pin anode, pin cathode,
+             double saturation_current, double emission_coefficient)
+    : component(name, net), a("a", *this, anode), c("c", *this, cathode),
+      is_(saturation_current), n_(emission_coefficient) {
     util::require(saturation_current > 0.0, this->name(),
                   "saturation current must be positive");
     util::require(emission_coefficient > 0.0, this->name(),
                   "emission coefficient must be positive");
-}
-
-diode::diode(const std::string& name, network& net, node anode, node cathode,
-             double saturation_current, double emission_coefficient)
-    : diode(name, net, saturation_current, emission_coefficient) {
-    a.bind(anode);
-    c.bind(cathode);
 }
 
 void diode::stamp(network& net) {
@@ -117,17 +110,10 @@ mos_eval square_law(double vgs, double vds, double k, double vth, double lambda)
 
 // ---------------------------------------------------------------------- nmos
 
-nmos::nmos(const std::string& name, network& net, double k, double vth, double lambda)
-    : component(name, net), d("d", *this), g("g", *this), s("s", *this), k_(k),
-      vth_(vth), lambda_(lambda) {}
-
-nmos::nmos(const std::string& name, network& net, node drain, node gate, node source,
+nmos::nmos(const std::string& name, network& net, pin drain, pin gate, pin source,
            double k, double vth, double lambda)
-    : nmos(name, net, k, vth, lambda) {
-    d.bind(drain);
-    g.bind(gate);
-    s.bind(source);
-}
+    : component(name, net), d("d", *this, drain), g("g", *this, gate),
+      s("s", *this, source), k_(k), vth_(vth), lambda_(lambda) {}
 
 void nmos::stamp(network& net) {
     const std::size_t rd = network::row_of(d.get());
@@ -167,17 +153,10 @@ void nmos::stamp(network& net) {
 
 // ---------------------------------------------------------------------- pmos
 
-pmos::pmos(const std::string& name, network& net, double k, double vth, double lambda)
-    : component(name, net), d("d", *this), g("g", *this), s("s", *this), k_(k),
-      vth_(vth), lambda_(lambda) {}
-
-pmos::pmos(const std::string& name, network& net, node drain, node gate, node source,
+pmos::pmos(const std::string& name, network& net, pin drain, pin gate, pin source,
            double k, double vth, double lambda)
-    : pmos(name, net, k, vth, lambda) {
-    d.bind(drain);
-    g.bind(gate);
-    s.bind(source);
-}
+    : component(name, net), d("d", *this, drain), g("g", *this, gate),
+      s("s", *this, source), k_(k), vth_(vth), lambda_(lambda) {}
 
 void pmos::stamp(network& net) {
     const std::size_t rd = network::row_of(d.get());
@@ -218,24 +197,15 @@ void pmos::stamp(network& net) {
 
 // ------------------------------------------------------------ nonlinear_vccs
 
-nonlinear_vccs::nonlinear_vccs(const std::string& name, network& net,
+nonlinear_vccs::nonlinear_vccs(const std::string& name, network& net, pin cp_pin,
+                               pin cn_pin, pin p_pin, pin n_pin,
                                std::function<double(double)> f,
                                std::function<double(double)> dfdv)
-    : component(name, net), cp("cp", *this), cn("cn", *this), p("p", *this),
-      n("n", *this), f_(std::move(f)), dfdv_(std::move(dfdv)) {
+    : component(name, net), cp("cp", *this, cp_pin), cn("cn", *this, cn_pin),
+      p("p", *this, p_pin), n("n", *this, n_pin), f_(std::move(f)),
+      dfdv_(std::move(dfdv)) {
     util::require(static_cast<bool>(f_) && static_cast<bool>(dfdv_), this->name(),
                   "model functions must not be null");
-}
-
-nonlinear_vccs::nonlinear_vccs(const std::string& name, network& net, node cp_node,
-                               node cn_node, node p_node, node n_node,
-                               std::function<double(double)> f,
-                               std::function<double(double)> dfdv)
-    : nonlinear_vccs(name, net, std::move(f), std::move(dfdv)) {
-    cp.bind(cp_node);
-    cn.bind(cn_node);
-    p.bind(p_node);
-    n.bind(n_node);
 }
 
 void nonlinear_vccs::stamp(network& net) {

@@ -3,9 +3,9 @@
 // equations").  Adding any of these to a network switches the embedded solver
 // to the variable-step Newton engine automatically.
 //
-// Every device exposes its pins as bindable eln::terminal ports following
-// the primitives' wrapper pattern; the legacy node constructors remain as
-// thin wrappers that bind the terminals immediately.
+// Like the primitives, every device takes its pins at construction (a node
+// or a terminal of the enclosing subcircuit) and exposes them as
+// eln::terminal members.
 #ifndef SCA_ELN_NONLINEAR_HPP
 #define SCA_ELN_NONLINEAR_HPP
 
@@ -21,9 +21,7 @@ class diode : public component {
 public:
     terminal a, c;  // anode, cathode
 
-    diode(const std::string& name, network& net, double saturation_current = 1e-14,
-          double emission_coefficient = 1.0);
-    diode(const std::string& name, network& net, node anode, node cathode,
+    diode(const std::string& name, network& net, pin anode, pin cathode,
           double saturation_current = 1e-14, double emission_coefficient = 1.0);
 
     void stamp(network& net) override;
@@ -40,9 +38,7 @@ public:
 
     /// `k` is the transconductance parameter (A/V^2), `vth` the threshold,
     /// `lambda` the channel-length modulation.
-    nmos(const std::string& name, network& net, double k = 2e-3, double vth = 0.7,
-         double lambda = 0.01);
-    nmos(const std::string& name, network& net, node drain, node gate, node source,
+    nmos(const std::string& name, network& net, pin drain, pin gate, pin source,
          double k = 2e-3, double vth = 0.7, double lambda = 0.01);
 
     void stamp(network& net) override;
@@ -56,9 +52,7 @@ class pmos : public component {
 public:
     terminal d, g, s;
 
-    pmos(const std::string& name, network& net, double k = 1e-3, double vth = 0.7,
-         double lambda = 0.01);
-    pmos(const std::string& name, network& net, node drain, node gate, node source,
+    pmos(const std::string& name, network& net, pin drain, pin gate, pin source,
          double k = 1e-3, double vth = 0.7, double lambda = 0.01);
 
     void stamp(network& net) override;
@@ -74,9 +68,7 @@ class nonlinear_vccs : public component {
 public:
     terminal cp, cn, p, n;
 
-    nonlinear_vccs(const std::string& name, network& net,
-                   std::function<double(double)> f, std::function<double(double)> dfdv);
-    nonlinear_vccs(const std::string& name, network& net, node cp, node cn, node p, node n,
+    nonlinear_vccs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n,
                    std::function<double(double)> f, std::function<double(double)> dfdv);
 
     void stamp(network& net) override;

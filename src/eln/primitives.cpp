@@ -5,27 +5,12 @@
 
 namespace sca::eln {
 
-namespace {
-/// Stamp a branch current unknown: KCL contributions of a current flowing
-/// from `a` through the element to `b`.
-void stamp_branch_kcl(network& net, std::size_t k, const node& a, const node& b) {
-    net.add_a(network::row_of(a), k, 1.0);
-    net.add_a(network::row_of(b), k, -1.0);
-}
-}  // namespace
-
 // ------------------------------------------------------------------ resistor
 
-resistor::resistor(const std::string& name, network& net, double ohms)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), ohms_(ohms) {
+resistor::resistor(const std::string& name, network& net, pin a, pin b, double ohms)
+    : component(name, net), p("p", *this, nature::electrical, a),
+      n("n", *this, nature::electrical, b), ohms_(ohms) {
     util::require(ohms > 0.0, this->name(), "resistance must be positive");
-}
-
-resistor::resistor(const std::string& name, network& net, node a, node b, double ohms)
-    : resistor(name, net, ohms) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void resistor::stamp(network& net) {
@@ -55,16 +40,10 @@ void resistor::set_value(double ohms) {
 
 // ----------------------------------------------------------------- capacitor
 
-capacitor::capacitor(const std::string& name, network& net, double farads)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), farads_(farads) {
+capacitor::capacitor(const std::string& name, network& net, pin a, pin b, double farads)
+    : component(name, net), p("p", *this, nature::electrical, a),
+      n("n", *this, nature::electrical, b), farads_(farads) {
     util::require(farads > 0.0, this->name(), "capacitance must be positive");
-}
-
-capacitor::capacitor(const std::string& name, network& net, node a, node b, double farads)
-    : capacitor(name, net, farads) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void capacitor::stamp(network& net) {
@@ -82,24 +61,16 @@ void capacitor::set_value(double farads) {
 
 // ------------------------------------------------------------------ inductor
 
-inductor::inductor(const std::string& name, network& net, double henries)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), henries_(henries) {
+inductor::inductor(const std::string& name, network& net, pin a, pin b, double henries)
+    : component(name, net), p("p", *this, nature::electrical, a),
+      n("n", *this, nature::electrical, b), henries_(henries) {
     util::require(henries > 0.0, this->name(), "inductance must be positive");
-}
-
-inductor::inductor(const std::string& name, network& net, node a, node b, double henries)
-    : inductor(name, net, henries) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void inductor::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
-    stamp_branch_kcl(net, k, p.get(), n.get());
     // v_a - v_b - L di/dt = 0
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     slot_ = net.add_stamp_slot(henries_);
     net.stamp_b_slot(slot_, k, k, -1.0);
 }
@@ -114,25 +85,15 @@ void inductor::set_value(double henries) {
 
 // ---------------------------------------------------------------------- vcvs
 
-vcvs::vcvs(const std::string& name, network& net, double gain)
-    : component(name, net), cp("cp", *this), cn("cn", *this), p("p", *this),
-      n("n", *this), gain_(gain) {}
-
-vcvs::vcvs(const std::string& name, network& net, node cp_node, node cn_node,
-           node p_node, node n_node, double gain)
-    : vcvs(name, net, gain) {
-    cp.bind(cp_node);
-    cn.bind(cn_node);
-    p.bind(p_node);
-    n.bind(n_node);
-}
+vcvs::vcvs(const std::string& name, network& net, pin cp_pin, pin cn_pin, pin p_pin,
+           pin n_pin, double gain)
+    : component(name, net), cp("cp", *this, cp_pin), cn("cn", *this, cn_pin),
+      p("p", *this, p_pin), n("n", *this, n_pin), gain_(gain) {}
 
 void vcvs::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
-    stamp_branch_kcl(net, k, p.get(), n.get());
     // v_p - v_n - gain * (v_cp - v_cn) = 0
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     slot_ = net.add_stamp_slot(gain_);
     net.stamp_a_slot(slot_, k, network::row_of(cp.get()), -1.0);
     net.stamp_a_slot(slot_, k, network::row_of(cn.get()), 1.0);
@@ -147,18 +108,10 @@ void vcvs::set_gain(double gain) {
 
 // ---------------------------------------------------------------------- vccs
 
-vccs::vccs(const std::string& name, network& net, double gm)
-    : component(name, net), cp("cp", *this), cn("cn", *this), p("p", *this),
-      n("n", *this), gm_(gm) {}
-
-vccs::vccs(const std::string& name, network& net, node cp_node, node cn_node,
-           node p_node, node n_node, double gm)
-    : vccs(name, net, gm) {
-    cp.bind(cp_node);
-    cn.bind(cn_node);
-    p.bind(p_node);
-    n.bind(n_node);
-}
+vccs::vccs(const std::string& name, network& net, pin cp_pin, pin cn_pin, pin p_pin,
+           pin n_pin, double gm)
+    : component(name, net), cp("cp", *this, cp_pin), cn("cn", *this, cn_pin),
+      p("p", *this, p_pin), n("n", *this, n_pin), gm_(gm) {}
 
 void vccs::stamp(network& net) {
     // Current gm * v(cp,cn) flows from p through the source to n.
@@ -178,38 +131,25 @@ void vccs::set_gm(double gm) {
 
 // ---------------------------------------------------------------------- ccvs
 
-ccvs::ccvs(const std::string& name, network& net, const component& control, double rm)
-    : component(name, net), p("p", *this), n("n", *this), control_(&control), rm_(rm) {}
-
-ccvs::ccvs(const std::string& name, network& net, const component& control, node p_node,
-           node n_node, double rm)
-    : ccvs(name, net, control, rm) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+ccvs::ccvs(const std::string& name, network& net, const component& control, pin p_pin,
+           pin n_pin, double rm)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin),
+      control_(&control), rm_(rm) {}
 
 void ccvs::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
     const std::size_t j = net.branch_row(*control_);
-    stamp_branch_kcl(net, k, p.get(), n.get());
     // v_p - v_n - rm * i_j = 0
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     net.add_a(k, j, -rm_);
 }
 
 // ---------------------------------------------------------------------- cccs
 
-cccs::cccs(const std::string& name, network& net, const component& control, double beta)
-    : component(name, net), p("p", *this), n("n", *this), control_(&control),
-      beta_(beta) {}
-
-cccs::cccs(const std::string& name, network& net, const component& control, node p_node,
-           node n_node, double beta)
-    : cccs(name, net, control, beta) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+cccs::cccs(const std::string& name, network& net, const component& control, pin p_pin,
+           pin n_pin, double beta)
+    : component(name, net), p("p", *this, p_pin), n("n", *this, n_pin),
+      control_(&control), beta_(beta) {}
 
 void cccs::stamp(network& net) {
     const std::size_t j = net.branch_row(*control_);
@@ -220,20 +160,11 @@ void cccs::stamp(network& net) {
 
 // --------------------------------------------------------- ideal transformer
 
-ideal_transformer::ideal_transformer(const std::string& name, network& net, double ratio)
-    : component(name, net), p1("p1", *this), n1("n1", *this), p2("p2", *this),
-      n2("n2", *this), ratio_(ratio) {
+ideal_transformer::ideal_transformer(const std::string& name, network& net, pin p1_pin,
+                                     pin n1_pin, pin p2_pin, pin n2_pin, double ratio)
+    : component(name, net), p1("p1", *this, p1_pin), n1("n1", *this, n1_pin),
+      p2("p2", *this, p2_pin), n2("n2", *this, n2_pin), ratio_(ratio) {
     util::require(ratio != 0.0, this->name(), "transformer ratio must be nonzero");
-}
-
-ideal_transformer::ideal_transformer(const std::string& name, network& net, node p1_node,
-                                     node n1_node, node p2_node, node n2_node,
-                                     double ratio)
-    : ideal_transformer(name, net, ratio) {
-    p1.bind(p1_node);
-    n1.bind(n1_node);
-    p2.bind(p2_node);
-    n2.bind(n2_node);
 }
 
 void ideal_transformer::stamp(network& net) {
@@ -252,19 +183,12 @@ void ideal_transformer::stamp(network& net) {
 
 // ------------------------------------------------------------------- rswitch
 
-rswitch::rswitch(const std::string& name, network& net, double r_on, double r_off,
-                 bool closed)
-    : component(name, net), p("p", *this), n("n", *this), r_on_(r_on), r_off_(r_off),
-      closed_(closed) {
+rswitch::rswitch(const std::string& name, network& net, pin a, pin b, double r_on,
+                 double r_off, bool closed)
+    : component(name, net), p("p", *this, a), n("n", *this, b), r_on_(r_on),
+      r_off_(r_off), closed_(closed) {
     util::require(r_on > 0.0 && r_off > r_on, this->name(),
                   "switch requires 0 < r_on < r_off");
-}
-
-rswitch::rswitch(const std::string& name, network& net, node a, node b, double r_on,
-                 double r_off, bool closed)
-    : rswitch(name, net, r_on, r_off, closed) {
-    p.bind(a);
-    n.bind(b);
 }
 
 void rswitch::stamp(network& net) {
@@ -283,17 +207,11 @@ void rswitch::set_state(bool closed) {
 
 // --------------------------------------------------------------- ideal_opamp
 
-ideal_opamp::ideal_opamp(const std::string& name, network& net)
-    : component(name, net), inp("inp", *this, nature::electrical),
-      inn("inn", *this, nature::electrical), out("out", *this, nature::electrical) {}
-
-ideal_opamp::ideal_opamp(const std::string& name, network& net, node inp_node,
-                         node inn_node, node out_node)
-    : ideal_opamp(name, net) {
-    inp.bind(inp_node);
-    inn.bind(inn_node);
-    out.bind(out_node);
-}
+ideal_opamp::ideal_opamp(const std::string& name, network& net, pin inp_pin,
+                         pin inn_pin, pin out_pin)
+    : component(name, net), inp("inp", *this, nature::electrical, inp_pin),
+      inn("inn", *this, nature::electrical, inn_pin),
+      out("out", *this, nature::electrical, out_pin) {}
 
 void ideal_opamp::stamp(network& net) {
     // Nullor stamp: one unknown (the output current), one constraint row
@@ -306,19 +224,11 @@ void ideal_opamp::stamp(network& net) {
 
 // ------------------------------------------------------------------- gyrator
 
-gyrator::gyrator(const std::string& name, network& net, double g)
-    : component(name, net), p1("p1", *this), n1("n1", *this), p2("p2", *this),
-      n2("n2", *this), g_(g) {
+gyrator::gyrator(const std::string& name, network& net, pin p1_pin, pin n1_pin,
+                 pin p2_pin, pin n2_pin, double g)
+    : component(name, net), p1("p1", *this, p1_pin), n1("n1", *this, n1_pin),
+      p2("p2", *this, p2_pin), n2("n2", *this, n2_pin), g_(g) {
     util::require(g != 0.0, this->name(), "gyration conductance must be nonzero");
-}
-
-gyrator::gyrator(const std::string& name, network& net, node p1_node, node n1_node,
-                 node p2_node, node n2_node, double g)
-    : gyrator(name, net, g) {
-    p1.bind(p1_node);
-    n1.bind(n1_node);
-    p2.bind(p2_node);
-    n2.bind(n2_node);
 }
 
 void gyrator::stamp(network& net) {
@@ -340,21 +250,12 @@ void gyrator::stamp(network& net) {
 
 // ------------------------------------------------------------------- ammeter
 
-ammeter::ammeter(const std::string& name, network& net)
-    : component(name, net), p("p", *this), n("n", *this) {}
-
-ammeter::ammeter(const std::string& name, network& net, node a, node b)
-    : ammeter(name, net) {
-    p.bind(a);
-    n.bind(b);
-}
+ammeter::ammeter(const std::string& name, network& net, pin a, pin b)
+    : component(name, net), p("p", *this, a), n("n", *this, b) {}
 
 void ammeter::stamp(network& net) {
-    const std::size_t k = net.branch_row(*this);
-    stamp_branch_kcl(net, k, p.get(), n.get());
     // 0 V across:  v_a - v_b = 0
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(net.branch_row(*this), p.get(), n.get());
 }
 
 }  // namespace sca::eln

@@ -5,15 +5,12 @@
 // macromodels based on simple electrical R, L, C, and controled source
 // primitives").
 //
-// Every component exposes its pins as bindable eln::terminal ports:
+// Every component takes its pins at construction, each a network node or a
+// terminal of the enclosing subcircuit (see eln/terminal.hpp):
 //
-//   eln::resistor r("r", net, 1e3);
-//   r.p(vin);
-//   r.n(vout);
+//   eln::resistor r("r", net, vin, vout, 1e3);
 //
-// which also bind to subcircuit pins for hierarchical composition.  The
-// legacy (network&, node, node) constructors remain as thin wrappers that
-// bind the terminals immediately.
+// and exposes them as eln::terminal members (r.p, r.n).
 #ifndef SCA_ELN_PRIMITIVES_HPP
 #define SCA_ELN_PRIMITIVES_HPP
 
@@ -28,8 +25,7 @@ class resistor : public component {
 public:
     terminal p, n;
 
-    resistor(const std::string& name, network& net, double ohms);
-    resistor(const std::string& name, network& net, node a, node b, double ohms);
+    resistor(const std::string& name, network& net, pin a, pin b, double ohms);
 
     void stamp(network& net) override;
 
@@ -55,8 +51,7 @@ class capacitor : public component {
 public:
     terminal p, n;
 
-    capacitor(const std::string& name, network& net, double farads);
-    capacitor(const std::string& name, network& net, node a, node b, double farads);
+    capacitor(const std::string& name, network& net, pin a, pin b, double farads);
 
     void stamp(network& net) override;
     void set_value(double farads);
@@ -72,8 +67,7 @@ class inductor : public component {
 public:
     terminal p, n;
 
-    inductor(const std::string& name, network& net, double henries);
-    inductor(const std::string& name, network& net, node a, node b, double henries);
+    inductor(const std::string& name, network& net, pin a, pin b, double henries);
 
     void stamp(network& net) override;
     void set_value(double henries);
@@ -89,9 +83,7 @@ class vcvs : public component {
 public:
     terminal cp, cn, p, n;
 
-    vcvs(const std::string& name, network& net, double gain);
-    vcvs(const std::string& name, network& net, node cp, node cn, node p, node n,
-         double gain);
+    vcvs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n, double gain);
     void stamp(network& net) override;
     void set_gain(double gain);
 
@@ -105,9 +97,7 @@ class vccs : public component {
 public:
     terminal cp, cn, p, n;
 
-    vccs(const std::string& name, network& net, double gm);
-    vccs(const std::string& name, network& net, node cp, node cn, node p, node n,
-         double gm);
+    vccs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n, double gm);
     void stamp(network& net) override;
     void set_gm(double gm);
 
@@ -121,8 +111,7 @@ class ccvs : public component {
 public:
     terminal p, n;
 
-    ccvs(const std::string& name, network& net, const component& control, double rm);
-    ccvs(const std::string& name, network& net, const component& control, node p, node n,
+    ccvs(const std::string& name, network& net, const component& control, pin p, pin n,
          double rm);
     void stamp(network& net) override;
 
@@ -136,8 +125,7 @@ class cccs : public component {
 public:
     terminal p, n;
 
-    cccs(const std::string& name, network& net, const component& control, double beta);
-    cccs(const std::string& name, network& net, const component& control, node p, node n,
+    cccs(const std::string& name, network& net, const component& control, pin p, pin n,
          double beta);
     void stamp(network& net) override;
 
@@ -151,9 +139,8 @@ class ideal_transformer : public component {
 public:
     terminal p1, n1, p2, n2;
 
-    ideal_transformer(const std::string& name, network& net, double ratio);
-    ideal_transformer(const std::string& name, network& net, node p1, node n1, node p2,
-                      node n2, double ratio);
+    ideal_transformer(const std::string& name, network& net, pin p1, pin n1, pin p2,
+                      pin n2, double ratio);
     void stamp(network& net) override;
 
 private:
@@ -169,9 +156,7 @@ class rswitch : public component {
 public:
     terminal p, n;
 
-    rswitch(const std::string& name, network& net, double r_on = 1.0, double r_off = 1e9,
-            bool closed = false);
-    rswitch(const std::string& name, network& net, node a, node b, double r_on = 1.0,
+    rswitch(const std::string& name, network& net, pin a, pin b, double r_on = 1.0,
             double r_off = 1e9, bool closed = false);
 
     void stamp(network& net) override;
@@ -201,8 +186,7 @@ class ideal_opamp : public component {
 public:
     terminal inp, inn, out;
 
-    ideal_opamp(const std::string& name, network& net);
-    ideal_opamp(const std::string& name, network& net, node inp, node inn, node out);
+    ideal_opamp(const std::string& name, network& net, pin inp, pin inn, pin out);
     void stamp(network& net) override;
 };
 
@@ -213,8 +197,7 @@ class gyrator : public component {
 public:
     terminal p1, n1, p2, n2;
 
-    gyrator(const std::string& name, network& net, double g);
-    gyrator(const std::string& name, network& net, node p1, node n1, node p2, node n2,
+    gyrator(const std::string& name, network& net, pin p1, pin n1, pin p2, pin n2,
             double g);
     void stamp(network& net) override;
 
@@ -227,8 +210,7 @@ class ammeter : public component {
 public:
     terminal p, n;
 
-    ammeter(const std::string& name, network& net);
-    ammeter(const std::string& name, network& net, node a, node b);
+    ammeter(const std::string& name, network& net, pin a, pin b);
     void stamp(network& net) override;
 };
 

@@ -7,25 +7,28 @@
 
 namespace sca::eln {
 
+void stamp_waveform_flow(network& net, const node& p, const node& n, const waveform& w) {
+    const std::size_t rp = network::row_of(p);
+    const std::size_t rn = network::row_of(n);
+    if (w.is_dc()) {
+        net.add_rhs_constant(rp, -w.dc_value());
+        net.add_rhs_constant(rn, w.dc_value());
+    } else {
+        net.add_rhs_source(rp, [w](double t) { return -w.at(t); });
+        net.add_rhs_source(rn, [w](double t) { return w.at(t); });
+    }
+}
+
 // ------------------------------------------------------------------- vsource
 
-vsource::vsource(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), wave_(std::move(w)) {}
-
-vsource::vsource(const std::string& name, network& net, node p_node, node n_node,
+vsource::vsource(const std::string& name, network& net, pin p_pin, pin n_pin,
                  waveform w)
-    : vsource(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+    : component(name, net), p("p", *this, nature::electrical, p_pin),
+      n("n", *this, nature::electrical, n_pin), wave_(std::move(w)) {}
 
 void vsource::stamp(network& net) {
     const std::size_t k = net.branch_row(*this);
-    net.add_a(network::row_of(p.get()), k, 1.0);
-    net.add_a(network::row_of(n.get()), k, -1.0);
-    net.add_a(k, network::row_of(p.get()), 1.0);
-    net.add_a(k, network::row_of(n.get()), -1.0);
+    net.stamp_branch(k, p.get(), n.get());
     if (wave_.is_dc()) {
         net.add_rhs_constant(k, wave_.dc_value());
     } else {
@@ -52,41 +55,19 @@ void vsource::set_noise_psd(std::function<double(double)> psd) {
 
 // ------------------------------------------------------------------- isource
 
-isource::isource(const std::string& name, network& net, waveform w)
-    : component(name, net), p("p", *this, nature::electrical),
-      n("n", *this, nature::electrical), wave_(std::move(w)) {}
-
-isource::isource(const std::string& name, network& net, node p_node, node n_node,
+isource::isource(const std::string& name, network& net, pin p_pin, pin n_pin,
                  waveform w)
-    : isource(name, net, std::move(w)) {
-    p.bind(p_node);
-    n.bind(n_node);
-}
+    : component(name, net), p("p", *this, nature::electrical, p_pin),
+      n("n", *this, nature::electrical, n_pin), wave_(std::move(w)) {}
 
 void isource::stamp(network& net) {
-    const std::size_t rp = network::row_of(p.get());
-    const std::size_t rn = network::row_of(n.get());
-    if (wave_.is_dc()) {
-        net.add_rhs_constant(rp, -wave_.dc_value());
-        net.add_rhs_constant(rn, wave_.dc_value());
-    } else {
-        const waveform w = wave_;
-        net.add_rhs_source(rp, [w](double t) { return -w.at(t); });
-        net.add_rhs_source(rn, [w](double t) { return w.at(t); });
-    }
+    stamp_waveform_flow(net, p.get(), n.get(), wave_);
     if (ac_mag_ != 0.0) {
         const double phase = ac_phase_deg_ * std::numbers::pi / 180.0;
-        net.add_ac_source(rp, -std::polar(ac_mag_, phase));
-        net.add_ac_source(rn, std::polar(ac_mag_, phase));
+        net.add_ac_source(network::row_of(p.get()), -std::polar(ac_mag_, phase));
+        net.add_ac_source(network::row_of(n.get()), std::polar(ac_mag_, phase));
     }
-    if (noise_psd_) {
-        std::vector<std::pair<std::size_t, double>> injections;
-        if (!p.get().is_ground()) injections.emplace_back(p.get().index(), -1.0);
-        if (!n.get().is_ground()) injections.emplace_back(n.get().index(), 1.0);
-        if (!injections.empty()) {
-            net.equations().add_noise_source(std::move(injections), noise_psd_, name());
-        }
-    }
+    if (noise_psd_) net.add_noise_between(p.get(), n.get(), noise_psd_, name());
 }
 
 void isource::set_ac(double magnitude, double phase_deg) {

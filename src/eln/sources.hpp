@@ -14,14 +14,18 @@ namespace sca::eln {
 /// Sources share the library-wide waveform descriptions.
 using waveform = util::waveform;
 
+/// Stamp a through-quantity source (current, force, torque, heat flow) that
+/// follows `w` from `p` through the source to `n`: extracted from p's row,
+/// injected into n's.
+void stamp_waveform_flow(network& net, const node& p, const node& n, const waveform& w);
+
 /// Independent voltage source with optional AC stimulus magnitude/phase for
 /// small-signal analysis and optional noise voltage PSD.
 class vsource : public component {
 public:
     terminal p, n;
 
-    vsource(const std::string& name, network& net, waveform w);
-    vsource(const std::string& name, network& net, node p, node n, waveform w);
+    vsource(const std::string& name, network& net, pin p, pin n, waveform w);
 
     void stamp(network& net) override;
 
@@ -44,8 +48,7 @@ class isource : public component {
 public:
     terminal p, n;
 
-    isource(const std::string& name, network& net, waveform w);
-    isource(const std::string& name, network& net, node p, node n, waveform w);
+    isource(const std::string& name, network& net, pin p, pin n, waveform w);
 
     void stamp(network& net) override;
     void set_ac(double magnitude, double phase_deg = 0.0);

@@ -12,12 +12,7 @@ rc_lowpass::rc_lowpass(const de::module_name& nm, network& net, double r_ohms,
                        double c_farads)
     : subcircuit(nm, net), in("in", *this, nature::electrical),
       out("out", *this, nature::electrical), ref("ref", *this, nature::electrical),
-      r_("r", net, r_ohms), c_("c", net, c_farads) {
-    r_.p(in);
-    r_.n(out);
-    c_.p(out);
-    c_.n(ref);
-}
+      r_("r", net, in, out, r_ohms), c_("c", net, out, ref, c_farads) {}
 
 // --------------------------------------------------------- resistive_divider
 
@@ -25,12 +20,7 @@ resistive_divider::resistive_divider(const de::module_name& nm, network& net,
                                      double r_top, double r_bottom)
     : subcircuit(nm, net), in("in", *this, nature::electrical),
       out("out", *this, nature::electrical), ref("ref", *this, nature::electrical),
-      top_("top", net, r_top), bottom_("bottom", net, r_bottom) {
-    top_.p(in);
-    top_.n(out);
-    bottom_.p(out);
-    bottom_.n(ref);
-}
+      top_("top", net, in, out, r_top), bottom_("bottom", net, out, ref, r_bottom) {}
 
 // ----------------------------------------------------------------- rc_ladder
 
@@ -44,24 +34,12 @@ rc_ladder::rc_ladder(const de::module_name& nm, network& net, unsigned sections,
                   "rc_ladder needs positive total resistance and capacitance");
     const double r_per = r_total / sections;
     const double c_per = c_total / sections;
-    node prev;  // invalid for section 0 (input is the `a` terminal)
+    pin prev = a;  // each section starts where the previous one ended
     for (unsigned i = 0; i < sections; ++i) {
-        auto& r = make_child<resistor>("r" + std::to_string(i), this->net(), r_per);
-        auto& c = make_child<capacitor>("c" + std::to_string(i), this->net(), c_per);
-        if (i == 0) {
-            r.p(a);
-        } else {
-            r.p(prev);
-        }
-        if (i + 1 == sections) {
-            r.n(b);
-            c.p(b);
-        } else {
-            prev = internal("t" + std::to_string(i));
-            r.n(prev);
-            c.p(prev);
-        }
-        c.n(ref);
+        const pin tap = i + 1 == sections ? pin(b) : pin(internal("t" + std::to_string(i)));
+        make_child<resistor>("r" + std::to_string(i), this->net(), prev, tap, r_per);
+        make_child<capacitor>("c" + std::to_string(i), this->net(), tap, ref, c_per);
+        prev = tap;
     }
 }
 

@@ -8,16 +8,16 @@
 //       my_filter(const sca::de::module_name& nm, eln::network& net,
 //                 double r_ohms, double c_farads)
 //           : subcircuit(nm, net), in("in", *this), out("out", *this),
-//             ref("ref", *this), r("r", net, r_ohms), c("c", net, c_farads) {
-//           r.p(in);   // component pins forward to the subcircuit pins
-//           r.n(out);
-//           c.p(out);
-//           c.n(ref);
-//       }
+//             ref("ref", *this),
+//             r("r", net, in, out, r_ohms),      // component pins forward
+//             c("c", net, out, ref, c_farads) {}  // to the subcircuit pins
 //   };
 //
 //   my_filter f1("f1", net, 1e3, 100e-9);   // instantiable N times:
 //   f1.in(vin); f1.out(vmid); f1.ref(gnd);  // internals are name-unique
+//
+// Components take their pins when built; the subcircuit's own terminals bind
+// afterwards, from the enclosing level, as SystemC module ports do.
 //
 // Internal nodes created through internal() are auto-prefixed with the
 // instance's hierarchical path, so multiple instances never collide in the

@@ -12,11 +12,18 @@ terminal::terminal(std::string name, de::object& owner, network& net,
     net.register_terminal(*this);
 }
 
-terminal::terminal(std::string name, component& owner)
-    : terminal(std::move(name), owner, owner.net(), std::nullopt) {}
+// The pin constructors delegate, so the terminal is fully constructed (and
+// registered) before it binds: a rejected pin runs ~terminal, which takes the
+// registration back out of the network.
+terminal::terminal(std::string name, component& owner, pin to)
+    : terminal(std::move(name), owner, owner.net(), std::nullopt) {
+    bind(to);
+}
 
-terminal::terminal(std::string name, component& owner, nature expected)
-    : terminal(std::move(name), owner, owner.net(), expected) {}
+terminal::terminal(std::string name, component& owner, nature expected, pin to)
+    : terminal(std::move(name), owner, owner.net(), expected) {
+    bind(to);
+}
 
 terminal::terminal(std::string name, subcircuit& owner)
     : terminal(std::move(name), owner, owner.net(), std::nullopt) {}
@@ -29,31 +36,33 @@ terminal::~terminal() {
 }
 
 void terminal::check_node(const node& n) const {
-    util::require(n.valid(), name(), "cannot bind an invalid node handle");
-    util::require(n.net() == net_, name(),
-                  "node belongs to a different network (" + n.net()->name() +
-                      ") than this terminal's owner (" + net_->name() + ")");
+    if (!n.valid()) util::report_fatal(name(), "cannot bind an invalid node handle");
+    if (n.net() != net_) {
+        util::report_fatal(name(), "node belongs to a different network (" +
+                                       n.net()->name() + ") than this terminal's owner (" +
+                                       net_->name() + ")");
+    }
     if (expected_) network::check_nature(n, *expected_, name());
 }
 
-void terminal::bind(const node& n) {
+void terminal::bind(pin to) {
     util::require(!is_bound(), name(),
                   "ELN terminal is already bound; a terminal binds exactly one "
                   "node or parent terminal");
-    check_node(n);
-    node_ = n;
-    has_node_ = true;
-}
-
-void terminal::bind(terminal& t) {
-    util::require(!is_bound(), name(),
-                  "ELN terminal is already bound; a terminal binds exactly one "
-                  "node or parent terminal");
-    util::require(&t != this, name(), "ELN terminal cannot forward to itself");
-    util::require(t.net_ == net_, name(),
-                  "terminal belongs to a different network (" + t.net_->name() +
-                      ") than this terminal's owner (" + net_->name() + ")");
-    forward_ = &t;
+    if (to.forward_ == nullptr) {
+        check_node(to.node_);
+        node_ = to.node_;
+        has_node_ = true;
+        return;
+    }
+    util::require(to.forward_ != this, name(), "ELN terminal cannot forward to itself");
+    if (to.forward_->net_ != net_) {
+        util::report_fatal(name(), "terminal belongs to a different network (" +
+                                       to.forward_->net_->name() +
+                                       ") than this terminal's owner (" + net_->name() +
+                                       ")");
+    }
+    forward_ = to.forward_;
 }
 
 void terminal::resolve() {
@@ -65,10 +74,11 @@ void terminal::resolve() {
         t = t->forward_;
         util::require(++hops < 1024, name(), "ELN terminal binding cycle detected");
     }
-    util::require(t->has_node_, name(),
-                  t == this ? "unbound ELN terminal"
-                            : "unbound ELN terminal (forwarding chain ends at " +
-                                  t->name() + " without reaching a node)");
+    if (t == this) util::report_fatal(name(), "unbound ELN terminal");
+    if (!t->has_node_) {
+        util::report_fatal(name(), "unbound ELN terminal (forwarding chain ends at " +
+                                       t->name() + " without reaching a node)");
+    }
     check_node(t->node_);
     node_ = t->node_;
     has_node_ = true;

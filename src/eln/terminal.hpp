@@ -1,23 +1,26 @@
 // Bindable conservative-law ports (the structural face of the ELN view).
 //
 // A terminal is the named connection point of a component or subcircuit.
-// It binds either directly to a network node
+// A component takes its pins when it is built: each pin is a network node
 //
-//   eln::resistor r("r", net, 1e3);
-//   r.p(vin);
-//   r.n(vout);
+//   eln::resistor r("r", net, vin, vout, 1e3);
 //
-// or hierarchically to a terminal of the enclosing subcircuit, so composite
-// blocks expose their pins without knowing the outer netlist:
+// or a terminal of the enclosing subcircuit, so composite blocks expose their
+// pins without knowing the outer netlist:
 //
 //   struct divider : eln::subcircuit {
 //       eln::terminal in, out, ref;
-//       ...
-//       top.p(in);   // component terminal forwards to the subcircuit pin
+//       eln::resistor top, bottom;
+//       divider(const sca::de::module_name& nm, eln::network& net)
+//           : subcircuit(nm, net), in("in", *this), out("out", *this),
+//             ref("ref", *this), top("top", net, in, out, 1e3),
+//             bottom("bottom", net, out, ref, 1e3) {}
 //   };
 //
-// Forwarding chains are resolved at elaboration; an unbound chain is an
-// elaboration error reporting the terminal's full hierarchical path.
+// Subcircuit terminals bind later, from the enclosing level (`div.in(vin)`),
+// like SystemC module ports.  Forwarding chains are resolved at elaboration;
+// an unbound chain is an elaboration error reporting the terminal's full
+// hierarchical path.
 #ifndef SCA_ELN_TERMINAL_HPP
 #define SCA_ELN_TERMINAL_HPP
 
@@ -32,14 +35,28 @@ namespace sca::eln {
 class component;
 class network;
 class subcircuit;
+class terminal;
+
+/// What a terminal binds to: a node of the owning network, or another
+/// terminal (typically a pin of the enclosing subcircuit).
+class pin {
+public:
+    pin(const node& n) : node_(n) {}    // NOLINT(google-explicit-constructor)
+    pin(terminal& t) : forward_(&t) {}  // NOLINT(google-explicit-constructor)
+
+private:
+    friend class terminal;
+    node node_;
+    terminal* forward_ = nullptr;
+};
 
 class terminal : public de::object {
 public:
-    /// Terminal owned by a component; with `expected`, node bindings are
-    /// nature-checked (matching the checks of the legacy node constructors).
-    terminal(std::string name, component& owner);
-    terminal(std::string name, component& owner, nature expected);
-    /// Exposed pin of a subcircuit.
+    /// Pin of a component, bound at construction; with `expected`, node
+    /// bindings are nature-checked.
+    terminal(std::string name, component& owner, pin to);
+    terminal(std::string name, component& owner, nature expected, pin to);
+    /// Exposed pin of a subcircuit, bound later by the enclosing level.
     terminal(std::string name, subcircuit& owner);
     terminal(std::string name, subcircuit& owner, nature expected);
 
@@ -47,12 +64,10 @@ public:
 
     [[nodiscard]] const char* kind() const noexcept override { return "eln_terminal"; }
 
-    /// Bind directly to a node of the owning network.
-    void bind(const node& n);
-    /// Bind hierarchically to another terminal (typically a subcircuit pin).
-    void bind(terminal& t);
-    void operator()(const node& n) { bind(n); }
-    void operator()(terminal& t) { bind(t); }
+    /// Bind to a node of the owning network, or hierarchically to another
+    /// terminal.  A terminal binds exactly once.
+    void bind(pin to);
+    void operator()(pin to) { bind(to); }
 
     [[nodiscard]] bool is_bound() const noexcept {
         return has_node_ || forward_ != nullptr;

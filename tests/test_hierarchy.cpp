@@ -213,9 +213,7 @@ TEST(hierarchy, destroyed_components_deregister_their_terminals) {
     {
         // A component that dies before elaboration must not leave dangling
         // terminal registrations behind (exercised under ASan in CI).
-        eln::resistor scratch("scratch", net, 1e3);
-        scratch.p(vin);
-        scratch.n(vout);
+        eln::resistor scratch("scratch", net, vin, vout, 1e3);
     }
     eln::vsource vs("vs", net, vin, gnd, eln::waveform::dc(1.0));
     eln::resistor r("r", net, vin, vout, 1e3);
@@ -293,9 +291,39 @@ TEST(hierarchy, double_bound_terminal_is_rejected) {
     eln::network net("net");
     auto a = net.create_node("a");
     auto b = net.create_node("b");
-    eln::resistor r("r", net, 1e3);
-    r.p(a);
-    EXPECT_THROW(r.p(b), sca::util::error);
+    eln::resistor r("r", net, a, net.ground(), 1e3);
+    try {
+        r.p(b);
+        FAIL() << "expected a double-binding diagnostic";
+    } catch (const sca::util::error& e) {
+        EXPECT_NE(std::string(e.what()).find("r.p"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("already bound"), std::string::npos);
+    }
+}
+
+TEST(hierarchy, forwarded_pin_nature_is_checked_at_elaboration) {
+    // A component pin forwarded through a subcircuit terminal that declares
+    // no nature is checked once elaboration resolves the chain to its node.
+    struct bare_pin : eln::subcircuit {
+        eln::terminal in;
+        eln::resistor r;
+        bare_pin(const de::module_name& nm, eln::network& net)
+            : subcircuit(nm, net), in("in", *this), r("r", net, in, net.ground(), 1e3) {}
+    };
+    de::simulation_context ctx;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto hot = net.create_node("hot", eln::nature::thermal);
+    bare_pin blk("blk", net);
+    blk.in(hot);  // accepted: the subcircuit pin itself checks nothing
+    try {
+        ctx.elaborate();
+        FAIL() << "expected a nature-mismatch diagnostic";
+    } catch (const sca::util::error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("blk.r.p"), std::string::npos) << what;
+        EXPECT_NE(what.find("terminal nature mismatch"), std::string::npos) << what;
+    }
 }
 
 TEST(hierarchy, duplicate_node_names_are_rejected) {
@@ -389,17 +417,13 @@ core::scenario define_quickstart_like(const std::string& name, bool hierarchical
             };
 
             if (hierarchical) {
-                auto& drive = tb.make<eln::tdf_vsource>("drive", net);
-                drive.p(vin);
-                drive.n(gnd);
+                auto& drive = tb.make<eln::tdf_vsource>("drive", net, vin, gnd);
                 auto& rc =
                     tb.make<eln::rc_lowpass>("rc", net, p.number("r"), p.number("c"));
                 rc.in(vin);
                 rc.out(vout);
                 rc.ref(gnd);
-                auto& probe = tb.make<eln::tdf_vsink>("probe", net);
-                probe.p(vout);
-                probe.n(gnd);
+                auto& probe = tb.make<eln::tdf_vsink>("probe", net, vout, gnd);
                 auto& bsink = tb.make<bool_sink>("bsink");
                 auto& s_sine = connect(src.out, drive.inp);
                 connect(probe.outp, cmp.in);

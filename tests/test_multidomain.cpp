@@ -157,4 +157,18 @@ TEST(multidomain, nature_checks_guard_connections) {
     EXPECT_THROW(eln::thermal_capacitance("c", net, electrical, 1.0), sca::util::error);
     EXPECT_THROW(eln::resistor("r", net, electrical, thermal_node, 1.0),
                  sca::util::error);
+
+    // A rejected pin takes its registration back out of the network (its
+    // terminal is fully built before it binds), so the network stays usable.
+    net.set_timestep(100.0, de::time_unit::us);
+    auto mgnd = net.ground(eln::nature::mechanical_translational);
+    auto v = net.create_node("v", eln::nature::mechanical_translational);
+    eln::resistor re("re", net, electrical, net.ground(), 1.0);  // no floating nodes
+    eln::thermal_resistance rt("rt", net, thermal_node, net.ground(eln::nature::thermal),
+                               1.0);
+    eln::mass m("m", net, v, 2.0);
+    eln::damper b("b", net, v, mgnd, 4.0);
+    eln::force_source f("f", net, mgnd, v, eln::waveform::dc(8.0));
+    sim.run(5_sec);
+    EXPECT_NEAR(net.voltage(v), 2.0, 1e-6);  // terminal velocity F/b
 }
