@@ -15,8 +15,8 @@
 #include <complex>
 
 #include "bench_util.hpp"
-#include "core/ac_analysis.hpp"
 #include "eln/converter.hpp"
+#include "solver/ac.hpp"
 #include "util/fft.hpp"
 
 namespace de = sca::de;
@@ -72,11 +72,12 @@ void ac_sweep(benchmark::State& state) {
     for (auto _ : state) {
         ac_ladder model(false);
         model.sim.elaborate();
-        sca::core::ac_analysis ac(*model.net);
-        const auto pts = ac.sweep(model.out_node.index(),
-                                  {100.0, 1e6, points, solver::sweep::scale::logarithmic});
+        const auto& sys = model.net->equations();
+        const auto pts = solver::ac_sweep(sys, model.out_node.index(),
+                                          {100.0, 1e6, points, solver::sweep::scale::logarithmic});
         benchmark::DoNotOptimize(pts);
-        const auto probe = ac.sweep(model.out_node.index(), {k_probe_freq, k_probe_freq, 1});
+        const auto probe =
+            solver::ac_sweep(sys, model.out_node.index(), {k_probe_freq, k_probe_freq, 1});
         mag_at_probe = std::abs(probe[0].value);
     }
     state.counters["mag_at_50k"] = mag_at_probe;

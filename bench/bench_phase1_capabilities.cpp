@@ -13,14 +13,15 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "core/ac_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "core/scenario.hpp"
 #include "eln/converter.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
 #include "lsf/primitives.hpp"
 #include "lsf/state_space.hpp"
+#include "solver/ac.hpp"
+#include "solver/noise.hpp"
+#include "util/object_bag.hpp"
 
 namespace de = sca::de;
 namespace tdf = sca::tdf;
@@ -112,23 +113,22 @@ void ac_and_noise_analyses(benchmark::State& state) {
     double noise_rms = 0.0;
     for (auto _ : state) {
         de::simulation_context sim;
+        sca::util::object_bag bag;
         eln::network net("net");
         net.set_timestep(k_step);
         auto gnd = net.ground();
         auto n1 = net.create_node("n1");
         auto n2 = net.create_node("n2");
-        auto* vs = new eln::vsource("vs", net, n1, gnd, eln::waveform::dc(0.0));
-        vs->set_ac(1.0);
-        new eln::resistor("r", net, n1, n2, 1000.0);
-        new eln::capacitor("c", net, n2, gnd, 15.9e-9);
+        auto& vs = bag.make<eln::vsource>("vs", net, n1, gnd, eln::waveform::dc(0.0));
+        vs.set_ac(1.0);
+        bag.make<eln::resistor>("r", net, n1, n2, 1000.0);
+        bag.make<eln::capacitor>("c", net, n2, gnd, 15.9e-9);
         sim.elaborate();
 
-        sca::core::ac_analysis ac(net);
-        const auto pts = ac.sweep(n2.index(), {100.0, 1e6, 100});
+        const auto pts = solver::ac_sweep(net.equations(), n2.index(), {100.0, 1e6, 100});
         mag_f0 = std::abs(pts[50].value);
 
-        sca::core::noise_analysis na(net);
-        const auto res = na.run(n2.index(), {10.0, 10e6, 100});
+        const auto res = solver::noise_sweep(net.equations(), n2.index(), {10.0, 10e6, 100});
         noise_rms = res.integrated_rms();
         benchmark::DoNotOptimize(res);
     }

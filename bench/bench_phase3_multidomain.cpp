@@ -13,6 +13,7 @@
 #include "eln/converter.hpp"
 #include "eln/multidomain.hpp"
 #include "lib/pwm.hpp"
+#include "util/object_bag.hpp"
 
 namespace de = sca::de;
 namespace eln = sca::eln;
@@ -63,6 +64,7 @@ void pwm_buck_stage(benchmark::State& state) {
     std::uint64_t factorizations = 0;
     for (auto _ : state) {
         de::simulation_context sim;
+        sca::util::object_bag bag;
         de::signal<double> duty("duty", 0.5);
         de::signal<bool> gate("gate", false);
         lib::pwm pwm("pwm", 50_us);
@@ -75,14 +77,14 @@ void pwm_buck_stage(benchmark::State& state) {
         auto vin = net.create_node("vin");
         auto sw_out = net.create_node("sw_out");
         auto out = net.create_node("out");
-        new eln::vsource("vs", net, vin, gnd, eln::waveform::dc(12.0));
-        auto* sw = new eln::de_rswitch("sw", net, vin, sw_out, 0.1, 1e6);
-        sw->ctrl.bind(gate);
+        bag.make<eln::vsource>("vs", net, vin, gnd, eln::waveform::dc(12.0));
+        auto& sw = bag.make<eln::de_rswitch>("sw", net, vin, sw_out, 0.1, 1e6);
+        sw.ctrl.bind(gate);
         // Freewheeling path + LC output filter.
-        new eln::resistor("fw", net, sw_out, gnd, 10e3);
-        new eln::inductor("l", net, sw_out, out, 1e-3);
-        new eln::capacitor("c", net, out, gnd, 100e-6);
-        new eln::resistor("load", net, out, gnd, 10.0);
+        bag.make<eln::resistor>("fw", net, sw_out, gnd, 10e3);
+        bag.make<eln::inductor>("l", net, sw_out, out, 1e-3);
+        bag.make<eln::capacitor>("c", net, out, gnd, 100e-6);
+        bag.make<eln::resistor>("load", net, out, gnd, 10.0);
 
         sim.run(de::time::from_seconds(20e-3));
         vout = net.voltage(out);
@@ -98,15 +100,16 @@ void generic_sync_de_to_mechanical(benchmark::State& state) {
     double position = 0.0;
     for (auto _ : state) {
         de::simulation_context sim;
+        sca::util::object_bag bag;
         de::signal<double> setpoint("setpoint", 0.0);
 
         eln::network net("net");
         net.set_timestep(1.0, de::time_unit::ms);
         auto mgnd = net.ground(eln::nature::mechanical_translational);
         auto v = net.create_node("v", eln::nature::mechanical_translational);
-        new eln::mass("m", net, v, 1.0);
-        new eln::damper("b", net, v, mgnd, 2.0);
-        new eln::spring("k", net, v, mgnd, 50.0);
+        bag.make<eln::mass>("m", net, v, 1.0);
+        bag.make<eln::damper>("b", net, v, mgnd, 2.0);
+        bag.make<eln::spring>("k", net, v, mgnd, 50.0);
         // Force follows the DE setpoint through a de-controlled source
         // mapped onto the mechanical discipline via a custom component.
         struct de_force : eln::component {
@@ -124,8 +127,8 @@ void generic_sync_de_to_mechanical(benchmark::State& state) {
                 net_.set_input(slot_n, inp.read());
             }
         };
-        auto* f = new de_force("f", net, mgnd, v);
-        f->inp.bind(setpoint);
+        auto& f = bag.make<de_force>("f", net, mgnd, v);
+        f.inp.bind(setpoint);
 
         // Software-ish supervisor: steps the setpoint every 200 ms.
         auto& proc = sim.register_method("supervisor", [&] {

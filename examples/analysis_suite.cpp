@@ -4,24 +4,25 @@
 //
 // A two-stage RC-loaded amplifier input network is defined once as a
 // scenario; a single built testbench handle then drives:
-//   1. dc_analysis     - quiescent operating point
-//   2. ac_analysis     - small-signal transfer magnitude/phase
-//   3. noise_analysis  - output-referred noise PSD and integrated rms
+//   1. dc_solve        - quiescent operating point
+//   2. ac_sweep        - small-signal transfer magnitude/phase
+//   3. noise_sweep     - output-referred noise PSD and integrated rms
 //   4. transient       - the same testbench's time-domain run with probes
+// (1-3 take the equation system of the testbench's continuous-time view)
 // and finally a run_set sweeps the load corner across worker threads.
 //
 // Build & run:  ./examples/analysis_suite
 #include <cstdio>
 #include <numbers>
 
-#include "core/ac_analysis.hpp"
-#include "core/dc_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
+#include "solver/ac.hpp"
+#include "solver/dc.hpp"
+#include "solver/noise.hpp"
 #include "util/measure.hpp"
 
 namespace core = sca::core;
@@ -77,28 +78,28 @@ int main() {
 
     std::printf("Analysis suite: one scenario, four analyses, zero rebuilds\n\n");
 
+    const auto& sys = tb->view().equations();
+
     // 1. DC operating point -------------------------------------------------
-    core::dc_analysis dc(*tb);
-    const auto op = dc.operating_point();
+    const auto op = solver::dc_solve(sys, 0.0);
     std::printf("1) DC operating point (bias %.1f V):\n",
                 tb->parameters().number("v_bias"));
-    for (const auto& e : op) {
-        std::printf("     %-12s %10.4f\n", e.name.c_str(), e.value);
+    for (std::size_t i = 0; i < op.size(); ++i) {
+        std::printf("     %-12s %10.4f\n", sys.unknown_name(i).c_str(), op[i]);
     }
 
     // 2. AC sweep -----------------------------------------------------------
-    core::ac_analysis ac(*tb);
     std::printf("\n2) AC transfer to 'out':\n");
     std::printf("   %12s %12s %12s\n", "f [kHz]", "|H| [dB]", "phase [deg]");
     for (double f : {1e3, 5e3, 10e3, 50e3, 200e3}) {
-        const auto pt = ac.sweep(out, {f, f, 1, solver::sweep::scale::logarithmic})[0];
+        const auto pt =
+            solver::ac_sweep(sys, out, {f, f, 1, solver::sweep::scale::logarithmic})[0];
         std::printf("   %12.1f %12.2f %12.1f\n", f / 1e3, pt.magnitude_db(),
                     pt.phase_deg());
     }
 
     // 3. Noise --------------------------------------------------------------
-    core::noise_analysis noise(*tb);
-    const auto nres = noise.run(out, {100.0, 1e6, 100});
+    const auto nres = solver::noise_sweep(sys, out, {100.0, 1e6, 100});
     std::printf("\n3) output noise 100 Hz - 1 MHz: %.3f uV rms (%zu thermal sources)\n",
                 nres.integrated_rms() * 1e6, nres.source_names.size());
 

@@ -12,8 +12,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/ac_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/sources.hpp"
@@ -22,6 +20,8 @@
 #include "lib/filters.hpp"
 #include "lib/mixer.hpp"
 #include "lib/oscillator.hpp"
+#include "solver/ac.hpp"
+#include "solver/noise.hpp"
 #include "tdf/connect.hpp"
 #include "tdf/port.hpp"
 #include "util/fft.hpp"
@@ -176,8 +176,9 @@ int main() {
     auto tank = define_if_tank().build();
     const auto out = static_cast<std::size_t>(tank->note("out"));
 
-    core::ac_analysis ac(*tank);
-    const auto pts = ac.sweep(out, {1e3, 100e3, 61, solver::sweep::scale::logarithmic});
+    const auto& sys = tank->view().equations();
+    const auto pts =
+        solver::ac_sweep(sys, out, {1e3, 100e3, 61, solver::sweep::scale::logarithmic});
     double best_mag = -1e9, best_f = 0.0;
     for (const auto& p : pts) {
         if (p.magnitude_db() > best_mag) {
@@ -186,8 +187,7 @@ int main() {
         }
     }
 
-    core::noise_analysis na(*tank);
-    const auto noise = na.run(out, {100.0, 1e6, 200});
+    const auto noise = solver::noise_sweep(sys, out, {100.0, 1e6, 200});
 
     std::printf("\nfrequency-domain characterization of the IF tank (ELN view):\n");
     std::printf("  AC peak      : %.1f kHz at %.2f dB\n", best_f / 1e3, best_mag);

@@ -16,15 +16,16 @@
 #include <memory>
 #include <vector>
 
-#include "core/ac_analysis.hpp"
 #include "core/scenario.hpp"
 #include "lib/amplifier.hpp"
 #include "lib/external_ode.hpp"
 #include "lib/filters.hpp"
 #include "lib/oscillator.hpp"
+#include "solver/ac.hpp"
 #include "solver/equation_system.hpp"
 #include "solver/external.hpp"
 #include "solver/nonlinear_dae.hpp"
+#include "tdf/module.hpp"
 #include "tdf/port.hpp"
 #include "util/measure.hpp"
 
@@ -168,7 +169,7 @@ int main() {
     std::printf("\nfrequency-domain cascade (amplifier pole x FIR, paper [6] style):\n");
     std::printf("%12s %14s %14s\n", "f [kHz]", "|H| [dB]", "phase [deg]");
     for (double f : {1e3, 5e3, 10e3, 20e3, 30e3}) {
-        const auto pt = core::tdf_cascade_response(chain, {f, f, 1})[0];
+        const auto pt = tdf::cascade_response(chain, {f, f, 1})[0];
         std::printf("%12.1f %14.2f %14.1f\n", f / 1e3, pt.magnitude_db(), pt.phase_deg());
     }
     std::printf("\nExpected shape: both engines find the ~2.0 limit cycle; the cascade\n"

@@ -119,8 +119,9 @@ params monte_carlo::at(std::size_t i, std::uint64_t seed) const {
 
 double run_result::measurement(const std::string& name) const {
     auto it = measurements.find(name);
-    util::require(it != measurements.end(), "run_result",
-                  "unknown measurement '" + name + "'");
+    if (it == measurements.end()) {
+        util::report_fatal("run_result", "unknown measurement '" + name + "'");
+    }
     return it->second;
 }
 

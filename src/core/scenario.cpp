@@ -85,8 +85,9 @@ void testbench::on_param(std::string name, std::function<void(double)> apply) {
 
 void testbench::poke(const std::string& name, double value) {
     auto it = param_hooks_.find(name);
-    util::require(it != param_hooks_.end(), "testbench",
-                  "no param hook registered for '" + name + "'");
+    if (it == param_hooks_.end()) {
+        util::report_fatal("testbench", "no param hook registered for '" + name + "'");
+    }
     activate();
     it->second(value);
 }
@@ -100,7 +101,7 @@ std::vector<std::string> testbench::param_names() const {
 
 double testbench::note(const std::string& name) const {
     auto it = notes_.find(name);
-    util::require(it != notes_.end(), "testbench", "unknown note '" + name + "'");
+    if (it == notes_.end()) util::report_fatal("testbench", "unknown note '" + name + "'");
     return it->second;
 }
 
@@ -152,8 +153,10 @@ std::vector<std::string> testbench::probe_names() const {
 
 double testbench::measurement(const std::string& name) const {
     auto it = measured_.find(name);
-    util::require(it != measured_.end(), "testbench",
-                  "unknown measurement '" + name + "' (did the run finish?)");
+    if (it == measured_.end()) {
+        util::report_fatal("testbench",
+                           "unknown measurement '" + name + "' (did the run finish?)");
+    }
     return it->second;
 }
 
@@ -184,10 +187,11 @@ tdf::dae_module& testbench::view() {
 tdf::dae_module& testbench::view(const std::string& full_name) {
     elaborate();
     de::object* o = context().find_object(full_name);
-    util::require(o != nullptr, "testbench", "no object named '" + full_name + "'");
+    if (o == nullptr) util::report_fatal("testbench", "no object named '" + full_name + "'");
     auto* v = dynamic_cast<tdf::dae_module*>(o);
-    util::require(v != nullptr, "testbench",
-                  "'" + full_name + "' is not a continuous-time view");
+    if (v == nullptr) {
+        util::report_fatal("testbench", "'" + full_name + "' is not a continuous-time view");
+    }
     return *v;
 }
 
@@ -228,7 +232,9 @@ scenario scenario::define(std::string name, params defaults, build_fn build) {
 scenario scenario::find(const std::string& name) {
     std::lock_guard<std::mutex> lock(registry_mutex());
     auto it = registry().find(name);
-    util::require(it != registry().end(), "scenario", "no scenario named '" + name + "'");
+    if (it == registry().end()) {
+        util::report_fatal("scenario", "no scenario named '" + name + "'");
+    }
     return scenario(it->second);
 }
 

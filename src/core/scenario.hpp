@@ -195,7 +195,8 @@ public:
 
     /// Record a named constant during build (e.g. the MNA row index of an
     /// output node) so analyses driven from outside the build lambda can
-    /// refer to it: `ac.sweep(size_t(tb.note("out")), sw)`.
+    /// refer to it:
+    /// `solver::ac_sweep(tb.view().equations(), size_t(tb.note("out")), sw)`.
     void note(std::string name, double value) { notes_[std::move(name)] = value; }
     [[nodiscard]] double note(const std::string& name) const;
 
@@ -247,11 +248,12 @@ public:
     void attach_trace_for_resume();
 
     // --- analysis handle ---------------------------------------------------
-    /// The continuous-time view (ELN network / LSF system) the frequency- and
-    /// static-domain analyses operate on.  With no argument the testbench
+    /// The continuous-time view (ELN network / LSF system) whose equations()
+    /// the frequency- and static-domain analyses (solver::ac_sweep,
+    /// noise_sweep, dc_solve) operate on.  With no argument the testbench
     /// must contain exactly one view; with a name, the view with that full
-    /// hierarchical name.  Elaborates first, so ac/dc/noise analyses can take
-    /// a freshly built testbench.
+    /// hierarchical name.  Elaborates first, so the analyses can take a
+    /// freshly built testbench.
     [[nodiscard]] tdf::dae_module& view();
     [[nodiscard]] tdf::dae_module& view(const std::string& full_name);
 

@@ -64,8 +64,9 @@ double network::voltage(const node& a, const node& b) const {
 
 double network::current(const component& c) const {
     const std::size_t row = find_branch(c);
-    util::require(row != ground_row, name(),
-                  "component " + c.name() + " has no branch current unknown");
+    if (row == ground_row) {
+        util::report_fatal(name(), "component " + c.name() + " has no branch current unknown");
+    }
     if (row >= state().size()) return 0.0;
     return state()[row];
 }

@@ -24,9 +24,11 @@ double system::value(const signal& s) const {
 std::size_t system::claim_driver(const signal& s, const block& driver) {
     util::require(s.valid(), name(), "block output is not connected to a signal");
     const auto [it, inserted] = drivers_.emplace(s.index(), &driver);
-    util::require(inserted || it->second == &driver, name(),
-                  "lsf signal '" + signal_names_[s.index()] + "' has two drivers (" +
-                      it->second->name() + " and " + driver.name() + ")");
+    if (!inserted && it->second != &driver) {
+        util::report_fatal(name(), "lsf signal '" + signal_names_[s.index()] +
+                                       "' has two drivers (" + it->second->name() + " and " +
+                                       driver.name() + ")");
+    }
     return s.index();
 }
 
@@ -44,8 +46,9 @@ void system::build_equations() {
     for (block* b : blocks_) b->stamp(*this);
     // Every signal must have exactly one driver, or the matrix is singular.
     for (std::size_t i = 0; i < signal_names_.size(); ++i) {
-        util::require(drivers_.count(i) == 1, name(),
-                      "lsf signal '" + signal_names_[i] + "' has no driver");
+        if (drivers_.count(i) != 1) {
+            util::report_fatal(name(), "lsf signal '" + signal_names_[i] + "' has no driver");
+        }
     }
 }
 

@@ -2,9 +2,13 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
+#include <string_view>
 
 #include "numeric/sparse.hpp"
+#include "solver/noise.hpp"
 #include "util/report.hpp"
+#include "util/trace.hpp"
 
 namespace sca::solver {
 
@@ -30,71 +34,116 @@ std::vector<double> sweep::frequencies() const {
 }
 
 namespace {
-num::sparse_matrix_d linearize(const equation_system& sys,
-                               const std::vector<double>* dc) {
-    num::sparse_matrix_d a(sys.size());
+
+/// The per-frequency loop of AC and noise analysis.  Linearizes `sys` once
+/// (A plus the Jacobian of g at `dc` when nonlinear), then at each sweep
+/// frequency f assembles A + j*2*pi*f*B, factors it at the first point and
+/// refactors numerically at every later one, and hands the factors to
+/// `at_frequency(f, lu)`.
+template <typename AtFrequency>
+void factor_per_frequency(const equation_system& sys, std::size_t output, const sweep& sw,
+                          const std::vector<double>& dc, std::string_view who,
+                          AtFrequency&& at_frequency) {
+    const std::size_t n = sys.size();
+    util::require(output < n, who, "output index out of range");
+    if (!dc.empty() && dc.size() != n) {
+        util::report_fatal(who, "DC operating point has " + std::to_string(dc.size()) +
+                                    " entries for a system of " + std::to_string(n) +
+                                    " unknowns");
+    }
+    num::sparse_matrix_d a(n);
     a.add_scaled(sys.a(), 1.0);
     if (!sys.is_linear()) {
-        util::require(dc != nullptr, "ac_solver",
-                      "nonlinear system requires a DC operating point for AC analysis");
-        std::vector<double> residual(sys.size(), 0.0);
+        util::require(!dc.empty(), who, "nonlinear system requires a DC operating point");
+        std::vector<double> residual(n, 0.0);
         std::vector<jacobian_entry> jac;
-        sys.eval_nonlinear(*dc, residual, jac);
+        sys.eval_nonlinear(dc, residual, jac);
         for (const auto& e : jac) a.add(e.row, e.col, e.value);
     }
-    return a;
+
+    // The pattern of A + j*omega*B does not depend on omega: after the first
+    // point, rewrite the values and refactor against the cached symbolic
+    // analysis.
+    const auto& b = sys.b();
+    num::sparse_matrix_z m(n);
+    num::sparse_lu_z lu;
+    bool first_point = true;
+    for (double f : sw.frequencies()) {
+        const double omega = 2.0 * std::numbers::pi * f;
+        if (!first_point) m.zero_values();
+        first_point = false;
+        for (std::size_t r = 0; r < n; ++r) {
+            const auto& idx = a.row_indices(r);
+            const auto& val = a.row_values(r);
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+                m.add(r, idx[k], std::complex<double>(val[k], 0.0));
+            }
+        }
+        for (std::size_t r = 0; r < n; ++r) {
+            const auto& idx = b.row_indices(r);
+            const auto& val = b.row_values(r);
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+                m.add(r, idx[k], std::complex<double>(0.0, omega * val[k]));
+            }
+        }
+        if (!lu.refactor(m)) lu.factor(m);
+        at_frequency(f, lu);
+    }
 }
+
 }  // namespace
 
-ac_solver::ac_solver(const equation_system& sys)
-    : sys_(&sys), a_linearized_(linearize(sys, nullptr)) {}
-
-ac_solver::ac_solver(const equation_system& sys, const std::vector<double>& dc)
-    : sys_(&sys), a_linearized_(linearize(sys, &dc)) {}
-
-std::vector<std::complex<double>> ac_solver::solve(double f) const {
-    const std::size_t n = sys_->size();
-    const double omega = 2.0 * std::numbers::pi * f;
-
-    // The pattern of A + j*omega*B is frequency-independent: build the
-    // complex matrix once, then rewrite values per frequency and reuse the
-    // cached symbolic factorization (numeric-only refactor per point).
-    if (!cache_valid_) {
-        m_cache_ = num::sparse_matrix_z(n);
-        cache_valid_ = true;
-    } else {
-        m_cache_.zero_values();
-    }
-    num::sparse_matrix_z& m = m_cache_;
-    for (std::size_t r = 0; r < n; ++r) {
-        const auto& idx = a_linearized_.row_indices(r);
-        const auto& val = a_linearized_.row_values(r);
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-            m.add(r, idx[k], std::complex<double>(val[k], 0.0));
-        }
-    }
-    const auto& b = sys_->b();
-    for (std::size_t r = 0; r < n; ++r) {
-        const auto& idx = b.row_indices(r);
-        const auto& val = b.row_values(r);
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-            m.add(r, idx[k], std::complex<double>(0.0, omega * val[k]));
-        }
-    }
-
-    std::vector<std::complex<double>> u(n, {0.0, 0.0});
-    for (const auto& s : sys_->ac_sources()) u[s.row] += s.amplitude;
-
-    if (!lu_cache_.refactor(m)) lu_cache_.factor(m);
-    return lu_cache_.solve(u);
+std::vector<ac_point> ac_sweep(const equation_system& sys, std::size_t output, const sweep& sw,
+                               const std::vector<double>& dc) {
+    std::vector<std::complex<double>> u(sys.size(), {0.0, 0.0});
+    for (const auto& s : sys.ac_sources()) u[s.row] += s.amplitude;
+    std::vector<std::complex<double>> x;
+    std::vector<ac_point> points;
+    factor_per_frequency(sys, output, sw, dc, "ac_sweep",
+                         [&](double f, const num::sparse_lu_z& lu) {
+                             lu.solve_into(u, x);
+                             points.push_back({f, x[output]});
+                         });
+    return points;
 }
 
-std::vector<std::complex<double>> ac_solver::transfer(std::size_t output,
-                                                      const sweep& sw) const {
-    util::require(output < sys_->size(), "ac_solver", "output index out of range");
-    std::vector<std::complex<double>> h;
-    for (double f : sw.frequencies()) h.push_back(solve(f)[output]);
-    return h;
+noise_result noise_sweep(const equation_system& sys, std::size_t output, const sweep& sw,
+                         const std::vector<double>& dc) {
+    const auto& sources = sys.noise_sources();
+    noise_result result;
+    for (const auto& s : sources) result.source_names.push_back(s.name);
+
+    // One forward/back substitution per source through each frequency's
+    // factors.
+    std::vector<std::complex<double>> u;
+    std::vector<std::complex<double>> x;
+    factor_per_frequency(
+        sys, output, sw, dc, "noise_sweep", [&](double f, const num::sparse_lu_z& lu) {
+            noise_point pt{f, 0.0, {}};
+            pt.per_source.reserve(sources.size());
+            for (const auto& s : sources) {
+                u.assign(sys.size(), {0.0, 0.0});
+                for (const auto& [row, weight] : s.injections) u[row] += weight;
+                lu.solve_into(u, x);
+                const double contribution = std::norm(x[output]) * s.psd(f);
+                pt.per_source.push_back(contribution);
+                pt.total_psd += contribution;
+            }
+            result.points.push_back(std::move(pt));
+        });
+    return result;
+}
+
+void write(const std::vector<ac_point>& points, util::trace_file& file) {
+    // The trace interface is time-major; frequency plays the role of the
+    // abscissa here.  The rows are replayed, so the channels have no live
+    // value to probe.
+    file.add_channel("magnitude_db", [] { return 0.0; });
+    file.add_channel("phase_deg", [] { return 0.0; });
+    for (const auto& p : points) {
+        const double row[] = {p.magnitude_db(), p.phase_deg()};
+        file.replay_row(p.frequency, row);
+    }
 }
 
 double magnitude_db(const std::complex<double>& h) { return 20.0 * std::log10(std::abs(h)); }

@@ -3,12 +3,14 @@
 // analysis ... the frequency-domain model can be derived from the
 // time-domain description").
 //
-// For each analysis frequency f the solver factors (A + j*2*pi*f*B) and
-// solves against the AC stimulus vector; for nonlinear systems A is first
-// augmented with the Jacobian of g at the DC operating point (linearization).
-// The complex system matrix has the same sparsity pattern at every
-// frequency, so the per-frequency factorization reuses one cached symbolic
-// analysis across the whole sweep (numeric-only refactor per point).
+// The analyses take the equation system a continuous-time view exposes
+// (`view.equations()`, or `tb.view().equations()` from a testbench).  One
+// per-frequency loop serves AC and noise (solver/noise.hpp): it linearizes
+// the system once, augmenting A with the Jacobian of g at the DC operating
+// point when the system is nonlinear, then at each frequency f assembles
+// A + j*2*pi*f*B, factors it at the first point and refactors numerically at
+// every later one (the pattern does not depend on f).  Each call owns its
+// matrices and factors, so concurrent sweeps over one system are safe.
 #ifndef SCA_SOLVER_AC_HPP
 #define SCA_SOLVER_AC_HPP
 
@@ -16,6 +18,10 @@
 #include <vector>
 
 #include "solver/equation_system.hpp"
+
+namespace sca::util {
+class trace_file;
+}
 
 namespace sca::solver {
 
@@ -31,38 +37,32 @@ struct sweep {
     [[nodiscard]] std::vector<double> frequencies() const;
 };
 
-class ac_solver {
-public:
-    /// Linear systems need no operating point; nonlinear systems must pass
-    /// the DC solution to linearize around.
-    explicit ac_solver(const equation_system& sys);
-    ac_solver(const equation_system& sys, const std::vector<double>& dc_operating_point);
-
-    /// Phasor solution of all unknowns at frequency `f` (Hz).
-    /// Not thread-safe despite constness: solve/transfer reuse mutable
-    /// per-sweep factorization caches. Give each thread its own ac_solver
-    /// (the core::ac_analysis driver constructs one per sweep call).
-    [[nodiscard]] std::vector<std::complex<double>> solve(double f) const;
-
-    /// Transfer from the AC stimulus to unknown `output` over a sweep.
-    [[nodiscard]] std::vector<std::complex<double>> transfer(std::size_t output,
-                                                             const sweep& sw) const;
-
-private:
-    const equation_system* sys_;
-    num::sparse_matrix_d a_linearized_;  // A (+ dg/dx at the DC point)
-    // Per-frequency solve caches: the complex matrix pattern is frequency-
-    // independent, so the symbolic factorization is computed once per sweep.
-    mutable num::sparse_matrix_z m_cache_;
-    mutable num::sparse_lu_z lu_cache_;
-    mutable bool cache_valid_ = false;
-};
-
 /// Magnitude in dB (20 log10 |h|).
 [[nodiscard]] double magnitude_db(const std::complex<double>& h);
 
 /// Phase in degrees.
 [[nodiscard]] double phase_deg(const std::complex<double>& h);
+
+struct ac_point {
+    double frequency;
+    std::complex<double> value;
+    [[nodiscard]] double magnitude_db() const { return solver::magnitude_db(value); }
+    [[nodiscard]] double phase_deg() const { return solver::phase_deg(value); }
+};
+
+/// Phasor response of unknown `output` (eln node.index(), lsf
+/// signal.index(), or any branch row) to the system's AC sources over the
+/// sweep.  A nonlinear system needs the DC operating point `dc` to linearize
+/// around; a linear one ignores it.  Throws when `output` is not an unknown
+/// of the system or a non-empty `dc` has another size than the system.
+[[nodiscard]] std::vector<ac_point> ac_sweep(const equation_system& sys, std::size_t output,
+                                             const sweep& sw,
+                                             const std::vector<double>& dc = {});
+
+/// Write a sweep into a trace file that has no channels yet: channels
+/// magnitude_db and phase_deg, one row per point with the frequency on the
+/// abscissa.
+void write(const std::vector<ac_point>& points, util::trace_file& file);
 
 }  // namespace sca::solver
 

@@ -1,6 +1,8 @@
 #include "solver/dc.hpp"
 
 #include <cmath>
+#include <iomanip>
+#include <ostream>
 
 #include "numeric/sparse.hpp"
 #include "util/report.hpp"
@@ -87,6 +89,18 @@ std::vector<double> dc_solve(const equation_system& sys, double t0, const dc_opt
     util::report_warning("dc_solve", "Newton did not fully converge; residual norm " +
                                          std::to_string(fnorm));
     return x;
+}
+
+void write_operating_point(const equation_system& sys, const std::vector<double>& x,
+                           std::ostream& os) {
+    util::require(x.size() == sys.size(), "write_operating_point",
+                  "operating point size differs from the system");
+    os << "DC operating point (" << x.size() << " unknowns)\n";
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        os << "  " << std::left << std::setw(24) << sys.unknown_name(i) << std::right
+           << std::setw(14) << std::setprecision(6) << std::scientific << x[i] << '\n';
+    }
+    os.flags(std::ios::fmtflags{});
 }
 
 }  // namespace sca::solver

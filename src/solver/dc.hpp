@@ -5,6 +5,7 @@
 #ifndef SCA_SOLVER_DC_HPP
 #define SCA_SOLVER_DC_HPP
 
+#include <iosfwd>
 #include <vector>
 
 #include "solver/equation_system.hpp"
@@ -31,6 +32,11 @@ struct dc_options {
 /// fallback.
 [[nodiscard]] std::vector<double> dc_solve(const equation_system& sys, double t0,
                                            const dc_options& opt = {});
+
+/// Human-readable operating-point table: one line per unknown of `sys`
+/// (e.g. "v(out)", "i(vs.i)") with its value in `x`, a dc_solve() result.
+void write_operating_point(const equation_system& sys, const std::vector<double>& x,
+                           std::ostream& os);
 
 }  // namespace sca::solver
 

@@ -1,12 +1,13 @@
 #include "solver/noise.hpp"
 
 #include <cmath>
-#include <numbers>
 
-#include "numeric/sparse.hpp"
-#include "util/report.hpp"
+#include "util/trace.hpp"
 
 namespace sca::solver {
+
+// noise_sweep() lives in solver/ac.cpp, next to the per-frequency loop it
+// shares with ac_sweep().
 
 double noise_result::integrated_rms() const {
     double power = 0.0;
@@ -17,78 +18,16 @@ double noise_result::integrated_rms() const {
     return std::sqrt(power);
 }
 
-noise_solver::noise_solver(const equation_system& sys) : sys_(&sys) {
-    util::require(sys.is_linear(), "noise_solver",
-                  "nonlinear system requires a DC operating point for noise analysis");
-}
-
-noise_solver::noise_solver(const equation_system& sys,
-                           const std::vector<double>& dc_operating_point)
-    : sys_(&sys), dc_(dc_operating_point), have_dc_(true) {}
-
-noise_result noise_solver::analyze(std::size_t output, const sweep& sw) const {
-    util::require(output < sys_->size(), "noise_solver", "output index out of range");
-    const auto& sources = sys_->noise_sources();
-
-    noise_result result;
-    for (const auto& s : sources) result.source_names.push_back(s.name);
-
-    // Build the linearized complex system once per frequency, then reuse the
-    // factorization for every source (one forward/back substitution each).
-    const std::size_t n = sys_->size();
-    num::sparse_matrix_d a(n);
-    a.add_scaled(sys_->a(), 1.0);
-    if (!sys_->is_linear()) {
-        std::vector<double> residual(n, 0.0);
-        std::vector<jacobian_entry> jac;
-        sys_->eval_nonlinear(dc_, residual, jac);
-        for (const auto& e : jac) a.add(e.row, e.col, e.value);
+void write(const noise_result& result, util::trace_file& file) {
+    // Rows are replayed, so the channels have no live value to probe.
+    file.add_channel("total_psd", [] { return 0.0; });
+    for (const auto& name : result.source_names) file.add_channel(name, [] { return 0.0; });
+    std::vector<double> row;
+    for (const auto& p : result.points) {
+        row.assign(1, p.total_psd);
+        row.insert(row.end(), p.per_source.begin(), p.per_source.end());
+        file.replay_row(p.frequency, row);
     }
-
-    // One complex matrix + factorization reused across the sweep: the
-    // pattern is frequency-independent, so only the first point pays the
-    // symbolic analysis (numeric-only refactor afterwards).
-    num::sparse_matrix_z m(n);
-    num::sparse_lu_z lu;
-    bool first_point = true;
-    for (double f : sw.frequencies()) {
-        const double omega = 2.0 * std::numbers::pi * f;
-        if (!first_point) m.zero_values();
-        first_point = false;
-        for (std::size_t r = 0; r < n; ++r) {
-            const auto& idx = a.row_indices(r);
-            const auto& val = a.row_values(r);
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-                m.add(r, idx[k], std::complex<double>(val[k], 0.0));
-            }
-        }
-        const auto& b = sys_->b();
-        for (std::size_t r = 0; r < n; ++r) {
-            const auto& idx = b.row_indices(r);
-            const auto& val = b.row_values(r);
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-                m.add(r, idx[k], std::complex<double>(0.0, omega * val[k]));
-            }
-        }
-        if (!lu.refactor(m)) lu.factor(m);
-
-        noise_point pt;
-        pt.frequency = f;
-        pt.total_psd = 0.0;
-        pt.per_source.reserve(sources.size());
-        std::vector<std::complex<double>> u(n, {0.0, 0.0});
-        for (const auto& s : sources) {
-            u.assign(n, {0.0, 0.0});
-            for (const auto& [row, weight] : s.injections) u[row] += weight;
-            const auto x = lu.solve(u);
-            const double h2 = std::norm(x[output]);
-            const double contribution = h2 * s.psd(f);
-            pt.per_source.push_back(contribution);
-            pt.total_psd += contribution;
-        }
-        result.points.push_back(std::move(pt));
-    }
-    return result;
 }
 
 }  // namespace sca::solver

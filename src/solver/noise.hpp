@@ -3,7 +3,8 @@
 // simulation").
 //
 // Each registered noise source is injected separately; its transfer to the
-// output is obtained from one complex solve per source per frequency, and
+// output is one forward/back substitution per source per frequency through
+// the factors of the AC analysis's per-frequency loop (solver/ac.hpp), and
 // the output power spectral density is the superposition of the magnitude-
 // squared contributions (noise sources are uncorrelated).
 #ifndef SCA_SOLVER_NOISE_HPP
@@ -35,19 +36,15 @@ struct noise_result {
     [[nodiscard]] double integrated_rms() const;
 };
 
-class noise_solver {
-public:
-    explicit noise_solver(const equation_system& sys);
-    noise_solver(const equation_system& sys, const std::vector<double>& dc_operating_point);
+/// Output-referred noise PSD at unknown `output` over the sweep, with the
+/// same DC-point and index rules as ac_sweep().
+[[nodiscard]] noise_result noise_sweep(const equation_system& sys, std::size_t output,
+                                       const sweep& sw, const std::vector<double>& dc = {});
 
-    /// Output noise PSD at unknown `output` over the sweep.
-    [[nodiscard]] noise_result analyze(std::size_t output, const sweep& sw) const;
-
-private:
-    const equation_system* sys_;
-    std::vector<double> dc_;
-    bool have_dc_ = false;
-};
+/// Write a noise result into a trace file that has no channels yet: channel
+/// total_psd, then one per source, one row per point with the frequency on
+/// the abscissa.
+void write(const noise_result& result, util::trace_file& file);
 
 }  // namespace sca::solver
 

@@ -71,17 +71,17 @@ void cluster::resolve_timesteps() {
     // Collect timestep anchors: module-level requests and port-level requests
     // (a port request anchors its owner at rate * port_timestep).
     period_ = de::time::zero();
-    std::string anchor_name;
+    const std::string* anchor_name = nullptr;  // a module's or port's own name
     auto consider = [&](const de::time& t_module, module& m, const std::string& who) {
         const de::time tc = t_module * static_cast<std::int64_t>(m.repetitions());
         if (period_ == de::time::zero()) {
             period_ = tc;
-            anchor_name = who;
-        } else {
-            util::require(period_ == tc, who,
-                          "conflicting TDF timestep anchors (first anchor: " + anchor_name +
-                              " giving cluster period " + period_.to_string() + ", this one " +
-                              tc.to_string() + ")");
+            anchor_name = &who;
+        } else if (period_ != tc) {
+            util::report_fatal(who, "conflicting TDF timestep anchors (first anchor: " +
+                                        *anchor_name + " giving cluster period " +
+                                        period_.to_string() + ", this one " +
+                                        tc.to_string() + ")");
         }
     };
     for (module* m : modules_) {
@@ -263,21 +263,16 @@ void cluster::apply_attribute_changes() {
     // timestep comparison is against the module's *resolved* timestep —
     // for an anchored module that equals its request, and for an
     // unanchored module it is the state a restatement restates.
-    bool changed = false;
-    std::string requester;
+    const module* requester = nullptr;  // the last module with a real change
     for (module* m : dynamic_modules_) {
         if (m->has_pending_timestep() && m->pending_timestep() != m->timestep()) {
-            changed = true;
-            requester = m->name();
+            requester = m;
         }
         for (port_base* p : m->ports()) {
-            if (p->has_staged_rate() && p->staged_rate() != p->rate()) {
-                changed = true;
-                requester = m->name();
-            }
+            if (p->has_staged_rate() && p->staged_rate() != p->rate()) requester = m;
         }
     }
-    if (!changed) {
+    if (requester == nullptr) {
         for (module* m : dynamic_modules_) {
             m->clear_pending_timestep();
             for (port_base* p : m->ports()) p->clear_staged_rate();
@@ -288,10 +283,13 @@ void cluster::apply_attribute_changes() {
     // Gating: every member must tolerate the retiming.  Modules that change
     // attributes themselves accept by default (see module.hpp).
     for (module* m : modules_) {
-        util::require(m->accept_attribute_changes(), m->name(),
-                      "rejects the TDF attribute change requested by " + requester +
-                          ": override accept_attribute_changes() to return true "
-                          "(its timestep/port sample periods would move at runtime)");
+        if (!m->accept_attribute_changes()) {
+            util::report_fatal(m->name(), "rejects the TDF attribute change requested by " +
+                                              requester->name() +
+                                              ": override accept_attribute_changes() to "
+                                              "return true (its timestep/port sample "
+                                              "periods would move at runtime)");
+        }
     }
 
     // Apply the staged requests, then swap in the matching schedule: a hash

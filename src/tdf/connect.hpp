@@ -30,10 +30,12 @@ template <typename T>
 signal<T>& connect(out<T>& from, in<T>& to, std::string name = "") {
     from.context().make_current();
     if (auto* existing = dynamic_cast<signal<T>*>(from.bound_signal())) {
-        util::require(name.empty(), from.name(),
-                      "connect: wire name '" + name +
-                          "' cannot be applied — this output already drives signal '" +
-                          existing->name() + "' (name the first connect instead)");
+        if (!name.empty()) {
+            util::report_fatal(from.name(),
+                               "connect: wire name '" + name +
+                                   "' cannot be applied — this output already drives signal '" +
+                                   existing->name() + "' (name the first connect instead)");
+        }
         to.bind(*existing);
         return *existing;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "solver/ac.hpp"
 #include "tdf/block.hpp"
 #include "tdf/cluster.hpp"
 #include "util/report.hpp"
@@ -23,9 +24,10 @@ void module::request_timestep(const de::time& t) {
 void module::request_rate(port_base& p, unsigned rate) {
     util::require(in_change_attributes_, name(),
                   "request_rate is only valid inside change_attributes()");
-    util::require(std::find(ports_.begin(), ports_.end(), &p) != ports_.end(), name(),
-                  "request_rate on port " + p.name() +
-                      " which does not belong to this module");
+    if (std::find(ports_.begin(), ports_.end(), &p) == ports_.end()) {
+        util::report_fatal(name(), "request_rate on port " + p.name() +
+                                       " which does not belong to this module");
+    }
     p.stage_rate(rate);
 }
 
@@ -77,6 +79,23 @@ void module::fire_block_run(const de::time& t0, std::uint64_t k0, std::uint64_t 
         }
         done += m;
     }
+}
+
+std::vector<solver::ac_point> cascade_response(const std::vector<const module*>& chain,
+                                               const solver::sweep& sw) {
+    util::require(!chain.empty(), "cascade_response", "empty module chain");
+    for (const module* m : chain) {
+        util::require(m != nullptr, "cascade_response", "null module in chain");
+        util::require(m->has_ac_model(), m->name(),
+                      "module has no frequency-domain model (override ac_response)");
+    }
+    std::vector<solver::ac_point> points;
+    for (double f : sw.frequencies()) {
+        std::complex<double> h{1.0, 0.0};
+        for (const module* m : chain) h *= m->ac_response(f);
+        points.push_back({f, h});
+    }
+    return points;
 }
 
 }  // namespace sca::tdf

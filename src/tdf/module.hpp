@@ -19,10 +19,16 @@
 
 #include <complex>
 #include <cstdint>
+#include <vector>
 
 #include "kernel/module.hpp"
 #include "kernel/time.hpp"
 #include "tdf/port.hpp"
+
+namespace sca::solver {
+struct sweep;
+struct ac_point;
+}  // namespace sca::solver
 
 namespace sca::tdf {
 
@@ -214,6 +220,15 @@ private:
     bool has_pending_timestep_ = false;
     cluster* cluster_ = nullptr;
 };
+
+/// Small-signal response of a cascade of TDF modules that carry
+/// frequency-domain models (paper §4 [6]: mixed-signal frequency-domain
+/// simulation "provided frequency-domain models are added to the
+/// discrete-time components"): the product of their ac_response() at each
+/// sweep frequency.  Throws if the chain is empty or any module lacks a
+/// model.  Include solver/ac.hpp to use the result.
+[[nodiscard]] std::vector<solver::ac_point> cascade_response(
+    const std::vector<const module*>& chain, const solver::sweep& sw);
 
 /// Structural-only TDF module: a reusable subsystem that owns child TDF
 /// modules (via make_child) and exposes TDF ports that forward to them.  A

@@ -56,10 +56,11 @@ void port_base::resolve() {
         p = p->forward_;
         util::require(++hops < 1024, name(), "TDF port binding cycle detected");
     }
-    util::require(p->signal_ != nullptr, name(),
-                  p == this ? "unbound TDF port"
-                            : "unbound TDF port (forwarding chain ends at " + p->name() +
-                                  " without reaching a signal)");
+    if (p->signal_ == nullptr) {
+        util::report_fatal(name(), p == this ? "unbound TDF port"
+                                             : "unbound TDF port (forwarding chain ends at " +
+                                                   p->name() + " without reaching a signal)");
+    }
     signal_ = p->signal_;
     // Only dataflow endpoints (ports owned by a tdf::module, including the
     // converter ports ELN/LSF components re-own onto their network) attach

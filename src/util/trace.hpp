@@ -1,8 +1,10 @@
 // Waveform tracing: tabular (whitespace-separated columns) and VCD output.
 //
 // Any simulation object that can produce a double per time point can register
-// itself with a trace_file through the `traceable` interface.  The analysis
-// drivers (core/) call `sample(t)` at every accepted time point.
+// itself with a trace_file as a channel (add_channel).  The trace
+// recorder (core::record) calls `sample(t)` at every accepted time point;
+// writers of rows computed elsewhere (solver::write, testbench::save_trace)
+// use `replay_row`.
 #ifndef SCA_UTIL_TRACE_HPP
 #define SCA_UTIL_TRACE_HPP
 

@@ -6,9 +6,6 @@
 #include <numbers>
 #include <sstream>
 
-#include "core/ac_analysis.hpp"
-#include "core/dc_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "kernel/context.hpp"
 #include "eln/multidomain.hpp"
 #include "eln/network.hpp"
@@ -18,6 +15,9 @@
 #include "lib/pwm.hpp"
 #include "lib/sigma_delta.hpp"
 #include "numeric/dense.hpp"
+#include "solver/ac.hpp"
+#include "solver/dc.hpp"
+#include "solver/noise.hpp"
 #include "tdf/converter.hpp"
 #include "tdf/module.hpp"
 #include "util/trace.hpp"
@@ -28,7 +28,6 @@ namespace de = sca::de;
 namespace tdf = sca::tdf;
 namespace eln = sca::eln;
 namespace lib = sca::lib;
-namespace core = sca::core;
 namespace num = sca::num;
 using namespace sca::de::literals;
 
@@ -44,13 +43,19 @@ TEST(coverage, ac_write_emits_frequency_rows) {
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     sim.elaborate();
 
-    core::ac_analysis ac(net);
-    const auto pts = ac.sweep(n.index(), {10.0, 1000.0, 3});
+    const auto pts = sca::solver::ac_sweep(net.equations(), n.index(), {10.0, 1000.0, 3});
     sca::util::memory_trace mem;
-    core::ac_analysis::write(pts, mem);
+    sca::solver::write(pts, mem);
     ASSERT_EQ(mem.times().size(), 3U);
     EXPECT_DOUBLE_EQ(mem.times()[0], 10.0);     // frequency on the abscissa
     EXPECT_NEAR(mem.column(0)[0], 0.0, 1e-9);   // 0 dB (direct source)
+
+    // The channels stay valid after the write: a later sample() appends a
+    // row and leaves the written ones alone.
+    mem.sample(2000.0);
+    ASSERT_EQ(mem.times().size(), 4U);
+    EXPECT_DOUBLE_EQ(mem.times()[3], 2000.0);
+    EXPECT_NEAR(mem.column(0)[0], 0.0, 1e-9);
 }
 
 TEST(coverage, noise_write_emits_per_source_columns) {
@@ -64,13 +69,19 @@ TEST(coverage, noise_write_emits_per_source_columns) {
     bag.make<eln::resistor>("rb", net, n, gnd, 1000.0);
     sim.elaborate();
 
-    core::noise_analysis na(net);
-    const auto result = na.run(n.index(), {100.0, 1e3, 2});
+    const auto result = sca::solver::noise_sweep(net.equations(), n.index(), {100.0, 1e3, 2});
     sca::util::memory_trace mem;
-    core::noise_analysis::write(result, mem);
+    sca::solver::write(result, mem);
     EXPECT_EQ(mem.channel_count(), 3U);  // total + two sources
     ASSERT_EQ(mem.times().size(), 2U);
     EXPECT_NEAR(mem.column(0)[0], mem.column(1)[0] + mem.column(2)[0], 1e-30);
+
+    // The channels stay valid after the write: a later sample() appends a
+    // row and leaves the written ones alone.
+    mem.sample(2e3);
+    ASSERT_EQ(mem.times().size(), 3U);
+    EXPECT_EQ(mem.column(0)[0], result.points[0].total_psd);
+    EXPECT_EQ(mem.column(2)[1], result.points[1].per_source[1]);
 }
 
 TEST(coverage, pwm_extreme_duty_cycles) {
@@ -164,8 +175,8 @@ TEST(coverage, time_modulo_and_division) {
     EXPECT_EQ(de::time::max().value_fs(), INT64_MAX);
 }
 
-TEST(coverage, first_order_amplifier_dc_probe_via_dc_analysis_options) {
-    // dc_options pseudo-transient knob reachable through the facade.
+TEST(coverage, first_order_amplifier_dc_probe_via_dc_solve_options) {
+    // dc_options pseudo-transient knob reachable through dc_solve.
     de::simulation_context sim;
     sca::util::object_bag bag;
     eln::network net("net");
@@ -175,9 +186,7 @@ TEST(coverage, first_order_amplifier_dc_probe_via_dc_analysis_options) {
     bag.make<eln::capacitor>("c", net, n, gnd, 1e-9);  // floating-by-C: singular A
     bag.make<eln::resistor>("r", net, n, gnd, 1e6);
     sim.elaborate();
-    sca::core::dc_analysis dc(net);
     sca::solver::dc_options opt;
     opt.pseudo_tau = 1e3;
-    dc.set_options(opt);
-    EXPECT_NEAR(dc.value(n.index()), 0.0, 1e-9);
+    EXPECT_NEAR(sca::solver::dc_solve(net.equations(), 0.0, opt)[n.index()], 0.0, 1e-9);
 }

@@ -7,8 +7,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/ac_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "kernel/context.hpp"
 #include "eln/converter.hpp"
 #include "eln/network.hpp"
@@ -21,7 +19,9 @@
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
 #include "lsf/primitives.hpp"
+#include "solver/ac.hpp"
 #include "solver/linear_dae.hpp"
+#include "solver/noise.hpp"
 #include "solver/nonlinear_dae.hpp"
 #include "tdf/module.hpp"
 #include "util/report.hpp"
@@ -32,7 +32,6 @@ namespace tdf = sca::tdf;
 namespace eln = sca::eln;
 namespace lsf = sca::lsf;
 namespace lib = sca::lib;
-namespace core = sca::core;
 namespace solver = sca::solver;
 using namespace sca::de::literals;
 
@@ -267,10 +266,10 @@ TEST(eln_edge, gyrator_makes_inductor_from_capacitor) {
     bag.make<eln::capacitor>("c", net, n2, gnd, c);
     bag.make<eln::resistor>("rp", net, n1, gnd, 1e9);  // keeps DC defined
     sim.elaborate();
-    core::ac_analysis ac(net);
     const double l_sim = c / (g * g);  // 1 H
     for (double f : {10.0, 100.0}) {
-        const auto z = std::abs(ac.sweep(n1.index(), {f, f, 1})[0].value);
+        const auto z =
+            std::abs(solver::ac_sweep(net.equations(), n1.index(), {f, f, 1})[0].value);
         EXPECT_NEAR(z, 2.0 * std::numbers::pi * f * l_sim, 0.01 * z) << f;
     }
 }
@@ -304,8 +303,9 @@ TEST(eln_edge, noise_scales_with_temperature) {
         bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
         bag.make<eln::capacitor>("c", net, n, gnd, 1e-12);
         sim.elaborate();
-        core::noise_analysis na(net);
-        return na.run(n.index(), {100.0, 100.0, 1}).points[0].total_psd;
+        return solver::noise_sweep(net.equations(), n.index(), {100.0, 100.0, 1})
+            .points[0]
+            .total_psd;
     };
     EXPECT_NEAR(psd_at(600.0) / psd_at(300.0), 2.0, 1e-6);
 }
@@ -321,8 +321,7 @@ TEST(eln_edge, vsource_ac_phase_propagates) {
     vs.set_ac(2.0, 90.0);
     bag.make<eln::resistor>("r", net, n, gnd, 1000.0);
     sim.elaborate();
-    core::ac_analysis ac(net);
-    const auto pt = ac.sweep(n.index(), {1e3, 1e3, 1})[0];
+    const auto pt = solver::ac_sweep(net.equations(), n.index(), {1e3, 1e3, 1})[0];
     EXPECT_NEAR(std::abs(pt.value), 2.0, 1e-12);
     EXPECT_NEAR(pt.phase_deg(), 90.0, 1e-9);
 }
@@ -352,13 +351,12 @@ TEST(lsf_edge, allpass_with_equal_degrees_has_unity_magnitude) {
     const double w0 = 2.0 * std::numbers::pi * 1e3;
     lsf::ltf_nd ap("ap", sys, u, y, {-w0, 1.0}, {w0, 1.0});
     sim.elaborate();
-    core::ac_analysis ac(sys);
     for (double f : {100.0, 1e3, 10e3}) {
-        const auto pt = ac.sweep(y.index(), {f, f, 1})[0];
+        const auto pt = solver::ac_sweep(sys.equations(), y.index(), {f, f, 1})[0];
         EXPECT_NEAR(std::abs(pt.value), 1.0, 1e-9) << f;
     }
     // Phase at w0: -90 degrees for this allpass.
-    const auto at_f0 = ac.sweep(y.index(), {1e3, 1e3, 1})[0];
+    const auto at_f0 = solver::ac_sweep(sys.equations(), y.index(), {1e3, 1e3, 1})[0];
     EXPECT_NEAR(std::abs(at_f0.phase_deg()), 90.0, 0.1);
 }
 

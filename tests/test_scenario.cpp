@@ -10,14 +10,14 @@
 #include <numbers>
 #include <sstream>
 
-#include "core/ac_analysis.hpp"
-#include "core/dc_analysis.hpp"
-#include "core/noise_analysis.hpp"
 #include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "eln/network.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
+#include "solver/ac.hpp"
+#include "solver/dc.hpp"
+#include "solver/noise.hpp"
 #include "util/measure.hpp"
 
 namespace core = sca::core;
@@ -205,20 +205,18 @@ TEST(scenario, all_four_analyses_on_one_testbench) {
     tb.set_sample_period(10_us);
 
     // DC: zero-input quiescent point, one handle, no model rebuild.
-    core::dc_analysis dc(tb);
-    const auto op = dc.operating_point();
+    const auto& sys = tb.view().equations();
+    const auto op = solver::dc_solve(sys, 0.0);
     EXPECT_FALSE(op.empty());
 
     // AC: -3 dB at the cutoff.
-    core::ac_analysis ac(tb);
-    const auto pts = ac.sweep(vout.index(),
-                              {fc, fc, 1, solver::sweep::scale::logarithmic});
+    const auto pts =
+        solver::ac_sweep(sys, vout.index(), {fc, fc, 1, solver::sweep::scale::logarithmic});
     ASSERT_EQ(pts.size(), 1U);
     EXPECT_NEAR(pts[0].magnitude_db(), -3.0103, 0.01);
 
     // Noise: resistor thermal noise appears at the output.
-    core::noise_analysis noise(tb);
-    const auto nres = noise.run(vout.index(), {fc, fc, 1});
+    const auto nres = solver::noise_sweep(sys, vout.index(), {fc, fc, 1});
     EXPECT_GT(nres.points[0].total_psd, 0.0);
 
     // Transient on the very same testbench afterwards.

@@ -6,11 +6,11 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/ac_analysis.hpp"
 #include "kernel/context.hpp"
 #include "lib/amplifier.hpp"
 #include "lib/filters.hpp"
 #include "lib/oscillator.hpp"
+#include "solver/ac.hpp"
 #include "tdf/module.hpp"
 #include "util/measure.hpp"
 #include "util/report.hpp"
@@ -18,7 +18,6 @@
 namespace de = sca::de;
 namespace tdf = sca::tdf;
 namespace lib = sca::lib;
-namespace core = sca::core;
 namespace solver = sca::solver;
 using namespace sca::de::literals;
 
@@ -115,9 +114,9 @@ TEST(tdf_ac, cascade_multiplies_responses) {
     lib::amplifier a2("a2", 2.5);
     a2.set_bandwidth(100e3);
     const std::vector<const tdf::module*> chain{&a1, &a2};
-    const auto pts = core::tdf_cascade_response(chain, {1e2, 1e2, 1});
+    const auto pts = tdf::cascade_response(chain, {1e2, 1e2, 1});
     EXPECT_NEAR(std::abs(pts[0].value), 10.0, 0.01);  // 4 * 2.5 well below poles
-    const auto hi = core::tdf_cascade_response(chain, {10e3, 10e3, 1});
+    const auto hi = tdf::cascade_response(chain, {10e3, 10e3, 1});
     EXPECT_NEAR(std::abs(hi[0].value),
                 std::abs(a1.ac_response(10e3)) * std::abs(a2.ac_response(10e3)), 1e-9);
 }
@@ -132,9 +131,9 @@ TEST(tdf_ac, modules_without_model_are_rejected) {
     } p("p");
     EXPECT_FALSE(p.has_ac_model());
     const std::vector<const tdf::module*> chain{&p};
-    EXPECT_THROW((void)core::tdf_cascade_response(chain, {1e3, 1e3, 1}),
+    EXPECT_THROW((void)tdf::cascade_response(chain, {1e3, 1e3, 1}),
                  sca::util::error);
-    EXPECT_THROW((void)core::tdf_cascade_response({}, {1e3, 1e3, 1}), sca::util::error);
+    EXPECT_THROW((void)tdf::cascade_response({}, {1e3, 1e3, 1}), sca::util::error);
 }
 
 TEST(tdf_ac, fir_response_before_elaboration_is_rejected) {
