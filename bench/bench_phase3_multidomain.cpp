@@ -122,9 +122,9 @@ void generic_sync_de_to_mechanical(benchmark::State& state) {
                 slot_p = net_.add_input(eln::network::row_of(p));
                 slot_n = net_.add_input(eln::network::row_of(n));
             }
-            void read_tdf_inputs(eln::network& net_) override {
-                net_.set_input(slot_p, -inp.read());
-                net_.set_input(slot_n, inp.read());
+            void read_inputs() override {
+                net().set_input(slot_p, -inp.read());
+                net().set_input(slot_n, inp.read());
             }
         };
         auto& f = bag.make<de_force>("f", net, mgnd, v);

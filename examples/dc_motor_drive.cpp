@@ -33,9 +33,9 @@ struct de_heat : eln::component {
         sp = net.add_input(eln::network::row_of(p));
         sn = net.add_input(eln::network::row_of(n));
     }
-    void read_tdf_inputs(eln::network& net) override {
-        net.set_input(sp, -inp.read());
-        net.set_input(sn, inp.read());
+    void read_inputs() override {
+        net().set_input(sp, -inp.read());
+        net().set_input(sn, inp.read());
     }
 };
 

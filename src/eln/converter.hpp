@@ -9,10 +9,10 @@
 #define SCA_ELN_CONVERTER_HPP
 
 #include "eln/network.hpp"
+#include "eln/primitives.hpp"
 #include "eln/terminal.hpp"
 #include "kernel/signal.hpp"
 #include "tdf/port.hpp"
-#include "util/bytes.hpp"
 
 namespace sca::eln {
 
@@ -30,7 +30,7 @@ public:
     void set_scale(double scale) noexcept { scale_ = scale; }
 
     void stamp(network& net) override;
-    void read_tdf_inputs(network& net) override;
+    void read_inputs() override;
 
 private:
     double scale_ = 1.0;
@@ -49,7 +49,7 @@ public:
     void set_scale(double scale) noexcept { scale_ = scale; }
 
     void stamp(network& net) override;
-    void read_tdf_inputs(network& net) override;
+    void read_inputs() override;
 
 private:
     double scale_ = 1.0;
@@ -67,7 +67,7 @@ public:
     tdf::out<double> outp;
 
     void stamp(network& net) override;
-    void write_tdf_outputs(network& net) override;
+    void write_outputs() override;
 };
 
 /// Current probe (0 V branch) writing the branch current to a TDF output.
@@ -80,7 +80,7 @@ public:
     tdf::out<double> outp;
 
     void stamp(network& net) override;
-    void write_tdf_outputs(network& net) override;
+    void write_outputs() override;
 };
 
 /// Voltage source controlled by a DE signal (sampled at each activation).
@@ -93,7 +93,7 @@ public:
     de::in<double> inp;
 
     void stamp(network& net) override;
-    void read_tdf_inputs(network& net) override;
+    void read_inputs() override;
 
 private:
     std::size_t slot_ = 0;
@@ -110,7 +110,7 @@ public:
     de::in<double> inp;
 
     void stamp(network& net) override;
-    void read_tdf_inputs(network& net) override;
+    void read_inputs() override;
 
 private:
     std::size_t slot_p_ = 0;
@@ -127,45 +127,23 @@ public:
     de::out<double> outp;
 
     void stamp(network&) override {}
-    void write_tdf_outputs(network& net) override;
+    void write_outputs() override;
 };
 
-/// Switch controlled by a DE boolean signal (state is sampled at TDF
-/// activation boundaries — the synchronization quantization documented in
-/// docs/architecture.md, "The batched-sync contract at converter ports").
-/// Both states stamp the same conductance pattern through one
-/// stamp slot, so a toggle is a values-only update: the dirty matrix entries
-/// are rewritten in place, and the solver re-activates its cached
-/// factorization of the new state, refactoring numerically (against its
-/// cached symbolic analysis) only on the first visit — the hot path of
-/// switching workloads.
-class de_rswitch : public component {
+/// Switch controlled by a DE boolean signal: an rswitch whose state follows
+/// `ctrl`, sampled at TDF activation boundaries (the synchronization
+/// quantization documented in docs/architecture.md, "The batched-sync
+/// contract at converter ports").  A toggle is rswitch's values-only slot
+/// rewrite, the hot path of switching workloads.
+class de_rswitch : public rswitch {
 public:
     de_rswitch(const std::string& name, network& net, pin a, pin b, double r_on = 1.0,
                double r_off = 1e9);
 
-    terminal p, n;
-
     de::in<bool> ctrl;
 
-    void stamp(network& net) override;
-    stamp_change sample_inputs() override;
-
-    [[nodiscard]] bool closed() const noexcept { return closed_; }
-
-    // --- checkpoint/restore -------------------------------------------------
-    // Switch position only, written directly so no value update is flagged
-    // (the restored equation values already carry this position; see
-    // eln::rswitch).  The next sample_inputs() then compares the DE control
-    // against the true saved state, exactly as the uninterrupted run would.
-    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
-    void save_state(util::byte_writer& w) const override { w.boolean(closed_); }
-    void restore_state(util::byte_reader& r) override { closed_ = r.boolean(); }
-
 private:
-    double r_on_, r_off_;
-    bool closed_ = false;
-    solver::stamp_handle slot_ = solver::no_stamp_handle;
+    void read_inputs() override { set_state(ctrl.read()); }
 };
 
 }  // namespace sca::eln

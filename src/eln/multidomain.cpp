@@ -77,9 +77,7 @@ void position_probe::stamp(network& net) {
     net.add_a(row_, network::row_of(p.get()), -1.0);
 }
 
-void position_probe::write_tdf_outputs(network& net) {
-    outp.write(net.state()[row_]);
-}
+void position_probe::write_outputs() { outp.write(net().state()[row_]); }
 
 // ------------------------------------------------------------------- inertia
 

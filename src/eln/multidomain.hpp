@@ -91,7 +91,7 @@ public:
     position_probe(const std::string& name, network& net, pin n);
 
     void stamp(network& net) override;
-    void write_tdf_outputs(network& net) override;
+    void write_outputs() override;
 
 private:
     std::size_t row_ = 0;

@@ -8,23 +8,10 @@
 namespace sca::eln {
 
 component::component(std::string name, network& net)
-    : de::object(std::move(name)), net_(&net) {
-    net.register_component(*this);
-}
-
-component::~component() {
-    if (net_ != nullptr) net_->unregister_component(*this);
-}
+    : tdf::dae_element(std::move(name), net) {}
 
 network::~network() {
-    for (component* c : components_) c->net_ = nullptr;
     for (terminal* t : terminals_) t->net_ = nullptr;
-}
-
-void network::unregister_component(component& c) {
-    for (auto* list : {&components_, &read_hooks_, &write_hooks_}) {
-        list->erase(std::remove(list->begin(), list->end(), &c), list->end());
-    }
 }
 
 node network::create_node(const std::string& name, nature k) {
@@ -160,11 +147,6 @@ void network::stamp_capacitance_slot(solver::stamp_handle h, const node& a,
     stamp_b_slot(h, rb, rb, 1.0);
 }
 
-void network::update_stamp_value(solver::stamp_handle h, double v) {
-    raw_system().set_stamp(h, v);
-    request_value_update();
-}
-
 void network::add_rhs_constant(std::size_t r, double v) {
     if (r == ground_row) return;
     raw_system().add_rhs_constant(r, v);
@@ -210,40 +192,12 @@ void network::check_nature(const node& n, nature expected, const std::string& wh
 
 void network::build_equations() {
     resolve_terminals();
-    for (component* c : components_) c->stamp(*this);
-}
-
-void network::read_inputs() {
-    for (component* c : hooks_pruned_ ? read_hooks_ : components_) {
-        c->read_tdf_inputs(*this);
-        switch (c->sample_inputs()) {
-            case stamp_change::values:
-                request_value_update();
-                break;
-            case stamp_change::topology:
-                request_restamp();
-                break;
-            case stamp_change::none:
-                break;
-        }
+    for (tdf::dae_element* e : elements()) static_cast<component*>(e)->stamp(*this);
+    // A branch whose component was destroyed keeps its unknown: pin it to
+    // i = 0 so the matrix stays regular.
+    for (const auto& [owner, row] : branch_rows_) {
+        if (raw_system().a().row_indices(row).empty()) raw_system().add_a(row, row, 1.0);
     }
-}
-
-void network::write_outputs() {
-    for (component* c : hooks_pruned_ ? write_hooks_ : components_) {
-        c->write_tdf_outputs(*this);
-    }
-    if (hooks_pruned_) return;
-    // Every component has run each hook once: keep those that did not fall
-    // through to a default.
-    read_hooks_.clear();
-    write_hooks_.clear();
-    constexpr auto read_defaults = component::default_read | component::default_sample;
-    for (component* c : components_) {
-        if ((c->default_hooks_ & read_defaults) != read_defaults) read_hooks_.push_back(c);
-        if ((c->default_hooks_ & component::default_write) == 0) write_hooks_.push_back(c);
-    }
-    hooks_pruned_ = true;
 }
 
 }  // namespace sca::eln

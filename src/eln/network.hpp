@@ -10,7 +10,6 @@
 #ifndef SCA_ELN_NETWORK_HPP
 #define SCA_ELN_NETWORK_HPP
 
-#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -25,16 +24,11 @@ namespace sca::eln {
 class network;
 class terminal;
 
-/// What a component reports after sampling its event-driven controls.
-enum class stamp_change : std::uint8_t {
-    none,      ///< stamps unchanged
-    values,    ///< existing stamp-slot values rewritten (numeric refactor only)
-    topology,  ///< the stamp pattern may have moved (full restamp + symbolic)
-};
-
-/// Base class of all network components. Components register themselves at
-/// construction and stamp their equations when the network (re)builds.
-class component : public de::object {
+/// Base class of all network components.  A component registers with its
+/// network at construction (see tdf::dae_element) and stamps its equations
+/// whenever the network (re)builds; its per-step hooks are the element's
+/// read_inputs() and write_outputs().
+class component : public tdf::dae_element {
 public:
     [[nodiscard]] const char* kind() const noexcept override { return "eln_component"; }
 
@@ -42,44 +36,10 @@ public:
     virtual void stamp(network& net) = 0;
 
     /// The network this component stamps into.
-    [[nodiscard]] network& net() const noexcept { return *net_; }
-
-    ~component() override;
+    [[nodiscard]] network& net() const noexcept;
 
 protected:
     component(std::string name, network& net);
-
-    network* net_;
-
-private:
-    // Teardown is order-agnostic: whichever of component/network dies first
-    // unlinks from the other (see ~network).
-    friend class network;
-
-    // --- per-step hooks (the network calls them around each solver step) ---
-    // A component overrides the ones it needs, at any access level.  The
-    // defaults here do nothing but record that they ran, so after the first
-    // step the network calls only components with a real hook.  They are
-    // private so that no override can call them and be dropped by mistake.
-
-    /// Sample event-driven control inputs and report which stamps changed:
-    /// components with stamp slots write the new values themselves (via
-    /// network::update_stamp_value) and return stamp_change::values, so only
-    /// the dirty entries are touched and the solver refactors numerically;
-    /// stamp_change::topology forces the full restamp + symbolic path.
-    virtual stamp_change sample_inputs() {
-        default_hooks_ |= default_sample;
-        return stamp_change::none;
-    }
-
-    /// Exchange samples with TDF ports (called around each solver step).
-    virtual void read_tdf_inputs(network&) { default_hooks_ |= default_read; }
-    virtual void write_tdf_outputs(network&) { default_hooks_ |= default_write; }
-
-    static constexpr std::uint8_t default_sample = 1;
-    static constexpr std::uint8_t default_read = 2;
-    static constexpr std::uint8_t default_write = 4;
-    std::uint8_t default_hooks_ = 0;  // defaults seen running on this object
 };
 
 /// Marker for "no row" (ground) in stamping helpers.
@@ -88,9 +48,9 @@ inline constexpr std::size_t ground_row = std::numeric_limits<std::size_t>::max(
 class network : public tdf::dae_module {
 public:
     explicit network(const de::module_name& nm) : tdf::dae_module(nm) {}
-    /// Detaches any still-registered components/terminals so their own
-    /// destructors do not reach back into a dead network (teardown order
-    /// between a network and its components is not constrained).
+    /// Detaches any still-registered terminals so their own destructors do
+    /// not reach back into a dead network (components are unlinked by
+    /// ~dae_module).
     ~network() override;
 
     [[nodiscard]] const char* kind() const noexcept override { return "eln_network"; }
@@ -105,12 +65,6 @@ public:
 
     /// Reference node of a nature (0 V / 0 m/s / ambient).
     [[nodiscard]] node ground(nature k = nature::electrical);
-
-    void register_component(component& c) {
-        components_.push_back(&c);
-        hooks_pruned_ = false;  // the next step visits the newcomer's hooks
-    }
-    void unregister_component(component& c);
 
     /// Terminals register at construction and deregister on destruction;
     /// their forwarding chains are resolved at elaboration (see
@@ -169,9 +123,6 @@ public:
     /// Two-terminal conductance/capacitance patterns whose value is the slot.
     void stamp_conductance_slot(solver::stamp_handle h, const node& a, const node& b);
     void stamp_capacitance_slot(solver::stamp_handle h, const node& a, const node& b);
-    /// Write a new slot value and schedule the values-only solver refresh.
-    void update_stamp_value(solver::stamp_handle h, double v);
-
     /// Ground-aware RHS contributions.
     void add_rhs_constant(std::size_t r, double v);
     void add_rhs_source(std::size_t r, std::function<double(double)> fn);
@@ -185,17 +136,11 @@ public:
     void add_noise_between(const node& a, const node& b, std::function<double(double)> psd,
                            std::string name);
 
-    [[nodiscard]] const std::vector<component*>& components() const noexcept {
-        return components_;
-    }
-
     /// Check that a terminal has the expected nature.
     static void check_nature(const node& n, nature expected, const std::string& who);
 
 protected:
     void build_equations() override;
-    void read_inputs() override;
-    void write_outputs() override;
 
 private:
     struct node_info {
@@ -205,12 +150,6 @@ private:
 
     std::vector<node_info> nodes_;
     std::set<std::string> node_names_;
-    std::vector<component*> components_;
-    // Components with a real read-side (read_tdf_inputs / sample_inputs) or
-    // write-side hook, in registration order; valid while hooks_pruned_.
-    std::vector<component*> read_hooks_;
-    std::vector<component*> write_hooks_;
-    bool hooks_pruned_ = false;
     std::vector<terminal*> terminals_;
     std::map<std::pair<const component*, std::string>, std::size_t> branch_rows_;
     // First branch row of each component: O(log #components) lookup for
@@ -218,6 +157,8 @@ private:
     std::map<const component*, std::size_t> primary_branch_;
     double temperature_ = 300.0;
 };
+
+inline network& component::net() const noexcept { return static_cast<network&>(view()); }
 
 }  // namespace sca::eln
 

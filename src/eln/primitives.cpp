@@ -33,7 +33,7 @@ void resistor::set_value(double ohms) {
     if (ohms != ohms_) {
         ohms_ = ohms;
         if (slot_ != solver::no_stamp_handle) {
-            net_->update_stamp_value(slot_, 1.0 / ohms_);
+            net().update_stamp_value(slot_, 1.0 / ohms_);
         }
     }
 }
@@ -55,7 +55,7 @@ void capacitor::set_value(double farads) {
     util::require(farads > 0.0, name(), "capacitance must be positive");
     if (farads != farads_) {
         farads_ = farads;
-        if (slot_ != solver::no_stamp_handle) net_->update_stamp_value(slot_, farads_);
+        if (slot_ != solver::no_stamp_handle) net().update_stamp_value(slot_, farads_);
     }
 }
 
@@ -79,7 +79,7 @@ void inductor::set_value(double henries) {
     util::require(henries > 0.0, name(), "inductance must be positive");
     if (henries != henries_) {
         henries_ = henries;
-        if (slot_ != solver::no_stamp_handle) net_->update_stamp_value(slot_, henries_);
+        if (slot_ != solver::no_stamp_handle) net().update_stamp_value(slot_, henries_);
     }
 }
 
@@ -102,7 +102,7 @@ void vcvs::stamp(network& net) {
 void vcvs::set_gain(double gain) {
     if (gain != gain_) {
         gain_ = gain;
-        if (slot_ != solver::no_stamp_handle) net_->update_stamp_value(slot_, gain_);
+        if (slot_ != solver::no_stamp_handle) net().update_stamp_value(slot_, gain_);
     }
 }
 
@@ -125,7 +125,7 @@ void vccs::stamp(network& net) {
 void vccs::set_gm(double gm) {
     if (gm != gm_) {
         gm_ = gm;
-        if (slot_ != solver::no_stamp_handle) net_->update_stamp_value(slot_, gm_);
+        if (slot_ != solver::no_stamp_handle) net().update_stamp_value(slot_, gm_);
     }
 }
 
@@ -200,7 +200,7 @@ void rswitch::set_state(bool closed) {
     if (closed != closed_) {
         closed_ = closed;
         if (slot_ != solver::no_stamp_handle) {
-            net_->update_stamp_value(slot_, 1.0 / (closed_ ? r_on_ : r_off_));
+            net().update_stamp_value(slot_, 1.0 / (closed_ ? r_on_ : r_off_));
         }
     }
 }

@@ -71,7 +71,10 @@ void ltf_nd::stamp(system& sys) {
     //   dx_i/dt = x_{i+1}                         (i < n)
     //   a_n dx_n/dt = -sum a_{i-1} x_i + u
     std::vector<std::size_t> xr(n);
-    for (std::size_t i = 0; i < n; ++i) xr[i] = sys.add_state(*this, "x" + std::to_string(i));
+    for (std::size_t i = 0; i < n; ++i) {
+        xr[i] = sys.add_state(*this, "x" + std::to_string(i));
+        sys.set_initial(xr[i], x0_[i]);
+    }
 
     auto& es = sys.sys();
     for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -89,29 +92,6 @@ void ltf_nd::stamp(system& sys) {
         if (b_red[j] != 0.0) es.add_a(r, xr[j], -b_red[j]);
     }
     if (d != 0.0) es.add_a(r, in_.index(), -d);
-}
-
-void ltf_nd::stamp_init(system& sys, solver::equation_system& init, double) {
-    const std::size_t n = order();
-    const double an = den_.back();
-    double d = 0.0;
-    std::vector<double> b_red = num_;
-    b_red.resize(den_.size(), 0.0);
-    if (num_.size() == den_.size()) {
-        d = num_.back() / an;
-        for (std::size_t i = 0; i < den_.size(); ++i) b_red[i] -= d * den_[i];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t xi = sys.add_state(*this, "x" + std::to_string(i));
-        init.add_a(xi, xi, 1.0);
-        init.add_rhs_constant(xi, x0_[i]);
-    }
-    init.add_a(out_.index(), out_.index(), 1.0);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t xj = sys.add_state(*this, "x" + std::to_string(j));
-        if (b_red[j] != 0.0) init.add_a(out_.index(), xj, -b_red[j]);
-    }
-    if (d != 0.0) init.add_a(out_.index(), in_.index(), -d);
 }
 
 std::complex<double> ltf_nd::ideal_response(double f) const {
@@ -139,8 +119,6 @@ void ltf_zp::stamp(system&) {
     // The internal ltf_nd registered itself with the system and stamps as an
     // independent block; nothing further to contribute here.
 }
-
-void ltf_zp::stamp_init(system&, solver::equation_system&, double) {}
 
 std::complex<double> ltf_zp::ideal_response(double f) const {
     const std::complex<double> s(0.0, 2.0 * std::numbers::pi * f);

@@ -23,7 +23,6 @@ public:
            std::vector<double> num, std::vector<double> den);
 
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
     /// Initial internal state (controllable canonical coordinates; default 0).
     void set_initial_state(std::vector<double> x0);
@@ -50,7 +49,6 @@ public:
            double gain);
 
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
     [[nodiscard]] std::complex<double> ideal_response(double f) const;
 

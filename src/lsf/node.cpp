@@ -5,9 +5,7 @@
 
 namespace sca::lsf {
 
-block::block(std::string name, system& sys) : de::object(std::move(name)), sys_(&sys) {
-    sys.register_block(*this);
-}
+block::block(std::string name, system& sys) : tdf::dae_element(std::move(name), sys) {}
 
 signal system::create_signal(const std::string& name) {
     const std::size_t index = raw_system().add_unknown(name);
@@ -41,9 +39,15 @@ std::size_t system::add_state(const block& b, const std::string& suffix) {
     return row;
 }
 
+void system::set_initial(std::size_t row, double value) {
+    if (initial_.size() <= row) initial_.resize(row + 1, 0.0);
+    initial_[row] = value;
+}
+
 void system::build_equations() {
     drivers_.clear();
-    for (block* b : blocks_) b->stamp(*this);
+    initial_.clear();
+    for (tdf::dae_element* e : elements()) static_cast<block*>(e)->stamp(*this);
     // Every signal must have exactly one driver, or the matrix is singular.
     for (std::size_t i = 0; i < signal_names_.size(); ++i) {
         if (drivers_.count(i) != 1) {
@@ -52,25 +56,23 @@ void system::build_equations() {
     }
 }
 
-void system::read_inputs() {
-    for (block* b : blocks_) b->read_tdf_inputs(*this);
-}
-
-void system::write_outputs() {
-    for (block* b : blocks_) b->write_tdf_outputs(*this);
-}
-
 std::vector<double> system::initial_state() {
-    // Consistent algebraic initialization: a fresh equation system with the
-    // same unknowns where dynamic blocks pin their states.
-    solver::equation_system init;
-    for (std::size_t i = 0; i < raw_system().size(); ++i) {
-        init.add_unknown(raw_system().unknown_name(i));
+    const solver::equation_system& es = raw_system();
+    std::vector<double> q = es.rhs(solve_time());
+    initial_.resize(es.size(), 0.0);
+    num::sparse_matrix_d init(es.size());
+    for (std::size_t r = 0; r < es.size(); ++r) {
+        if (!es.b().row_indices(r).empty()) {
+            init.add(r, r, 1.0);
+            q[r] = initial_[r];
+            continue;
+        }
+        const auto& cols = es.a().row_indices(r);
+        const auto& vals = es.a().row_values(r);
+        for (std::size_t k = 0; k < cols.size(); ++k) init.add(r, cols[k], vals[k]);
     }
-    const double t0 = solve_time();
-    for (block* b : blocks_) b->stamp_init(*this, init, t0);
-    num::sparse_lu_d lu(init.a());
-    return lu.solve(init.rhs(t0));
+    num::sparse_lu_d lu(init);
+    return lu.solve(q);
 }
 
 }  // namespace sca::lsf

@@ -36,28 +36,21 @@ private:
     std::size_t index_ = 0;
 };
 
-/// Base class of signal-flow blocks (the vertices of the flow graph).
-class block : public de::object {
+/// Base class of signal-flow blocks (the vertices of the flow graph).  A
+/// block registers with its system at construction (see tdf::dae_element)
+/// and stamps the defining equations of its outputs whenever the system
+/// (re)builds; converter blocks exchange samples through the element's
+/// read_inputs() and write_outputs() hooks.
+class block : public tdf::dae_element {
 public:
     [[nodiscard]] const char* kind() const noexcept override { return "lsf_block"; }
 
-    /// Stamp the dynamic equations (A, B, rhs).
+    /// Stamp the dynamic equations (A, B, rhs); a dynamic block also sets
+    /// the initial value of each state row (system::set_initial).
     virtual void stamp(system& sys) = 0;
-
-    /// Stamp the t=0 consistent-initialization equations into `init`.
-    /// Algebraic blocks restate their relation; dynamic blocks pin their
-    /// states to the configured initial values (paper §3: the formal
-    /// definition of "a consistent initial (quiescent) state").
-    virtual void stamp_init(system& sys, solver::equation_system& init, double t0) = 0;
-
-    /// TDF exchange hooks (converter blocks).
-    virtual void read_tdf_inputs(system&) {}
-    virtual void write_tdf_outputs(system&) {}
 
 protected:
     block(std::string name, system& sys);
-
-    system* sys_;
 };
 
 class system : public tdf::dae_module {
@@ -68,8 +61,6 @@ public:
 
     /// Create a named flow quantity.
     [[nodiscard]] signal create_signal(const std::string& name);
-
-    void register_block(block& b) { blocks_.push_back(&b); }
 
     /// Current value of a signal (valid once simulation started).
     [[nodiscard]] double value(const signal& s) const;
@@ -82,22 +73,22 @@ public:
     /// Extra internal unknown (e.g. a transfer-function state).
     std::size_t add_state(const block& b, const std::string& suffix);
 
+    /// Value at t = 0 of a dynamic row (one with a B entry); such rows
+    /// start at 0 unless their block sets another value while stamping.
+    void set_initial(std::size_t row, double value);
+
     solver::equation_system& sys() { return raw_system(); }
-
-    /// Block-visible values-only refresh (after sys().set_stamp on a slot).
-    void component_value_update() { request_value_update(); }
-
-    [[nodiscard]] const std::vector<block*>& blocks() const noexcept { return blocks_; }
 
 protected:
     void build_equations() override;
-    void read_inputs() override;
-    void write_outputs() override;
+    /// The consistent initial (quiescent) state: each algebraic row keeps
+    /// its relation with q(t0), each dynamic row is pinned to its initial
+    /// value (paper §3).
     std::vector<double> initial_state() override;
 
 private:
     std::vector<std::string> signal_names_;
-    std::vector<block*> blocks_;
+    std::vector<double> initial_;  // set_initial values by row
     std::map<std::size_t, const block*> drivers_;
     std::map<std::pair<const block*, std::string>, std::size_t> states_;
 };

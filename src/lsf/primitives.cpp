@@ -26,11 +26,6 @@ void source::stamp(system& sys) {
     }
 }
 
-void source::stamp_init(system&, solver::equation_system& init, double t0) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_rhs_constant(out_.index(), wave_.at(t0));
-}
-
 // ---------------------------------------------------------------------- gain
 
 gain::gain(const std::string& name, system& sys, signal in, signal out, double k)
@@ -43,18 +38,10 @@ void gain::stamp(system& sys) {
     sys.sys().stamp_a(slot_, r, in_.index(), -1.0);
 }
 
-void gain::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_a(out_.index(), in_.index(), -k_);
-}
-
 void gain::set_k(double k) {
     if (k != k_) {
         k_ = k;
-        if (slot_ != solver::no_stamp_handle) {
-            sys_->sys().set_stamp(slot_, k_);
-            sys_->component_value_update();
-        }
+        if (slot_ != solver::no_stamp_handle) view().update_stamp_value(slot_, k_);
     }
 }
 
@@ -71,12 +58,6 @@ void add::stamp(system& sys) {
     sys.sys().add_a(r, in2_.index(), -w2_);
 }
 
-void add::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_a(out_.index(), in1_.index(), -w1_);
-    init.add_a(out_.index(), in2_.index(), -w2_);
-}
-
 // ----------------------------------------------------------------------- sub
 
 sub::sub(const std::string& name, system& sys, signal in1, signal in2, signal out)
@@ -89,12 +70,6 @@ void sub::stamp(system& sys) {
     sys.sys().add_a(r, in2_.index(), 1.0);
 }
 
-void sub::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_a(out_.index(), in1_.index(), -1.0);
-    init.add_a(out_.index(), in2_.index(), 1.0);
-}
-
 // --------------------------------------------------------------------- integ
 
 integ::integ(const std::string& name, system& sys, signal in, signal out, double k,
@@ -105,11 +80,7 @@ void integ::stamp(system& sys) {
     const std::size_t r = sys.claim_driver(out_, *this);
     sys.sys().add_b(r, out_.index(), 1.0);
     sys.sys().add_a(r, in_.index(), -k_);
-}
-
-void integ::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_rhs_constant(out_.index(), y0_);
+    sys.set_initial(r, y0_);
 }
 
 // ----------------------------------------------------------------------- dot
@@ -118,14 +89,10 @@ dot::dot(const std::string& name, system& sys, signal in, signal out, double k)
     : block(name, sys), in_(in), out_(out), k_(k) {}
 
 void dot::stamp(system& sys) {
+    // A row with a B entry: out(0) = 0, the derivative having no history.
     const std::size_t r = sys.claim_driver(out_, *this);
     sys.sys().add_a(r, out_.index(), 1.0);
     sys.sys().add_b(r, in_.index(), -k_);
-}
-
-void dot::stamp_init(system&, solver::equation_system& init, double) {
-    // The derivative at t=0 is undefined without history; start at zero.
-    init.add_a(out_.index(), out_.index(), 1.0);
 }
 
 // ------------------------------------------------------------------ from_tdf
@@ -141,15 +108,7 @@ void from_tdf::stamp(system& sys) {
     slot_ = sys.sys().add_input(r);
 }
 
-void from_tdf::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_rhs_constant(out_.index(), last_sample_);
-}
-
-void from_tdf::read_tdf_inputs(system& sys) {
-    last_sample_ = inp.read();
-    sys.sys().set_input(slot_, last_sample_);
-}
+void from_tdf::read_inputs() { out_.sys()->sys().set_input(slot_, inp.read()); }
 
 // -------------------------------------------------------------------- to_tdf
 
@@ -158,7 +117,7 @@ to_tdf::to_tdf(const std::string& name, system& sys, signal in)
     outp.set_owner(sys);
 }
 
-void to_tdf::write_tdf_outputs(system& sys) { outp.write(sys.value(in_)); }
+void to_tdf::write_outputs() { outp.write(in_.sys()->value(in_)); }
 
 // ------------------------------------------------------------------- from_de
 
@@ -173,15 +132,7 @@ void from_de::stamp(system& sys) {
     slot_ = sys.sys().add_input(r);
 }
 
-void from_de::stamp_init(system&, solver::equation_system& init, double) {
-    init.add_a(out_.index(), out_.index(), 1.0);
-    init.add_rhs_constant(out_.index(), last_sample_);
-}
-
-void from_de::read_tdf_inputs(system& sys) {
-    last_sample_ = inp.read();
-    sys.sys().set_input(slot_, last_sample_);
-}
+void from_de::read_inputs() { out_.sys()->sys().set_input(slot_, inp.read()); }
 
 // --------------------------------------------------------------------- to_de
 
@@ -190,6 +141,6 @@ to_de::to_de(const std::string& name, system& sys, signal in)
     sys.declare_de_coupled(tdf::de_coupling::writes);
 }
 
-void to_de::write_tdf_outputs(system& sys) { outp.write(sys.value(in_)); }
+void to_de::write_outputs() { outp.write(in_.sys()->value(in_)); }
 
 }  // namespace sca::lsf

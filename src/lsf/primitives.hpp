@@ -17,7 +17,6 @@ class source : public block {
 public:
     source(const std::string& name, system& sys, signal out, waveform w);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
     /// Small-signal stimulus magnitude for AC analysis (default off).
     void set_ac(double magnitude, double phase_deg = 0.0) {
@@ -37,7 +36,6 @@ class gain : public block {
 public:
     gain(const std::string& name, system& sys, signal in, signal out, double k);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
     /// Change the gain; rewrites the stamp slot in place (values-only: the
     /// solver refactors numerically, no restamp or symbolic pass).
@@ -55,7 +53,6 @@ public:
     add(const std::string& name, system& sys, signal in1, signal in2, signal out,
         double w1 = 1.0, double w2 = 1.0);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
 private:
     signal in1_, in2_, out_;
@@ -67,7 +64,6 @@ class sub : public block {
 public:
     sub(const std::string& name, system& sys, signal in1, signal in2, signal out);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
 private:
     signal in1_, in2_, out_;
@@ -79,7 +75,6 @@ public:
     integ(const std::string& name, system& sys, signal in, signal out, double k = 1.0,
           double y0 = 0.0);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
 private:
     signal in_, out_;
@@ -92,7 +87,6 @@ class dot : public block {
 public:
     dot(const std::string& name, system& sys, signal in, signal out, double k = 1.0);
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
 private:
     signal in_, out_;
@@ -107,13 +101,11 @@ public:
     tdf::in<double> inp;
 
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
-    void read_tdf_inputs(system& sys) override;
+    void read_inputs() override;
 
 private:
     signal out_;
     std::size_t slot_ = 0;
-    double last_sample_ = 0.0;
 };
 
 /// LSF -> TDF converter: writes the signal value each step.
@@ -124,8 +116,7 @@ public:
     tdf::out<double> outp;
 
     void stamp(system&) override {}
-    void stamp_init(system&, solver::equation_system&, double) override {}
-    void write_tdf_outputs(system& sys) override;
+    void write_outputs() override;
 
 private:
     signal in_;
@@ -139,13 +130,11 @@ public:
     de::in<double> inp;
 
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
-    void read_tdf_inputs(system& sys) override;
+    void read_inputs() override;
 
 private:
     signal out_;
     std::size_t slot_ = 0;
-    double last_sample_ = 0.0;
 };
 
 /// LSF -> DE converter: writes the signal value to a DE signal each step.
@@ -156,8 +145,7 @@ public:
     de::out<double> outp;
 
     void stamp(system&) override {}
-    void stamp_init(system&, solver::equation_system&, double) override {}
-    void write_tdf_outputs(system& sys) override;
+    void write_outputs() override;
 
 private:
     signal in_;

@@ -31,7 +31,10 @@ void state_space::stamp(system& sys) {
     auto& es = sys.sys();
 
     std::vector<std::size_t> xr(n);
-    for (std::size_t i = 0; i < n; ++i) xr[i] = sys.add_state(*this, "x" + std::to_string(i));
+    for (std::size_t i = 0; i < n; ++i) {
+        xr[i] = sys.add_state(*this, "x" + std::to_string(i));
+        sys.set_initial(xr[i], x0_[i]);
+    }
 
     // State rows: dx_i/dt - sum_j A_ij x_j - sum_k B_ik u_k = 0.
     for (std::size_t i = 0; i < n; ++i) {
@@ -53,26 +56,6 @@ void state_space::stamp(system& sys) {
         }
         for (std::size_t k = 0; k < inputs_.size(); ++k) {
             if (d_(o, k) != 0.0) es.add_a(r, inputs_[k].index(), -d_(o, k));
-        }
-    }
-}
-
-void state_space::stamp_init(system& sys, solver::equation_system& init, double) {
-    const std::size_t n = order();
-    std::vector<std::size_t> xr(n);
-    for (std::size_t i = 0; i < n; ++i) xr[i] = sys.add_state(*this, "x" + std::to_string(i));
-    for (std::size_t i = 0; i < n; ++i) {
-        init.add_a(xr[i], xr[i], 1.0);
-        init.add_rhs_constant(xr[i], x0_[i]);
-    }
-    for (std::size_t o = 0; o < outputs_.size(); ++o) {
-        const std::size_t r = outputs_[o].index();
-        init.add_a(r, r, 1.0);
-        for (std::size_t j = 0; j < n; ++j) {
-            if (c_(o, j) != 0.0) init.add_a(r, xr[j], -c_(o, j));
-        }
-        for (std::size_t k = 0; k < inputs_.size(); ++k) {
-            if (d_(o, k) != 0.0) init.add_a(r, inputs_[k].index(), -d_(o, k));
         }
     }
 }

@@ -20,7 +20,6 @@ public:
                 num::dense_matrix_d c, num::dense_matrix_d d);
 
     void stamp(system& sys) override;
-    void stamp_init(system& sys, solver::equation_system& init, double t0) override;
 
     /// Initial state vector (default 0).
     void set_initial_state(std::vector<double> x0);

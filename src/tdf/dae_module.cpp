@@ -1,5 +1,7 @@
 #include "tdf/dae_module.hpp"
 
+#include <algorithm>
+
 #include "util/bytes.hpp"
 #include "util/report.hpp"
 #include "util/trace_export.hpp"
@@ -16,16 +18,71 @@ void nonlinear_options_fixup(solver::nonlinear_options& o, double h) {
 }
 }  // namespace
 
+// ------------------------------------------------------------- elements --
+
+dae_element::dae_element(std::string name, dae_module& view)
+    : de::object(std::move(name)), view_(&view) {
+    view.attach(*this);
+}
+
+dae_element::~dae_element() {
+    if (view_ != nullptr) view_->detach(*this);
+}
+
+dae_module::~dae_module() {
+    for (dae_element* e : elements_) e->view_ = nullptr;
+}
+
+void dae_module::attach(dae_element& e) {
+    elements_.push_back(&e);
+    hooks_pruned_ = false;  // the next step visits the newcomer's hooks
+    if (built_) request_restamp();
+}
+
+void dae_module::detach(dae_element& e) {
+    for (auto* list : {&elements_, &read_hooks_, &write_hooks_}) {
+        list->erase(std::remove(list->begin(), list->end(), &e), list->end());
+    }
+    if (built_) request_restamp();
+}
+
+void dae_module::read_elements() {
+    for (dae_element* e : hooks_pruned_ ? read_hooks_ : elements_) e->read_inputs();
+}
+
+void dae_module::write_elements() {
+    for (dae_element* e : hooks_pruned_ ? write_hooks_ : elements_) e->write_outputs();
+    if (hooks_pruned_) return;
+    // Every element has run each hook once: keep those that did not fall
+    // through to a default.
+    read_hooks_.clear();
+    write_hooks_.clear();
+    for (dae_element* e : elements_) {
+        if ((e->default_hooks_ & dae_element::default_read) == 0) read_hooks_.push_back(e);
+        if ((e->default_hooks_ & dae_element::default_write) == 0) write_hooks_.push_back(e);
+    }
+    hooks_pruned_ = true;
+}
+
+// ------------------------------------------------------------- assembly --
+
 solver::equation_system& dae_module::equations() {
     build_now();
+    if (restamp_requested_) rebuild();
     return sys_;
 }
 
 void dae_module::build_now() {
     if (built_) return;
     built_ = true;  // set first: build_equations may query equations()
+    restamp_requested_ = false;  // the first build is the restamp
     build_equations();
     sys_.finalize_stamps();
+}
+
+void dae_module::update_stamp_value(solver::stamp_handle h, double v) {
+    sys_.set_stamp(h, v);
+    request_value_update();
 }
 
 std::vector<double> dae_module::initial_state() {
@@ -46,38 +103,46 @@ std::uint64_t dae_module::symbolic_factorizations() const noexcept {
 
 void dae_module::rebuild() {
     SCA_TRACE_SPAN_T(&context().tracer(), "dae.symbolic_rebuild", "solver", solve_time_);
+    restamp_requested_ = false;  // first: a stamp may query equations()
     sys_.clear_stamps();
     build_equations();
     sys_.finalize_stamps();
-    restamp_requested_ = false;
+    stamps_changed_ = true;
+}
+
+void dae_module::start_solver(double h, double t0) {
+    linear_.reset();
+    nonlinear_.reset();
+    if (sys_.is_linear()) {
+        linear_ = std::make_unique<solver::linear_dae_solver>(sys_, method_, h);
+        linear_->set_initial_state(state_, t0);
+    } else {
+        nonlinear_options_fixup(nl_options_, h);
+        nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_, nl_options_);
+        nonlinear_->set_initial_state(state_, t0);
+    }
 }
 
 void dae_module::processing() {
     const double h = timestep().to_seconds();
     util::require(h > 0.0, name(), "DAE module needs a resolved timestep");
+    const double t_prev = solve_time_;
     solve_time_ = tdf_time().to_seconds();
 
     build_now();
-    read_inputs();
+    read_elements();
 
     if (first_activation_) {
         SCA_TRACE_SPAN_T(&context().tracer(), "dae.init", "solver", solve_time_);
         first_activation_ = false;
-        // Components that sampled their controls in read_inputs() above have
+        // Elements that sampled their controls in read_elements() above have
         // already pushed slot values into the system; a pattern-level change
         // still needs the rebuild before the initial state is computed.
         if (restamp_requested_) rebuild();
-        value_update_requested_ = false;
+        stamps_changed_ = false;
         state_ = initial_state();
-        if (sys_.is_linear()) {
-            linear_ = std::make_unique<solver::linear_dae_solver>(sys_, method_, h);
-            linear_->set_initial_state(state_, solve_time_);
-        } else {
-            nonlinear_options_fixup(nl_options_, h);
-            nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_, nl_options_);
-            nonlinear_->set_initial_state(state_, solve_time_);
-        }
-        write_outputs();
+        start_solver(h, solve_time_);
+        write_elements();
         return;
     }
 
@@ -85,9 +150,16 @@ void dae_module::processing() {
     // numerically against the cached pattern.  Either way the stamps moved
     // discontinuously, so one BE step re-establishes algebraic consistency
     // (the trapezoidal rule rings forever on a stamp discontinuity).
-    const bool discontinuity = restamp_requested_ || value_update_requested_;
     if (restamp_requested_) rebuild();
-    value_update_requested_ = false;
+    // An element added since the solver started brought new unknowns or
+    // nonlinear stamps: restart the solver from the present state, with the
+    // new unknowns at 0.
+    if (state_.size() != sys_.size() || (linear_ && !sys_.is_linear())) {
+        state_.resize(sys_.size(), 0.0);
+        start_solver(h, t_prev);
+    }
+    const bool discontinuity = stamps_changed_;
+    stamps_changed_ = false;
     if (discontinuity && linear_) linear_->force_backward_euler_next();
 
     // Dynamic TDF: a rescheduled cluster hands this module a new timestep.
@@ -107,7 +179,7 @@ void dae_module::processing() {
             state_ = nonlinear_->x();
         }
     }
-    write_outputs();
+    write_elements();
 }
 
 // --------------------------------------------------------------- snapshot --
@@ -116,7 +188,7 @@ void dae_module::save_state(util::byte_writer& w) const {
     w.boolean(built_);
     w.boolean(first_activation_);
     w.boolean(restamp_requested_);
-    w.boolean(value_update_requested_);
+    w.boolean(stamps_changed_);
     w.u8(static_cast<std::uint8_t>(method_));
     w.f64(solve_time_);
     w.f64_vec(state_);
@@ -139,8 +211,8 @@ void dae_module::save_state(util::byte_writer& w) const {
 void dae_module::restore_state(util::byte_reader& r) {
     const bool was_built = r.boolean();
     first_activation_ = r.boolean();
-    restamp_requested_ = r.boolean();
-    value_update_requested_ = r.boolean();
+    const bool restamp_requested = r.boolean();
+    stamps_changed_ = r.boolean();
     method_ = static_cast<solver::integration_method>(r.u8());
     solve_time_ = r.f64();
     state_ = r.f64_vec();
@@ -161,6 +233,7 @@ void dae_module::restore_state(util::byte_reader& r) {
         build_now();
         sys_.restore_state(r);
     }
+    restamp_requested_ = restamp_requested;  // after the build, which clears it
     const std::uint8_t solver_kind = r.u8();
     if (solver_kind == 1) {
         // Placeholder timestep: the solver's own restore reads the real one.

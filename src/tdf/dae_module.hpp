@@ -7,10 +7,17 @@
 // transparently switch to the variable-step Newton solver, which takes as
 // many internal steps as the error control demands and resynchronizes at
 // every TDF sample point (paper phase 2).
+//
+// Both continuous-time views (ELN networks, LSF systems) are dae_modules,
+// and their elements (ELN components, LSF blocks) are dae_elements: one
+// registry, one teardown rule and one per-step hook dispatch serve both.
 #ifndef SCA_TDF_DAE_MODULE_HPP
 #define SCA_TDF_DAE_MODULE_HPP
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "solver/dc.hpp"
 #include "solver/equation_system.hpp"
@@ -20,11 +27,53 @@
 
 namespace sca::tdf {
 
+class dae_module;
+
+/// An element of a continuous-time view (an ELN component, an LSF block).
+/// It registers with its view at construction and leaves it on destruction;
+/// teardown order is free, since whichever of element and view dies first
+/// unlinks from the other.  Constructing or destroying an element on a
+/// built view requests a restamp.
+class dae_element : public de::object {
+public:
+    ~dae_element() override;
+
+protected:
+    dae_element(std::string name, dae_module& view);
+
+    /// The view this element stamps into.
+    [[nodiscard]] dae_module& view() const noexcept { return *view_; }
+
+private:
+    friend class dae_module;
+
+    // --- per-step hooks (the view calls them around each solver step) -----
+    // An element overrides the ones it needs, at any access level.  The
+    // defaults do nothing but record that they ran, so after the first step
+    // the view calls only elements with a real hook.  They are private so
+    // that no override can call them and be dropped by mistake.
+
+    /// Move TDF/DE input samples into the equations: input slots, stamp
+    /// slots (update_stamp_value), or a request_restamp() for new stamps.
+    virtual void read_inputs() { default_hooks_ |= default_read; }
+    /// Move solution values to TDF/DE output ports.
+    virtual void write_outputs() { default_hooks_ |= default_write; }
+
+    static constexpr std::uint8_t default_read = 1;
+    static constexpr std::uint8_t default_write = 2;
+    std::uint8_t default_hooks_ = 0;  // defaults seen running on this object
+    dae_module* view_;                // null once the view is destroyed
+};
+
 class dae_module : public module {
 public:
+    /// Unlinks the elements still registered, so their destructors do not
+    /// reach back into a dead view.
+    ~dae_module() override;
+
     /// The shared equation system (the paper's "equation interface"): AC and
-    /// noise analyses operate on it directly. Valid after elaboration; call
-    /// build_now() to force assembly before the first activation.
+    /// noise analyses operate on it directly.  Assembles on first use and
+    /// applies a pending restamp, so it always reflects the live elements.
     [[nodiscard]] solver::equation_system& equations();
 
     /// Current continuous state vector (valid after the first activation).
@@ -35,6 +84,19 @@ public:
 
     /// Assemble equations if not done yet (for AC/noise before a transient).
     void build_now();
+
+    /// Rebuild the equations from scratch before the next step (or the next
+    /// equations() call): for a stamp *pattern* change.  The solver re-runs
+    /// symbolic analysis.  Element construction and destruction request it.
+    void request_restamp() { restamp_requested_ = true; }
+
+    /// Schedule a values-only refresh after stamp-slot values were rewritten
+    /// (switch toggle, parameter change): no rebuild, the solver refactors
+    /// numerically.
+    void request_value_update() { stamps_changed_ = true; }
+
+    /// Write a new stamp-slot value and schedule the values-only refresh.
+    void update_stamp_value(solver::stamp_handle h, double v);
 
     /// Per-step solver statistics: numeric factorization passes, and full
     /// symbolic analyses (pivot order + fill pattern). A values-only restamp
@@ -70,31 +132,35 @@ protected:
     /// build_equations().
     [[nodiscard]] solver::equation_system& raw_system() noexcept { return sys_; }
 
+    /// The registered elements in construction order (the stamping order).
+    [[nodiscard]] const std::vector<dae_element*>& elements() const noexcept {
+        return elements_;
+    }
+
     // --- customization points for the concrete views (ELN, LSF) -------------
-    /// Stamp all components into `equations()`.
+    /// Stamp all elements into `raw_system()`.
     virtual void build_equations() = 0;
-    /// Move TDF/DE port samples into the equation system's input slots.
-    virtual void read_inputs() {}
-    /// Move solution values to TDF/DE output ports.
-    virtual void write_outputs() {}
     /// Initial state at t=0; default is the DC operating point.
     virtual std::vector<double> initial_state();
-
-    /// Components call this when their stamp *pattern* may have changed
-    /// (topology edits); the system is rebuilt from scratch and the solver
-    /// re-runs symbolic analysis before the next step.
-    void request_restamp() { restamp_requested_ = true; }
-
-    /// Components call this after writing new values into existing stamp
-    /// slots (switch toggle, parameter change): no rebuild, the solver does
-    /// a numeric-only refactor.
-    void request_value_update() { value_update_requested_ = true; }
 
     /// Continuous time of the sample being produced (seconds).
     [[nodiscard]] double solve_time() const noexcept { return solve_time_; }
 
 private:
+    friend class dae_element;
+    void attach(dae_element& e);
+    void detach(dae_element& e);
+    void read_elements();
+    void write_elements();
     void rebuild();
+    void start_solver(double h, double t0);
+
+    std::vector<dae_element*> elements_;
+    // Elements with a real read or write hook, in registration order; valid
+    // while hooks_pruned_.
+    std::vector<dae_element*> read_hooks_;
+    std::vector<dae_element*> write_hooks_;
+    bool hooks_pruned_ = false;
 
     solver::equation_system sys_;
     std::unique_ptr<solver::linear_dae_solver> linear_;
@@ -105,7 +171,7 @@ private:
     bool built_ = false;
     bool first_activation_ = true;
     bool restamp_requested_ = false;
-    bool value_update_requested_ = false;
+    bool stamps_changed_ = false;  // since the last step: values or pattern
     double solve_time_ = 0.0;
 };
 

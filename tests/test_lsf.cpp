@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
+#include <string>
 
 #include "core/scenario.hpp"
+#include "kernel/signal.hpp"
 #include "lsf/ltf.hpp"
 #include "lsf/node.hpp"
 #include "lsf/primitives.hpp"
@@ -262,4 +265,135 @@ TEST(lsf, tdf_converters_roundtrip) {
     ASSERT_EQ(k.got.size(), 5U);
     EXPECT_DOUBLE_EQ(k.got[0], 0.0);
     EXPECT_DOUBLE_EQ(k.got[3], -6.0);
+}
+
+TEST(lsf, initial_state_is_exact_for_every_block_kind) {
+    // The t = 0 state pins each dynamic row to its block's initial value and
+    // solves the algebraic rows around it; dyadic values make it exact.
+    for (const auto method : {sca::solver::integration_method::trapezoidal,
+                              sca::solver::integration_method::backward_euler}) {
+        de::simulation_context sim;
+        de::signal<double> level("level", 1.5);
+        lsf::system sys("sys");
+        sys.set_timestep(1.0, de::time_unit::us);
+        sys.set_integration_method(method);
+        auto u = sys.create_signal("u");
+        auto ramp = sys.create_signal("ramp");
+        auto y_integ = sys.create_signal("y_integ");
+        auto y_dot = sys.create_signal("y_dot");
+        auto y_nd = sys.create_signal("y_nd");
+        auto y_nd_direct = sys.create_signal("y_nd_direct");
+        auto y_zp = sys.create_signal("y_zp");
+        auto y_ss0 = sys.create_signal("y_ss0");
+        auto y_ss1 = sys.create_signal("y_ss1");
+        auto y_tdf = sys.create_signal("y_tdf");
+        auto y_de = sys.create_signal("y_de");
+        lsf::source src("src", sys, u, lsf::waveform::dc(2.0));
+        lsf::source slope("slope", sys, ramp,
+                          lsf::waveform::custom([](double t) { return 5000.0 * t; }));
+        lsf::integ integ("integ", sys, u, y_integ, 1.0, 0.375);
+        lsf::dot dot("dot", sys, ramp, y_dot, 3.0);  // pinned to 0, not 15000
+        lsf::ltf_nd nd("nd", sys, u, y_nd, {1.0, 2.0}, {4.0, 2.0, 1.0});
+        nd.set_initial_state({0.25, -0.5});
+        lsf::ltf_nd direct("direct", sys, u, y_nd_direct, {1.0, 0.0, 2.0}, {4.0, 2.0, 1.0});
+        direct.set_initial_state({0.25, -0.5});
+        lsf::ltf_zp zp("zp", sys, u, y_zp, {{-1000.0, 0.0}},
+                       {{-2000.0, 3000.0}, {-2000.0, -3000.0}}, 2.0);
+        sca::num::dense_matrix_d a(2, 2), b(2, 1), c(2, 2), d(2, 1);
+        a(0, 0) = -1.0;
+        a(1, 1) = -2.0;
+        b(0, 0) = 1.0;
+        c(0, 0) = 1.0;
+        c(0, 1) = 0.5;
+        c(1, 1) = 2.0;
+        d(0, 0) = 0.25;
+        lsf::state_space ss("ss", sys, {u}, {y_ss0, y_ss1}, a, b, c, d);
+        ss.set_initial_state({0.5, -0.25});
+        lsf::from_tdf from_tdf("from_tdf", sys, y_tdf);
+        lsf::from_de from_de("from_de", sys, y_de);
+        from_de.inp.bind(level);
+
+        struct stim : sca::tdf::module {
+            sca::tdf::out<double> out;
+            explicit stim(const de::module_name& nm) : sca::tdf::module(nm), out("out") {}
+            void processing() override { out.write(0.625); }
+        } feed("feed");
+        sca::tdf::signal<double> wire("wire");
+        feed.out.bind(wire);
+        from_tdf.inp.bind(wire);
+
+        sca::util::memory_trace rec;
+        core::record(sim, rec, 1_us);
+        for (const auto& s : {y_integ, y_dot, y_nd, y_nd_direct, y_zp, y_ss0, y_ss1, y_tdf, y_de}) {
+            rec.add_channel("y", [&sys, s] { return sys.value(s); });
+        }
+        sim.run(3_us);
+
+        const auto at_t0 = [&rec](std::size_t channel) { return rec.column(channel).front(); };
+        EXPECT_EQ(at_t0(0), 0.375);  // integ y0
+        EXPECT_EQ(at_t0(1), 0.0);    // dot
+        EXPECT_EQ(at_t0(2), -0.75);  // 1 x0 + 2 x1
+        EXPECT_EQ(at_t0(3), 4.25);   // -7 x0 - 4 x1 + 2 u (direct feed-through)
+        EXPECT_EQ(at_t0(4), 0.0);    // ltf_zp from zero state, strictly proper
+        EXPECT_EQ(at_t0(5), 0.875);  // x0 + 0.5 x1 + 0.25 u
+        EXPECT_EQ(at_t0(6), -0.5);   // 2 x1
+        EXPECT_EQ(at_t0(7), 0.625);  // first TDF sample
+        EXPECT_EQ(at_t0(8), 1.5);    // DE level at t = 0
+    }
+}
+
+TEST(lsf, destroyed_block_leaves_the_system) {
+    {
+        // A destroyed sink leaves a running system.
+        de::simulation_context sim;
+        de::signal<double> out("out", 0.0);
+        lsf::system sys("sys");
+        sys.set_timestep(1.0, de::time_unit::us);
+        auto u = sys.create_signal("u");
+        lsf::source src("src", sys, u, lsf::waveform::dc(2.0));
+        auto sink = std::make_unique<lsf::to_de>("sink", sys, u);
+        sink->outp.bind(out);
+        sim.run(5_us);
+        EXPECT_EQ(out.read(), 2.0);
+        sink.reset();
+        sim.run(5_us);
+        EXPECT_EQ(sys.value(u), 2.0);
+    }
+    {
+        // A destroyed driver leaves its signal undriven: the named error.
+        de::simulation_context sim;
+        lsf::system sys("sys");
+        sys.set_timestep(1.0, de::time_unit::us);
+        auto u = sys.create_signal("u");
+        auto y = sys.create_signal("y");
+        lsf::source src("src", sys, u, lsf::waveform::dc(2.0));
+        auto k = std::make_unique<lsf::gain>("k", sys, u, y, 3.0);
+        sim.run(5_us);
+        EXPECT_EQ(sys.value(y), 6.0);
+        k.reset();
+        try {
+            sim.run(5_us);
+            ADD_FAILURE() << "a signal without a driver must be refused";
+        } catch (const sca::util::error& e) {
+            EXPECT_NE(std::string(e.what()).find("lsf signal 'y' has no driver"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    for (const bool system_first : {true, false}) {
+        // Either teardown order, after the system has built and stepped.
+        de::simulation_context sim;
+        auto sys = std::make_unique<lsf::system>("sys");
+        sys->set_timestep(1.0, de::time_unit::us);
+        auto u = sys->create_signal("u");
+        auto y = sys->create_signal("y");
+        auto src = std::make_unique<lsf::source>("src", *sys, u, lsf::waveform::dc(1.0));
+        auto k = std::make_unique<lsf::gain>("k", *sys, u, y, 2.0);
+        sim.run(2_us);
+        EXPECT_EQ(sys->value(y), 2.0);
+        if (system_first) sys.reset();
+        k.reset();
+        src.reset();
+        sys.reset();
+    }
 }
