@@ -15,6 +15,11 @@
 
 namespace sca::core::net {
 
+void fd_owner::reset() noexcept {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+}
+
 namespace {
 
 void set_nodelay(int fd) {

@@ -1,6 +1,7 @@
 // Stream-socket plumbing shared by the remote-TCP run_set backend
 // (core/run_backend) and the streaming server and its client (src/server/):
-// connect, listen and accept over loopback/numeric-IPv4 TCP or AF_UNIX.
+// connect, listen and accept over loopback/numeric-IPv4 TCP or AF_UNIX, and
+// the move-only owner that closes a descriptor.
 // Every TCP connection, connected or accepted, gets TCP_NODELAY — SCA1
 // frames are small request/reply messages that must not wait for Nagle.
 // Failures throw sca::util::error naming the address.
@@ -9,8 +10,34 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace sca::core::net {
+
+/// Owner of one file descriptor: closes it on destruction and on reset(),
+/// and a move hands it over, so a class holding one needs no hand-written
+/// destructor or move operations.
+class fd_owner {
+public:
+    fd_owner() = default;
+    explicit fd_owner(int fd) noexcept : fd_(fd) {}
+    fd_owner(fd_owner&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+    fd_owner& operator=(fd_owner&& other) noexcept {
+        if (this != &other) {
+            reset();
+            fd_ = std::exchange(other.fd_, -1);
+        }
+        return *this;
+    }
+    ~fd_owner() { reset(); }
+
+    [[nodiscard]] int get() const noexcept { return fd_; }
+    /// Close the descriptor (if any); get() is -1 after.
+    void reset() noexcept;
+
+private:
+    int fd_ = -1;
+};
 
 /// Connect to `host` (numeric IPv4) : `port`.  Returns the connected fd.
 [[nodiscard]] int connect_tcp(const std::string& host, std::uint16_t port);

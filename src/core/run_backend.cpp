@@ -12,7 +12,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -21,6 +20,40 @@
 #include "util/report.hpp"
 
 namespace sca::core {
+
+// -------------------------------------------------------------- worker loop --
+
+namespace {
+
+/// Blocking worker loop over a connected stream fd — the worker half of the
+/// wire protocol, shared by forked subprocess workers and TCP worker
+/// servers.  Send this worker's campaign `header` and go on only when the
+/// parent's is equal (the parent names a mismatch); then read a job frame,
+/// execute run_one(index), write the result frame, repeat until shutdown or
+/// EOF.  The header goes out unasked, so the parent's wait for it overlaps
+/// the worker's start-up instead of adding a round trip.  Returns normally
+/// on clean shutdown and when the parent disappears; protocol violations
+/// throw.
+void run_worker_loop(const run_set& rs, int fd, const std::vector<std::uint8_t>& header) {
+    wire::frame f;
+    if (!wire::write_frame(fd, wire::msg_type::header, header) || !wire::read_frame(fd, f) ||
+        f.type != wire::msg_type::header || f.payload != header) {
+        return;
+    }
+    for (;;) {
+        if (!wire::read_frame(fd, f)) return;  // parent gone: stop quietly
+        if (f.type == wire::msg_type::shutdown) return;
+        util::require(f.type == wire::msg_type::job, "run_backend",
+                      "unexpected frame type on worker");
+        const std::uint64_t index = wire::decode_job(f.payload.data(), f.payload.size());
+        const run_result res = rs.run_one(static_cast<std::size_t>(index));
+        if (!wire::write_frame(fd, wire::msg_type::result, wire::encode_result(res))) {
+            return;  // parent gone mid-result
+        }
+    }
+}
+
+}  // namespace
 
 namespace detail {
 
@@ -71,6 +104,48 @@ struct worker_conn {
     pid_t pid = -1;                // -1: remote worker, nothing to reap
     std::int64_t in_flight = -1;   // run index on the wire, -1 when idle
     int id = -1;                   // stable worker id stamped into run_result::worker
+    std::string name;              // the endpoint, or "worker <id>", for diagnostics
+};
+
+/// Open the campaign on a worker connection: send the campaign header and
+/// read the one the worker sent.  False when the worker is gone; throws when
+/// it serves another campaign or format version.
+bool open_campaign(const worker_conn& w, const std::vector<std::uint8_t>& header) {
+    if (!wire::write_frame(w.fd, wire::msg_type::header, header)) return false;
+    wire::frame f;
+    try {
+        if (!wire::read_frame(w.fd, f)) return false;
+    } catch (const util::error&) {
+        return false;  // torn reply: the worker died mid-write
+    }
+    util::require(f.type == wire::msg_type::header, "run_backend",
+                  w.name + " did not answer the campaign header");
+    wire::require_header(f.payload, header, w.name);
+    return true;
+}
+
+/// Shuts down every worker still connected when the dispatcher returns or
+/// throws (a refused worker must not leave forked ones waiting on their
+/// socket), and reaps the forked ones.
+class shutdown_guard {
+public:
+    explicit shutdown_guard(std::vector<worker_conn>& workers) : workers_(workers) {}
+    shutdown_guard(const shutdown_guard&) = delete;
+    shutdown_guard& operator=(const shutdown_guard&) = delete;
+    ~shutdown_guard() {
+        for (worker_conn& w : workers_) {
+            try {
+                (void)wire::write_frame(w.fd, wire::msg_type::shutdown, {});
+            } catch (const util::error&) {
+                // A failed shutdown write means the worker is already gone.
+            }
+            ::close(w.fd);
+            if (w.pid >= 0) ::waitpid(w.pid, nullptr, 0);
+        }
+    }
+
+private:
+    std::vector<worker_conn>& workers_;
 };
 
 /// Describe how a reaped child died, for the lost-run error message.
@@ -101,14 +176,17 @@ run_result lost_result(const run_set& rs, std::size_t index, const std::string& 
 /// the current live worker list (so a forked child can close their fds).
 using respawn_fn = std::function<worker_conn(const std::vector<worker_conn>&)>;
 
-/// The shared parent-side dispatcher: hand each idle worker the next pending
-/// index, poll the worker fds, slot results as they stream back, and survive
-/// worker death.  `respawn` (nullable) provides a replacement worker after a
-/// death while jobs remain — the multiprocess backend respawns, the remote
-/// backend retires the endpoint instead.
+/// The shared parent-side dispatcher: open the campaign on every worker,
+/// hand each idle worker the next pending index, poll the worker fds, slot
+/// results as they stream back, and survive worker death.  `respawn`
+/// (nullable) provides a replacement worker after a death while jobs remain
+/// — the multiprocess backend respawns, the remote backend retires the
+/// endpoint instead.
 void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
               std::vector<run_result>& results, std::vector<worker_conn> workers,
-              const result_sink& deliver, const respawn_fn& respawn) {
+              const std::vector<std::uint8_t>& header, const result_sink& deliver,
+              const respawn_fn& respawn) {
+    const shutdown_guard guard(workers);
     std::deque<std::size_t> queue(pending.begin(), pending.end());
     std::size_t outstanding = pending.size();  // runs not yet slotted
 
@@ -143,14 +221,25 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
             workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(slot));
             if (!queue.empty() && respawn) {
                 workers.push_back(respawn(workers));
-                if (!assign(workers.back())) {
+                if (!open_campaign(workers.back(), header) || !assign(workers.back())) {
                     retire(workers.size() - 1, "worker died at spawn");
                 }
             }
         };
 
+    // Every worker answers the campaign header before the first job goes
+    // out; a replacement that retire() spawns is opened and given a job
+    // there, so neither loop visits it again.
+    for (std::size_t i = 0, unopened = workers.size(); i < unopened;) {
+        if (open_campaign(workers[i], header)) {
+            ++i;
+        } else {
+            retire(i, "worker connection closed");
+            --unopened;
+        }
+    }
     for (std::size_t i = 0; i < workers.size();) {
-        if (assign(workers[i])) {
+        if (workers[i].in_flight >= 0 || assign(workers[i])) {
             ++i;
         } else {
             retire(i, "worker connection closed");
@@ -220,13 +309,6 @@ void dispatch(const run_set& rs, const std::vector<std::size_t>& pending,
             ++i;
         }
     }
-
-    // Campaign complete: shut the surviving workers down.
-    for (worker_conn& w : workers) {
-        (void)wire::write_frame(w.fd, wire::msg_type::shutdown, {});
-        ::close(w.fd);
-        if (w.pid >= 0) ::waitpid(w.pid, nullptr, 0);
-    }
 }
 
 }  // namespace
@@ -240,7 +322,8 @@ namespace {
 /// exec/re-registration step is needed; it must not touch the parent's fds
 /// (all other worker sockets are closed first) and leaves via _exit so no
 /// parent-side atexit/static-destructor state runs twice.
-worker_conn fork_worker(const run_set& rs, const std::vector<worker_conn>& existing) {
+worker_conn fork_worker(const run_set& rs, const std::vector<worker_conn>& existing,
+                        const std::vector<std::uint8_t>& header, int id) {
     int sv[2];
     util::require(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0, "run_backend",
                   std::string("socketpair failed: ") + std::strerror(errno));
@@ -251,37 +334,35 @@ worker_conn fork_worker(const run_set& rs, const std::vector<worker_conn>& exist
         ::close(sv[0]);
         for (const worker_conn& w : existing) ::close(w.fd);
         try {
-            run_worker_loop(rs, sv[1]);
+            run_worker_loop(rs, sv[1], header);
         } catch (...) {
             ::_exit(1);
         }
         ::_exit(0);
     }
     ::close(sv[1]);
-    return worker_conn{sv[0], pid, -1, -1};
+    return worker_conn{sv[0], pid, -1, id, "worker " + std::to_string(id)};
 }
 
 }  // namespace
 
 void execute_multiprocess(const run_set& rs, const std::vector<std::size_t>& pending,
                           std::vector<run_result>& results, unsigned workers,
+                          const std::vector<std::uint8_t>& header,
                           const result_sink& deliver) {
     workers = static_cast<unsigned>(
         std::max<std::size_t>(1, std::min<std::size_t>(workers, pending.size())));
     std::vector<worker_conn> conns;
     conns.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
-        conns.push_back(fork_worker(rs, conns));
-        conns.back().id = static_cast<int>(w);
+        conns.push_back(fork_worker(rs, conns, header, static_cast<int>(w)));
     }
     // Respawned workers get fresh ids so per-worker telemetry never merges
     // a replacement's runs into its predecessor's.
-    auto next_id = std::make_shared<int>(static_cast<int>(workers));
-    dispatch(rs, pending, results, std::move(conns), deliver,
-             [&rs, next_id](const std::vector<worker_conn>& live) {
-                 worker_conn w = fork_worker(rs, live);
-                 w.id = (*next_id)++;
-                 return w;
+    int next_id = static_cast<int>(workers);
+    dispatch(rs, pending, results, std::move(conns), header, deliver,
+             [&](const std::vector<worker_conn>& live) {
+                 return fork_worker(rs, live, header, next_id++);
              });
 }
 
@@ -304,6 +385,7 @@ int connect_endpoint(const std::string& endpoint) {
 void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pending,
                         std::vector<run_result>& results,
                         const std::vector<std::string>& endpoints,
+                        const std::vector<std::uint8_t>& header,
                         const result_sink& deliver) {
     util::require(!endpoints.empty(), "run_backend",
                   "remote_tcp backend needs at least one endpoint "
@@ -312,37 +394,22 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
     conns.reserve(endpoints.size());
     for (const std::string& ep : endpoints) {
         conns.push_back(worker_conn{connect_endpoint(ep), -1, -1,
-                                    static_cast<int>(conns.size())});
+                                    static_cast<int>(conns.size()), "worker '" + ep + "'"});
     }
     // No respawn: a dead endpoint is retired; its in-flight run is recorded
     // as lost and recomputable via the checkpoint journal.
-    dispatch(rs, pending, results, std::move(conns), deliver, nullptr);
+    dispatch(rs, pending, results, std::move(conns), header, deliver, nullptr);
 }
 
 }  // namespace detail
 
 // -------------------------------------------------------------- worker side --
 
-void run_worker_loop(const run_set& rs, int fd) {
-    for (;;) {
-        wire::frame f;
-        if (!wire::read_frame(fd, f)) return;  // parent gone: stop quietly
-        if (f.type == wire::msg_type::shutdown) return;
-        util::require(f.type == wire::msg_type::job, "run_backend",
-                      "unexpected frame type on worker");
-        const std::uint64_t index = wire::decode_job(f.payload.data(), f.payload.size());
-        const run_result res = rs.run_one(static_cast<std::size_t>(index));
-        if (!wire::write_frame(fd, wire::msg_type::result, wire::encode_result(res))) {
-            return;  // parent gone mid-result
-        }
-    }
-}
-
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions) {
+    const std::vector<std::uint8_t> header = wire::encode_header(rs.fingerprint());
     for (unsigned served = 0; max_sessions == 0 || served < max_sessions; ++served) {
-        const int fd = net::accept(listen_fd, /*tcp=*/true);
-        run_worker_loop(rs, fd);
-        ::close(fd);
+        const net::fd_owner fd(net::accept(listen_fd, /*tcp=*/true));
+        run_worker_loop(rs, fd.get(), header);
     }
 }
 

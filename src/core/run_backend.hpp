@@ -12,6 +12,12 @@
 // in their run-index slot — so any backend at any worker count produces a
 // result_table byte-identical to sequential in-thread execution.
 //
+// Campaign handshake: the dispatcher opens every worker connection, forked or
+// remote, with the campaign header (wire::encode_header), and the worker
+// sends its own.  A worker of another campaign or format version is refused
+// — run_all() throws naming it before any job is sent — instead of answering
+// each job with a row of its own campaign.
+//
 // Failure model: a run that throws records `error` in its slot (the worker
 // reports it like any result).  A worker that *dies* (SIGKILL, crash) takes
 // only its in-flight run down: the parent marks that slot with an
@@ -22,6 +28,7 @@
 #ifndef SCA_CORE_RUN_BACKEND_HPP
 #define SCA_CORE_RUN_BACKEND_HPP
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -47,9 +54,11 @@ void execute_in_thread(const run_set& rs, const std::vector<std::size_t>& pendin
                        const result_sink& deliver);
 
 /// Fork/socketpair execution: `workers` subprocesses, parent-side poll()
-/// dispatcher, automatic respawn after worker death.
+/// dispatcher, automatic respawn after worker death.  `header` is the
+/// campaign header (wire::encode_header of rs.fingerprint()).
 void execute_multiprocess(const run_set& rs, const std::vector<std::size_t>& pending,
                           std::vector<run_result>& results, unsigned workers,
+                          const std::vector<std::uint8_t>& header,
                           const result_sink& deliver);
 
 /// Remote-TCP execution: one connection per "host:port" endpoint (numeric
@@ -58,24 +67,20 @@ void execute_multiprocess(const run_set& rs, const std::vector<std::size_t>& pen
 void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pending,
                         std::vector<run_result>& results,
                         const std::vector<std::string>& endpoints,
+                        const std::vector<std::uint8_t>& header,
                         const result_sink& deliver);
 
 }  // namespace detail
 
 // -------------------------------------------------------------- worker side --
 
-/// Blocking worker loop over a connected stream fd — the worker half of the
-/// wire protocol, shared by forked subprocess workers and TCP worker
-/// servers: read a job frame, execute run_one(index), write the result
-/// frame, repeat until shutdown or EOF.  Returns normally on clean shutdown
-/// and when the parent disappears; protocol violations throw.
-void run_worker_loop(const run_set& rs, int fd);
-
 /// Accept and serve worker sessions on `listen_fd` (blocking; see
-/// net::listen_tcp): each accepted connection runs run_worker_loop to
-/// completion.  Serves `max_sessions`
-/// sessions then returns (0 = serve forever).  This is the process body of a
-/// remote worker host; tests fork one on a loopback socket.
+/// net::listen_tcp): each accepted connection runs the worker loop — swap
+/// campaign headers, then execute run_one() per job frame until shutdown or
+/// EOF — and a parent of another campaign is hung up on.
+/// Serves `max_sessions` sessions then returns (0 = serve forever).  This is
+/// the process body of a remote worker host; tests fork one on a loopback
+/// socket.
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions);
 
 }  // namespace sca::core

@@ -154,17 +154,45 @@ run_result decode_result(const std::uint8_t* data, std::size_t n) {
     return res;
 }
 
-std::vector<std::uint8_t> encode_params(const params& p) {
+// --------------------------------------------------------- campaign header --
+
+std::vector<std::uint8_t> encode_header(const campaign_fingerprint& fp) {
     util::byte_writer w;
-    put_params(w, p);
+    w.u32(k_format_version);
+    w.str(fp.scenario_name);
+    w.u64(fp.base_seed);
+    w.u64(fp.n_runs);
+    w.boolean(fp.keep_waveforms);
+    w.u32(fp.definition);
     return w.take();
 }
 
-params decode_params(const std::uint8_t* data, std::size_t n) {
-    util::byte_reader r(data, n);
-    params p = get_params(r);
+namespace {
+
+/// Decode a header payload into a readable campaign description; another
+/// format version is refused by name.
+std::string describe_header(const std::vector<std::uint8_t>& payload,
+                            const std::string& what) {
+    util::byte_reader r(payload);
+    require_format_version(r.u32(), what);
+    std::string d = "scenario '" + r.str() + "'";
+    d += ", seed " + std::to_string(r.u64());
+    d += ", " + std::to_string(r.u64()) + " runs";
+    d += r.boolean() ? ", waveforms kept" : ", waveforms dropped";
+    d += ", definition " + std::to_string(r.u32());
     r.expect_end();
-    return p;
+    return d;
+}
+
+}  // namespace
+
+void require_header(const std::vector<std::uint8_t>& found,
+                    const std::vector<std::uint8_t>& expect, const std::string& what) {
+    if (found == expect) return;
+    util::report_fatal("run_protocol", what + " belongs to another campaign (" +
+                                           describe_header(found, what) +
+                                           "; this campaign: " +
+                                           describe_header(expect, "campaign") + ")");
 }
 
 // ------------------------------------------------------- session messages --
@@ -337,16 +365,38 @@ bool decode_run_state(const std::uint8_t* data, std::size_t n) {
     return v != 0;
 }
 
+namespace {
+
+/// The one field codec of the session statistics: stats frames carry
+/// exactly these fields, close frames carry them after the reason byte.
+void put_stats(util::byte_writer& w, const stats_info& info) {
+    w.f64(info.sim_time_s);
+    w.u64(info.slices);
+    w.u64(info.samples_streamed);
+    w.u64(info.samples_dropped);
+    w.u64(info.queue_depth);
+    w.u64(info.max_queue_depth);
+    w.f64(info.pace_drift_s);
+    w.f64(info.pace_max_drift_s);
+}
+
+void get_stats(util::byte_reader& r, stats_info& info) {
+    info.sim_time_s = r.f64();
+    info.slices = r.u64();
+    info.samples_streamed = r.u64();
+    info.samples_dropped = r.u64();
+    info.queue_depth = r.u64();
+    info.max_queue_depth = r.u64();
+    info.pace_drift_s = r.f64();
+    info.pace_max_drift_s = r.f64();
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_close(const close_info& info) {
     util::byte_writer w;
     w.u8(static_cast<std::uint8_t>(info.reason));
-    w.f64(info.sim_time_s);
-    w.u64(info.samples_streamed);
-    w.u64(info.samples_dropped);
-    w.f64(info.pace_drift_s);
-    w.f64(info.pace_max_drift_s);
-    w.u64(info.max_queue_depth);
-    w.u64(info.slices);
+    put_stats(w, info);
     w.u32(static_cast<std::uint32_t>(info.measurements.size()));
     for (const auto& [name, v] : info.measurements) {
         w.str(name);
@@ -362,13 +412,7 @@ close_info decode_close(const std::uint8_t* data, std::size_t n) {
     util::require(reason <= static_cast<std::uint8_t>(close_reason::failed),
                   "run_protocol", "unknown close reason");
     info.reason = static_cast<close_reason>(reason);
-    info.sim_time_s = r.f64();
-    info.samples_streamed = r.u64();
-    info.samples_dropped = r.u64();
-    info.pace_drift_s = r.f64();
-    info.pace_max_drift_s = r.f64();
-    info.max_queue_depth = r.u64();
-    info.slices = r.u64();
+    get_stats(r, info);
     const std::uint32_t count = r.count(k_min_named_f64);
     for (std::uint32_t i = 0; i < count; ++i) {
         std::string name = r.str();
@@ -393,28 +437,14 @@ std::string decode_error(const std::uint8_t* data, std::size_t n) {
 
 std::vector<std::uint8_t> encode_stats(const stats_info& info) {
     util::byte_writer w;
-    w.f64(info.sim_time_s);
-    w.u64(info.slices);
-    w.u64(info.samples_streamed);
-    w.u64(info.samples_dropped);
-    w.u64(info.queue_depth);
-    w.u64(info.max_queue_depth);
-    w.f64(info.pace_drift_s);
-    w.f64(info.pace_max_drift_s);
+    put_stats(w, info);
     return w.take();
 }
 
 stats_info decode_stats(const std::uint8_t* data, std::size_t n) {
     util::byte_reader r(data, n);
     stats_info info;
-    info.sim_time_s = r.f64();
-    info.slices = r.u64();
-    info.samples_streamed = r.u64();
-    info.samples_dropped = r.u64();
-    info.queue_depth = r.u64();
-    info.max_queue_depth = r.u64();
-    info.pace_drift_s = r.f64();
-    info.pace_max_drift_s = r.f64();
+    get_stats(r, info);
     r.expect_end();
     return info;
 }

@@ -19,8 +19,10 @@
 // oversized payloads all throw sca::util::error instead of yielding garbage.
 //
 // Versioning: one number, k_format_version, covers every SCA1 payload.  The
-// hello frame, the snapshot payload and the journal header carry it, and a
-// reader refuses any other value by name instead of guessing at a layout.
+// hello frame, the snapshot payload and the campaign header (the journal's
+// first frame and the first frame each way on a worker connection) carry
+// it, and a reader refuses any other value by name instead of guessing at a
+// layout.
 #ifndef SCA_CORE_RUN_PROTOCOL_HPP
 #define SCA_CORE_RUN_PROTOCOL_HPP
 
@@ -43,9 +45,8 @@ inline constexpr std::uint32_t k_max_payload = 256U * 1024U * 1024U;
 
 /// Version of the SCA1 payload layouts.  The client's hello carries it (the
 /// server echoes it, or answers any other value with an error frame and
-/// hangs up), and so do the snapshot payload and the checkpoint journal
-/// header.
-inline constexpr std::uint8_t k_format_version = 5;
+/// hangs up), and so do the snapshot payload and the campaign header.
+inline constexpr std::uint8_t k_format_version = 6;
 
 /// Throw unless `found` equals k_format_version; `what` names the refused
 /// hello, file or journal in the diagnostic.
@@ -55,7 +56,7 @@ enum class msg_type : std::uint8_t {
     job = 1,       ///< parent -> worker: u64 run index
     result = 2,    ///< worker -> parent: encoded run_result
     shutdown = 3,  ///< parent -> worker: finish and exit (empty payload)
-    header = 4,    ///< checkpoint journal only: campaign fingerprint
+    header = 4,    ///< journal and worker handshake: campaign header
 
     // --- session protocol ---------------------------------------------------
     hello = 5,      ///< both ways: u8 k_format_version
@@ -71,7 +72,7 @@ enum class msg_type : std::uint8_t {
     error = 15,     ///< server -> client: diagnostic message
 
     // --- full-state snapshots (core/snapshot) ------------------------------
-    snapshot_state = 16,  ///< snapshot file / journal: full simulation state
+    snapshot_state = 16,  ///< snapshot file: full simulation state
 
     stats = 17,  ///< session: request (empty) / reply or periodic push
 };
@@ -95,12 +96,19 @@ struct frame {
 [[nodiscard]] std::vector<std::uint8_t> encode_result(const run_result& r);
 [[nodiscard]] run_result decode_result(const std::uint8_t* data, std::size_t n);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_params(const params& p);
-[[nodiscard]] params decode_params(const std::uint8_t* data, std::size_t n);
-
-/// The params field encoding, for payloads that embed one (snapshots).
+/// The params field encoding, for payloads that embed one.
 void put_params(util::byte_writer& w, const params& p);
 [[nodiscard]] params get_params(util::byte_reader& r);
+
+/// The campaign header: k_format_version, then the campaign fingerprint.  A
+/// run_set journal starts with it, and the dispatcher and every worker open
+/// their connection with it.
+[[nodiscard]] std::vector<std::uint8_t> encode_header(const campaign_fingerprint& fp);
+/// Throw unless header payload `found` equals `expect`: another format
+/// version or another campaign is refused, and `what` names the journal or
+/// worker that holds it.
+void require_header(const std::vector<std::uint8_t>& found,
+                    const std::vector<std::uint8_t>& expect, const std::string& what);
 
 // ------------------------------------------------- session protocol types --
 
@@ -166,22 +174,6 @@ enum class close_reason : std::uint8_t {
     failed = 2,          ///< session error (message went out as an error frame)
 };
 
-/// Final session statistics, sent as the close reply.  This is the
-/// authoritative end-of-session telemetry: streamed/dropped totals, the
-/// deepest the stream queue ever got, pacing drift extremes, and the number
-/// of kernel slices the session executed.
-struct close_info {
-    close_reason reason = close_reason::client_request;
-    double sim_time_s = 0.0;
-    std::uint64_t samples_streamed = 0;
-    std::uint64_t samples_dropped = 0;
-    double pace_drift_s = 0.0;
-    double pace_max_drift_s = 0.0;
-    std::uint64_t max_queue_depth = 0;
-    std::uint64_t slices = 0;
-    std::map<std::string, double> measurements;
-};
-
 /// In-band session telemetry: pushed every options.stats_every_slices kernel
 /// slices while streaming, and on demand as the reply to an (empty) stats
 /// request.  Counts are cumulative for the session.
@@ -194,6 +186,14 @@ struct stats_info {
     std::uint64_t max_queue_depth = 0;  ///< deepest the queue has been
     double pace_drift_s = 0.0;
     double pace_max_drift_s = 0.0;
+};
+
+/// Final session statistics, sent as the close reply: the session's last
+/// stats, why it ended, and its measurements.  This is the authoritative
+/// end-of-session telemetry.
+struct close_info : stats_info {
+    close_reason reason = close_reason::client_request;
+    std::map<std::string, double> measurements;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(std::uint8_t version);

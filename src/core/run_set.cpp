@@ -15,7 +15,8 @@
 
 #include "core/run_backend.hpp"
 #include "core/run_checkpoint.hpp"
-#include "core/snapshot.hpp"
+#include "core/run_protocol.hpp"
+#include "util/bytes.hpp"
 
 namespace sca::core {
 
@@ -191,18 +192,9 @@ void write_csv_field(std::ostream& os, const std::string& s) {
     }
     os << '"';
 }
-}  // namespace
 
-namespace detail {
-
-void write_csv_header(std::ostream& os, const std::set<std::string>& param_names,
-                      const std::set<std::string>& meas_names) {
-    os << "run,seed";
-    for (const auto& name : param_names) os << ',' << name;
-    for (const auto& name : meas_names) os << ',' << name;
-    os << ",ok,error\n";
-}
-
+/// One CSV row: identical doubles format identically, which is what makes a
+/// CSV compare a valid bit-identity check across backends.
 void write_csv_row(std::ostream& os, const run_result& r,
                    const std::set<std::string>& param_names,
                    const std::set<std::string>& meas_names) {
@@ -228,7 +220,7 @@ void write_csv_row(std::ostream& os, const run_result& r,
     os << '\n';
 }
 
-}  // namespace detail
+}  // namespace
 
 void result_table::write_csv(std::ostream& os) const {
     // Union of parameter and measurement names across runs, sorted.
@@ -237,10 +229,11 @@ void result_table::write_csv(std::ostream& os) const {
         for (const auto& [name, v] : r.parameters.entries()) param_names.insert(name);
         for (const auto& [name, v] : r.measurements) meas_names.insert(name);
     }
-    detail::write_csv_header(os, param_names, meas_names);
-    for (const run_result& r : runs_) {
-        detail::write_csv_row(os, r, param_names, meas_names);
-    }
+    os << "run,seed";
+    for (const auto& name : param_names) os << ',' << name;
+    for (const auto& name : meas_names) os << ',' << name;
+    os << ",ok,error\n";
+    for (const run_result& r : runs_) write_csv_row(os, r, param_names, meas_names);
 }
 
 void result_table::write_metrics_csv(std::ostream& os) const {
@@ -290,13 +283,11 @@ run_set::run_set(scenario sc) : scenario_(std::move(sc)) {
 
 run_set& run_set::with_grid(param_grid grid) {
     grid_ = std::move(grid);
-    has_grid_ = true;
     return *this;
 }
 
 run_set& run_set::with_samples(monte_carlo sampler) {
     sampler_ = std::move(sampler);
-    has_sampler_ = true;
     return *this;
 }
 
@@ -335,40 +326,55 @@ run_set& run_set::on_result(std::function<void(const run_result&)> cb) {
     return *this;
 }
 
-run_set& run_set::stream_csv(std::ostream& os) {
-    stream_csv_ = &os;
-    return *this;
-}
-
-run_set& run_set::set_warm_start(const de::time& settle) {
-    util::require(settle > de::time::zero(), "run_set",
-                  "warm-start settle time must be positive");
-    warm_start_settle_ = settle;
-    return *this;
-}
-
 run_set& run_set::set_checkpoint(std::string path) {
     checkpoint_path_ = std::move(path);
     return *this;
 }
 
 std::size_t run_set::size() const {
-    std::size_t n = extra_points_.size();
-    if (has_grid_) n += grid_.size();
-    if (has_sampler_) n += sampler_.size();
-    return n;
+    return grid_.size() + sampler_.size() + extra_points_.size();
+}
+
+campaign_fingerprint run_set::fingerprint() const {
+    // Everything that decides a run's parameters besides its seed: the grid
+    // axes, the sampler, the explicit points and the defaults under them.
+    util::byte_writer w;
+    const auto put_value = [&w](const params::value& v) {
+        w.u8(static_cast<std::uint8_t>(v.index()));
+        if (std::holds_alternative<double>(v)) {
+            w.f64(std::get<double>(v));
+        } else {
+            w.str(std::get<std::string>(v));
+        }
+    };
+    w.u64(grid_.axes_.size());
+    for (const param_grid::axis& ax : grid_.axes_) {
+        w.str(ax.name);
+        w.u64(ax.values.size());
+        for (const params::value& v : ax.values) put_value(v);
+    }
+    w.u64(sampler_.n_);
+    w.u64(sampler_.dists_.size());
+    for (const monte_carlo::dist& d : sampler_.dists_) {
+        w.str(d.name);
+        w.u8(static_cast<std::uint8_t>(d.k));
+        w.f64(d.a);
+        w.f64(d.b);
+    }
+    w.u64(extra_points_.size());
+    for (const params& p : extra_points_) wire::put_params(w, p);
+    wire::put_params(w, scenario_.defaults());
+    const std::vector<std::uint8_t>& bytes = w.bytes();
+    return {scenario_.name(), base_seed_, size(), keep_waveforms_,
+            util::fnv1a_32(bytes.data(), bytes.size())};
 }
 
 params run_set::point(std::size_t index, std::uint64_t seed) const {
     std::size_t i = index;
-    if (has_grid_) {
-        if (i < grid_.size()) return grid_.at(i);
-        i -= grid_.size();
-    }
-    if (has_sampler_) {
-        if (i < sampler_.size()) return sampler_.at(i, seed);
-        i -= sampler_.size();
-    }
+    if (i < grid_.size()) return grid_.at(i);
+    i -= grid_.size();
+    if (i < sampler_.size()) return sampler_.at(i, seed);
+    i -= sampler_.size();
     return extra_points_.at(i);
 }
 
@@ -411,26 +417,19 @@ result_table run_set::run_all() const {
     }
     workers = static_cast<unsigned>(std::min<std::size_t>(workers, n));
 
+    // The campaign header, computed once: the journal starts with it and
+    // every worker connection opens with it.
+    const std::vector<std::uint8_t> header = wire::encode_header(fingerprint());
+
     // Checkpoint resume: install journaled results, compute only the rest.
     std::vector<bool> done(n, false);
-    std::optional<checkpoint_writer> journal;
+    std::optional<checkpoint_journal> journal;
     if (!checkpoint_path_.empty()) {
-        const checkpoint_fingerprint fp{scenario_.name(), base_seed_,
-                                        static_cast<std::uint64_t>(n), keep_waveforms_};
-        for (auto& [index, r] : load_checkpoint(checkpoint_path_, fp)) {
+        journal.emplace(checkpoint_path_, header);
+        for (auto& [index, r] : journal->take_completed()) {
             if (index >= n) continue;
             done[index] = true;
             results[index] = std::move(r);
-        }
-        journal.emplace(checkpoint_path_, fp);
-        // Warm start: record one settled bench at the scenario defaults, so
-        // later campaigns (or resumed sessions) can overlay its state
-        // instead of re-converging the operating point.  Once per journal.
-        if (warm_start_settle_ > de::time::zero() &&
-            load_checkpoint_snapshot(checkpoint_path_, fp).empty()) {
-            auto warm = scenario_.build();
-            warm->run(warm_start_settle_);
-            journal->append_snapshot(encode_snapshot(*warm));
         }
     }
     std::vector<std::size_t> pending;
@@ -440,23 +439,10 @@ result_table run_set::run_all() const {
     }
     if (pending.empty()) return result_table(std::move(results));
 
-    // Streamed delivery: journal append (completed runs only), CSV row, user
-    // callback — invoked in arrival order, serialized by the dispatcher.
-    std::set<std::string> csv_params, csv_meas;
-    bool csv_header_written = false;
+    // Delivery in arrival order, serialized by the dispatcher: journal
+    // append (completed runs only), then the user callback.
     auto deliver = [&](const run_result& r, bool completed) {
         if (journal && completed) journal->append(r);
-        if (stream_csv_ != nullptr) {
-            if (!csv_header_written) {
-                // Column set fixed by the first arriving row (arrival order
-                // is backend-dependent; each row carries its run index).
-                for (const auto& [name, v] : r.parameters.entries()) csv_params.insert(name);
-                for (const auto& [name, v] : r.measurements) csv_meas.insert(name);
-                detail::write_csv_header(*stream_csv_, csv_params, csv_meas);
-                csv_header_written = true;
-            }
-            detail::write_csv_row(*stream_csv_, r, csv_params, csv_meas);
-        }
         if (on_result_) on_result_(r);
     };
 
@@ -465,10 +451,11 @@ result_table run_set::run_all() const {
             detail::execute_in_thread(*this, pending, results, workers, deliver);
             break;
         case run_backend::multiprocess:
-            detail::execute_multiprocess(*this, pending, results, workers, deliver);
+            detail::execute_multiprocess(*this, pending, results, workers, header, deliver);
             break;
         case run_backend::remote_tcp:
-            detail::execute_remote_tcp(*this, pending, results, endpoints_, deliver);
+            detail::execute_remote_tcp(*this, pending, results, endpoints_, header,
+                                       deliver);
             break;
     }
     return result_table(std::move(results));

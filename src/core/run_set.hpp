@@ -21,7 +21,6 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -57,6 +56,8 @@ public:
     [[nodiscard]] params at(std::size_t i) const;
 
 private:
+    friend class run_set;  // hashes the axes into the campaign fingerprint
+
     struct axis {
         std::string name;
         std::vector<params::value> values;
@@ -78,6 +79,8 @@ public:
     [[nodiscard]] params at(std::size_t i, std::uint64_t seed) const;
 
 private:
+    friend class run_set;  // hashes the distributions into the fingerprint
+
     struct dist {
         enum class kind : std::uint8_t { uniform, normal };
         std::string name;
@@ -156,6 +159,19 @@ private:
 
 // ---------------------------------------------------------------- run_set --
 
+/// Campaign identity.  The checkpoint journal starts with it and every
+/// worker connection opens with it (wire::encode_header), so a journal or a
+/// remote worker of another campaign is refused instead of lending its rows.
+struct campaign_fingerprint {
+    std::string scenario_name;
+    std::uint64_t base_seed = 0;
+    std::uint64_t n_runs = 0;
+    bool keep_waveforms = true;
+    /// FNV-1a of the campaign definition: grid axes, sampler distributions
+    /// and size, explicit points, and the scenario defaults.
+    std::uint32_t definition = 0;
+};
+
 /// A scenario plus the set of parameter points to run it at, executed across
 /// a worker pool.
 class run_set {
@@ -177,7 +193,7 @@ public:
     /// for large sweeps where only measurements matter.
     run_set& keep_waveforms(bool on);
 
-    // --- backend selection / streaming / checkpointing ----------------------
+    // --- backend selection / result callback / checkpointing ----------------
     /// Select the execution backend (default in_thread).  Results are
     /// bit-identical across backends and worker counts by construction.
     run_set& set_backend(run_backend b);
@@ -186,34 +202,21 @@ public:
     run_set& set_endpoints(std::vector<std::string> endpoints);
 
     /// Invoke `cb` once per result as it arrives (arrival order, dispatcher
-    /// thread) — streamed rows instead of waiting for the full table.  Lost
-    /// runs (worker death) are delivered too, with ok=false.
+    /// thread) — rows as they complete instead of waiting for the full
+    /// table.  Lost runs (worker death) are delivered too, with ok=false.
     run_set& on_result(std::function<void(const run_result&)> cb);
-    /// Stream results as CSV rows into `os` as they arrive.  The header is
-    /// fixed by the first arriving result's parameter/measurement names;
-    /// arrival order is nondeterministic under parallel backends (each row
-    /// carries its run index).  The canonical, order-deterministic CSV
-    /// remains result_table::write_csv.
-    run_set& stream_csv(std::ostream& os);
 
     /// Journal completed runs to `path` (created on first use, appended on
-    /// resume).  A later run_all() with the same campaign (scenario, base
-    /// seed, run count, keep_waveforms) loads finished runs from the journal
-    /// and computes only the rest — see run_checkpoint.hpp.
+    /// resume).  A later run_all() of the same campaign (fingerprint())
+    /// loads finished runs from the journal and computes only the rest —
+    /// see run_checkpoint.hpp.
     run_set& set_checkpoint(std::string path);
-
-    /// With checkpointing enabled, also record a warm-start snapshot in the
-    /// journal: one bench built at the scenario defaults is run for `settle`
-    /// (long enough to converge the DC operating point and settle start-up
-    /// transients) and its full state is saved under the campaign
-    /// fingerprint.  Recorded once per journal; recover the payload with
-    /// load_checkpoint_snapshot() and resume via core::decode_snapshot()
-    /// instead of re-converging from scratch.  No effect without
-    /// set_checkpoint.
-    run_set& set_warm_start(const de::time& settle);
 
     /// Number of runs this set will execute.
     [[nodiscard]] std::size_t size() const;
+
+    /// This campaign's identity; O(definition), not O(runs).
+    [[nodiscard]] campaign_fingerprint fingerprint() const;
 
     /// Execute every run and aggregate the results (index order).
     [[nodiscard]] result_table run_all() const;
@@ -226,9 +229,7 @@ private:
 
     scenario scenario_;
     param_grid grid_;
-    bool has_grid_ = false;
     monte_carlo sampler_{0};
-    bool has_sampler_ = false;
     std::vector<params> extra_points_;
     unsigned workers_ = 0;
     std::uint64_t base_seed_ = 0x5ca5eedULL;
@@ -236,21 +237,8 @@ private:
     run_backend backend_ = run_backend::in_thread;
     std::vector<std::string> endpoints_;
     std::function<void(const run_result&)> on_result_;
-    std::ostream* stream_csv_ = nullptr;
     std::string checkpoint_path_;
-    de::time warm_start_settle_ = de::time::zero();
 };
-
-namespace detail {
-/// Shared CSV row formatting (result_table::write_csv and the streamed
-/// sink): identical doubles format identically, which is what makes CSV
-/// compare a valid bit-identity check across backends.
-void write_csv_header(std::ostream& os, const std::set<std::string>& param_names,
-                      const std::set<std::string>& meas_names);
-void write_csv_row(std::ostream& os, const run_result& r,
-                   const std::set<std::string>& param_names,
-                   const std::set<std::string>& meas_names);
-}  // namespace detail
 
 }  // namespace sca::core
 

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <map>
 #include <unordered_map>
-#include <utility>
 
 #include "core/run_protocol.hpp"
 #include "core/scenario.hpp"
@@ -228,8 +227,8 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
     return w.take();
 }
 
-std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t n) {
-    util::byte_reader r(data, n);
+std::unique_ptr<testbench> decode_snapshot(const std::vector<std::uint8_t>& payload) {
+    util::byte_reader r(payload);
 
     wire::require_format_version(r.u32(), "snapshot");
     const std::string scenario_name = r.str();
@@ -275,66 +274,28 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
     }
 
     // --- processes ----------------------------------------------------------
+    // Event keys resolve against the events the rebuilt model has now;
+    // timeout events, keyed by their process, are created on first use.
     const auto& procs = sched.processes();
     const std::uint64_t n_procs = r.u64();
     util::require(n_procs == procs.size(), "snapshot",
                   "the rebuilt model registered " + std::to_string(procs.size()) +
                       " processes, the snapshot has " + std::to_string(n_procs));
-
-    // First pass: read the records and make sure every saved timeout event
-    // exists before any event key is resolved (a process may wait on another
-    // process's timeout event only through its own record's key list, which
-    // is resolved in the second pass).
-    struct saved_process {
-        bool dynamic_waiting;
-        std::uint64_t activations;
-        bool has_timeout;
-        std::vector<std::pair<std::uint8_t, std::pair<std::string, std::uint64_t>>> keys;
-    };
-    std::vector<saved_process> saved;
-    saved.reserve(procs.size());
-    for (std::size_t i = 0; i < procs.size(); ++i) {
+    const event_namespace ns = build_event_namespace(ctx);
+    for (de::method_process* p : procs) {
         const std::string name = r.str();
-        util::require(name == procs[i]->name(), "snapshot",
+        util::require(name == p->name(), "snapshot",
                       "process order diverged: snapshot has '" + name +
-                          "', rebuilt model has '" + procs[i]->name() + "'");
-        saved_process sp;
-        sp.dynamic_waiting = r.boolean();
-        sp.activations = r.u64();
-        sp.has_timeout = r.boolean();
+                          "', rebuilt model has '" + p->name() + "'");
+        p->restore_dynamic_wait(r.boolean());
+        p->restore_activation_count(r.u64());
+        if (r.boolean()) (void)p->ensure_timeout_event();
         // Each key is at least a kind byte and a u64.
         const std::uint64_t n_keys = r.count64(9);
-        sp.keys.reserve(n_keys);
         for (std::uint64_t k = 0; k < n_keys; ++k) {
-            const std::uint8_t kind = r.u8();
-            if (kind == 1) {
-                sp.keys.push_back({1, {std::string(), r.u64()}});
-            } else {
-                util::require(kind == 0, "snapshot", "unknown event key kind");
-                std::string ev_name = r.str();
-                const std::uint64_t occurrence = r.u64();
-                sp.keys.push_back({0, {std::move(ev_name), occurrence}});
-            }
+            p->restore_dynamic_event(read_event_key(r, ns, procs));
         }
-        saved.push_back(std::move(sp));
     }
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-        if (saved[i].has_timeout) (void)procs[i]->ensure_timeout_event();
-    }
-    const event_namespace ns = build_event_namespace(ctx);
-    auto resolve = [&](std::uint8_t kind, const std::string& name,
-                       std::uint64_t index) -> de::event& {
-        if (kind == 1) {
-            util::require(index < procs.size(), "snapshot",
-                          "timeout-event process index out of range");
-            return procs[index]->ensure_timeout_event();
-        }
-        auto it = ns.by_name.find(name);
-        util::require(it != ns.by_name.end() && index < it->second.size(), "snapshot",
-                      "the rebuilt model has no event '" + name + "' (occurrence " +
-                          std::to_string(index) + ")");
-        return *it->second[index];
-    };
 
     // --- events -------------------------------------------------------------
     const std::uint64_t n_with_subs = r.u64();
@@ -355,16 +316,6 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
         e.restore_timed(at);
     }
 
-    // Second pass over processes: wait states and the ordered mirror of the
-    // events each one is dynamically waiting on.
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-        procs[i]->restore_dynamic_wait(saved[i].dynamic_waiting);
-        procs[i]->restore_activation_count(saved[i].activations);
-        for (const auto& [kind, key] : saved[i].keys) {
-            procs[i]->restore_dynamic_event(resolve(kind, key.first, key.second));
-        }
-    }
-
     // --- TDF clusters -------------------------------------------------------
     const auto& clusters = tdf::registry::of(ctx).clusters();
     const std::uint64_t n_clusters = r.u64();
@@ -378,23 +329,26 @@ std::unique_ptr<testbench> decode_snapshot(const std::uint8_t* data, std::size_t
     return tb;
 }
 
-std::unique_ptr<testbench> decode_snapshot(const std::vector<std::uint8_t>& payload) {
-    return decode_snapshot(payload.data(), payload.size());
-}
+// ----------------------------------------------- testbench / scenario API --
+// Implemented here (not in scenario.cpp) so the scenario layer keeps no
+// dependency on the snapshot machinery.
 
-// ------------------------------------------------------------ stream level --
-
-void save_snapshot(testbench& tb, std::ostream& os) {
+void testbench::snapshot(const std::string& path) {
     const std::vector<std::uint8_t> frame =
-        wire::pack_frame(wire::msg_type::snapshot_state, encode_snapshot(tb));
+        wire::pack_frame(wire::msg_type::snapshot_state, encode_snapshot(*this));
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    util::require(os.is_open(), "snapshot", "cannot open '" + path + "' for writing");
     os.write(reinterpret_cast<const char*>(frame.data()),
              static_cast<std::streamsize>(frame.size()));
-    util::require(os.good(), "snapshot", "snapshot write failed");
+    os.close();
+    util::require(os.good(), "snapshot", "snapshot write to '" + path + "' failed");
 }
 
-std::unique_ptr<testbench> resume_snapshot(std::istream& is) {
-    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                    std::istreambuf_iterator<char>());
+std::unique_ptr<testbench> scenario::resume(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    util::require(is.is_open(), "snapshot", "cannot open snapshot file '" + path + "'");
+    const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
+                                          std::istreambuf_iterator<char>());
     std::size_t offset = 0;
     wire::frame f;
     util::require(wire::unpack_frame(bytes.data(), bytes.size(), offset, f), "snapshot",
@@ -404,32 +358,6 @@ std::unique_ptr<testbench> resume_snapshot(std::istream& is) {
     util::require(offset == bytes.size(), "snapshot",
                   "trailing bytes after the snapshot frame");
     return decode_snapshot(f.payload);
-}
-
-// -------------------------------------------------------------- file level --
-
-void save_snapshot(testbench& tb, const std::string& path) {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    util::require(os.is_open(), "snapshot", "cannot open '" + path + "' for writing");
-    save_snapshot(tb, os);
-    os.close();
-    util::require(os.good(), "snapshot", "snapshot write to '" + path + "' failed");
-}
-
-std::unique_ptr<testbench> resume_snapshot(const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    util::require(is.is_open(), "snapshot", "cannot open snapshot file '" + path + "'");
-    return resume_snapshot(is);
-}
-
-// ----------------------------------------------- testbench / scenario API --
-// Implemented here (not in scenario.cpp) so the scenario layer keeps no
-// dependency on the snapshot machinery.
-
-void testbench::snapshot(const std::string& path) { save_snapshot(*this, path); }
-
-std::unique_ptr<testbench> scenario::resume(const std::string& path) {
-    return resume_snapshot(path);
 }
 
 }  // namespace sca::core

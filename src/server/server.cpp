@@ -343,35 +343,6 @@ void sim_server::io_body() {
 
 // ------------------------------------------------------------------ client --
 
-client::~client() { close(); }
-
-client::client(client&& other) noexcept
-    : fd_(other.fd_),
-      waves_(std::move(other.waves_)),
-      errors_(std::move(other.errors_)),
-      last_pace_(other.last_pace_) {
-    other.fd_ = -1;
-}
-
-client& client::operator=(client&& other) noexcept {
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        waves_ = std::move(other.waves_);
-        errors_ = std::move(other.errors_);
-        last_pace_ = other.last_pace_;
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
-void client::close() {
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
 client client::connect_tcp(const std::string& host, std::uint16_t port) {
     return client(net::connect_tcp(host, port));
 }
@@ -381,13 +352,13 @@ client client::connect_unix(const std::string& path) {
 }
 
 void client::send(wire::msg_type type, const std::vector<std::uint8_t>& payload) {
-    util::require(wire::write_frame(fd_, type, payload), "sim_client",
+    util::require(wire::write_frame(fd_.get(), type, payload), "sim_client",
                   "server closed the connection");
 }
 
 wire::frame client::read_frame() {
     wire::frame f;
-    util::require(wire::read_frame(fd_, f), "sim_client",
+    util::require(wire::read_frame(fd_.get(), f), "sim_client",
                   "server closed the connection");
     return f;
 }

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/net.hpp"
 #include "core/run_protocol.hpp"
 #include "kernel/time.hpp"
 
@@ -122,12 +123,6 @@ private:
 class client {
 public:
     client() = default;
-    ~client();
-
-    client(client&& other) noexcept;
-    client& operator=(client&& other) noexcept;
-    client(const client&) = delete;
-    client& operator=(const client&) = delete;
 
     [[nodiscard]] static client connect_tcp(const std::string& host, std::uint16_t port);
     [[nodiscard]] static client connect_unix(const std::string& path);
@@ -206,15 +201,15 @@ public:
     /// Stats frames absorbed so far (0 = last_stats() not yet meaningful).
     [[nodiscard]] std::uint64_t stats_frames() const noexcept { return stats_frames_; }
 
-    void close();
-    [[nodiscard]] int fd() const noexcept { return fd_; }
+    void close() { fd_.reset(); }
+    [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
 private:
     explicit client(int fd) : fd_(fd) {}
 
     void send(core::wire::msg_type type, const std::vector<std::uint8_t>& payload);
 
-    int fd_ = -1;
+    core::net::fd_owner fd_;
     std::map<std::string, waveform> waves_;
     std::vector<std::string> errors_;
     core::wire::pace_info last_pace_{};

@@ -67,34 +67,30 @@ void session::send_close(wire::close_reason reason, core::testbench* tb) {
         out_.push_control({wire::msg_type::samples, wire::encode_samples(tail)});
     }
     wire::close_info info;
+    fill_stats(info, tb);
     info.reason = reason;
-    info.samples_streamed = streamed_.load(std::memory_order_relaxed);
-    info.samples_dropped = dropped_.load(std::memory_order_relaxed);
-    info.max_queue_depth = out_.max_depth();
-    info.slices = slices_.load(std::memory_order_relaxed);
-    if (tb != nullptr) {
-        const auto& ctx = tb->context();
-        info.sim_time_s = ctx.now().to_seconds();
-        const auto& sched = ctx.sched();
-        info.pace_drift_s = sched.pacing_drift();
-        info.pace_max_drift_s = sched.pacing_max_drift();
-        info.measurements = tb->measurements();
-    }
+    if (tb != nullptr) info.measurements = tb->measurements();
     out_.push_control({wire::msg_type::close, wire::encode_close(info)});
     wake();
 }
 
-void session::send_stats(core::testbench& tb) {
-    wire::stats_info info;
-    info.sim_time_s = tb.context().now().to_seconds();
+void session::fill_stats(wire::stats_info& info, core::testbench* tb) const {
     info.slices = slices_.load(std::memory_order_relaxed);
     info.samples_streamed = streamed_.load(std::memory_order_relaxed);
     info.samples_dropped = dropped_.load(std::memory_order_relaxed);
     info.queue_depth = out_.size();
     info.max_queue_depth = out_.max_depth();
-    const auto& sched = tb.context().sched();
-    info.pace_drift_s = sched.pacing_drift();
-    info.pace_max_drift_s = sched.pacing_max_drift();
+    if (tb != nullptr) {
+        const auto& sched = tb->context().sched();
+        info.sim_time_s = sched.now().to_seconds();
+        info.pace_drift_s = sched.pacing_drift();
+        info.pace_max_drift_s = sched.pacing_max_drift();
+    }
+}
+
+void session::send_stats(core::testbench& tb) {
+    wire::stats_info info;
+    fill_stats(info, &tb);
     out_.push_control({wire::msg_type::stats, wire::encode_stats(info)});
     wake();
 }

@@ -95,6 +95,9 @@ private:
     void send_close(core::wire::close_reason reason, core::testbench* tb);
     void send_error(const std::string& message);
     void send_stats(core::testbench& tb);
+    /// The one filler of the session statistics, for stats and close frames
+    /// alike; `tb` is null when the scenario failed to build.
+    void fill_stats(core::wire::stats_info& info, core::testbench* tb) const;
     void wake();
 
     config cfg_;

@@ -77,10 +77,8 @@ std::string vcd_identifier(std::size_t index) {
 }
 }  // namespace
 
-vcd_trace_file::vcd_trace_file(const std::string& path, double time_resolution)
-    : out_(path), resolution_(time_resolution) {
+vcd_trace_file::vcd_trace_file(const std::string& path) : out_(path) {
     require(out_.good(), "vcd_trace_file", "cannot open " + path);
-    require(time_resolution > 0.0, "vcd_trace_file", "time resolution must be positive");
 }
 
 vcd_trace_file::~vcd_trace_file() { close(); }
@@ -99,7 +97,7 @@ void vcd_trace_file::write_header() {
 }
 
 void vcd_trace_file::write_row(double t, std::span<const double> values) {
-    const auto stamp = static_cast<long long>(std::llround(t / resolution_));
+    const auto stamp = static_cast<long long>(std::llround(t / 1e-12));  // $timescale 1 ps
     bool stamp_emitted = false;
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (values[i] == last_[i]) continue;

@@ -76,11 +76,11 @@ private:
     std::ofstream out_;
 };
 
-/// Value-change-dump trace with real-valued variables.
+/// Value-change-dump trace with real-valued variables, stamped in units of
+/// its 1 ps timescale.
 class vcd_trace_file final : public trace_file {
 public:
-    /// `time_resolution` is the VCD timescale in seconds (default 1 ps).
-    explicit vcd_trace_file(const std::string& path, double time_resolution = 1e-12);
+    explicit vcd_trace_file(const std::string& path);
     ~vcd_trace_file() override;
     void close() override;
 
@@ -89,7 +89,6 @@ private:
     void write_row(double t, std::span<const double> values) override;
 
     std::ofstream out_;
-    double resolution_;
     std::vector<double> last_;
     long long last_stamp_ = -1;
 };

@@ -2,9 +2,10 @@
 // produce result tables byte-identical (CSV compare — identical doubles
 // format identically) to sequential in-thread execution at any worker count;
 // a run that throws records `error` without poisoning the table on every
-// backend; a SIGKILLed worker costs only its in-flight run; and a checkpoint
+// backend; a SIGKILLed worker costs only its in-flight run; a checkpoint
 // journal lets the campaign resume with every run index computed exactly
-// once.
+// once, torn tail or not; and a journal or remote worker of another campaign
+// is refused.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -108,10 +109,25 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
     return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
 }
 
+void write_file(const std::string& path, const std::vector<std::uint8_t>& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+}
+
 std::string temp_journal(const std::string& tag) {
     const std::string path = ::testing::TempDir() + "journal_" + tag + ".sca";
     std::remove(path.c_str());
     return path;
+}
+
+/// The same 3 x 3 grid over other resistor values: as many runs, same seed.
+core::run_set make_other_grid_set(const core::scenario& sc) {
+    return core::run_set(sc)
+        .with_grid(core::param_grid()
+                       .add_logspace("r", 1e3, 100e3, 3)
+                       .add("c", {47e-9, 100e-9, 220e-9}))
+        .set_base_seed(0xfeedULL);
 }
 
 }  // namespace
@@ -261,6 +277,69 @@ TEST(run_backend, completed_checkpoint_skips_all_work) {
     std::remove(journal.c_str());
 }
 
+TEST(run_backend, torn_journal_tail_is_recomputed_once) {
+    // The parent died mid-append: the journal ends in a torn record.  The
+    // first resume recomputes that run, and the record it appends must be
+    // readable by every later resume.
+    const auto rc = define_rc("ckpt_torn");
+    const std::string journal = temp_journal("ckpt_torn");
+    (void)make_grid_set(rc).set_checkpoint(journal).run_all();
+    auto bytes = read_file(journal);
+    bytes.resize(bytes.size() - 5);
+    write_file(journal, bytes);
+
+    const std::string sequential = csv_of(make_grid_set(rc).set_workers(1).run_all());
+    for (const int expected : {1, 0}) {
+        std::atomic<int> computed{0};
+        const auto table = make_grid_set(rc)
+                               .set_checkpoint(journal)
+                               .on_result([&](const core::run_result&) { ++computed; })
+                               .run_all();
+        EXPECT_EQ(computed.load(), expected);
+        EXPECT_EQ(csv_of(table), sequential);
+    }
+    auto indices = core::checkpoint_indices(journal);
+    std::sort(indices.begin(), indices.end());
+    ASSERT_EQ(indices.size(), 9U);
+    for (std::size_t i = 0; i < indices.size(); ++i) EXPECT_EQ(indices[i], i);
+    std::remove(journal.c_str());
+}
+
+TEST(run_backend, hostile_count_in_a_journal_record_is_refused) {
+    // A well-checksummed result frame whose parameter count claims 2^32 - 1
+    // entries: the loader refuses it as sca::util::error (not bad_alloc)
+    // before any run is computed.
+    const auto rc = define_rc("ckpt_hostile");
+    const std::string journal = temp_journal("ckpt_hostile");
+    (void)make_grid_set(rc).set_checkpoint(journal).run_all();
+    const auto bytes = read_file(journal);
+    std::size_t header_end = 0;
+    core::wire::frame f;
+    ASSERT_TRUE(core::wire::unpack_frame(bytes.data(), bytes.size(), header_end, f));
+    // index, seed, ok, error (empty), run index, seed: the params count follows.
+    std::vector<std::uint8_t> record = core::wire::encode_result(core::run_result{});
+    const std::size_t count_at = 8 + 8 + 1 + 4 + 8 + 8;
+    ASSERT_LT(count_at + 4, record.size());
+    for (std::size_t i = 0; i < 4; ++i) record[count_at + i] = 0xFF;
+    std::vector<std::uint8_t> hostile(bytes.begin(), bytes.begin() + static_cast<long>(header_end));
+    core::wire::append_frame(hostile, core::wire::msg_type::result, record);
+    write_file(journal, hostile);
+
+    std::atomic<int> computed{0};
+    try {
+        (void)make_grid_set(rc)
+            .set_checkpoint(journal)
+            .on_result([&](const core::run_result&) { ++computed; })
+            .run_all();
+        ADD_FAILURE() << "a hostile journal record was accepted";
+    } catch (const sca::util::error& e) {
+        EXPECT_NE(std::string(e.what()).find("element count 4294967295"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(computed.load(), 0);
+    std::remove(journal.c_str());
+}
+
 TEST(run_backend, mismatched_checkpoint_is_refused) {
     const auto rc = define_rc("ckpt_mismatch");
     const std::string journal = temp_journal("ckpt_mismatch");
@@ -271,6 +350,15 @@ TEST(run_backend, mismatched_checkpoint_is_refused) {
                      .set_checkpoint(journal)
                      .run_all(),
                  sca::util::error);
+    // Same scenario, seed and run count over other grid points: refused too,
+    // instead of handing back rows computed at the recorded points.
+    std::atomic<int> other_computed{0};
+    EXPECT_THROW((void)make_other_grid_set(rc)
+                     .set_checkpoint(journal)
+                     .on_result([&](const core::run_result&) { ++other_computed; })
+                     .run_all(),
+                 sca::util::error);
+    EXPECT_EQ(other_computed.load(), 0);
     std::remove(journal.c_str());
 
     // A journal whose header carries another format version (here: the
@@ -286,9 +374,7 @@ TEST(run_backend, mismatched_checkpoint_is_refused) {
     header.boolean(true);
     const auto bytes =
         core::wire::pack_frame(core::wire::msg_type::header, header.take());
-    std::ofstream(stale, std::ios::binary)
-        .write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
+    write_file(stale, bytes);
     std::atomic<int> computed{0};
     try {
         (void)make_grid_set(rc)
@@ -309,24 +395,21 @@ TEST(run_backend, mismatched_checkpoint_is_refused) {
 
 // ------------------------------------------------------ streaming delivery --
 
-TEST(run_backend, streamed_rows_and_callbacks_arrive_per_result) {
+TEST(run_backend, result_callback_fires_once_per_result) {
     const auto rc = define_rc("stream");
-    std::ostringstream streamed;
-    std::atomic<int> seen{0};
-    const auto table = make_grid_set(rc)
-                           .set_backend(core::run_backend::multiprocess)
-                           .set_workers(4)
-                           .stream_csv(streamed)
-                           .on_result([&](const core::run_result& r) {
-                               EXPECT_TRUE(r.ok);
-                               ++seen;
-                           })
-                           .run_all();
-    EXPECT_EQ(seen.load(), 9);
-    // Header + one row per run (arrival order is nondeterministic; the row
-    // count is not).
-    const std::string s = streamed.str();
-    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 10);
+    std::vector<std::size_t> seen;
+    (void)make_grid_set(rc)
+        .set_backend(core::run_backend::multiprocess)
+        .set_workers(4)
+        .on_result([&](const core::run_result& r) {
+            EXPECT_TRUE(r.ok);
+            seen.push_back(r.index);
+        })
+        .run_all();
+    // Arrival order is nondeterministic; each run arrives exactly once.
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), 9U);
+    for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
 // -------------------------------------------------------------- remote TCP --
@@ -354,6 +437,40 @@ TEST(run_backend, remote_tcp_worker_matches_sequential) {
     ASSERT_EQ(::waitpid(server, &status, 0), server);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     EXPECT_EQ(csv_of(table), csv_of(make_grid_set(rc).set_workers(1).run_all()));
+}
+
+TEST(run_backend, remote_tcp_worker_of_another_campaign_is_refused) {
+    // The worker host serves the same scenario over other grid points.  The
+    // campaign handshake refuses it by endpoint before any job is sent,
+    // instead of taking its rows for this campaign's.
+    const auto rc = define_rc("tcp_other");
+    std::uint16_t port = 0;
+    const int listen_fd = core::net::listen_tcp(port);
+    ASSERT_GT(listen_fd, 0);
+    const pid_t server = fork();
+    ASSERT_GE(server, 0);
+    if (server == 0) {
+        core::serve_tcp_workers(make_other_grid_set(rc), listen_fd, /*max_sessions=*/1);
+        ::_exit(0);
+    }
+    ::close(listen_fd);
+    const std::string endpoint = "127.0.0.1:" + std::to_string(port);
+    std::atomic<int> computed{0};
+    try {
+        (void)make_grid_set(rc)
+            .set_backend(core::run_backend::remote_tcp)
+            .set_endpoints({endpoint})
+            .on_result([&](const core::run_result&) { ++computed; })
+            .run_all();
+        ADD_FAILURE() << "a worker of another campaign was accepted";
+    } catch (const sca::util::error& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + endpoint + "'"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(computed.load(), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(server, &status, 0), server);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 TEST(run_backend, remote_tcp_without_endpoints_is_an_error) {

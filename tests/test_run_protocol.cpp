@@ -54,8 +54,11 @@ TEST(run_protocol, job_round_trip) {
 TEST(run_protocol, params_round_trip_preserves_identity_and_types) {
     core::params p{{"r", 2.2e3}, {"mode", "fast"}};
     p.set_run_identity(42, 0x5ca5eedULL);
-    const auto payload = wire::encode_params(p);
-    const core::params q = wire::decode_params(payload.data(), payload.size());
+    sca::util::byte_writer w;
+    wire::put_params(w, p);
+    sca::util::byte_reader r(w.bytes());
+    const core::params q = wire::get_params(r);
+    EXPECT_TRUE(r.at_end());
     EXPECT_EQ(q.run_index(), 42U);
     EXPECT_EQ(q.seed(), 0x5ca5eedULL);
     EXPECT_DOUBLE_EQ(q.number("r"), 2.2e3);
@@ -366,6 +369,7 @@ TEST(session_protocol, close_round_trip) {
     info.samples_dropped = 67;
     info.pace_drift_s = 3e-4;
     info.pace_max_drift_s = 9e-4;
+    info.queue_depth = 5;
     info.max_queue_depth = 31;
     info.slices = 4000;
     info.measurements["rms"] = 0.7071;
@@ -378,6 +382,7 @@ TEST(session_protocol, close_round_trip) {
     EXPECT_EQ(d.samples_dropped, 67U);
     EXPECT_DOUBLE_EQ(d.pace_drift_s, 3e-4);
     EXPECT_DOUBLE_EQ(d.pace_max_drift_s, 9e-4);
+    EXPECT_EQ(d.queue_depth, 5U);
     EXPECT_EQ(d.max_queue_depth, 31U);
     EXPECT_EQ(d.slices, 4000U);
     EXPECT_DOUBLE_EQ(d.measurements.at("rms"), 0.7071);

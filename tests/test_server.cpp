@@ -505,6 +505,27 @@ TEST(sim_server, stats_request_reports_live_session_state) {
     srv.stop();
 }
 
+TEST(sim_client, moves_carry_the_stats) {
+    // Everything a client absorbed travels with a move, stats included.
+    wire::stats_info sent;
+    sent.slices = 7;
+    sent.samples_streamed = 1234;
+    sent.max_queue_depth = 3;
+    server::client a;
+    a.absorb({wire::msg_type::stats, wire::encode_stats(sent)});
+    a.absorb({wire::msg_type::error, wire::encode_error("kept")});
+    server::client b(std::move(a));
+    server::client c;
+    c = std::move(b);
+    EXPECT_EQ(c.stats_frames(), 1U);
+    EXPECT_EQ(c.last_stats().slices, 7U);
+    EXPECT_EQ(c.last_stats().samples_streamed, 1234U);
+    EXPECT_EQ(c.last_stats().max_queue_depth, 3U);
+    ASSERT_EQ(c.errors().size(), 1U);
+    EXPECT_EQ(c.errors().front(), "kept");
+    EXPECT_EQ(c.fd(), -1);
+}
+
 // ----------------------------------------------------------------------- pacing --
 
 TEST(sim_server, pacing_holds_wall_clock_with_bounded_drift) {

@@ -14,13 +14,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/run_checkpoint.hpp"
 #include "core/run_protocol.hpp"
-#include "core/run_set.hpp"
 #include "core/scenario.hpp"
 #include "core/snapshot.hpp"
 #include "eln/converter.hpp"
@@ -457,9 +454,8 @@ TEST(snapshot, snapshot_at_different_cut_points_all_replay) {
 TEST(snapshot, never_run_bench_is_refused) {
     define_static_tdf();
     auto tb = core::scenario::find("snap_static_tdf").build();
-    std::ostringstream os;
     try {
-        core::save_snapshot(*tb, os);
+        (void)core::encode_snapshot(*tb);
         FAIL() << "snapshot of a never-run bench must throw";
     } catch (const sca::util::error& e) {
         EXPECT_NE(std::string(e.what()).find("snapshot requires"), std::string::npos)
@@ -472,9 +468,8 @@ TEST(snapshot, unregistered_scenario_bench_is_refused) {
     auto& s = tb.make<de::signal<double>>("s", 0.0);
     (void)s;
     tb.run(10_us);
-    std::ostringstream os;
     try {
-        core::save_snapshot(tb, os);
+        (void)core::encode_snapshot(tb);
         FAIL() << "snapshot of a scenario-less bench must throw";
     } catch (const sca::util::error& e) {
         EXPECT_NE(std::string(e.what()).find("registered scenario"), std::string::npos)
@@ -687,56 +682,4 @@ TEST(snapshot_robustness, ring_smaller_than_schedule_is_refused) {
     for (std::size_t i = 0; i < tail.size(); ++i) ASSERT_EQ(full[off + i], tail[i]) << i;
     g_batch_cap = tdf::cluster::k_default_max_batch_periods;
     std::remove(file.c_str());
-}
-
-// -------------------------------------------------- warm-start journaling --
-
-TEST(snapshot_warm_start, journal_records_and_resumes_the_snapshot) {
-    define_nonlinear();
-    const std::string journal = "snapshot_warmstart.journal";
-    std::remove(journal.c_str());
-    auto sc = core::scenario::find("snap_nonlinear");
-
-    core::run_set runs(sc);
-    runs.add_point(core::params{});
-    runs.set_checkpoint(journal).set_warm_start(200_us);
-    const auto table = runs.run_all();
-    ASSERT_EQ(table.runs().size(), 1U);
-
-    const core::checkpoint_fingerprint fp{"snap_nonlinear", runs.base_seed(), 1, true};
-    const auto payload = core::load_checkpoint_snapshot(journal, fp);
-    ASSERT_FALSE(payload.empty());
-
-    // The journaled snapshot resumes like any other and replays the
-    // uninterrupted defaults run bit-identically.
-    auto ref = sc.build();
-    ref->run(200_us);
-    ref->run(300_us);
-    auto resumed = core::decode_snapshot(payload);
-    resumed->run(300_us);
-    const auto full = ref->waveform("vout");
-    const auto tail = resumed->waveform("vout");
-    ASSERT_FALSE(tail.empty());
-    ASSERT_GE(full.size(), tail.size());
-    const std::size_t off = full.size() - tail.size();
-    for (std::size_t i = 0; i < tail.size(); ++i) ASSERT_EQ(full[off + i], tail[i]) << i;
-
-    // Journal readers that ignore snapshots still load the result frames.
-    const auto done = core::load_checkpoint(journal, fp);
-    EXPECT_EQ(done.size(), 1U);
-    std::remove(journal.c_str());
-}
-
-TEST(snapshot_warm_start, journal_fingerprint_mismatch_is_refused) {
-    define_nonlinear();
-    const std::string journal = "snapshot_warmstart_fp.journal";
-    std::remove(journal.c_str());
-    core::run_set runs(core::scenario::find("snap_nonlinear"));
-    runs.add_point(core::params{});
-    runs.set_checkpoint(journal).set_warm_start(100_us);
-    (void)runs.run_all();
-
-    const core::checkpoint_fingerprint other{"snap_nonlinear", 12345, 1, true};
-    EXPECT_THROW((void)core::load_checkpoint_snapshot(journal, other), sca::util::error);
-    std::remove(journal.c_str());
 }

@@ -500,7 +500,7 @@ TEST(context_metrics, snapshot_restore_overlays_saved_counters) {
     const std::vector<std::uint8_t> bytes = core::encode_snapshot(*tb);
     EXPECT_EQ(tb->context().metrics().get_histogram("time.snapshot.save_s").count(), 1U);
 
-    auto restored = core::decode_snapshot(bytes.data(), bytes.size());
+    auto restored = core::decode_snapshot(bytes);
     EXPECT_EQ(restored->context().sched().delta_count(), saved_dc);
     EXPECT_EQ(restored->context().sched().timed_notification_count(), saved_tn);
     EXPECT_EQ(

@@ -194,7 +194,7 @@ TEST(trace, tabular_file_writes_header_and_rows) {
 TEST(trace, vcd_file_emits_value_changes_only) {
     const std::string path = ::testing::TempDir() + "sca_vcd_trace.vcd";
     {
-        util::vcd_trace_file tr(path, 1e-9);
+        util::vcd_trace_file tr(path);
         double v = 1.0;
         tr.add_channel("sig", [&v] { return v; });
         tr.sample(0.0);
@@ -206,9 +206,10 @@ TEST(trace, vcd_file_emits_value_changes_only) {
     std::ifstream in(path);
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-    EXPECT_NE(content.find("$timescale"), std::string::npos);
+    // Stamps count the declared 1 ps timescale: the 2 ns sample is #2000.
+    EXPECT_EQ(content.rfind("$timescale 1 ps $end\n", 0), 0U) << content;
     EXPECT_NE(content.find("r1 !"), std::string::npos);
-    EXPECT_NE(content.find("r2 !"), std::string::npos);
-    EXPECT_EQ(content.find("#1\n"), std::string::npos);  // the silent sample
+    EXPECT_NE(content.find("#2000\nr2 !"), std::string::npos) << content;
+    EXPECT_EQ(content.find("#1000\n"), std::string::npos);  // the silent sample
     std::remove(path.c_str());
 }
