@@ -15,8 +15,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <locale>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,23 +66,6 @@ private:
     double cycles_per_second_ = 0.0;
 };
 
-inline std::string fmt_double(double v) {
-    std::ostringstream ss;
-    ss.imbue(std::locale::classic());
-    ss.precision(17);
-    ss << v;
-    return ss.str();
-}
-
-inline void write_json_string(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\') os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
 /// Write BENCH_<bench_name>.json under $SCA_BENCH_JSON_DIR (default ".").
 inline void write_report(const json_reporter& reporter, const std::string& bench_name) {
     const char* dir = std::getenv("SCA_BENCH_JSON_DIR");
@@ -93,6 +74,8 @@ inline void write_report(const json_reporter& reporter, const std::string& bench
         "BENCH_" + bench_name + ".json";
     std::ofstream os(path);
     if (!os) return;  // unwritable dir never fails the bench itself
+    using sca::util::fmt_double;
+    using sca::util::write_json_string;
     os << "{\"bench\":";
     write_json_string(os, bench_name);
     os << ",\"config\":{\"num_cpus\":" << reporter.num_cpus()

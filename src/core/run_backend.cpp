@@ -409,7 +409,11 @@ void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions) 
     const std::vector<std::uint8_t> header = wire::encode_header(rs.fingerprint());
     for (unsigned served = 0; max_sessions == 0 || served < max_sessions; ++served) {
         const net::fd_owner fd(net::accept(listen_fd, /*tcp=*/true));
-        run_worker_loop(rs, fd.get(), header);
+        try {
+            run_worker_loop(rs, fd.get(), header);
+        } catch (const util::error&) {
+            // A peer that breaks the protocol ends only its own session.
+        }
     }
 }
 

@@ -77,7 +77,9 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
 /// Accept and serve worker sessions on `listen_fd` (blocking; see
 /// net::listen_tcp): each accepted connection runs the worker loop — swap
 /// campaign headers, then execute run_one() per job frame until shutdown or
-/// EOF — and a parent of another campaign is hung up on.
+/// EOF — and a parent of another campaign is hung up on.  A connection that
+/// breaks the protocol (a bad frame, an unexpected type) is closed and
+/// counts as one served session; the host keeps accepting.
 /// Serves `max_sessions` sessions then returns (0 = serve forever).  This is
 /// the process body of a remote worker host; tests fork one on a loopback
 /// socket.

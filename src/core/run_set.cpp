@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <locale>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <random>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <variant>
 
@@ -246,9 +244,6 @@ void result_table::write_metrics_csv(std::ostream& os) const {
     os << "run";
     for (const auto& name : names) os << ',' << name;
     os << '\n';
-    std::ostringstream num;
-    num.imbue(std::locale::classic());
-    num.precision(17);
     for (const run_result& r : runs_) {
         os << r.index;
         for (const auto& name : names) {
@@ -256,9 +251,7 @@ void result_table::write_metrics_csv(std::ostream& os) const {
             for (const util::metric_value& mv : r.run_metrics) {
                 if (mv.name != name) continue;
                 if (mv.kind == util::metric_value::metric_kind::gauge) {
-                    num.str("");
-                    num << mv.value;
-                    os << num.str();
+                    os << util::fmt_double(mv.value);
                 } else {
                     os << mv.count;
                 }

@@ -13,27 +13,35 @@ namespace sca::de {
 
 namespace {
 thread_local simulation_context* g_current = nullptr;
-}
 
-simulation_context::simulation_context() {
-    scheduler_.bind_telemetry(metrics_, &tracer_);
-    metrics_collectors_.push_back([this] { scheduler_.publish_telemetry(); });
+bool by_name(const util::metric_value& a, const util::metric_value& b) {
+    return a.name < b.name;
+}
+}  // namespace
+
+simulation_context::simulation_context() : scheduler_(tracer_) {
+    metrics_collectors_.push_back(
+        [this](util::metrics_snapshot& out) { scheduler_.report_metrics(out); });
     previous_current_ = g_current;
     g_current = this;
 }
 
-void simulation_context::add_metrics_collector(std::function<void()> collector) {
+void simulation_context::add_metrics_collector(metrics_collector collector) {
     metrics_collectors_.push_back(std::move(collector));
 }
 
-util::metrics_snapshot simulation_context::collect_metrics() {
-    for (const auto& c : metrics_collectors_) c();
-    return metrics_.snapshot();
+util::metrics_snapshot simulation_context::collect_wire_metrics() const {
+    util::metrics_snapshot snap;
+    for (const auto& c : metrics_collectors_) c(snap);
+    std::sort(snap.begin(), snap.end(), by_name);
+    return snap;
 }
 
-util::metrics_snapshot simulation_context::collect_wire_metrics() {
-    for (const auto& c : metrics_collectors_) c();
-    return metrics_.wire_snapshot();
+util::metrics_snapshot simulation_context::collect_metrics() const {
+    util::metrics_snapshot snap = collect_wire_metrics();
+    for (util::metric_value& h : metrics_.snapshot()) snap.push_back(std::move(h));
+    std::sort(snap.begin(), snap.end(), by_name);
+    return snap;
 }
 
 simulation_context::~simulation_context() {

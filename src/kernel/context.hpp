@@ -50,26 +50,24 @@ public:
     [[nodiscard]] const time& now() const noexcept { return scheduler_.now(); }
 
     // --- telemetry -----------------------------------------------------------
-    /// This context's metrics registry.  Kernel counters live here from
-    /// construction; MoC layers register their own metrics and collectors.
+    /// This context's histogram timers (SCA_SCOPED_TIMER sites).
     [[nodiscard]] util::metrics_registry& metrics() noexcept { return metrics_; }
     [[nodiscard]] const util::metrics_registry& metrics() const noexcept { return metrics_; }
 
     /// This context's span tracer (off until tracer().enable()).
     [[nodiscard]] util::event_tracer& tracer() noexcept { return tracer_; }
 
-    /// Register a collector run by collect_metrics(): layers whose hot
-    /// counters live in their own objects (TDF modules, clusters, solvers)
-    /// publish them into the registry here, with set-semantics so repeated
-    /// collection is idempotent.
-    void add_metrics_collector(std::function<void()> collector);
+    /// A collector appends the counters and gauges its owner keeps as plain
+    /// members (the scheduler, TDF modules and clusters, solvers) to the
+    /// snapshot being built; it runs at every collection and changes nothing.
+    using metrics_collector = std::function<void(util::metrics_snapshot&)>;
+    void add_metrics_collector(metrics_collector collector);
 
-    /// Run every collector, then return the full registry snapshot
-    /// (sorted by name).
-    [[nodiscard]] util::metrics_snapshot collect_metrics();
-    /// Run every collector, then return the deterministic counter/gauge
-    /// subset that travels over the SCA1 wire (sorted by name).
-    [[nodiscard]] util::metrics_snapshot collect_wire_metrics();
+    /// Every collector's values, sorted by name: the deterministic counters
+    /// and gauges that travel over the SCA1 wire.
+    [[nodiscard]] util::metrics_snapshot collect_wire_metrics() const;
+    /// collect_wire_metrics() plus the registry's histograms, sorted by name.
+    [[nodiscard]] util::metrics_snapshot collect_metrics() const;
 
     // --- construction-time services ----------------------------------------
     void register_object(object& obj);
@@ -138,12 +136,10 @@ public:
     }
 
 private:
-    // Telemetry precedes the scheduler: the scheduler's counters reside in
-    // the registry (bound in the constructor), so the registry must outlive
-    // it through destruction.
+    // The tracer precedes the scheduler, which records into it.
     util::metrics_registry metrics_;
     util::event_tracer tracer_;
-    std::vector<std::function<void()>> metrics_collectors_;
+    std::vector<metrics_collector> metrics_collectors_;
     scheduler scheduler_;
     std::vector<object*> objects_;
     std::vector<event*> events_;

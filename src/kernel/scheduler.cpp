@@ -7,7 +7,6 @@
 #include "kernel/process.hpp"
 #include "kernel/signal.hpp"
 #include "util/report.hpp"
-#include "util/telemetry.hpp"
 #include "util/trace_export.hpp"
 
 namespace sca::de {
@@ -21,22 +20,15 @@ bool scheduler::timed_entry::live() const noexcept {
     return generation == ev->generation() && ev->pending();
 }
 
-void scheduler::bind_telemetry(util::metrics_registry& registry,
-                               util::event_tracer* tracer) {
-    timed_notifications_m_ = &registry.get_counter("kernel.timed_notifications");
-    delta_count_m_ = &registry.get_counter("kernel.delta_cycles");
-    pacing_drift_m_ = &registry.get_gauge("kernel.pacing.drift_s");
-    pacing_max_drift_m_ = &registry.get_gauge("kernel.pacing.max_drift_s");
-    tracer_ = tracer;
-    publish_telemetry();
-}
-
-void scheduler::publish_telemetry() noexcept {
-    if (delta_count_m_ == nullptr) return;
-    delta_count_m_->set(delta_count_);
-    timed_notifications_m_->set(timed_notifications_);
-    pacing_drift_m_->set(pacing_drift_);
-    pacing_max_drift_m_->set(pacing_max_drift_);
+void scheduler::report_metrics(util::metrics_snapshot& out) const {
+    out.push_back({.name = "kernel.delta_cycles", .count = delta_count_});
+    out.push_back({.name = "kernel.timed_notifications", .count = timed_notifications_});
+    out.push_back({.name = "kernel.pacing.drift_s",
+                   .kind = util::metric_value::metric_kind::gauge,
+                   .value = pacing_drift_});
+    out.push_back({.name = "kernel.pacing.max_drift_s",
+                   .kind = util::metric_value::metric_kind::gauge,
+                   .value = pacing_max_drift_});
 }
 
 std::uint64_t scheduler::delta_count() const noexcept { return delta_count_; }
@@ -217,7 +209,6 @@ time scheduler::run(const time& end) {
         pace_to(end);
         now_ = end;
     }
-    publish_telemetry();
     return now_;
 }
 
@@ -248,7 +239,6 @@ void scheduler::finish_restore(std::uint64_t delta_count,
                                std::uint64_t timed_notifications) {
     delta_count_ = delta_count;
     timed_notifications_ = timed_notifications;
-    publish_telemetry();
 }
 
 void scheduler::reset() {
@@ -267,7 +257,6 @@ void scheduler::reset() {
     pre_timestep_.clear();
     timed_queue_.clear();
     timed_seq_ = 0;
-    publish_telemetry();
 }
 
 }  // namespace sca::de

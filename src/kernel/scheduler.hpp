@@ -9,11 +9,9 @@
 #include <vector>
 
 #include "kernel/time.hpp"
+#include "util/telemetry.hpp"
 
 namespace sca::util {
-class counter;
-class gauge;
-class metrics_registry;
 class event_tracer;
 }  // namespace sca::util
 
@@ -36,25 +34,17 @@ protected:
 
 class scheduler {
 public:
-    scheduler() = default;
+    /// `tracer` records the kernel.run span; it must outlive the scheduler.
+    explicit scheduler(util::event_tracer& tracer) noexcept : tracer_(&tracer) {}
     scheduler(const scheduler&) = delete;
     scheduler& operator=(const scheduler&) = delete;
 
-    /// Mirror the kernel counters onto a metrics registry
-    /// ("kernel.timed_notifications", "kernel.delta_cycles",
-    /// "kernel.pacing.drift_s"/"max_drift_s") and attach the kernel tracer.
-    /// Called once by simulation_context's constructor; current local values
-    /// seed the registry so binding is value-preserving.  The hot-path
-    /// increments stay plain member writes (an atomic RMW per delta cycle
-    /// costs several percent on the per-sample TDF path); the registry view
-    /// is refreshed by publish_telemetry() at every sync point.
-    void bind_telemetry(util::metrics_registry& registry, util::event_tracer* tracer);
-
-    /// Copy the local counter/gauge values into the bound registry handles.
-    /// No-op when unbound.  run()/reset()/finish_restore() call this, and
-    /// simulation_context registers it as a metrics collector, so the
-    /// registry is current whenever anyone snapshots it.
-    void publish_telemetry() noexcept;
+    /// The metrics collector body simulation_context registers: append
+    /// "kernel.delta_cycles", "kernel.timed_notifications" and the gauges
+    /// "kernel.pacing.drift_s"/"max_drift_s" to `out`.  The counts are plain
+    /// members written on the hot path (an atomic RMW per delta cycle costs
+    /// several percent on the per-sample TDF path).
+    void report_metrics(util::metrics_snapshot& out) const;
 
     [[nodiscard]] const time& now() const noexcept { return now_; }
     [[nodiscard]] std::uint64_t delta_count() const noexcept;
@@ -182,15 +172,9 @@ private:
 
     time now_;
     time run_end_ = time::max();
-    // The members are the source of truth (cheap hot-path increments); the
-    // registry handles below are a mirror refreshed by publish_telemetry().
     std::uint64_t delta_count_ = 0;
     std::uint64_t timed_notifications_ = 0;
-    util::counter* delta_count_m_ = nullptr;
-    util::counter* timed_notifications_m_ = nullptr;
-    util::gauge* pacing_drift_m_ = nullptr;
-    util::gauge* pacing_max_drift_m_ = nullptr;
-    util::event_tracer* tracer_ = nullptr;
+    util::event_tracer* tracer_;
     bool initialized_ = false;
 
     double pacing_ = 0.0;

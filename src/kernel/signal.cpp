@@ -4,6 +4,15 @@
 
 namespace sca::de {
 
+void port_base::require_unbound() const {
+    if (bound()) {
+        util::report_fatal(name(), "DE port is already bound (to " +
+                                       (bound_signal_ != nullptr ? bound_signal_->name()
+                                                                 : bound_port_->name()) +
+                                       "); a port binds exactly one signal or parent port");
+    }
+}
+
 void port_base::resolve() {
     // Follow port-to-port chains to the terminal signal.
     const port_base* p = this;

@@ -151,14 +151,15 @@ class port_base : public object {
 public:
     [[nodiscard]] const char* kind() const noexcept override { return "port"; }
 
-    /// Bind to a signal or, hierarchically, to another port.
+    /// Bind to a signal or, hierarchically, to another port.  A port binds
+    /// exactly once; a second bind throws, naming the port.
     void bind(signal_base& s) {
+        require_unbound();
         bound_signal_ = &s;
-        typed_signal_ = nullptr;
     }
     void bind(port_base& p) {
+        require_unbound();
         bound_port_ = &p;
-        typed_signal_ = nullptr;
     }
 
     [[nodiscard]] bool bound() const noexcept {
@@ -197,11 +198,14 @@ protected:
     signal_base* bound_signal_ = nullptr;
     port_base* bound_port_ = nullptr;
     // bound_signal_ once a typed port has checked it is a signal<T>: every
-    // later read/write skips the dynamic_cast.  Cleared whenever
-    // bound_signal_ may change (bind, resolve).
+    // later read/write skips the dynamic_cast.  Cleared when resolve() sets
+    // bound_signal_.
     mutable signal_base* typed_signal_ = nullptr;
     bool optional_ = false;
     std::vector<method_process*> pending_sensitive_;
+
+private:
+    void require_unbound() const;
 };
 
 /// Input port for signal<T>.

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "lib/mixer.hpp"
-#include "tdf/connect.hpp"
 #include "util/report.hpp"
 
 namespace sca::lib {
@@ -41,66 +39,6 @@ void pll::processing() {
     }
     out.write(std::sin(phase_));
     control.write(vctrl);
-}
-
-// ------------------------------------------------------------ composite form
-
-pll_loop_filter::pll_loop_filter(const de::module_name& nm, double loop_bw)
-    : tdf::module(nm), in("in"), out("out"), loop_bw_(loop_bw) {
-    util::require(loop_bw > 0.0, name(), "loop bandwidth must be positive");
-}
-
-void pll_loop_filter::initialize() {
-    h_ = timestep().to_seconds();
-    util::require(h_ > 0.0, name(), "loop filter needs a resolved timestep");
-    alpha_ = 1.0 - std::exp(-2.0 * std::numbers::pi * loop_bw_ * h_);
-}
-
-void pll_loop_filter::processing() {
-    // One-pole filter strips the 2f product, PI control drives the VCO.
-    lf_state_ += alpha_ * (in.read() - lf_state_);
-    integ_ += ki_ * lf_state_ * h_;
-    out.write(kp_ * lf_state_ + integ_);
-}
-
-vco::vco(const de::module_name& nm, double f0, double kv)
-    : tdf::module(nm), ctrl("ctrl"), out("out"), quad("quad"), f0_(f0), kv_(kv) {
-    util::require(f0 > 0.0 && kv != 0.0, name(), "f0 must be positive, kv nonzero");
-    f_now_ = f0;
-}
-
-void vco::initialize() {
-    h_ = timestep().to_seconds();
-    util::require(h_ > 0.0, name(), "VCO needs a resolved timestep");
-    util::require(f0_ * h_ < 0.4, name(),
-                  "TDF rate too low for the VCO frequency (need fs > 2.5 f0)");
-}
-
-void vco::processing() {
-    f_now_ = f0_ + kv_ * ctrl.read();
-    phase_ += 2.0 * std::numbers::pi * f_now_ * h_;
-    if (phase_ > 2.0 * std::numbers::pi * 1e6) {
-        phase_ = std::fmod(phase_, 2.0 * std::numbers::pi);
-    }
-    out.write(std::sin(phase_));
-    quad.write(std::cos(phase_));
-}
-
-pll_loop::pll_loop(const de::module_name& nm, double f0, double kv, double loop_bw)
-    : tdf::composite(nm), ref("ref"), out("out") {
-    pd_ = &make_child<mixer>("pd", 1.0);
-    filter_ = &make_child<pll_loop_filter>("filter", loop_bw);
-    vco_ = &make_child<vco>("vco", f0, kv);
-    pd_->rf.bind(ref);                          // forwarded reference input
-    connect(pd_->out, filter_->in);             // PD product -> loop filter
-    control_ = &connect(filter_->out, vco_->ctrl);  // control voltage
-    // Feedback: quadrature VCO output closes the cycle with one delay token
-    // whose initial value is cos(phase = 0) = 1, matching the monolithic
-    // model's first phase-detector read.
-    auto& fb = connect(vco_->quad, pd_->lo);
-    pd_->lo.set_delay(1);
-    fb.set_initial_value(1.0);
-    vco_->out.bind(out);                        // exported in-phase output
 }
 
 }  // namespace sca::lib

@@ -1,15 +1,8 @@
 // Phase-locked loop (paper phase 2: RF/wireless building blocks).
 //
-// Two forms are provided:
-//  * lib::pll — the compact behavioral PLL in one TDF module (multiplying
-//    phase detector, one-pole loop filter, PI control, VCO).  Keeping the
-//    loop internal avoids any scheduling subtlety in the feedback path.
-//  * lib::pll_loop — the same loop as a hierarchical composite of reusable
-//    blocks (mixer PD, pll_loop_filter, vco) with an explicit one-sample
-//    delay token closing the feedback cycle through the cluster schedule.
-//    Because the monolithic model also updates the VCO phase after the
-//    phase-detector read, the composite recursion is identical and the two
-//    forms track each other sample for sample.
+// lib::pll is the compact behavioral PLL in one TDF module (multiplying
+// phase detector, one-pole loop filter, PI control, VCO).  Keeping the loop
+// internal avoids any scheduling subtlety in the feedback path.
 #ifndef SCA_LIB_PLL_HPP
 #define SCA_LIB_PLL_HPP
 
@@ -52,88 +45,6 @@ private:
     double lf_state_ = 0.0;  // loop-filter state
     double integ_ = 0.0;     // PI integrator
     double f_now_ = 0.0;
-};
-
-/// One-pole loop filter + PI controller (the control path of the PLL).
-class pll_loop_filter : public tdf::module {
-public:
-    tdf::in<double> in;    // phase-detector product
-    tdf::out<double> out;  // VCO control voltage
-
-    pll_loop_filter(const de::module_name& nm, double loop_bw);
-
-    void set_pi_gains(double kp, double ki) {
-        kp_ = kp;
-        ki_ = ki;
-    }
-
-    void initialize() override;
-    void processing() override;
-
-private:
-    double loop_bw_;
-    double kp_ = 4.0;
-    double ki_ = 4000.0;
-    double h_ = 0.0;
-    double alpha_ = 1.0;
-    double lf_state_ = 0.0;
-    double integ_ = 0.0;
-};
-
-/// Voltage-controlled oscillator: f = f0 + kv * v(ctrl); `out` is the
-/// in-phase (sin) output, `quad` the quadrature (cos) output used as the
-/// phase-detector feedback.
-class vco : public tdf::module {
-public:
-    tdf::in<double> ctrl;
-    tdf::out<double> out;
-    tdf::out<double> quad;
-
-    vco(const de::module_name& nm, double f0, double kv);
-
-    void initialize() override;
-    void processing() override;
-
-    /// Instantaneous frequency (valid during simulation).
-    [[nodiscard]] double frequency() const noexcept { return f_now_; }
-
-private:
-    double f0_;
-    double kv_;
-    double h_ = 0.0;
-    double phase_ = 0.0;
-    double f_now_ = 0.0;
-};
-
-class mixer;
-
-/// The PLL as a hierarchical composite: mixer phase detector, loop filter,
-/// and VCO wired internally, with a one-sample delay token on the feedback
-/// path (initial value cos(0) = 1).  Exposes the reference input and the
-/// VCO output as forwarded ports; probe the control voltage through
-/// control_signal().
-class pll_loop : public tdf::composite {
-public:
-    tdf::in<double> ref;
-    tdf::out<double> out;
-
-    pll_loop(const de::module_name& nm, double f0, double kv, double loop_bw);
-
-    void set_pi_gains(double kp, double ki) { filter_->set_pi_gains(kp, ki); }
-
-    /// Instantaneous VCO frequency (valid during simulation).
-    [[nodiscard]] double vco_frequency() const noexcept { return vco_->frequency(); }
-
-    /// The interior control-voltage wire (for probing/lock detection).
-    [[nodiscard]] const tdf::signal<double>& control_signal() const noexcept {
-        return *control_;
-    }
-
-private:
-    mixer* pd_ = nullptr;
-    pll_loop_filter* filter_ = nullptr;
-    vco* vco_ = nullptr;
-    tdf::signal<double>* control_ = nullptr;
 };
 
 }  // namespace sca::lib

@@ -152,32 +152,11 @@ private:
 
 // ------------------------------------------------------- vector utilities --
 
-/// Euclidean norm.
-template <typename T>
-double norm2(const std::vector<T>& x) {
-    double acc = 0.0;
-    for (const auto& v : x) acc += std::norm(std::complex<double>(v));
-    return std::sqrt(acc);
-}
-
-inline double norm2(const std::vector<double>& x) {
-    double acc = 0.0;
-    for (double v : x) acc += v * v;
-    return std::sqrt(acc);
-}
-
 /// Maximum-magnitude norm.
 inline double norm_inf(const std::vector<double>& x) {
     double m = 0.0;
     for (double v : x) m = std::max(m, std::abs(v));
     return m;
-}
-
-/// y += alpha * x
-template <typename T>
-void axpy(T alpha, const std::vector<T>& x, std::vector<T>& y) {
-    util::require(x.size() == y.size(), "axpy", "dimension mismatch");
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 using dense_matrix_d = dense_matrix<double>;

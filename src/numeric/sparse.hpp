@@ -194,6 +194,19 @@ private:
     std::vector<std::vector<T>> rows_val_;
 };
 
+/// The error sparse_lu::factor() throws on a singular matrix: `column()` is
+/// the column (the unknown) for which elimination found no nonzero pivot,
+/// kept as data so a caller can name it.
+class singular_matrix : public util::error {
+public:
+    explicit singular_matrix(std::size_t column)
+        : util::error("sparse_lu", "matrix is singular"), column_(column) {}
+    [[nodiscard]] std::size_t column() const noexcept { return column_; }
+
+private:
+    std::size_t column_;
+};
+
 /// Sparse LU with threshold partial pivoting.
 ///
 /// `factor()` is the full (symbolic + numeric) factorization: right-looking
@@ -213,14 +226,11 @@ template <typename T>
 class sparse_lu {
 public:
     sparse_lu() = default;
-    explicit sparse_lu(const sparse_matrix<T>& a, double pivot_threshold = 0.1) {
-        factor(a, pivot_threshold);
-    }
+    explicit sparse_lu(const sparse_matrix<T>& a) { factor(a); }
 
-    void factor(const sparse_matrix<T>& a, double pivot_threshold = 0.1) {
+    /// Throws singular_matrix when a column has no nonzero pivot.
+    void factor(const sparse_matrix<T>& a) {
         n_ = a.size();
-        util::require(pivot_threshold > 0.0 && pivot_threshold <= 1.0, "sparse_lu",
-                      "pivot threshold must be in (0, 1]");
         factored_ = false;
         symbolic_valid_ = false;
         // Working copy of the rows.  Exact numerical cancellations are kept
@@ -252,8 +262,8 @@ public:
 
         for (std::size_t k = 0; k < n_; ++k) {
             // --- pivot selection: largest |a_ik| among rows i >= k, but accept
-            // the diagonal row when it is within `pivot_threshold` of the best
-            // (keeps permutations, and therefore fill, low).
+            // the diagonal row when it is within `k_pivot_threshold` of the
+            // best (keeps permutations, and therefore fill, low).
             std::size_t pivot = n_;
             double best = 0.0;
             double diag_mag = 0.0;
@@ -266,8 +276,8 @@ public:
                     pivot = r;
                 }
             }
-            util::require(best > 0.0, "sparse_lu", "matrix is singular");
-            if (diag_mag >= pivot_threshold * best) pivot = k;
+            if (best == 0.0) throw singular_matrix(k);
+            if (diag_mag >= k_pivot_threshold * best) pivot = k;
             if (pivot != k) {
                 std::swap(rows_idx[k], rows_idx[pivot]);
                 std::swap(rows_val[k], rows_val[pivot]);
@@ -581,6 +591,9 @@ public:
     }
 
 private:
+    /// factor() keeps the diagonal row as pivot while its magnitude is at
+    /// least this fraction of the column's largest.
+    static constexpr double k_pivot_threshold = 0.1;
     /// Refactor bails to a full factorization when a frozen pivot drops
     /// below this fraction of its U row's magnitude — catastrophic growth
     /// guard; legitimate value changes in MNA stamps stay far above it.

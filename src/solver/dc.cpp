@@ -11,8 +11,15 @@ namespace sca::solver {
 
 namespace {
 
+constexpr int k_max_iterations = 100;  ///< Newton iteration limit
+constexpr double k_abstol = 1e-12;
+constexpr double k_reltol = 1e-9;
+/// Pseudo-transient time constant used when A alone is singular (e.g.
+/// floating capacitor nodes); larger = closer to true DC.
+constexpr double k_pseudo_tau = 1e6;
+
 /// Factor A, falling back to (A + B/tau) when A is singular.
-num::sparse_lu_d factor_dc_matrix(const equation_system& sys, double tau) {
+num::sparse_lu_d factor_dc_matrix(const equation_system& sys) {
     try {
         return num::sparse_lu_d(sys.a());
     } catch (const util::error&) {
@@ -20,19 +27,19 @@ num::sparse_lu_d factor_dc_matrix(const equation_system& sys, double tau) {
                              "A is singular; using pseudo-transient regularization");
         num::sparse_matrix_d m(sys.size());
         m.add_scaled(sys.a(), 1.0);
-        m.add_scaled(sys.b(), 1.0 / tau);
+        m.add_scaled(sys.b(), 1.0 / k_pseudo_tau);
         return num::sparse_lu_d(m);
     }
 }
 
 }  // namespace
 
-std::vector<double> dc_solve(const equation_system& sys, double t0, const dc_options& opt) {
+std::vector<double> dc_solve(const equation_system& sys, double t0) {
     const std::vector<double> q = sys.rhs(t0);
     if (sys.size() == 0) return {};
 
     if (sys.is_linear()) {
-        return factor_dc_matrix(sys, opt.pseudo_tau).solve(q);
+        return factor_dc_matrix(sys).solve(q);
     }
 
     // Damped Newton from zero: F(x) = A x + g(x) - q.
@@ -51,8 +58,8 @@ std::vector<double> dc_solve(const equation_system& sys, double t0, const dc_opt
 
     std::vector<double> f = eval_f(x);
     double fnorm = num::norm_inf(f);
-    for (int it = 0; it < opt.max_iterations; ++it) {
-        if (fnorm < opt.abstol) return x;
+    for (int it = 0; it < k_max_iterations; ++it) {
+        if (fnorm < k_abstol) return x;
         // J = A + dg/dx (+ B/tau regularization when A was singular: safe to
         // include always at DC since it only damps the iteration).
         num::sparse_matrix_d j(sys.size());
@@ -68,7 +75,7 @@ std::vector<double> dc_solve(const equation_system& sys, double t0, const dc_opt
             for (std::size_t i = 0; i < xn.size(); ++i) xn[i] -= damping * dx[i];
             std::vector<double> fn = eval_f(xn);
             const double fn_norm = num::norm_inf(fn);
-            if (fn_norm < fnorm || fn_norm < opt.abstol) {
+            if (fn_norm < fnorm || fn_norm < k_abstol) {
                 x = std::move(xn);
                 f = std::move(fn);
                 fnorm = fn_norm;
@@ -82,7 +89,7 @@ std::vector<double> dc_solve(const equation_system& sys, double t0, const dc_opt
             }
         }
         const double dx_norm = num::norm_inf(dx) * damping;
-        if (dx_norm < opt.abstol + opt.reltol * num::norm_inf(x) && fnorm < opt.reltol) {
+        if (dx_norm < k_abstol + k_reltol * num::norm_inf(x) && fnorm < k_reltol) {
             return x;
         }
     }

@@ -12,16 +12,6 @@
 
 namespace sca::solver {
 
-struct dc_options {
-    /// Newton iteration limit for nonlinear systems.
-    int max_iterations = 100;
-    double abstol = 1e-12;
-    double reltol = 1e-9;
-    /// Pseudo-transient time constant used when A alone is singular
-    /// (e.g. floating capacitor nodes); larger = closer to true DC.
-    double pseudo_tau = 1e6;
-};
-
 /// Compute x such that A x + g(x) = q(t0).
 ///
 /// Linear path: direct sparse LU of A; if A is singular (states whose DC
@@ -30,8 +20,7 @@ struct dc_options {
 /// solution on the resistive subspace and leaves pure-integrator states at 0.
 /// Nonlinear path: damped Newton from x = 0 with the same regularization
 /// fallback.
-[[nodiscard]] std::vector<double> dc_solve(const equation_system& sys, double t0,
-                                           const dc_options& opt = {});
+[[nodiscard]] std::vector<double> dc_solve(const equation_system& sys, double t0);
 
 /// Human-readable operating-point table: one line per unknown of `sys`
 /// (e.g. "v(out)", "i(vs.i)") with its value in `x`, a dc_solve() result.

@@ -557,13 +557,11 @@ registry::registry(de::simulation_context& ctx) : ctx_(&ctx) {
     ctx.add_elaboration_hook([this] { elaborate_clusters(); });
     // The hot per-object counters (module activations, cluster cycles,
     // schedule-cache hits) stay where the firing loops write them; this
-    // collector publishes their totals into the context registry on demand
-    // with set-semantics, so repeated collection never double-counts.
-    ctx.add_metrics_collector([this] { publish_metrics(); });
+    // collector reports their totals whenever metrics are collected.
+    ctx.add_metrics_collector([this](util::metrics_snapshot& out) { report_metrics(out); });
 }
 
-void registry::publish_metrics() {
-    util::metrics_registry& reg = ctx_->metrics();
+void registry::report_metrics(util::metrics_snapshot& out) const {
     std::uint64_t cycles = 0, fused = 0, resched = 0, recompiles = 0, hits = 0, misses = 0;
     for (const auto& c : clusters_) {
         cycles += c->cycle_count();
@@ -584,18 +582,21 @@ void registry::publish_metrics() {
             symbolic += d->symbolic_factorizations();
         }
     }
-    reg.get_counter("tdf.clusters").set(clusters_.size());
-    reg.get_counter("tdf.cluster.cycles").set(cycles);
-    reg.get_counter("tdf.cluster.fused_cycles").set(fused);
-    reg.get_counter("tdf.cluster.reschedules").set(resched);
-    reg.get_counter("tdf.cluster.recompiles").set(recompiles);
-    reg.get_counter("tdf.schedule_cache.hits").set(hits);
-    reg.get_counter("tdf.schedule_cache.misses").set(misses);
-    reg.get_counter("tdf.module.activations").set(activations);
-    reg.get_counter("tdf.module.block_calls").set(block_calls);
-    reg.get_counter("tdf.module.block_firings").set(block_firings);
-    reg.get_counter("solver.numeric_factorizations").set(numeric);
-    reg.get_counter("solver.symbolic_factorizations").set(symbolic);
+    const std::pair<const char*, std::uint64_t> counts[] = {
+        {"tdf.clusters", clusters_.size()},
+        {"tdf.cluster.cycles", cycles},
+        {"tdf.cluster.fused_cycles", fused},
+        {"tdf.cluster.reschedules", resched},
+        {"tdf.cluster.recompiles", recompiles},
+        {"tdf.schedule_cache.hits", hits},
+        {"tdf.schedule_cache.misses", misses},
+        {"tdf.module.activations", activations},
+        {"tdf.module.block_calls", block_calls},
+        {"tdf.module.block_firings", block_firings},
+        {"solver.numeric_factorizations", numeric},
+        {"solver.symbolic_factorizations", symbolic},
+    };
+    for (const auto& [name, n] : counts) out.push_back({.name = name, .count = n});
 }
 
 registry::~registry() = default;

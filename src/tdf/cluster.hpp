@@ -253,9 +253,9 @@ public:
     signal_base& adopt_signal(std::unique_ptr<signal_base> s);
 
 private:
-    /// Metrics collector body (registered with the context): publish the
-    /// cluster/module/solver counter totals into the context's registry.
-    void publish_metrics();
+    /// Metrics collector body (registered with the context): append the
+    /// cluster/module/solver counter totals to `out`.
+    void report_metrics(util::metrics_snapshot& out) const;
 
     de::simulation_context* ctx_;
     std::vector<module*> modules_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "numeric/sparse.hpp"
 #include "util/bytes.hpp"
 #include "util/report.hpp"
 #include "util/trace_export.hpp"
@@ -123,7 +124,7 @@ void dae_module::start_solver(double h, double t0) {
     }
 }
 
-void dae_module::processing() {
+void dae_module::processing() try {
     const double h = timestep().to_seconds();
     util::require(h > 0.0, name(), "DAE module needs a resolved timestep");
     const double t_prev = solve_time_;
@@ -180,6 +181,9 @@ void dae_module::processing() {
         }
     }
     write_elements();
+} catch (const num::singular_matrix& e) {
+    util::report_fatal(name(), "singular equation system: no pivot for unknown " +
+                                   sys_.unknown_name(e.column()));
 }
 
 // --------------------------------------------------------------- snapshot --

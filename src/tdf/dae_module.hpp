@@ -111,6 +111,8 @@ public:
     /// step at the new sample points.
     [[nodiscard]] bool accept_attribute_changes() const override { return true; }
 
+    /// One step.  A singular system fails naming this view and the unknown
+    /// without a pivot, e.g. "net: ... v(floating)".
     void processing() final;
 
     // --- checkpoint/restore (core/snapshot) ---------------------------------

@@ -1,7 +1,5 @@
 #include "tdf/dynamic.hpp"
 
-#include "util/report.hpp"
-
 namespace sca::tdf {
 
 std::size_t attribute_signature_hash::operator()(
@@ -26,14 +24,8 @@ const cluster_config* schedule_cache::find(const attribute_signature& sig) {
     return &it->second;
 }
 
-void schedule_cache::set_max_entries(std::size_t n) {
-    util::require(n >= 1, "tdf_schedule_cache", "max entries must be >= 1");
-    max_entries_ = n;
-    while (entries_.size() > max_entries_) entries_.erase(entries_.begin());
-}
-
 void schedule_cache::insert(const attribute_signature& sig, cluster_config cfg) {
-    if (entries_.size() >= max_entries_ && entries_.find(sig) == entries_.end()) {
+    if (entries_.size() >= k_max_entries && entries_.find(sig) == entries_.end()) {
         // Arbitrary eviction: any entry is as good as any other — a future
         // miss on the evicted configuration just recompiles it.
         entries_.erase(entries_.begin());

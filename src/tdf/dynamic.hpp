@@ -53,14 +53,14 @@ struct cluster_config {
 /// find() counts hits and misses; the counters back the incremental-
 /// rescheduling contract asserted in tests and reported by benches.
 ///
-/// The cache is bounded: a model whose requested timestep is computed from
-/// signal data can produce an endless stream of distinct configurations,
-/// and an unbounded cache would grow without limit over a long run.  When
-/// full, an arbitrary entry is evicted — the cache is purely an
-/// optimization, a future miss just recompiles.
+/// The cache is bounded (k_max_entries): a model whose requested timestep is
+/// computed from signal data can produce an endless stream of distinct
+/// configurations, and an unbounded cache would grow without limit over a
+/// long run.  When full, an arbitrary entry is evicted — the cache is purely
+/// an optimization, a future miss just recompiles.
 class schedule_cache {
 public:
-    static constexpr std::size_t k_default_max_entries = 256;
+    static constexpr std::size_t k_max_entries = 256;
 
     /// Cached configuration for `sig`, or nullptr (counted as hit / miss).
     [[nodiscard]] const cluster_config* find(const attribute_signature& sig);
@@ -69,9 +69,6 @@ public:
     /// evicts an arbitrary entry when the cache is full).
     void insert(const attribute_signature& sig, cluster_config cfg);
 
-    /// Cap the number of cached configurations (>= 1).
-    void set_max_entries(std::size_t n);
-
     [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
     [[nodiscard]] std::uint64_t misses() const noexcept { return misses_; }
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -79,7 +76,6 @@ public:
 private:
     std::unordered_map<attribute_signature, cluster_config, attribute_signature_hash>
         entries_;
-    std::size_t max_entries_ = k_default_max_entries;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "util/report.hpp"
 
-#include <iostream>
-
 namespace sca::util {
 
 namespace {
@@ -12,14 +10,6 @@ std::vector<std::string>& warning_store() {
     thread_local std::vector<std::string> store;
     return store;
 }
-std::vector<std::string>& info_store() {
-    thread_local std::vector<std::string> store;
-    return store;
-}
-bool& echo_flag() {
-    thread_local bool echo = false;
-    return echo;
-}
 }  // namespace
 
 void report_fatal(std::string_view context, std::string_view what) {
@@ -27,23 +17,11 @@ void report_fatal(std::string_view context, std::string_view what) {
 }
 
 void report_warning(std::string_view context, std::string_view what) {
-    std::string msg = std::string(context) + ": " + std::string(what);
-    if (echo_flag()) std::cerr << "[sca warning] " << msg << '\n';
-    warning_store().push_back(std::move(msg));
-}
-
-void report_info(std::string_view context, std::string_view what) {
-    info_store().push_back(std::string(context) + ": " + std::string(what));
+    warning_store().push_back(std::string(context) + ": " + std::string(what));
 }
 
 const std::vector<std::string>& warnings() { return warning_store(); }
-const std::vector<std::string>& infos() { return info_store(); }
 
-void clear_reports() {
-    warning_store().clear();
-    info_store().clear();
-}
-
-void set_echo_warnings(bool on) { echo_flag() = on; }
+void clear_reports() { warning_store().clear(); }
 
 }  // namespace sca::util

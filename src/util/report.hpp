@@ -2,7 +2,7 @@
 //
 // All library errors are reported through these helpers so that user code has
 // a single exception type to catch (`sca::util::error`) and so that warnings
-// can be collected or silenced centrally.
+// are collected centrally.
 #ifndef SCA_UTIL_REPORT_HPP
 #define SCA_UTIL_REPORT_HPP
 
@@ -30,31 +30,19 @@ private:
     std::string context_;
 };
 
-/// Severity of a diagnostic message.
-enum class severity { info, warning, fatal };
-
 /// Raise a fatal diagnostic: throws sca::util::error.
 [[noreturn]] void report_fatal(std::string_view context, std::string_view what);
 
 /// Record a warning. Warnings are collected and retrievable for tests.
 void report_warning(std::string_view context, std::string_view what);
 
-/// Record an informational message (collected like warnings).
-void report_info(std::string_view context, std::string_view what);
-
 /// All warnings recorded since the last clear_reports() call.
 /// Diagnostics are collected per thread: a worker running one scenario of a
 /// parallel run_set only ever observes its own run's warnings.
 [[nodiscard]] const std::vector<std::string>& warnings();
 
-/// All info messages recorded since the last clear_reports() call.
-[[nodiscard]] const std::vector<std::string>& infos();
-
-/// Drop all collected warnings and infos.
+/// Drop all collected warnings.
 void clear_reports();
-
-/// When true (default false), warnings are echoed to stderr as they occur.
-void set_echo_warnings(bool on);
 
 /// Throw sca::util::error with the given context if `condition` is false.
 inline void require(bool condition, std::string_view context, std::string_view what) {

@@ -1,10 +1,8 @@
 #include "util/telemetry.hpp"
 
-#include <algorithm>
 #include <locale>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 namespace sca::util {
 
@@ -31,13 +29,6 @@ void histogram::record(double v) noexcept {
     }
 }
 
-void histogram::reset() noexcept {
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-    min_.store(0.0, std::memory_order_relaxed);
-    max_.store(0.0, std::memory_order_relaxed);
-}
-
 double histogram::min() const noexcept {
     return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }
@@ -48,123 +39,41 @@ double histogram::max() const noexcept {
 
 // --------------------------------------------------------- metrics_registry --
 
-counter& metrics_registry::get_counter(const std::string& name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = by_name_.find(name);
-    if (it != by_name_.end()) {
-        const entry& e = entries_[it->second];
-        if (e.k != kind::counter)
-            throw std::logic_error("metric '" + name + "' already registered with another kind");
-        return counters_[e.slot];
-    }
-    counters_.emplace_back();
-    by_name_.emplace(name, entries_.size());
-    entries_.push_back({name, kind::counter, counters_.size() - 1});
-    return counters_.back();
-}
-
-gauge& metrics_registry::get_gauge(const std::string& name) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = by_name_.find(name);
-    if (it != by_name_.end()) {
-        const entry& e = entries_[it->second];
-        if (e.k != kind::gauge)
-            throw std::logic_error("metric '" + name + "' already registered with another kind");
-        return gauges_[e.slot];
-    }
-    gauges_.emplace_back();
-    by_name_.emplace(name, entries_.size());
-    entries_.push_back({name, kind::gauge, gauges_.size() - 1});
-    return gauges_.back();
-}
-
 histogram& metrics_registry::get_histogram(const std::string& name) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = by_name_.find(name);
-    if (it != by_name_.end()) {
-        const entry& e = entries_[it->second];
-        if (e.k != kind::histogram)
-            throw std::logic_error("metric '" + name + "' already registered with another kind");
-        return histograms_[e.slot];
-    }
-    histograms_.emplace_back();
-    by_name_.emplace(name, entries_.size());
-    entries_.push_back({name, kind::histogram, histograms_.size() - 1});
-    return histograms_.back();
+    return histograms_[name];
 }
-
-void metrics_registry::reset() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (counter& c : counters_) c.set(0);
-    for (gauge& g : gauges_) g.set(0.0);
-    for (histogram& h : histograms_) h.reset();
-}
-
-namespace {
-
-void sort_by_name(metrics_snapshot& snap) {
-    std::sort(snap.begin(), snap.end(),
-              [](const metric_value& a, const metric_value& b) { return a.name < b.name; });
-}
-
-}  // namespace
 
 metrics_snapshot metrics_registry::snapshot() const {
-    metrics_snapshot snap;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        snap.reserve(entries_.size());
-        for (const entry& e : entries_) {
-            metric_value mv;
-            mv.name = e.name;
-            switch (e.k) {
-            case kind::counter:
-                mv.kind = metric_value::metric_kind::counter;
-                mv.count = counters_[e.slot].value();
-                break;
-            case kind::gauge:
-                mv.kind = metric_value::metric_kind::gauge;
-                mv.value = gauges_[e.slot].value();
-                break;
-            case kind::histogram: {
-                const histogram& h = histograms_[e.slot];
-                mv.kind = metric_value::metric_kind::histogram;
-                mv.count = h.count();
-                mv.value = h.sum();
-                mv.min = h.min();
-                mv.max = h.max();
-                break;
-            }
-            }
-            snap.push_back(std::move(mv));
-        }
-    }
-    sort_by_name(snap);
-    return snap;
-}
-
-metrics_snapshot metrics_registry::wire_snapshot() const {
-    metrics_snapshot snap = snapshot();
-    snap.erase(std::remove_if(snap.begin(), snap.end(),
-                              [](const metric_value& mv) {
-                                  return mv.kind == metric_value::metric_kind::histogram;
-                              }),
-               snap.end());
-    return snap;
-}
-
-std::size_t metrics_registry::size() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    metrics_snapshot snap;
+    snap.reserve(histograms_.size());
+    for (const auto& [name, h] : histograms_) {
+        snap.push_back({.name = name,
+                        .kind = metric_value::metric_kind::histogram,
+                        .count = h.count(),
+                        .value = h.sum(),
+                        .min = h.min(),
+                        .max = h.max()});
+    }
+    return snap;
 }
 
-// ------------------------------------------------------------------- export --
+// -------------------------------------------------------------- JSON writer --
 
-namespace {
+std::string fmt_double(double v) {
+    // A fresh stream, not the caller's: the classic locale and
+    // max_digits10 whatever the caller's stream state.
+    std::ostringstream ss;
+    ss.imbue(std::locale::classic());
+    ss.precision(17);
+    ss << v;
+    return ss.str();
+}
 
-void write_json_string(std::ostream& os, const std::string& s) {
+void write_json_string(std::ostream& os, std::string_view s) {
     os << '"';
-    for (char c : s) {
+    for (const char c : s) {
         switch (c) {
         case '"': os << "\\\""; break;
         case '\\': os << "\\\\"; break;
@@ -183,66 +92,30 @@ void write_json_string(std::ostream& os, const std::string& s) {
     os << '"';
 }
 
-const char* kind_name(metric_value::metric_kind k) {
-    switch (k) {
-    case metric_value::metric_kind::counter: return "counter";
-    case metric_value::metric_kind::gauge: return "gauge";
-    case metric_value::metric_kind::histogram: return "histogram";
-    }
-    return "?";
-}
-
-// JSON/CSV numbers must be locale-independent and round-trip exactly; go
-// through a fresh stream with max_digits10 rather than the caller's state.
-std::string fmt_double(double v) {
-    std::ostringstream ss;
-    ss.imbue(std::locale::classic());
-    ss.precision(17);
-    ss << v;
-    return ss.str();
-}
-
-void write_metric_json(std::ostream& os, const metric_value& mv) {
-    os << "{\"name\":";
-    write_json_string(os, mv.name);
-    os << ",\"kind\":\"" << kind_name(mv.kind) << '"';
-    switch (mv.kind) {
-    case metric_value::metric_kind::counter:
-        os << ",\"value\":" << mv.count;
-        break;
-    case metric_value::metric_kind::gauge:
-        os << ",\"value\":" << fmt_double(mv.value);
-        break;
-    case metric_value::metric_kind::histogram:
-        os << ",\"count\":" << mv.count << ",\"sum\":" << fmt_double(mv.value)
-           << ",\"min\":" << fmt_double(mv.min) << ",\"max\":" << fmt_double(mv.max);
-        break;
-    }
-    os << '}';
-}
-
-}  // namespace
-
 void write_metrics_json(std::ostream& os, const metrics_snapshot& snap) {
+    static constexpr const char* k_kind_names[] = {"counter", "gauge", "histogram"};
     os << "{\"metrics\":[";
     for (std::size_t i = 0; i < snap.size(); ++i) {
+        const metric_value& mv = snap[i];
         if (i != 0) os << ',';
-        write_metric_json(os, snap[i]);
+        os << "{\"name\":";
+        write_json_string(os, mv.name);
+        os << ",\"kind\":\"" << k_kind_names[static_cast<std::size_t>(mv.kind)] << '"';
+        switch (mv.kind) {
+        case metric_value::metric_kind::counter:
+            os << ",\"value\":" << mv.count;
+            break;
+        case metric_value::metric_kind::gauge:
+            os << ",\"value\":" << fmt_double(mv.value);
+            break;
+        case metric_value::metric_kind::histogram:
+            os << ",\"count\":" << mv.count << ",\"sum\":" << fmt_double(mv.value)
+               << ",\"min\":" << fmt_double(mv.min) << ",\"max\":" << fmt_double(mv.max);
+            break;
+        }
+        os << '}';
     }
     os << "]}";
-}
-
-void metrics_registry::write_json(std::ostream& os) const {
-    write_metrics_json(os, snapshot());
-}
-
-void metrics_registry::write_csv(std::ostream& os) const {
-    os << "name,kind,count,value,min,max\n";
-    for (const metric_value& mv : snapshot()) {
-        os << mv.name << ',' << kind_name(mv.kind) << ',' << mv.count << ','
-           << fmt_double(mv.value) << ',' << fmt_double(mv.min) << ',' << fmt_double(mv.max)
-           << '\n';
-    }
 }
 
 }  // namespace sca::util

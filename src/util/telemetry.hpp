@@ -1,16 +1,18 @@
-// Unified metrics registry: named counters, gauges, and histogram timers
-// collected per simulation_context and exportable as JSON/CSV or over the
-// SCA1 wire protocol (core/run_protocol).
+// Metrics of one simulation_context: the values its owners report when
+// metrics are collected, the histogram timers recorded live, and the one
+// JSON writer every export shares.
 //
 // Design contract:
-//  - The fast path is lock-free: a metric handle is a stable reference into
-//    the registry, and every mutation is one relaxed atomic op.  Handles are
-//    resolved by name once (mutex-protected) and then cached by the
-//    instrumented layer — never look a metric up per event.
-//  - Cheap enough to leave on: counters/gauges stay compiled in at every
-//    build setting.  Only the scoped-timer and trace-span *macros* compile
-//    out (SCA_TELEMETRY_ENABLED=0, CMake option SCA_ENABLE_TELEMETRY=OFF),
-//    because wall-clock reads in hot loops are the one cost that can matter.
+//  - A counter or gauge is a plain member of the object that counts it (the
+//    scheduler, a TDF module, a cluster, a solver).  Its owner reports it
+//    through a collector when metrics are collected (de::simulation_context::
+//    add_metrics_collector), so a hot-path increment is one ordinary write and
+//    nothing else holds a copy.
+//  - The registry keeps only what is recorded live: histogram timers,
+//    lock-free relaxed atomics per sample.  Only the scoped-timer and
+//    trace-span *macros* compile out (SCA_TELEMETRY_ENABLED=0, CMake option
+//    SCA_ENABLE_TELEMETRY=OFF), because wall-clock reads in hot loops are the
+//    one cost that can matter.
 //  - Snapshots are deterministic in content: entries sort by name, and the
 //    wire snapshot carries only counters and gauges — values derived from
 //    simulation state, reproducible across backends and worker counts.
@@ -32,47 +34,20 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
+#include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace sca::util {
-
-/// Monotonic event count.  add() is the hot-path op: one relaxed fetch_add.
-class counter {
-public:
-    void add(std::uint64_t n = 1) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-    /// Overwrite (reset, snapshot restore, collector set-semantics).
-    void set(std::uint64_t n) noexcept { v_.store(n, std::memory_order_relaxed); }
-    [[nodiscard]] std::uint64_t value() const noexcept {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value (queue depth, drift seconds, ...).
-class gauge {
-public:
-    void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
-    [[nodiscard]] double value() const noexcept {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-private:
-    std::atomic<double> v_{0.0};
-};
 
 /// Value accumulator: count / sum / min / max, lock-free (min/max via CAS).
 /// Timer histograms record seconds; record() accepts any double series.
 class histogram {
 public:
     void record(double v) noexcept;
-    void reset() noexcept;
 
     [[nodiscard]] std::uint64_t count() const noexcept {
         return count_.load(std::memory_order_relaxed);
@@ -94,8 +69,9 @@ private:
     std::atomic<double> max_{0.0};
 };
 
-/// One exported metric sample — the flat form snapshots, exports, and the
-/// wire protocol share.
+/// One exported metric sample — the flat form collectors report and
+/// snapshots, exports and the wire protocol share.  A collector reports a
+/// counter as {.name, .count} and a gauge as {.name, .kind = gauge, .value}.
 struct metric_value {
     enum class metric_kind : std::uint8_t { counter = 0, gauge = 1, histogram = 2 };
 
@@ -111,59 +87,38 @@ struct metric_value {
 
 using metrics_snapshot = std::vector<metric_value>;
 
-/// Per-simulation_context registry of named metrics.  Handle resolution is
-/// mutex-protected and allocation-backed (deque: stable addresses); the
-/// returned references stay valid for the registry's lifetime, so layers
-/// resolve once at construction/elaboration and mutate lock-free after.
+/// Per-simulation_context registry of the histograms recorded live.
+/// Resolution is mutex-protected; the returned references stay valid for the
+/// registry's lifetime, so a site resolves once and records lock-free after.
 class metrics_registry {
 public:
     metrics_registry() = default;
     metrics_registry(const metrics_registry&) = delete;
     metrics_registry& operator=(const metrics_registry&) = delete;
 
-    /// Find-or-create by name.  A name identifies exactly one kind; asking
-    /// for the same name with a different kind throws.
-    counter& get_counter(const std::string& name);
-    gauge& get_gauge(const std::string& name);
+    /// Find-or-create by name.
     histogram& get_histogram(const std::string& name);
 
-    /// Zero every registered metric (names and handles survive — reset
-    /// changes values, never invalidates cached references).
-    void reset();
-
-    /// Every metric, sorted by name (deterministic content).
+    /// Every histogram, sorted by name.
     [[nodiscard]] metrics_snapshot snapshot() const;
-    /// Counters and gauges only, sorted by name — the deterministic subset
-    /// that travels over the wire and is compared bit-for-bit across
-    /// backends and worker counts.  Histograms (wall-clock timers) excluded.
-    [[nodiscard]] metrics_snapshot wire_snapshot() const;
-
-    /// Flat JSON object: {"metrics":[{name,kind,...}, ...]}.
-    void write_json(std::ostream& os) const;
-    /// Flat CSV: name,kind,count,value,min,max (header row included).
-    void write_csv(std::ostream& os) const;
-
-    [[nodiscard]] std::size_t size() const;
 
 private:
-    enum class kind : std::uint8_t { counter, gauge, histogram };
-    struct entry {
-        std::string name;
-        kind k;
-        std::size_t slot;
-    };
-
     mutable std::mutex mutex_;
-    std::vector<entry> entries_;                       // registration order
-    std::unordered_map<std::string, std::size_t> by_name_;  // -> entries_ index
-    std::deque<counter> counters_;
-    std::deque<gauge> gauges_;
-    std::deque<histogram> histograms_;
+    std::map<std::string, histogram> histograms_;  // nodes: stable references
 };
 
-/// Serialize a snapshot as the same JSON array write_json emits (shared by
-/// run_set metric dumps and bench artifacts).
+/// The one metrics export: {"metrics":[{name,kind,...}, ...]}.
 void write_metrics_json(std::ostream& os, const metrics_snapshot& snap);
+
+// ------------------------------------------------------------ JSON writer --
+
+/// `v` as locale-independent text with 17 significant digits, so every
+/// double round-trips: the number format of every JSON and CSV export.
+[[nodiscard]] std::string fmt_double(double v);
+
+/// `s` as a quoted JSON string: quotes, backslashes and control characters
+/// escaped.
+void write_json_string(std::ostream& os, std::string_view s);
 
 // ------------------------------------------------------------ scoped timer --
 

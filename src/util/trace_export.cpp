@@ -1,9 +1,7 @@
 #include "util/trace_export.hpp"
 
 #include <atomic>
-#include <locale>
 #include <ostream>
-#include <sstream>
 
 namespace sca::util {
 
@@ -16,35 +14,6 @@ std::uint32_t this_lane() {
     static std::atomic<std::uint32_t> next{0};
     thread_local const std::uint32_t lane = next.fetch_add(1, std::memory_order_relaxed);
     return lane;
-}
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\r': os << "\\r"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char* hex = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-std::string fmt_double(double v) {
-    std::ostringstream ss;
-    ss.imbue(std::locale::classic());
-    ss.precision(17);
-    ss << v;
-    return ss.str();
 }
 
 }  // namespace
@@ -111,9 +80,9 @@ void event_tracer::write_chrome_json(std::ostream& os) const {
         const double ts_us = static_cast<double>(ev.start_ns - epoch) / 1000.0;
         const double dur_us = static_cast<double>(ev.dur_ns) / 1000.0;
         os << "{\"name\":";
-        write_json_escaped(os, ev.name);
+        write_json_string(os, ev.name);
         os << ",\"cat\":";
-        write_json_escaped(os, ev.cat);
+        write_json_string(os, ev.cat);
         os << ",\"ph\":\"X\",\"ts\":" << fmt_double(ts_us) << ",\"dur\":" << fmt_double(dur_us)
            << ",\"pid\":1,\"tid\":" << ev.lane;
         if (ev.sim_time >= 0.0) os << ",\"args\":{\"t_sim\":" << fmt_double(ev.sim_time) << '}';

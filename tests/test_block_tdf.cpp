@@ -18,7 +18,6 @@
 
 #include "kernel/context.hpp"
 #include "lib/filters.hpp"
-#include "lib/pll.hpp"
 #include "lib/sigma_delta.hpp"
 #include "tdf/block.hpp"
 #include "tdf/cluster.hpp"
@@ -453,17 +452,35 @@ TEST(block_equivalence, delay_d_loop_through_two_modules_fuses_d_periods) {
     }
 }
 
-TEST(block_equivalence, pll_loop_never_fuses_periods) {
-    // lib::pll_loop closes mixer -> loop filter -> VCO -> mixer through one
-    // delay token: one period per pass.
+TEST(block_equivalence, three_module_loop_closed_by_one_delay_never_fuses_periods) {
+    // src -> (+) -> stage -> lag -> back into (+) through one delay token,
+    // with a per-sample module on the loop: one period per pass.
+    struct lag : tdf::module {
+        tdf::in<double> in;
+        tdf::out<double> out;
+        double state = 0.0;
+        explicit lag(const de::module_name& nm) : tdf::module(nm), in("in"), out("out") {}
+        void processing() override {
+            state = 0.9 * state + 0.1 * in.read();
+            out.write(state);
+        }
+    };
     auto build = [](graph& g) {
         auto& src = g.add<idx_source>(de::module_name("src"), 1U);
-        auto& loop = g.add<lib::pll_loop>(de::module_name("pll"), 10e3, 2e3, 1000.0);
+        auto& add = g.add<fb_adder>(de::module_name("add"));
+        auto& st = g.add<poly_stage>(de::module_name("st"), 1U, 1U);
+        auto& lg = g.add<lag>(de::module_name("lag"));
         auto& sink = g.add<collector>(de::module_name("sink"));
-        auto &w1 = g.wire("w1"), &w2 = g.wire("w2");
+        auto &w1 = g.wire("w1"), &w2 = g.wire("w2"), &w3 = g.wire("w3"), &w4 = g.wire("w4");
         src.out.bind(w1);
-        loop.ref.bind(w1);
-        loop.out.bind(w2);
+        add.a.bind(w1);
+        add.out.bind(w2);
+        st.in.bind(w2);
+        st.out.bind(w3);
+        lg.in.bind(w3);
+        lg.out.bind(w4);
+        add.fb.set_delay(1);
+        add.fb.bind(w4);
         sink.in.bind(w2);
         g.sinks.push_back(&sink);
         return de::time(500.0, de::time_unit::us);
@@ -471,7 +488,7 @@ TEST(block_equivalence, pll_loop_never_fuses_periods) {
     EXPECT_EQ(batch_periods_of(build, 64), 1U);
     const auto ref = run_graph(build, false, 1);
     ASSERT_GT(ref[0].size(), 400U);
-    expect_identical(ref, run_graph(build, true, 64), "pll_loop");
+    expect_identical(ref, run_graph(build, true, 64), "three-module loop");
 }
 
 // ------------------------------------------------------------- diagnostics

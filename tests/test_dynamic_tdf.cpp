@@ -406,15 +406,15 @@ TEST(dynamic_tdf, restatement_does_not_become_an_anchor_during_a_real_change) {
 
 TEST(dynamic_tdf, schedule_cache_is_bounded) {
     tdf::schedule_cache cache;
-    cache.set_max_entries(4);
-    for (std::uint64_t i = 0; i < 10; ++i) {
+    constexpr std::size_t k_max = tdf::schedule_cache::k_max_entries;
+    for (std::uint64_t i = 0; i < k_max + 1; ++i) {
         tdf::attribute_signature sig;
         sig.words = {i};
         cache.insert(sig, tdf::cluster_config{});
-        EXPECT_LE(cache.size(), 4U);
+        EXPECT_LE(cache.size(), k_max);
         EXPECT_NE(cache.find(sig), nullptr);  // newest entry always present
     }
-    EXPECT_EQ(cache.size(), 4U);
+    EXPECT_EQ(cache.size(), k_max);
 }
 
 // ------------------------------------- parallel run_set determinism -------

@@ -6,6 +6,7 @@
 #include <memory>
 #include <numbers>
 #include <optional>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "eln/converter.hpp"
@@ -489,6 +490,49 @@ TEST(eln, destroyed_component_leaves_the_equations) {
     EXPECT_EQ(noise.source_names, (std::vector<std::string>{r1.name(), r3.name()}));
     const double expected = 4.0 * sca::solver::k_boltzmann * net.temperature() * 1000.0;
     for (const auto& pt : noise.points) EXPECT_NEAR(pt.total_psd, expected, 1e-9 * expected);
+}
+
+namespace {
+
+std::string run_error(de::simulation_context& sim, const de::time& duration) {
+    try {
+        sim.run(duration);
+    } catch (const sca::util::error& e) {
+        return e.what();
+    }
+    return "no error";
+}
+
+}  // namespace
+
+TEST(eln, singular_system_names_the_network_and_an_unconnected_node) {
+    de::simulation_context sim;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto a = net.create_node("a");
+    (void)net.create_node("floating");
+    eln::isource is("is", net, gnd, a, eln::waveform::dc(1e-3));
+    eln::resistor r("r", net, a, gnd, 1000.0);
+    EXPECT_EQ(run_error(sim, 10_us),
+              "net: singular equation system: no pivot for unknown v(floating)");
+}
+
+TEST(eln, singular_system_names_a_node_whose_only_element_was_destroyed) {
+    de::simulation_context sim;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto a = net.create_node("a");
+    auto b = net.create_node("b");
+    eln::isource is("is", net, gnd, a, eln::waveform::dc(1e-3));
+    eln::resistor r1("r1", net, a, gnd, 1000.0);
+    auto r2 = std::make_unique<eln::resistor>("r2", net, b, gnd, 1000.0);
+    sim.run(10_us);
+    EXPECT_NEAR(net.voltage(a), 1.0, 1e-12);
+
+    r2.reset();
+    EXPECT_EQ(run_error(sim, 10_us), "net: singular equation system: no pivot for unknown v(b)");
 }
 
 TEST(eln, set_value_is_numeric_refactor_only) {

@@ -23,7 +23,6 @@
 #include "lib/mixer.hpp"
 #include "lib/oscillator.hpp"
 #include "lib/pipeline_adc.hpp"
-#include "lib/pll.hpp"
 #include "lib/sigma_delta.hpp"
 #include "tdf/cluster.hpp"
 #include "tdf/connect.hpp"
@@ -662,38 +661,4 @@ TEST(hierarchy, sigma_delta_adc_composite_tracks_dc_input) {
         sum += rec.got[i];
     }
     EXPECT_NEAR(sum / 100.0, 0.4, 0.02);
-}
-
-TEST(hierarchy, pll_loop_composite_tracks_monolithic_pll_sample_for_sample) {
-    de::simulation_context sim;
-    const double f_ref = 10.2e3, f0 = 10e3, kv = 2e3, bw = 1000.0;
-    lib::sine_source ref("ref", 1.0, f_ref);
-    ref.set_timestep(2.0, de::time_unit::us);
-    lib::pll mono("mono", f0, kv, bw);
-    lib::pll_loop comp("comp", f0, kv, bw);
-    collector mono_out("mono_out"), comp_out("comp_out");
-    struct null_sink : tdf::module {
-        tdf::in<double> in;
-        explicit null_sink(const de::module_name& nm) : tdf::module(nm), in("in") {}
-        void processing() override { (void)in.read(); }
-    } ctl_sink("ctl_sink");
-
-    auto& s_ref = connect(ref.out, mono.ref);
-    comp.ref.bind(s_ref);  // fan-out: both loops track the same reference
-    connect(mono.out, mono_out.in);
-    connect(mono.control, ctl_sink.in);
-    connect(comp.out, comp_out.in);
-
-    sim.run(100_ms);
-    ASSERT_EQ(mono_out.got.size(), comp_out.got.size());
-    ASSERT_GE(mono_out.got.size(), 1000U);
-    // The composite's delayed feedback reproduces the monolithic recursion
-    // exactly (the monolithic PD also reads the previous-sample VCO phase).
-    EXPECT_TRUE(mono_out.got == comp_out.got);
-    // Same for the instantaneous VCO frequency (it ripples at 2x the
-    // carrier, so compare against the monolithic loop, not the mean lock).
-    EXPECT_DOUBLE_EQ(comp.vco_frequency(), mono.vco_frequency());
-    // And the loop is locked in the mean: the monolithic model's lock is
-    // asserted in test_rf_line, and the two outputs are bit-identical.
-    EXPECT_NEAR(comp.vco_frequency(), f_ref, kv);  // within the ripple band
 }

@@ -318,8 +318,8 @@ std::string error_message(Fn&& fn) {
 TEST(hierarchy, typed_port_access_follows_chains_and_rebinding) {
     // Typed ports check their signal's type once and keep it: reads through
     // a port -> port -> port -> signal chain must see the live signal, a
-    // rebinding must drop the kept signal, and an unbound or mistyped port
-    // must keep failing with its named error.
+    // refused rebinding must leave the kept signal in place, and an unbound
+    // or mistyped port must keep failing with its named error.
     simulation_context ctx;
     de::signal<double> sig("sig", 1.5);
     de::signal<double> other("other", -4.0);
@@ -343,8 +343,9 @@ TEST(hierarchy, typed_port_access_follows_chains_and_rebinding) {
     EXPECT_DOUBLE_EQ(inner.read(), 2.5);
     EXPECT_DOUBLE_EQ(outer.read(), 2.5);
 
-    outer.bind(other);
-    EXPECT_DOUBLE_EQ(outer.read(), -4.0);
+    EXPECT_THROW(outer.bind(other), sca::util::error);
+    EXPECT_DOUBLE_EQ(outer.read(), 2.5);
+    EXPECT_DOUBLE_EQ(inner.read(), 2.5);
     writer.write(3.0);
     EXPECT_DOUBLE_EQ(writer.read(), -4.0);  // deferred until the update phase
 
@@ -356,6 +357,39 @@ TEST(hierarchy, typed_port_access_follows_chains_and_rebinding) {
     de::out<double> nowhere("nowhere");
     EXPECT_EQ(error_message([&] { (void)dangling.read(); }), "dangling: read of unbound port");
     EXPECT_EQ(error_message([&] { nowhere.write(1.0); }), "nowhere: write to unbound port");
+}
+
+TEST(hierarchy, de_port_binds_exactly_once) {
+    // A second bind throws naming the port, whether the first bound a signal
+    // or a parent port, and the first binding stays in force.
+    simulation_context ctx;
+    de::signal<double> s1("s1", 1.0);
+    de::signal<double> s2("s2", 2.0);
+    in<double> outer("outer");
+    outer.bind(s2);
+
+    in<double> twice("twice");
+    twice.bind(s1);
+    EXPECT_EQ(error_message([&] { twice.bind(s2); }),
+              "twice: DE port is already bound (to s1); a port binds exactly one signal or "
+              "parent port");
+
+    in<double> stale("stale");
+    stale.bind(s1);
+    EXPECT_EQ(error_message([&] { stale.bind(outer); }),
+              "stale: DE port is already bound (to s1); a port binds exactly one signal or "
+              "parent port");
+
+    in<double> chained("chained");
+    chained.bind(outer);
+    EXPECT_EQ(error_message([&] { chained.bind(s1); }),
+              "chained: DE port is already bound (to outer); a port binds exactly one signal "
+              "or parent port");
+
+    ctx.elaborate();
+    EXPECT_DOUBLE_EQ(twice.read(), 1.0);
+    EXPECT_DOUBLE_EQ(stale.read(), 1.0);
+    EXPECT_DOUBLE_EQ(chained.read(), 2.0);
 }
 
 TEST(hierarchy, unbound_port_fails_elaboration) {

@@ -4,8 +4,9 @@
 // a run that throws records `error` without poisoning the table on every
 // backend; a SIGKILLed worker costs only its in-flight run; a checkpoint
 // journal lets the campaign resume with every run index computed exactly
-// once, torn tail or not; and a journal or remote worker of another campaign
-// is refused.
+// once, torn tail or not; a journal or remote worker of another campaign
+// is refused; and a connection that breaks the protocol ends only its own
+// session on a remote worker host.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -471,6 +472,48 @@ TEST(run_backend, remote_tcp_worker_of_another_campaign_is_refused) {
     int status = 0;
     ASSERT_EQ(::waitpid(server, &status, 0), server);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(run_backend, remote_worker_host_survives_a_garbage_connection) {
+    // A host serving two sessions gets a connection that speaks HTTP, not
+    // SCA1.  The protocol error closes that connection only: the campaign on
+    // the second connection still runs and matches sequential execution.
+    const auto rc = define_rc("tcp_garbage");
+    const auto rs = make_grid_set(rc);
+    std::uint16_t port = 0;
+    const int listen_fd = core::net::listen_tcp(port);
+    ASSERT_GT(listen_fd, 0);
+    const pid_t server = fork();
+    ASSERT_GE(server, 0);
+    if (server == 0) {
+        try {
+            core::serve_tcp_workers(rs, listen_fd, /*max_sessions=*/2);
+        } catch (...) {
+            ::_exit(1);
+        }
+        ::_exit(0);
+    }
+    ::close(listen_fd);
+    {
+        const core::net::fd_owner garbage(core::net::connect_tcp("127.0.0.1", port));
+        const std::string request = "GET / HTTP/1.1\r\nHost: localhost\r\n\r\n";
+        ASSERT_EQ(::send(garbage.get(), request.data(), request.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(request.size()));
+        // Wait until the host has dealt with it: it sends its campaign
+        // header, then closes the connection.
+        char buf[256];
+        while (::recv(garbage.get(), buf, sizeof buf, 0) > 0) {
+        }
+    }
+    const auto table =
+        make_grid_set(rc)
+            .set_backend(core::run_backend::remote_tcp)
+            .set_endpoints({"127.0.0.1:" + std::to_string(port)})
+            .run_all();
+    int status = 0;
+    ASSERT_EQ(::waitpid(server, &status, 0), server);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_EQ(csv_of(table), csv_of(make_grid_set(rc).set_workers(1).run_all()));
 }
 
 TEST(run_backend, remote_tcp_without_endpoints_is_an_error) {
