@@ -264,8 +264,9 @@ void reschedule_cost_cold(benchmark::State& state) {
 }
 
 void dynamic_parallel_run_set(benchmark::State& state) {
-    // The oscillating receiver across a 4-worker run_set: every context
-    // reschedules concurrently (the CI TSan smoke runs exactly this).
+    // The oscillating receiver across a run_set of 1/2/4 workers (the
+    // argument): every context reschedules concurrently (the CI TSan smoke
+    // runs exactly this).
     auto sc = core::scenario::define(
         "bench_dynamic_parallel", core::params{{"f", 10e3}},
         [](core::testbench& tb, const core::params& p) {
@@ -282,7 +283,7 @@ void dynamic_parallel_run_set(benchmark::State& state) {
     for (auto _ : state) {
         auto table = core::run_set(sc)
                          .with_grid(core::param_grid().add_linspace("f", 1e3, 20e3, 8))
-                         .set_workers(4)
+                         .set_workers(static_cast<unsigned>(state.range(0)))
                          .run_all();
         benchmark::DoNotOptimize(table.failed_count());
     }
@@ -294,6 +295,11 @@ BENCHMARK(adaptive_receiver_throughput)->Arg(1)->Arg(64)->Unit(benchmark::kMilli
 BENCHMARK(static_worstcase_throughput)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 BENCHMARK(reschedule_cost_cached)->Unit(benchmark::kMillisecond);
 BENCHMARK(reschedule_cost_cold)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-BENCHMARK(dynamic_parallel_run_set)->Unit(benchmark::kMillisecond);
+BENCHMARK(dynamic_parallel_run_set)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 SCA_BENCH_MAIN(bench_dynamic_tdf)

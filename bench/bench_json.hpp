@@ -3,8 +3,9 @@
 // SCA_BENCH_MAIN(name) replaces BENCHMARK_MAIN(): it runs the registered
 // benchmarks through a reporter that mirrors the normal console output AND
 // writes BENCH_<name>.json — one object per benchmark run with its name,
-// per-iteration real/cpu time, time unit and iteration count, plus a config
-// block (host CPU, telemetry build flag).  Under repetitions the aggregate
+// per-iteration real/cpu time, time unit, iteration count and user counters
+// (`state.counters`, rates already per second), plus a config block (host
+// CPU, telemetry build flag).  Under repetitions the aggregate
 // rows (median/mean/stddev) are captured too; `median` entries are what CI
 // trend tracking keys on, falling back to the single-run row when a bench
 // does not repeat.  Output directory: $SCA_BENCH_JSON_DIR (default cwd).
@@ -13,9 +14,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/telemetry.hpp"
@@ -29,6 +32,7 @@ struct row {
     double real_time = 0.0;  // per iteration, in time_unit
     double cpu_time = 0.0;
     std::int64_t iterations = 0;
+    std::vector<std::pair<std::string, double>> counters;  // by name
 };
 
 class json_reporter : public benchmark::ConsoleReporter {
@@ -49,6 +53,9 @@ public:
             r.real_time = run.GetAdjustedRealTime();
             r.cpu_time = run.GetAdjustedCPUTime();
             r.iterations = static_cast<std::int64_t>(run.iterations);
+            for (const auto& [name, counter] : run.counters) {
+                r.counters.emplace_back(name, counter.value);
+            }
             rows_.push_back(std::move(r));
         }
         benchmark::ConsoleReporter::ReportRuns(reports);
@@ -92,7 +99,14 @@ inline void write_report(const json_reporter& reporter, const std::string& bench
         write_json_string(os, r.aggregate);
         os << ",\"real_time\":" << fmt_double(r.real_time)
            << ",\"cpu_time\":" << fmt_double(r.cpu_time) << ",\"time_unit\":\""
-           << r.time_unit << "\",\"iterations\":" << r.iterations << '}';
+           << r.time_unit << "\",\"iterations\":" << r.iterations << ",\"counters\":{";
+        for (std::size_t k = 0; k < r.counters.size(); ++k) {
+            if (k != 0) os << ',';
+            write_json_string(os, r.counters[k].first);
+            const double v = r.counters[k].second;
+            os << ':' << (std::isfinite(v) ? fmt_double(v) : std::string("null"));
+        }
+        os << "}}";
     }
     os << "]}\n";
 }

@@ -154,6 +154,8 @@ void pacing_drift(benchmark::State& state) {
 BENCHMARK(open_close_latency)->Unit(benchmark::kMicrosecond)->UseRealTime();
 BENCHMARK(stream_throughput)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond)

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -119,6 +120,14 @@ int accept(int listen_fd, bool tcp) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
         util::report_fatal("net", std::string("accept failed: ") + std::strerror(errno));
     }
+}
+
+void set_receive_timeout(int fd, int ms) {
+    timeval tv{};
+    tv.tv_sec = ms / 1000;
+    tv.tv_usec = (ms % 1000) * 1000;
+    util::require(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0, "net",
+                  std::string("setsockopt failed: ") + std::strerror(errno));
 }
 
 void set_nonblocking(int fd) {

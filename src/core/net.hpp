@@ -58,6 +58,10 @@ private:
 
 void set_nonblocking(int fd);
 
+/// Bound each blocking read on `fd` to `ms` milliseconds (0: wait forever);
+/// an expired read fails with EAGAIN.
+void set_receive_timeout(int fd, int ms);
+
 }  // namespace sca::core::net
 
 #endif  // SCA_CORE_NET_HPP

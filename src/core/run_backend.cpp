@@ -31,15 +31,20 @@ namespace {
 /// parent's is equal (the parent names a mismatch); then read a job frame,
 /// execute run_one(index), write the result frame, repeat until shutdown or
 /// EOF.  The header goes out unasked, so the parent's wait for it overlaps
-/// the worker's start-up instead of adding a round trip.  Returns normally
-/// on clean shutdown and when the parent disappears; protocol violations
-/// throw.
-void run_worker_loop(const run_set& rs, int fd, const std::vector<std::uint8_t>& header) {
+/// the worker's start-up instead of adding a round trip.  With
+/// `header_timeout_ms` > 0, each read of the parent's header waits at most
+/// that long.  Returns normally on clean shutdown and when the parent
+/// disappears; protocol violations and an expired wait throw.
+void run_worker_loop(const run_set& rs, int fd, const std::vector<std::uint8_t>& header,
+                     int header_timeout_ms = 0) {
     wire::frame f;
+    if (header_timeout_ms > 0) net::set_receive_timeout(fd, header_timeout_ms);
     if (!wire::write_frame(fd, wire::msg_type::header, header) || !wire::read_frame(fd, f) ||
         f.type != wire::msg_type::header || f.payload != header) {
         return;
     }
+    // Between jobs a parent may be busy with other workers for any time.
+    if (header_timeout_ms > 0) net::set_receive_timeout(fd, 0);
     for (;;) {
         if (!wire::read_frame(fd, f)) return;  // parent gone: stop quietly
         if (f.type == wire::msg_type::shutdown) return;
@@ -410,9 +415,10 @@ void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions) 
     for (unsigned served = 0; max_sessions == 0 || served < max_sessions; ++served) {
         const net::fd_owner fd(net::accept(listen_fd, /*tcp=*/true));
         try {
-            run_worker_loop(rs, fd.get(), header);
+            run_worker_loop(rs, fd.get(), header, worker_header_timeout_ms);
         } catch (const util::error&) {
-            // A peer that breaks the protocol ends only its own session.
+            // A peer that breaks the protocol, or sends no header in time,
+            // ends only its own session.
         }
     }
 }

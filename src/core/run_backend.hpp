@@ -78,12 +78,19 @@ void execute_remote_tcp(const run_set& rs, const std::vector<std::size_t>& pendi
 /// net::listen_tcp): each accepted connection runs the worker loop — swap
 /// campaign headers, then execute run_one() per job frame until shutdown or
 /// EOF — and a parent of another campaign is hung up on.  A connection that
-/// breaks the protocol (a bad frame, an unexpected type) is closed and
-/// counts as one served session; the host keeps accepting.
+/// breaks the protocol (a bad frame, an unexpected type) or stays silent
+/// for `worker_header_timeout_ms` while the host waits for its campaign
+/// header is closed and counts as one served session; the host keeps
+/// accepting.
 /// Serves `max_sessions` sessions then returns (0 = serve forever).  This is
 /// the process body of a remote worker host; tests fork one on a loopback
 /// socket.
 void serve_tcp_workers(const run_set& rs, int listen_fd, unsigned max_sessions);
+
+/// How long a remote worker host waits on each read of a connected peer's
+/// campaign header: the host serves one session at a time, so a peer that
+/// sends nothing must not hold it.
+inline constexpr int worker_header_timeout_ms = 2000;
 
 }  // namespace sca::core
 

@@ -23,6 +23,8 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "numeric/dense.hpp"
@@ -43,16 +45,19 @@ inline std::uint64_t next_pattern_version() noexcept {
 
 /// Sparse square matrix assembled from (row, col, value) triplets.
 /// Duplicate entries are summed, matching the "stamping" style of MNA.
+///
+/// Storage is one CSR: row pointers plus contiguous column and value arrays,
+/// columns ascending within a row.  An entry that is not yet in the pattern
+/// is staged in its row and joins the arrays at the next read, which merges
+/// every staged row in one O(nnz log nnz) pass: assembly never inserts into
+/// the flat arrays.  Reads compress lazily, so the arrays are `mutable`; a
+/// matrix under assembly must not be read from two threads.
 template <typename T>
 class sparse_matrix {
 public:
-    /// Where a stored value lives: its row and its offset within the row.
-    /// Valid while pattern_version() is unchanged — an inserted entry shifts
-    /// the offsets after it.
-    struct position {
-        std::size_t row;
-        std::size_t offset;
-    };
+    /// Where a stored value lives: its index into values().  Valid while
+    /// pattern_version() is unchanged — a new entry moves the ones after it.
+    using position = std::size_t;
 
     sparse_matrix() = default;
     explicit sparse_matrix(std::size_t n) { resize(n); }
@@ -61,28 +66,31 @@ public:
     /// branch unknowns lazily while stamping). Shrinking is not supported.
     void resize(std::size_t n) {
         util::require(n >= n_, "sparse_matrix", "resize cannot shrink the matrix");
-        if (n == n_ && rows_idx_.size() == n) return;
+        if (n == n_) return;
         n_ = n;
-        rows_idx_.resize(n);
-        rows_val_.resize(n);
+        row_ptr_.resize(n + 1, row_ptr_.back());
+        if (!staged_.empty()) staged_.resize(n);
         pattern_version_ = detail::next_pattern_version();
     }
 
     void clear() {
-        rows_idx_.assign(n_, {});
-        rows_val_.assign(n_, {});
-        nnz_ = 0;
+        row_ptr_.assign(n_ + 1, 0);
+        col_.clear();
+        val_.clear();
+        staged_ = {};
+        staged_count_ = 0;
         pattern_version_ = detail::next_pattern_version();
     }
 
     /// Reset all values to zero keeping the sparsity pattern (and therefore
     /// the pattern version) intact — the values-only rebuild path.
     void zero_values() {
-        for (auto& vals : rows_val_) std::fill(vals.begin(), vals.end(), T{});
+        compress();
+        std::fill(val_.begin(), val_.end(), T{});
     }
 
     [[nodiscard]] std::size_t size() const noexcept { return n_; }
-    [[nodiscard]] std::size_t nonzeros() const noexcept { return nnz_; }
+    [[nodiscard]] std::size_t nonzeros() const noexcept { return col_.size() + staged_count_; }
 
     /// Token identifying the current sparsity pattern: changes whenever an
     /// entry is created, the matrix is cleared, or it is resized — never on
@@ -91,50 +99,41 @@ public:
         return pattern_version_;
     }
 
-    /// Add `value` at (r, c); sums with any existing entry (MNA stamp).
+    /// Add `value` at (r, c); sums with any existing entry (MNA stamp).  A
+    /// new entry keeps `value` as is, later ones add to it in call order.
     void add(std::size_t r, std::size_t c, T value) {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
-        auto& idx = rows_idx_[r];
-        auto& val = rows_val_[r];
-        const auto it = std::lower_bound(idx.begin(), idx.end(), c);
-        if (it != idx.end() && *it == c) {
-            val[static_cast<std::size_t>(it - idx.begin())] += value;
-        } else {
-            const auto pos = static_cast<std::size_t>(it - idx.begin());
-            idx.insert(it, c);
-            val.insert(val.begin() + static_cast<std::ptrdiff_t>(pos), value);
-            ++nnz_;
-            pattern_version_ = detail::next_pattern_version();
+        if (T* v = find(r, c)) {
+            *v += value;
+            return;
         }
+        if (staged_.empty()) staged_.resize(n_);
+        staged_[r].push_back({c, value});
+        ++staged_count_;
+        pattern_version_ = detail::next_pattern_version();
     }
 
     /// Overwrite the value of an *existing* entry (values-only update; the
     /// pattern version is untouched). Errors if (r, c) is not in the pattern.
-    void set_entry(std::size_t r, std::size_t c, T value) { value_at(position_of(r, c)) = value; }
+    void set_entry(std::size_t r, std::size_t c, T value) { values()[position_of(r, c)] = value; }
 
     /// Position of the existing entry (r, c). Errors if it is not in the
     /// pattern.
     [[nodiscard]] position position_of(std::size_t r, std::size_t c) const {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
-        const auto& idx = rows_idx_[r];
-        const auto it = std::lower_bound(idx.begin(), idx.end(), c);
-        util::require(it != idx.end() && *it == c, "sparse_matrix",
+        compress();
+        const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
+        const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
+        const auto it = std::lower_bound(first, last, c);
+        util::require(it != last && *it == c, "sparse_matrix",
                       "entry is not in the sparsity pattern");
-        return {r, static_cast<std::size_t>(it - idx.begin())};
+        return static_cast<position>(it - col_.begin());
     }
-
-    /// The value at a position taken under the current pattern version.
-    [[nodiscard]] T& value_at(position p) { return rows_val_[p.row][p.offset]; }
 
     [[nodiscard]] T get(std::size_t r, std::size_t c) const {
         util::require(r < n_ && c < n_, "sparse_matrix", "index out of range");
-        if (rows_idx_.size() != n_) return T{};
-        const auto& idx = rows_idx_[r];
-        const auto it = std::lower_bound(idx.begin(), idx.end(), c);
-        if (it != idx.end() && *it == c) {
-            return rows_val_[r][static_cast<std::size_t>(it - idx.begin())];
-        }
-        return T{};
+        const T* v = find(r, c);
+        return v != nullptr ? *v : T{};
     }
 
     /// y = this * x
@@ -149,49 +148,123 @@ public:
     void multiply_into(const std::vector<T>& x, std::vector<T>& y) const {
         util::require(x.size() == n_, "sparse_matrix", "multiply: dimension mismatch");
         util::require(&x != &y, "sparse_matrix", "multiply: aliased output");
-        y.assign(n_, T{});
-        for (std::size_t r = 0; r < rows_idx_.size(); ++r) {
+        compress();
+        y.resize(n_);
+        for (std::size_t r = 0; r < n_; ++r) {
             T acc{};
-            const auto& idx = rows_idx_[r];
-            const auto& val = rows_val_[r];
-            for (std::size_t k = 0; k < idx.size(); ++k) acc += val[k] * x[idx[k]];
+            for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) acc += val_[k] * x[col_[k]];
             y[r] = acc;
         }
     }
 
     /// Dense copy (tests, small systems, ablation benches).
     [[nodiscard]] dense_matrix<T> to_dense() const {
+        compress();
         dense_matrix<T> d(n_, n_);
-        for (std::size_t r = 0; r < rows_idx_.size(); ++r) {
-            for (std::size_t k = 0; k < rows_idx_[r].size(); ++k) {
-                d(r, rows_idx_[r][k]) = rows_val_[r][k];
-            }
+        for (std::size_t r = 0; r < n_; ++r) {
+            for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) d(r, col_[k]) = val_[k];
         }
         return d;
     }
 
-    /// this = this * alpha + other * beta (pattern union).
+    /// this = this + other * beta (pattern union), adding row by row in
+    /// column order.
     void add_scaled(const sparse_matrix<T>& other, T beta) {
         util::require(other.size() == n_, "sparse_matrix", "add_scaled: size mismatch");
-        for (std::size_t r = 0; r < other.rows_idx_.size(); ++r) {
-            for (std::size_t k = 0; k < other.rows_idx_[r].size(); ++k) {
-                add(r, other.rows_idx_[r][k], beta * other.rows_val_[r][k]);
+        other.compress();
+        for (std::size_t r = 0; r < n_; ++r) {
+            for (std::size_t k = other.row_ptr_[r]; k < other.row_ptr_[r + 1]; ++k) {
+                add(r, other.col_[k], beta * other.val_[k]);
             }
         }
     }
 
-    /// Row access for the factorization (index array, value array).
-    [[nodiscard]] const std::vector<std::size_t>& row_indices(std::size_t r) const {
-        return rows_idx_[r];
+    /// The CSR arrays: row r's entries are [row_pointers()[r],
+    /// row_pointers()[r + 1]) of columns() and values().
+    [[nodiscard]] std::span<const std::size_t> row_pointers() const {
+        compress();
+        return row_ptr_;
     }
-    [[nodiscard]] const std::vector<T>& row_values(std::size_t r) const { return rows_val_[r]; }
+    [[nodiscard]] std::span<const std::size_t> columns() const {
+        compress();
+        return col_;
+    }
+    [[nodiscard]] std::span<const T> values() const {
+        compress();
+        return val_;
+    }
+    [[nodiscard]] std::span<T> values() {
+        compress();
+        return val_;
+    }
+
+    /// One row's columns (ascending) and values.
+    [[nodiscard]] std::span<const std::size_t> row_indices(std::size_t r) const {
+        const auto cols = columns();
+        return cols.subspan(row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]);
+    }
+    [[nodiscard]] std::span<const T> row_values(std::size_t r) const {
+        const auto vals = values();
+        return vals.subspan(row_ptr_[r], row_ptr_[r + 1] - row_ptr_[r]);
+    }
 
 private:
+    /// The stored value at (r, c), staged or compressed, or null.
+    [[nodiscard]] T* find(std::size_t r, std::size_t c) const {
+        const auto first = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
+        const auto last = col_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
+        const auto it = std::lower_bound(first, last, c);
+        if (it != last && *it == c) return &val_[static_cast<std::size_t>(it - col_.begin())];
+        if (staged_count_ != 0) {
+            for (auto& e : staged_[r]) {
+                if (e.first == c) return &e.second;
+            }
+        }
+        return nullptr;
+    }
+
+    /// Merge every staged row into the CSR arrays.
+    void compress() const {
+        if (staged_count_ == 0) return;
+        std::vector<std::size_t> ptr(n_ + 1, 0);
+        std::vector<std::size_t> cols;
+        std::vector<T> vals;
+        cols.reserve(col_.size() + staged_count_);
+        vals.reserve(col_.size() + staged_count_);
+        for (std::size_t r = 0; r < n_; ++r) {
+            auto& staged = staged_[r];
+            std::sort(staged.begin(), staged.end(),
+                      [](const auto& x, const auto& y) { return x.first < y.first; });
+            std::size_t k = row_ptr_[r];
+            auto s = staged.begin();
+            while (k < row_ptr_[r + 1] || s != staged.end()) {
+                if (s == staged.end() || (k < row_ptr_[r + 1] && col_[k] < s->first)) {
+                    cols.push_back(col_[k]);
+                    vals.push_back(val_[k++]);
+                } else {
+                    cols.push_back(s->first);
+                    vals.push_back(s->second);
+                    ++s;
+                }
+            }
+            ptr[r + 1] = cols.size();
+        }
+        row_ptr_ = std::move(ptr);
+        col_ = std::move(cols);
+        val_ = std::move(vals);
+        staged_ = {};
+        staged_count_ = 0;
+    }
+
     std::size_t n_ = 0;
-    std::size_t nnz_ = 0;
     std::uint64_t pattern_version_ = detail::next_pattern_version();
-    std::vector<std::vector<std::size_t>> rows_idx_;
-    std::vector<std::vector<T>> rows_val_;
+    mutable std::vector<std::size_t> row_ptr_{0};
+    mutable std::vector<std::size_t> col_;
+    mutable std::vector<T> val_;
+    // Entries created since the last compression: (column, value) per row,
+    // in creation order.  Empty outside assembly.
+    mutable std::vector<std::vector<std::pair<std::size_t, T>>> staged_;
+    mutable std::size_t staged_count_ = 0;
 };
 
 /// The error sparse_lu::factor() throws on a singular matrix: `column()` is
@@ -220,8 +293,9 @@ private:
 /// CSR layout with the frozen pivot order.  The arithmetic (operation order
 /// included) is identical to `factor()`, so for a value-stable pivot order
 /// the two produce bit-identical factors.  It refuses (returns false) when
-/// the pattern changed or a frozen pivot becomes numerically unacceptable;
-/// the caller then falls back to `factor()`.
+/// the pattern changed, a frozen pivot degenerates, or the factors grew far
+/// beyond the matrix (the frozen order lost accuracy); the caller then falls
+/// back to `factor()`.
 template <typename T>
 class sparse_lu {
 public:
@@ -240,8 +314,10 @@ public:
         std::vector<std::vector<std::size_t>> rows_idx(n_);
         std::vector<std::vector<T>> rows_val(n_);
         for (std::size_t r = 0; r < n_; ++r) {
-            rows_idx[r] = a.row_indices(r);
-            rows_val[r] = a.row_values(r);
+            const auto idx = a.row_indices(r);
+            const auto val = a.row_values(r);
+            rows_idx[r].assign(idx.begin(), idx.end());
+            rows_val[r].assign(val.begin(), val.end());
         }
         perm_.resize(n_);
         for (std::size_t i = 0; i < n_; ++i) perm_[i] = i;
@@ -347,20 +423,18 @@ public:
             l_ptr_[i + 1] = l_ptr_[i] + lower_idx[i].size();
         }
         u_col_.resize(u_ptr_[n_]);
-        u_val_.resize(u_ptr_[n_]);
         l_col_.resize(l_ptr_[n_]);
-        l_val_.resize(l_ptr_[n_]);
-        inv_diag_.resize(n_);
+        fit_numeric();
         for (std::size_t i = 0; i < n_; ++i) {
             std::copy(rows_idx[i].begin(), rows_idx[i].end(), u_col_.begin() + u_ptr_[i]);
-            std::copy(rows_val[i].begin(), rows_val[i].end(), u_val_.begin() + u_ptr_[i]);
+            std::copy(rows_val[i].begin(), rows_val[i].end(), num_.u_val.begin() + u_ptr_[i]);
             std::copy(lower_idx[i].begin(), lower_idx[i].end(),
                       l_col_.begin() + l_ptr_[i]);
             std::copy(lower_val[i].begin(), lower_val[i].end(),
-                      l_val_.begin() + l_ptr_[i]);
+                      num_.l_val.begin() + l_ptr_[i]);
             util::require(u_ptr_[i] < u_ptr_[i + 1] && u_col_[u_ptr_[i]] == i,
                           "sparse_lu", "factor lost the diagonal");
-            inv_diag_[i] = T(1) / u_val_[u_ptr_[i]];
+            num_.inv_diag[i] = T(1) / num_.u_val[u_ptr_[i]];
         }
         pattern_version_ = a.pattern_version();
         symbolic_valid_ = true;
@@ -372,48 +446,62 @@ public:
     /// Numeric-only refactorization against the cached symbolic analysis.
     /// Returns false — leaving the factorization unusable until the next
     /// factor() — when no analysis is cached, `a`'s pattern version differs
-    /// from the analyzed one, or a pivot under the frozen order degenerates
-    /// (zero, non-finite, or vanishing relative to its U row).
+    /// from the analyzed one, a pivot under the frozen order degenerates
+    /// (zero, non-finite, or vanishing relative to its U row), or the
+    /// largest U entry exceeds `k_refactor_max_growth` times the largest
+    /// entry of `a`.
     bool refactor(const sparse_matrix<T>& a) {
         factored_ = false;
         if (!symbolic_valid_ || a.size() != n_ ||
             a.pattern_version() != pattern_version_) {
             return false;
         }
+        const auto a_ptr = a.row_pointers();
+        const auto a_col = a.columns();
+        const auto a_val = a.values();
+        fit_numeric();
+        auto& u_val = num_.u_val;
+        auto& l_val = num_.l_val;
+        auto& inv_diag = num_.inv_diag;
         work_.assign(n_, T{});
+        double a_max_sq = 0.0;  // squared: no square root per entry
+        double u_max = 0.0;
         for (std::size_t i = 0; i < n_; ++i) {
             // Scatter the original (permuted) row, then eliminate with the
             // frozen multiplier pattern — same operations in the same order
             // as factor(), so values match it bit for bit.
             const std::size_t orig = perm_[i];
-            const auto& aidx = a.row_indices(orig);
-            const auto& avals = a.row_values(orig);
-            for (std::size_t j = 0; j < aidx.size(); ++j) work_[aidx[j]] = avals[j];
+            for (std::size_t j = a_ptr[orig]; j < a_ptr[orig + 1]; ++j) {
+                work_[a_col[j]] = a_val[j];
+                a_max_sq = std::max(a_max_sq, std::norm(a_val[j]));
+            }
             for (std::size_t jj = l_ptr_[i]; jj < l_ptr_[i + 1]; ++jj) {
                 const std::size_t k = l_col_[jj];
-                const T mult = work_[k] * inv_diag_[k];
-                l_val_[jj] = mult;
+                const T mult = work_[k] * inv_diag[k];
+                l_val[jj] = mult;
                 for (std::size_t uu = u_ptr_[k] + 1; uu < u_ptr_[k + 1]; ++uu) {
-                    work_[u_col_[uu]] -= mult * u_val_[uu];
+                    work_[u_col_[uu]] -= mult * u_val[uu];
                 }
             }
             double row_max = 0.0;
             for (std::size_t uu = u_ptr_[i]; uu < u_ptr_[i + 1]; ++uu) {
                 const T v = work_[u_col_[uu]];
-                u_val_[uu] = v;
+                u_val[uu] = v;
                 work_[u_col_[uu]] = T{};
                 row_max = std::max(row_max, pivot_magnitude(v));
             }
             for (std::size_t jj = l_ptr_[i]; jj < l_ptr_[i + 1]; ++jj) {
                 work_[l_col_[jj]] = T{};
             }
-            const double diag_mag = pivot_magnitude(u_val_[u_ptr_[i]]);
+            const double diag_mag = pivot_magnitude(u_val[u_ptr_[i]]);
             if (!(diag_mag > 0.0) || !std::isfinite(row_max) ||
                 diag_mag < k_refactor_stability * row_max) {
                 return false;
             }
-            inv_diag_[i] = T(1) / u_val_[u_ptr_[i]];
+            inv_diag[i] = T(1) / u_val[u_ptr_[i]];
+            u_max = std::max(u_max, row_max);
         }
+        if (u_max > k_refactor_max_growth * std::sqrt(a_max_sq)) return false;
         factored_ = true;
         ++numeric_count_;
         return true;
@@ -431,12 +519,21 @@ public:
         util::require(factored_, "sparse_lu", "solve before factor");
         util::require(b.size() == n_, "sparse_lu", "solve: dimension mismatch");
         util::require(&b != &x, "sparse_lu", "solve: aliased output");
-        x.assign(n_, T{});
+        x.resize(n_);
+        solve_unchecked(b.data(), x.data());
+    }
+
+    /// The triangular solves without solve_into()'s checks, for a caller
+    /// that keeps them itself: factored(), n = size() entries at b and at
+    /// x, and b != x.
+    void solve_unchecked(const T* b, T* x) const noexcept {
+        const T* l_val = num_.l_val.data();
+        const T* u_val = num_.u_val.data();
         // Forward: L y = P b  (L has unit diagonal, stored per-row).
         for (std::size_t i = 0; i < n_; ++i) {
             T acc = b[perm_[i]];
             for (std::size_t j = l_ptr_[i]; j < l_ptr_[i + 1]; ++j) {
-                acc -= l_val_[j] * x[l_col_[j]];
+                acc -= l_val[j] * x[l_col_[j]];
             }
             x[i] = acc;
         }
@@ -444,39 +541,28 @@ public:
         for (std::size_t ii = n_; ii-- > 0;) {
             T acc = x[ii];
             for (std::size_t j = u_ptr_[ii] + 1; j < u_ptr_[ii + 1]; ++j) {
-                acc -= u_val_[j] * x[u_col_[j]];
+                acc -= u_val[j] * x[u_col_[j]];
             }
-            x[ii] = acc / u_val_[u_ptr_[ii]];
+            x[ii] = acc / u_val[u_ptr_[ii]];
         }
     }
 
     /// The numeric half of a factorization: the values that fill one
-    /// symbolic analysis's layout.  `analysis` names that analysis, so the
-    /// values cannot be re-activated under a different pivot order.
+    /// symbolic analysis's layout.  `analysis` names that analysis (0: none),
+    /// so the values cannot be re-activated under a different pivot order.
     struct numeric_factors {
         std::vector<T> u_val, l_val, inv_diag;
         std::uint64_t analysis = 0;
     };
 
-    /// Copy the current numeric factors into `out` (no allocation once `out`
-    /// has capacity).
-    void save_numeric(numeric_factors& out) const {
-        util::require(factored_, "sparse_lu", "save_numeric before factor");
-        out.u_val = u_val_;
-        out.l_val = l_val_;
-        out.inv_diag = inv_diag_;
-        out.analysis = symbolic_count_;
-    }
-
-    /// Re-activate factors saved by save_numeric() since the last symbolic
-    /// analysis: the same values a refactor of the same matrix would compute.
-    void load_numeric(const numeric_factors& f) {
-        util::require(symbolic_valid_ && f.analysis == symbolic_count_, "sparse_lu",
-                      "numeric factors belong to another symbolic analysis");
-        u_val_ = f.u_val;
-        l_val_ = f.l_val;
-        inv_diag_ = f.inv_diag;
-        factored_ = true;
+    /// Exchange the active numeric factors with `f`; no value is copied.
+    /// Afterwards `f` holds the factors that were active (tagged with no
+    /// analysis if none were), and this factorization is usable iff the
+    /// incoming ones belong to the current symbolic analysis.
+    void swap_numeric(numeric_factors& f) noexcept {
+        num_.analysis = factored_ ? symbolic_count_ : 0;
+        std::swap(num_, f);
+        factored_ = symbolic_valid_ && num_.analysis == symbolic_count_;
     }
 
     [[nodiscard]] bool factored() const noexcept { return factored_; }
@@ -580,9 +666,7 @@ public:
         l_ptr_ = std::move(l_ptr);
         u_col_ = std::move(u_col);
         l_col_ = std::move(l_col);
-        u_val_.assign(unz, T{});
-        l_val_.assign(lnz, T{});
-        inv_diag_.assign(n_, T{});
+        fit_numeric();
         pattern_version_ = a.pattern_version();
         symbolic_valid_ = true;
         factored_ = false;
@@ -598,6 +682,18 @@ private:
     /// below this fraction of its U row's magnitude — catastrophic growth
     /// guard; legitimate value changes in MNA stamps stay far above it.
     static constexpr double k_refactor_stability = 1e-12;
+    /// ... or when the largest U entry exceeds this multiple of the largest
+    /// matrix entry (the growth factor): a frozen order that grows the
+    /// factors this much has lost digits a fresh pivot choice keeps.
+    static constexpr double k_refactor_max_growth = 1e8;
+
+    /// Size the numeric arrays for the current layout (no allocation when
+    /// they already fit).
+    void fit_numeric() {
+        num_.u_val.resize(u_col_.size());
+        num_.l_val.resize(l_col_.size());
+        num_.inv_diag.resize(n_);
+    }
 
     std::size_t n_ = 0;
     bool factored_ = false;
@@ -607,10 +703,8 @@ private:
     std::uint64_t numeric_count_ = 0;
     std::vector<std::size_t> perm_;
     std::vector<std::size_t> u_ptr_, u_col_;  // CSR upper factor (diag first)
-    std::vector<T> u_val_;
     std::vector<std::size_t> l_ptr_, l_col_;  // CSR unit-lower factor
-    std::vector<T> l_val_;
-    std::vector<T> inv_diag_;
+    numeric_factors num_;                     // values of both, 1/diagonal
     std::vector<T> work_;  // refactor scatter buffer
 };
 

@@ -64,7 +64,12 @@ void factor_per_frequency(const equation_system& sys, std::size_t output, const 
     // The pattern of A + j*omega*B does not depend on omega: after the first
     // point, rewrite the values and refactor against the cached symbolic
     // analysis.
-    const auto& b = sys.b();
+    const auto a_ptr = a.row_pointers();
+    const auto a_col = a.columns();
+    const auto a_val = a.values();
+    const auto b_ptr = sys.b().row_pointers();
+    const auto b_col = sys.b().columns();
+    const auto b_val = sys.b().values();
     num::sparse_matrix_z m(n);
     num::sparse_lu_z lu;
     bool first_point = true;
@@ -73,17 +78,13 @@ void factor_per_frequency(const equation_system& sys, std::size_t output, const 
         if (!first_point) m.zero_values();
         first_point = false;
         for (std::size_t r = 0; r < n; ++r) {
-            const auto& idx = a.row_indices(r);
-            const auto& val = a.row_values(r);
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-                m.add(r, idx[k], std::complex<double>(val[k], 0.0));
+            for (std::size_t k = a_ptr[r]; k < a_ptr[r + 1]; ++k) {
+                m.add(r, a_col[k], std::complex<double>(a_val[k], 0.0));
             }
         }
         for (std::size_t r = 0; r < n; ++r) {
-            const auto& idx = b.row_indices(r);
-            const auto& val = b.row_values(r);
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-                m.add(r, idx[k], std::complex<double>(0.0, omega * val[k]));
+            for (std::size_t k = b_ptr[r]; k < b_ptr[r + 1]; ++k) {
+                m.add(r, b_col[k], std::complex<double>(0.0, omega * b_val[k]));
             }
         }
         if (!lu.refactor(m)) lu.factor(m);

@@ -130,7 +130,7 @@ void equation_system::rewrite_entry(const entry_ledger& e) {
         total += term.slot == no_stamp_handle ? term.weight
                                               : term.weight * slot_values_[term.slot];
     }
-    matrix(e.which).value_at(e.pos) = total;
+    matrix(e.which).values()[e.pos] = total;
 }
 
 void equation_system::set_stamp(stamp_handle h, double value) {

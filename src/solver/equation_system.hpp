@@ -28,6 +28,7 @@
 #include <complex>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -111,9 +112,14 @@ public:
     /// values generation. No-op when the value is unchanged.
     void set_stamp(stamp_handle h, double value);
     [[nodiscard]] double stamp_value(stamp_handle h) const;
+    /// Every slot value, by handle.  Under one stamp generation these decide
+    /// the values of A and B.
+    [[nodiscard]] std::span<const double> stamp_values() const noexcept {
+        return slot_values_;
+    }
 
     /// Build the slot -> entries index after (re)stamping completes, and
-    /// compile where each slot-dependent entry's value lives in A/B. Lazy:
+    /// record where each slot-dependent entry's value lives in A/B. Lazy:
     /// set_stamp calls it on demand (also after a new A/B entry moved the
     /// positions); views call it eagerly after assembly.
     void finalize_stamps();
@@ -202,7 +208,7 @@ private:
         std::size_t row;
         std::size_t col;
         std::vector<contribution> terms;
-        num::sparse_matrix_d::position pos{};  // compiled by finalize_stamps
+        num::sparse_matrix_d::position pos = 0;  // set by finalize_stamps
     };
 
     static std::uint64_t entry_key(std::size_t row, std::size_t col) noexcept {

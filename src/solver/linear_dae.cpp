@@ -1,9 +1,9 @@
 #include "solver/linear_dae.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/report.hpp"
@@ -17,6 +17,7 @@ linear_dae_solver::linear_dae_solver(equation_system& sys, integration_method me
     util::require(sys.is_linear(), "linear_dae_solver",
                   "system has nonlinear elements; use nonlinear_dae_solver");
     x_.assign(sys.size(), 0.0);
+    q_prev_.assign(sys.size(), 0.0);
 }
 
 void linear_dae_solver::set_initial_state(std::vector<double> x0, double t0) {
@@ -35,44 +36,13 @@ void linear_dae_solver::set_timestep(double h) {
     }
 }
 
-void linear_dae_solver::invalidate() { factored_ = false; }
-
-namespace {
-
-/// Copy `m`'s values into `out` in row-major order and return their
-/// FNV-1a hash over the 64-bit patterns.
-std::uint64_t flatten_values(const num::sparse_matrix_d& m, std::vector<double>& out) {
-    out.clear();
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (std::size_t r = 0; r < m.size(); ++r) {
-        for (const double v : m.row_values(r)) {
-            out.push_back(v);
-            hash = (hash ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
-        }
-    }
-    return hash;
+void linear_dae_solver::fill_key(double ca, std::vector<double>& key) const {
+    const auto slots = sys_->stamp_values();
+    key.resize(2 + slots.size());
+    key[0] = ca;
+    key[1] = h_;
+    std::copy(slots.begin(), slots.end(), key.begin() + 2);
 }
-
-/// Where each entry of `src` lands in `dst`, whose pattern contains it.
-void compile_positions(const num::sparse_matrix_d& dst, const num::sparse_matrix_d& src,
-                       std::vector<num::sparse_matrix_d::position>& out) {
-    out.clear();
-    for (std::size_t r = 0; r < src.size(); ++r) {
-        for (const std::size_t c : src.row_indices(r)) out.push_back(dst.position_of(r, c));
-    }
-}
-
-/// dst += beta * src through compiled positions: the same additions, in the
-/// same order, as sparse_matrix::add_scaled.
-void scatter_scaled(num::sparse_matrix_d& dst, const num::sparse_matrix_d& src,
-                    double beta, const std::vector<num::sparse_matrix_d::position>& map) {
-    std::size_t at = 0;
-    for (std::size_t r = 0; r < src.size(); ++r) {
-        for (const double v : src.row_values(r)) dst.value_at(map[at++]) += beta * v;
-    }
-}
-
-}  // namespace
 
 void linear_dae_solver::ensure_factored(integration_method m) {
     const bool pattern_stale = !iter_mat_valid_ ||
@@ -84,12 +54,17 @@ void linear_dae_solver::ensure_factored(integration_method m) {
     if (factored_ && !pattern_stale && !values_stale) return;
     // M = c_a * A + B / h   (c_a = 1 for BE, 1/2 for trapezoidal)
     const double ca = m == integration_method::backward_euler ? 1.0 : 0.5;
+    fill_key(ca, probe_);
     if (pattern_stale) {
         build_iteration_matrix(ca);
-    } else {
+        key_.swap(probe_);
+        analyze();
+    } else if (!activate_cached()) {
+        stash_active();
+        key_.swap(probe_);
         assemble_iteration_values(ca);
+        refactor();
     }
-    factor_sparse();
     factored_ = true;
     factored_method_ = m;
     stamp_generation_ = sys_->stamp_generation();
@@ -100,92 +75,145 @@ void linear_dae_solver::build_iteration_matrix(double ca) {
     // A fresh pattern version forces a full symbolic factorization.
     const auto& a = sys_->a();
     const auto& b = sys_->b();
-    iter_mat_ = num::sparse_matrix_d(sys_->size());
+    const std::size_t n = sys_->size();
+    util::require(x_.size() == n && q_prev_.size() == n, "linear_dae_solver",
+                  "state dimension differs from the system");
+    iter_mat_ = num::sparse_matrix_d(n);
     iter_mat_.add_scaled(a, ca);
     iter_mat_.add_scaled(b, 1.0 / h_);
     iter_mat_valid_ = true;
-    compile_positions(iter_mat_, a, a_map_);
-    compile_positions(iter_mat_, b, b_map_);
+    const auto map_into = [&](const num::sparse_matrix_d& src,
+                              std::vector<num::sparse_matrix_d::position>& map) {
+        const auto ptr = src.row_pointers();
+        const auto cols = src.columns();
+        map.clear();
+        for (std::size_t r = 0; r < n; ++r) {
+            for (std::size_t k = ptr[r]; k < ptr[r + 1]; ++k) {
+                map.push_back(iter_mat_.position_of(r, cols[k]));
+            }
+        }
+    };
+    map_into(a, a_map_);
+    map_into(b, b_map_);
     a_pattern_ = a.pattern_version();
     b_pattern_ = b.pattern_version();
-    cache_.clear();
+    rhs_.resize(n);
+    x_next_.resize(n);
 }
 
 void linear_dae_solver::assemble_iteration_values(double ca) {
+    // The same additions, in the same order, as sparse_matrix::add_scaled
+    // onto zeroed values.
     iter_mat_.zero_values();
-    scatter_scaled(iter_mat_, sys_->a(), ca, a_map_);
-    scatter_scaled(iter_mat_, sys_->b(), 1.0 / h_, b_map_);
+    const auto m = iter_mat_.values();
+    const auto a = sys_->a().values();
+    const auto b = sys_->b().values();
+    const double inv_h = 1.0 / h_;
+    for (std::size_t k = 0; k < a.size(); ++k) m[a_map_[k]] += ca * a[k];
+    for (std::size_t k = 0; k < b.size(); ++k) m[b_map_[k]] += inv_h * b[k];
 }
 
-void linear_dae_solver::factor_sparse() {
-    // The key is the iteration matrix's exact bits: equal bits under the
-    // same frozen pivot order give equal factors, so a hit re-activates the
-    // factorization a refactor would compute.
-    const std::uint64_t hash = flatten_values(iter_mat_, key_);
+bool linear_dae_solver::activate_cached() {
+    // Every cached entry shares the LU's current analysis: a new one
+    // empties the cache (analyze()).
+    const auto same = [this](const std::vector<double>& key) {
+        return key.size() == probe_.size() &&
+               std::memcmp(key.data(), probe_.data(), key.size() * sizeof(double)) == 0;
+    };
+    if (lu_.factored() && same(key_)) return true;
     for (auto& entry : cache_) {
-        if (entry.hash == hash && entry.key.size() == key_.size() &&
-            std::memcmp(entry.key.data(), key_.data(), key_.size() * sizeof(double)) == 0) {
-            lu_.load_numeric(entry.factors);
-            entry.last_use = ++cache_clock_;
-            return;
-        }
+        if (!same(entry.key)) continue;
+        lu_.swap_numeric(entry.factors);
+        entry.key.swap(key_);
+        entry.last_use = ++cache_clock_;
+        return true;
     }
-    if (!lu_.refactor(iter_mat_)) {
-        lu_.factor(iter_mat_);
-        ++symbolic_factors_;
-        reset_cache();
-    }
-    ++factors_;
-    cache_active(hash);
+    return false;
 }
 
-void linear_dae_solver::cache_active(std::uint64_t hash) {
-    if (cache_capacity_ == 0) return;
+void linear_dae_solver::stash_active() {
+    if (!lu_.factored() || cache_capacity_ < 2) return;
     const auto older = [](const cached_factors& x, const cached_factors& y) {
         return x.last_use < y.last_use;
     };
-    cached_factors& slot = cache_.size() < cache_capacity_
+    cached_factors& slot = cache_.size() + 1 < cache_capacity_
                                ? cache_.emplace_back()
                                : *std::min_element(cache_.begin(), cache_.end(), older);
-    slot.key = key_;
-    slot.hash = hash;
-    lu_.save_numeric(slot.factors);
+    lu_.swap_numeric(slot.factors);
+    slot.key.swap(key_);
     slot.last_use = ++cache_clock_;
 }
 
-void linear_dae_solver::reset_cache() {
-    // Cached factors belong to the old pivot order.
+void linear_dae_solver::refactor() {
+    if (lu_.refactor(iter_mat_)) {
+        ++factors_;
+        return;
+    }
+    ++refactor_fallbacks_;
+    analyze();
+}
+
+void linear_dae_solver::analyze() {
+    // Emptied first, so a singular matrix leaves no factors of the old
+    // pivot order behind.
     cache_.clear();
+    lu_.factor(iter_mat_);
+    ++symbolic_factors_;
+    ++factors_;
+    size_cache();
+}
+
+void linear_dae_solver::size_cache() {
     const std::size_t bytes =
-        sizeof(double) * (iter_mat_.nonzeros() + lu_.factor_nonzeros() + lu_.size());
-    cache_capacity_ =
-        std::min(factor_cache_entries, factor_cache_bytes / std::max<std::size_t>(bytes, 1));
+        sizeof(double) * (key_.size() + lu_.factor_nonzeros() + lu_.size());
+    cache_capacity_ = std::min(factor_cache_entries, factor_cache_bytes / bytes);
 }
 
 void linear_dae_solver::step() {
     // All scratch vectors are members reused across steps: when the TDF
     // synchronization layer batches many firings per DE interaction, each
-    // step is one rhs assembly, one sparse mat-vec, and one triangular
-    // solve against the cached factorization — no allocations, no refactor
-    // (ensure_factored is a generation check unless the system restamped).
+    // step is one rhs assembly, one pass over the rows of A and B, and one
+    // triangular solve against the active factorization — no allocations,
+    // no refactor (ensure_factored is a generation check unless the system
+    // changed).
     const integration_method m =
         be_next_ ? integration_method::backward_euler : method_;
     be_next_ = false;
     ensure_factored(m);
     const double t1 = t_ + h_;
     sys_->rhs_into(t1, q1_);
-    sys_->b().multiply_into(x_, bx_);
 
-    rhs_.resize(sys_->size());
+    // Per row: B·x, then (trapezoidal) A·x, then the rhs — each product
+    // summed in column order from zero, as sparse_matrix::multiply does.
+    const auto& a = sys_->a();
+    const auto& b = sys_->b();
+    const std::size_t* b_ptr = b.row_pointers().data();
+    const std::size_t* b_col = b.columns().data();
+    const double* b_val = b.values().data();
+    const double* x = x_.data();
+    const double* q1 = q1_.data();
+    double* rhs = rhs_.data();
+    const std::size_t n = x_.size();
     if (m == integration_method::backward_euler) {
-        for (std::size_t i = 0; i < rhs_.size(); ++i) rhs_[i] = q1_[i] + bx_[i] / h_;
+        for (std::size_t i = 0; i < n; ++i) {
+            double bx = 0.0;
+            for (std::size_t k = b_ptr[i]; k < b_ptr[i + 1]; ++k) bx += b_val[k] * x[b_col[k]];
+            rhs[i] = q1[i] + bx / h_;
+        }
     } else {
-        sys_->a().multiply_into(x_, ax_);
-        for (std::size_t i = 0; i < rhs_.size(); ++i) {
-            rhs_[i] = 0.5 * (q1_[i] + q_prev_[i]) + bx_[i] / h_ - 0.5 * ax_[i];
+        const std::size_t* a_ptr = a.row_pointers().data();
+        const std::size_t* a_col = a.columns().data();
+        const double* a_val = a.values().data();
+        const double* q0 = q_prev_.data();
+        for (std::size_t i = 0; i < n; ++i) {
+            double bx = 0.0;
+            for (std::size_t k = b_ptr[i]; k < b_ptr[i + 1]; ++k) bx += b_val[k] * x[b_col[k]];
+            double ax = 0.0;
+            for (std::size_t k = a_ptr[i]; k < a_ptr[i + 1]; ++k) ax += a_val[k] * x[a_col[k]];
+            rhs[i] = 0.5 * (q1[i] + q0[i]) + bx / h_ - 0.5 * ax;
         }
     }
-    lu_.solve_into(rhs_, x_next_);
+    lu_.solve_unchecked(rhs, x_next_.data());
     x_.swap(x_next_);
     ++solves_;
     t_ = t1;
@@ -258,8 +286,9 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
         util::require(lu_.refactor(iter_mat_), "snapshot",
                       "linear solver: numeric refactorization under the "
                       "restored pivot order failed");
-        reset_cache();
-        cache_active(flatten_values(iter_mat_, key_));
+        fill_key(factored_method_ == integration_method::backward_euler ? 1.0 : 0.5, key_);
+        cache_.clear();
+        size_cache();
         factored_ = true;
     }
     stamp_generation_ = stamp_gen;

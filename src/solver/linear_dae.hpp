@@ -4,14 +4,19 @@
 // at a fixed step h.  The iteration matrix (c_a A + B/h) is factored once and
 // reused for every step — the "solved without iterations" property the paper
 // attributes to linear systems (§3, citing [6]).  Refactoring is tiered:
-// a values-only change (stamp-slot update — switch toggle, parameter write —
-// or a timestep/method change) rewrites the iteration matrix values through
-// positions compiled with its pattern, then looks the new values up in a
-// small cache of numeric factorizations keyed by their exact bits: a
-// revisited state (switch position x BE/trapezoidal x timestep) re-activates
-// its factors, a new one runs a numeric-only refactorization against the
-// cached symbolic analysis.  Only a pattern change (full restamp) or a
-// refused refactor re-runs the symbolic phase, and that empties the cache.
+// under one stamp generation the iteration matrix is decided by the
+// stamp-slot values, the method and h, so a values-only change (stamp-slot
+// update — switch toggle, parameter write — or a timestep/method change)
+// looks those up, bit for bit, in a small cache of numeric factorizations:
+// a revisited state (switch position x BE/trapezoidal x timestep)
+// re-activates its factors without assembling anything, a new one rewrites
+// the iteration matrix values through flat index maps and runs a
+// numeric-only refactorization against the cached symbolic analysis.  Only
+// a pattern change (full restamp) or a refused refactor re-runs the
+// symbolic phase, and that empties the cache.
+//
+// A step is one pass over the CSR rows of A and B (B·x, A·x and the rhs of
+// each row) and one triangular solve, with no allocation.
 #ifndef SCA_SOLVER_LINEAR_DAE_HPP
 #define SCA_SOLVER_LINEAR_DAE_HPP
 
@@ -27,10 +32,10 @@ enum class integration_method { backward_euler, trapezoidal };
 
 class linear_dae_solver {
 public:
-    /// Factor cache bounds: at most this many cached factorizations and at
-    /// most this many bytes of them (iteration-matrix key plus L/U values).
-    /// A system whose one factorization exceeds the byte budget caches none
-    /// and refactors on every change.
+    /// Factor cache bounds: at most this many factorizations, the active one
+    /// included, and at most this many bytes of them (key, L/U values and
+    /// pivots).  A system whose factorizations fit the byte budget less than
+    /// twice keeps only the active one and refactors on every change.
     static constexpr std::size_t factor_cache_entries = 8;
     static constexpr std::size_t factor_cache_bytes = 64 * 1024;
 
@@ -54,9 +59,6 @@ public:
     /// Change the timestep (forces a refactor at the next step).
     void set_timestep(double h);
 
-    /// Force rebuild of the iteration matrix (after restamping the system).
-    void invalidate();
-
     /// Take the next step with backward Euler even in trapezoidal mode.
     /// Required after discontinuities (switch events, restamps): the
     /// trapezoidal rule rings indefinitely on algebraic constraints whose
@@ -72,6 +74,12 @@ public:
         return symbolic_factors_;
     }
     [[nodiscard]] std::uint64_t solve_count() const noexcept { return solves_; }
+    /// Numeric refactors refused under the frozen pivot order (a pivot
+    /// degenerated or the factors grew past the guard), each followed by a
+    /// fresh symbolic analysis.
+    [[nodiscard]] std::uint64_t refactor_fallback_count() const noexcept {
+        return refactor_fallbacks_;
+    }
 
     // --- checkpoint/restore ----------------------------------------------------
     /// Serialize integration state (t, x, q_prev, method/timestep flags),
@@ -82,36 +90,41 @@ public:
     /// already been overlaid: rebuilds the iteration matrix from the
     /// restored A/B values, adopts the frozen pivot order, and refactors —
     /// bit-identical to the factorization the saving process held.  The
-    /// factor cache starts with that one factorization.
+    /// factor cache starts empty, with that factorization active.
     void restore_state(util::byte_reader& r);
 
 private:
-    using position = num::sparse_matrix_d::position;
-
-    /// One cached numeric factorization and the iteration-matrix values it
-    /// factors, compared bit for bit.
+    /// An inactive numeric factorization of the current symbolic analysis
+    /// and the key it factors.
     struct cached_factors {
         std::vector<double> key;
-        std::uint64_t hash = 0;
         num::sparse_lu_d::numeric_factors factors;
         std::uint64_t last_use = 0;
     };
 
     void ensure_factored(integration_method m);
-    /// Fresh iteration matrix and pattern: rebuild it from A/B, compile
-    /// where each A/B entry lands, and empty the factor cache.
+    /// The factor-cache key of the iteration matrix for c_a = `ca`: c_a, h
+    /// and the stamp-slot values.
+    void fill_key(double ca, std::vector<double>& key) const;
+    /// Fresh iteration matrix and pattern: rebuild it from A/B and record
+    /// where each A/B value lands in it.
     void build_iteration_matrix(double ca);
-    /// Values-only rewrite of the iteration matrix through the compiled
-    /// positions.
+    /// Values-only rewrite of the iteration matrix through the index maps.
     void assemble_iteration_values(double ca);
-    /// Activate a cached factorization of the iteration matrix, or refactor
-    /// it (numeric, or symbolic on refusal) and cache the result.
-    void factor_sparse();
-    /// Store the active factorization, evicting the least recently used.
-    void cache_active(std::uint64_t hash);
-    /// After a symbolic analysis: drop every cached factorization and size
-    /// the cache for the new factors.
-    void reset_cache();
+    /// Make the factors keyed `probe_` active if the LU holds them or the
+    /// cache does (an exchange: the active ones take the cached slot).
+    bool activate_cached();
+    /// Move the active factors into the cache, evicting the least recently
+    /// used entry when it is full.
+    void stash_active();
+    /// Numeric refactor of the iteration matrix; a refused one falls back
+    /// to analyze().
+    void refactor();
+    /// Full factorization: a new pivot order, so the cache empties and is
+    /// sized for the new factors.
+    void analyze();
+    /// Cache capacity for factors of the current analysis.
+    void size_cache();
 
     equation_system* sys_;
     integration_method method_;
@@ -121,23 +134,22 @@ private:
     std::vector<double> q_prev_;  // q(t) of the accepted point (trapezoidal)
     // Per-step scratch, reused so batched firings never allocate.
     std::vector<double> q1_;
-    std::vector<double> bx_;
-    std::vector<double> ax_;
     std::vector<double> rhs_;
     std::vector<double> x_next_;
     num::sparse_matrix_d iter_mat_;  // persistent c_a·A + B/h (pattern reused)
     bool iter_mat_valid_ = false;
-    // Position in iter_mat_ of each A / B entry, in row-major order; valid
-    // for the A / B pattern versions recorded beside them.
-    std::vector<position> a_map_;
-    std::vector<position> b_map_;
+    // Position in iter_mat_ of each A / B value, in storage order; valid for
+    // the A / B pattern versions recorded beside them.
+    std::vector<num::sparse_matrix_d::position> a_map_;
+    std::vector<num::sparse_matrix_d::position> b_map_;
     std::uint64_t a_pattern_ = 0;
     std::uint64_t b_pattern_ = 0;
     num::sparse_lu_d lu_;
+    std::vector<double> key_;    // key of the factors active in lu_
+    std::vector<double> probe_;  // scratch: key of the factors a step needs
     std::vector<cached_factors> cache_;
     std::size_t cache_capacity_ = 0;
     std::uint64_t cache_clock_ = 0;
-    std::vector<double> key_;  // scratch: iteration-matrix values, row-major
     bool factored_ = false;
     bool be_next_ = false;
     integration_method factored_method_ = integration_method::backward_euler;
@@ -146,6 +158,7 @@ private:
     std::uint64_t factors_ = 0;
     std::uint64_t symbolic_factors_ = 0;
     std::uint64_t solves_ = 0;
+    std::uint64_t refactor_fallbacks_ = 0;
 };
 
 }  // namespace sca::solver

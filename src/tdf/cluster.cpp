@@ -572,7 +572,7 @@ void registry::report_metrics(util::metrics_snapshot& out) const {
         misses += c->schedule_cache_misses();
     }
     std::uint64_t activations = 0, block_calls = 0, block_firings = 0;
-    std::uint64_t numeric = 0, symbolic = 0;
+    std::uint64_t numeric = 0, symbolic = 0, fallbacks = 0;
     for (module* m : modules_) {
         activations += m->activation_count();
         block_calls += m->block_call_count();
@@ -580,6 +580,7 @@ void registry::report_metrics(util::metrics_snapshot& out) const {
         if (const auto* d = dynamic_cast<const dae_module*>(m)) {
             numeric += d->factorizations();
             symbolic += d->symbolic_factorizations();
+            fallbacks += d->refactor_fallbacks();
         }
     }
     const std::pair<const char*, std::uint64_t> counts[] = {
@@ -594,6 +595,7 @@ void registry::report_metrics(util::metrics_snapshot& out) const {
         {"tdf.module.block_calls", block_calls},
         {"tdf.module.block_firings", block_firings},
         {"solver.numeric_factorizations", numeric},
+        {"solver.refactor_fallbacks", fallbacks},
         {"solver.symbolic_factorizations", symbolic},
     };
     for (const auto& [name, n] : counts) out.push_back({.name = name, .count = n});

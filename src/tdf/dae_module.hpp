@@ -103,6 +103,11 @@ public:
     /// advances only the former.
     [[nodiscard]] std::uint64_t factorizations() const noexcept;
     [[nodiscard]] std::uint64_t symbolic_factorizations() const noexcept;
+    /// Linear-solver refactors refused under the frozen pivot order and
+    /// redone as a full factorization (see linear_dae_solver).
+    [[nodiscard]] std::uint64_t refactor_fallbacks() const noexcept {
+        return linear_ ? linear_->refactor_fallback_count() : 0;
+    }
 
     /// A dae_module tolerates dynamic-TDF retiming natively: a cluster
     /// timestep change only moves h, which the linear solver absorbs as a

@@ -180,6 +180,34 @@ TEST(sparse_matrix, pattern_version_tracks_structure_not_values) {
     EXPECT_NE(m.pattern_version(), v1);
 }
 
+TEST(sparse_matrix, duplicates_sum_in_stamping_order_across_reads) {
+    // 1e16 + 1 rounds back to 1e16, so the order of the three adds decides
+    // the value: ((1e16 + 1) - 1e16) = 0, while any other order gives 1.
+    // Reads between the adds merge the staged entries into the CSR arrays;
+    // the sum must not care where the entry was stored.
+    for (int read_after = 0; read_after < 4; ++read_after) {
+        num::sparse_matrix_d m(3);
+        m.add(2, 2, 7.0);
+        const double terms[] = {1e16, 1.0, -1e16};
+        for (int k = 0; k < 3; ++k) {
+            if (k == read_after) (void)m.row_indices(1);
+            m.add(1, 1, terms[k]);
+        }
+        m.add(1, 0, 3.0);  // staged before the existing (1, 1)
+        EXPECT_EQ(m.get(1, 1), 0.0) << "read after " << read_after << " adds";
+        const auto cols = m.row_indices(1);
+        ASSERT_EQ(cols.size(), 2U);
+        EXPECT_EQ(cols[0], 0U);
+        EXPECT_EQ(cols[1], 1U);
+        EXPECT_EQ(m.row_values(1)[0], 3.0);
+        EXPECT_EQ(m.nonzeros(), 3U);
+        const auto ptr = m.row_pointers();
+        EXPECT_EQ(std::vector<std::size_t>(ptr.begin(), ptr.end()),
+                  (std::vector<std::size_t>{0, 0, 2, 3}));
+        EXPECT_EQ(m.values()[m.position_of(2, 2)], 7.0);
+    }
+}
+
 TEST(sparse_matrix, set_entry_outside_pattern_throws) {
     num::sparse_matrix_d m(2);
     m.add(0, 0, 1.0);

@@ -101,10 +101,12 @@ namespace {
 
 struct rate_producer : tdf::module {
     tdf::out<double> out;
-    rate_producer(const de::module_name& nm, unsigned rate) : tdf::module(nm), out("out") {
+    double step_us;
+    rate_producer(const de::module_name& nm, unsigned rate, double step = 1.0)
+        : tdf::module(nm), out("out"), step_us(step) {
         out.set_rate(rate);
     }
-    void set_attributes() override { set_timestep(1.0, de::time_unit::us); }
+    void set_attributes() override { set_timestep(step_us, de::time_unit::us); }
     void processing() override {
         for (unsigned k = 0; k < out.rate(); ++k) {
             out.write(static_cast<double>(out.position() + k), k);
@@ -146,6 +148,52 @@ TEST_P(random_rate_pair, token_stream_is_lossless_and_ordered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(seeds, random_rate_pair, ::testing::Range(0, 15));
+
+class random_rate_delay_pair : public ::testing::TestWithParam<int> {};
+
+TEST_P(random_rate_delay_pair, reader_sees_exactly_the_scheduled_token_count) {
+    // Oracle: the minimal repetitions satisfy q_src * r_out = q_dst * r_in,
+    // and the producer fires every 60 us (every rate divides 60, so every
+    // module and sample period is a whole us), so the cluster period is
+    // P = 60 * q_src us.  A run of T executes the periods at t = 0, P, 2P,
+    // ... <= T, and the reader takes q_dst * r_in tokens in each: the first
+    // `delay` are the delay tokens (0.0), the rest the producer's stream
+    // from 0.  Batched execution must not run a period past T.
+    std::mt19937 rng(static_cast<unsigned>(GetParam()) * 7727U + 5U);
+    std::uniform_int_distribution<unsigned> rate(1, 5);
+    std::uniform_int_distribution<unsigned> delay_of(0, 4);
+    std::uniform_int_distribution<unsigned> run_us(1, 9000);
+    const unsigned r_out = rate(rng), r_in = rate(rng), delay = delay_of(rng);
+    const unsigned t_us = run_us(rng);
+    const unsigned g = std::gcd(r_out, r_in);
+    const unsigned q_src = r_in / g, q_dst = r_out / g;
+    const unsigned period_us = 60 * q_src;
+    const std::size_t expected =
+        static_cast<std::size_t>(t_us / period_us + 1) * q_dst * r_in;
+
+    for (const std::uint64_t max_batch : {std::uint64_t{1}, std::uint64_t{64}}) {
+        de::simulation_context sim;
+        tdf::registry::of(sim).set_default_max_batch_periods(max_batch);
+        rate_producer src("src", r_out, 60.0);
+        rate_consumer dst("dst", r_in);
+        dst.in.set_delay(delay);
+        tdf::signal<double> s("s");
+        src.out.bind(s);
+        dst.in.bind(s);
+        sim.run(de::time(static_cast<double>(t_us), de::time_unit::us));
+        ASSERT_EQ(src.repetitions(), q_src);
+        ASSERT_EQ(dst.repetitions(), q_dst);
+        ASSERT_EQ(dst.got.size(), expected)
+            << "rates " << r_out << ":" << r_in << ", delay " << delay << ", T " << t_us
+            << " us, max batch " << max_batch;
+        for (std::size_t i = 0; i < dst.got.size(); ++i) {
+            const double want = i < delay ? 0.0 : static_cast<double>(i - delay);
+            ASSERT_EQ(dst.got[i], want) << i << ", max batch " << max_batch;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(seeds, random_rate_delay_pair, ::testing::Range(0, 24));
 
 // ------------------------------------------------ filter stability property
 

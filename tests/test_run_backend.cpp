@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -510,6 +512,49 @@ TEST(run_backend, remote_worker_host_survives_a_garbage_connection) {
             .set_backend(core::run_backend::remote_tcp)
             .set_endpoints({"127.0.0.1:" + std::to_string(port)})
             .run_all();
+    int status = 0;
+    ASSERT_EQ(::waitpid(server, &status, 0), server);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_EQ(csv_of(table), csv_of(make_grid_set(rc).set_workers(1).run_all()));
+}
+
+TEST(run_backend, remote_worker_host_hangs_up_on_a_silent_peer) {
+    // A host serving two sessions gets a connection that sends nothing.  It
+    // waits worker_header_timeout_ms for that peer's campaign header, hangs
+    // up, and serves the campaign queued behind it, which finishes with the
+    // sequential rows.  The test bounds its own wait: past the deadline plus
+    // slack it closes the silent peer, so a host without the deadline fails
+    // the test instead of hanging it.
+    const auto rc = define_rc("tcp_silent");
+    const auto rs = make_grid_set(rc);
+    std::uint16_t port = 0;
+    const int listen_fd = core::net::listen_tcp(port);
+    ASSERT_GT(listen_fd, 0);
+    const pid_t server = fork();
+    ASSERT_GE(server, 0);
+    if (server == 0) {
+        try {
+            core::serve_tcp_workers(rs, listen_fd, /*max_sessions=*/2);
+        } catch (...) {
+            ::_exit(1);
+        }
+        ::_exit(0);
+    }
+    ::close(listen_fd);
+    core::net::fd_owner silent(core::net::connect_tcp("127.0.0.1", port));
+    auto campaign = std::async(std::launch::async, [&] {
+        return make_grid_set(rc)
+            .set_backend(core::run_backend::remote_tcp)
+            .set_endpoints({"127.0.0.1:" + std::to_string(port)})
+            .run_all();
+    });
+    const auto bound = std::chrono::milliseconds(core::worker_header_timeout_ms + 3000);
+    if (campaign.wait_for(bound) != std::future_status::ready) {
+        ADD_FAILURE() << "the campaign behind a silent peer did not finish within "
+                      << bound.count() << " ms";
+        silent.reset();
+    }
+    const auto table = campaign.get();
     int status = 0;
     ASSERT_EQ(::waitpid(server, &status, 0), server);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -407,13 +408,96 @@ TEST(linear_dae, refused_refactor_empties_the_factor_cache) {
     EXPECT_NEAR(s.x()[1], -1.0, 1e-12);
 }
 
+TEST(linear_dae, frozen_pivot_that_grows_the_factors_falls_back_to_a_fresh_analysis) {
+    // A = [[a, 1], [1, 2]] with a a stamp slot, q = (1, 3), no dynamics, BE.
+    // At a = 1 the analysis keeps the diagonal pivot.  At a = 1e-10 that
+    // pivot passes the degenerate-pivot check, but eliminating through it
+    // grows U to ~1e10 and costs ~8e-8 of accuracy: the growth check must
+    // refuse the refactor, and the fresh analysis solves exactly.
+    solver::equation_system sys;
+    (void)sys.add_unknown("x");
+    (void)sys.add_unknown("y");
+    const auto a = sys.add_stamp(1.0);
+    sys.stamp_a(a, 0, 0, 1.0);
+    sys.add_a(0, 1, 1.0);
+    sys.add_a(1, 0, 1.0);
+    sys.add_a(1, 1, 2.0);
+    sys.add_rhs_constant(0, 1.0);
+    sys.add_rhs_constant(1, 3.0);
+    solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
+    s.set_initial_state({0.0, 0.0}, 0.0);
+    s.step();
+    EXPECT_EQ(s.symbolic_factor_count(), 1U);
+
+    const double small = 1e-10;
+    sys.set_stamp(a, small);
+    s.step();
+    EXPECT_EQ(s.refactor_fallback_count(), 1U);
+    EXPECT_EQ(s.symbolic_factor_count(), 2U);
+    const double x0 = 1.0 / (1.0 - 2.0 * small);
+    const double x1 = (3.0 - x0) / 2.0;
+    const double eps = std::numeric_limits<double>::epsilon();
+    EXPECT_NEAR(s.x()[0], x0, 4 * eps * x0);
+    EXPECT_NEAR(s.x()[1], x1, 4 * eps * x1);
+}
+
+TEST(linear_dae, factor_cache_misses_after_a_restamp_of_a_non_slot_value) {
+    // The cache key is the slot values, the method and h: they decide the
+    // iteration matrix only under one stamp generation.  A restamp that
+    // changes a static value under the same slot values must empty the
+    // cache, so the solver matches one started on the new stamps.
+    const auto stamp = [](solver::equation_system& sys, double g_static) {
+        const auto g = sys.add_stamp(20.0);
+        sys.stamp_a(g, 0, 0, 1.0);
+        sys.add_a(0, 0, g_static);
+        sys.add_a(0, 1, -1e-2);
+        sys.add_a(1, 0, -1e-2);
+        sys.add_a(1, 1, 2e-2);
+        sys.add_b(0, 0, 1e-6);
+        sys.add_b(1, 1, 1e-6);
+        sys.add_rhs_constant(0, 1e-2);
+        return g;
+    };
+    const auto fresh = [] {
+        solver::equation_system sys;
+        (void)sys.add_unknown("x");
+        (void)sys.add_unknown("y");
+        return sys;
+    };
+    auto sys = fresh();
+    auto g = stamp(sys, 1e-2);
+    solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
+    s.set_initial_state({0.0, 0.0}, 0.0);
+    for (const double v : {20.0, 1e-6, 20.0}) {  // caches both switch states
+        sys.set_stamp(g, v);
+        s.step();
+    }
+    ASSERT_EQ(s.factor_count(), 2U);
+
+    sys.clear_stamps();
+    g = stamp(sys, 5e-2);  // slot back at 20: the same key as before
+    auto ref_sys = fresh();
+    const auto ref_g = stamp(ref_sys, 5e-2);
+    solver::linear_dae_solver ref(ref_sys, solver::integration_method::backward_euler, 1e-6);
+    ref.set_initial_state(s.x(), s.time());
+    for (const double v : {20.0, 1e-6}) {
+        sys.set_stamp(g, v);
+        ref_sys.set_stamp(ref_g, v);
+        s.step();
+        ref.step();
+        ASSERT_TRUE(same_bits(s.x(), ref.x())) << "g = " << v;
+    }
+    EXPECT_EQ(s.factor_count(), 4U);
+    EXPECT_EQ(s.symbolic_factor_count(), 2U);
+}
+
 TEST(linear_dae, factors_over_the_byte_budget_refactor_on_every_revisit) {
-    constexpr std::size_t n = 1500;
+    constexpr std::size_t n = 2500;
     solver::stamp_handle slot = solver::no_stamp_handle;
     auto sys = switched_ladder(n, 1e-6, &slot);
-    // A lower bound on one cached factorization: the iteration-matrix key,
-    // at least as many L/U values, and the pivots.
-    ASSERT_GT(sizeof(double) * (2 * sys.a().nonzeros() + n),
+    // A lower bound on one cached factorization: at least as many L/U
+    // values as A has entries, and the pivots.
+    ASSERT_GT(sizeof(double) * (sys.a().nonzeros() + n),
               solver::linear_dae_solver::factor_cache_bytes);
     solver::linear_dae_solver s(sys, solver::integration_method::backward_euler, 1e-6);
     s.set_initial_state(std::vector<double>(n, 0.0), 0.0);
