@@ -138,23 +138,15 @@ public:
 
     /// y = this * x
     [[nodiscard]] std::vector<T> multiply(const std::vector<T>& x) const {
-        std::vector<T> y;
-        multiply_into(x, y);
-        return y;
-    }
-
-    /// y = this * x into a caller-owned buffer (no allocation once y has
-    /// capacity); x and y must be distinct vectors.
-    void multiply_into(const std::vector<T>& x, std::vector<T>& y) const {
         util::require(x.size() == n_, "sparse_matrix", "multiply: dimension mismatch");
-        util::require(&x != &y, "sparse_matrix", "multiply: aliased output");
         compress();
-        y.resize(n_);
+        std::vector<T> y(n_);
         for (std::size_t r = 0; r < n_; ++r) {
             T acc{};
             for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) acc += val_[k] * x[col_[k]];
             y[r] = acc;
         }
+        return y;
     }
 
     /// Dense copy (tests, small systems, ablation benches).
