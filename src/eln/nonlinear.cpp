@@ -108,90 +108,58 @@ mos_eval square_law(double vgs, double vds, double k, double vth, double lambda)
 
 }  // namespace
 
-// ---------------------------------------------------------------------- nmos
+// ----------------------------------------------------------------------- mos
 
-nmos::nmos(const std::string& name, network& net, pin drain, pin gate, pin source,
-           double k, double vth, double lambda)
+mos::mos(const std::string& name, network& net, pin drain, pin gate, pin source, double k,
+         double vth, double lambda, bool p_channel)
     : component(name, net), d("d", *this, drain), g("g", *this, gate),
-      s("s", *this, source), k_(k), vth_(vth), lambda_(lambda) {}
+      s("s", *this, source), k_(k), vth_(vth), lambda_(lambda), p_channel_(p_channel) {}
 
-void nmos::stamp(network& net) {
+void mos::stamp(network& net) {
     const std::size_t rd = network::row_of(d.get());
     const std::size_t rg = network::row_of(g.get());
     const std::size_t rs = network::row_of(s.get());
     const double k = k_, vth = vth_, lambda = lambda_;
+    const bool p = p_channel_;
+    // The drain current leaves `from` and enters `to`: drain to source in
+    // an NMOS, source to drain in a PMOS.
+    const std::size_t from = p ? rs : rd;
+    const std::size_t to = p ? rd : rs;
     net.equations().add_nonlinear(
-        [rd, rg, rs, k, vth, lambda](const std::vector<double>& x,
-                                     std::vector<double>& residual,
-                                     std::vector<solver::jacobian_entry>& jac) {
-            double vgs = value_of(x, rg) - value_of(x, rs);
-            double vds = value_of(x, rd) - value_of(x, rs);
+        [rd, rg, rs, from, to, k, vth, lambda, p](const std::vector<double>& x,
+                                                  std::vector<double>& residual,
+                                                  std::vector<solver::jacobian_entry>& jac) {
+            // v(a, b): the n-channel voltage from a to b, i.e. v_a - v_b, or
+            // v_b - v_a with every node voltage negated in a PMOS.
+            const auto v = [&x, p](std::size_t a, std::size_t b) {
+                return p ? value_of(x, b) - value_of(x, a) : value_of(x, a) - value_of(x, b);
+            };
+            double vgs = v(rg, rs);
+            double vds = v(rd, rs);
             bool reversed = false;
             std::size_t eff_d = rd, eff_s = rs;
             if (vds < 0.0) {  // symmetric device: swap drain and source
                 reversed = true;
                 std::swap(eff_d, eff_s);
-                vgs = value_of(x, rg) - value_of(x, eff_s);
+                vgs = v(rg, eff_s);
                 vds = -vds;
             }
             const mos_eval e = square_law(vgs, vds, k, vth, lambda);
             const double id = reversed ? -e.id : e.id;
-            add_current(residual, rd, rs, id);
-            // id depends on v_g, v_effd, v_effs:
-            //   d id/d v_g = gm, d id/d v_d = gds, d id/d v_s = -(gm+gds)
+            add_current(residual, from, to, id);
+            // id depends on v(g), v(eff_d), v(eff_s):
+            //   d id/d v_g = gm, d id/d v_d = gds, d id/d v_s = -(gm+gds),
+            // each negated in a PMOS.
             const double sign = reversed ? -1.0 : 1.0;
             auto add = [&](std::size_t col, double g) {
+                if (p) g = -g;
                 if (col == ground_row || g == 0.0) return;
-                if (rd != ground_row) jac.push_back({rd, col, sign * g});
-                if (rs != ground_row) jac.push_back({rs, col, -sign * g});
+                if (from != ground_row) jac.push_back({from, col, sign * g});
+                if (to != ground_row) jac.push_back({to, col, -sign * g});
             };
             add(rg, e.gm);
             add(eff_d, e.gds);
             add(eff_s, -(e.gm + e.gds));
-        });
-}
-
-// ---------------------------------------------------------------------- pmos
-
-pmos::pmos(const std::string& name, network& net, pin drain, pin gate, pin source,
-           double k, double vth, double lambda)
-    : component(name, net), d("d", *this, drain), g("g", *this, gate),
-      s("s", *this, source), k_(k), vth_(vth), lambda_(lambda) {}
-
-void pmos::stamp(network& net) {
-    const std::size_t rd = network::row_of(d.get());
-    const std::size_t rg = network::row_of(g.get());
-    const std::size_t rs = network::row_of(s.get());
-    const double k = k_, vth = vth_, lambda = lambda_;
-    // PMOS = NMOS with all node voltages negated: evaluate with vsg/vsd.
-    net.equations().add_nonlinear(
-        [rd, rg, rs, k, vth, lambda](const std::vector<double>& x,
-                                     std::vector<double>& residual,
-                                     std::vector<solver::jacobian_entry>& jac) {
-            double vsg = value_of(x, rs) - value_of(x, rg);
-            double vsd = value_of(x, rs) - value_of(x, rd);
-            bool reversed = false;
-            std::size_t eff_d = rd, eff_s = rs;
-            if (vsd < 0.0) {
-                reversed = true;
-                std::swap(eff_d, eff_s);
-                vsg = value_of(x, eff_s) - value_of(x, rg);
-                vsd = -vsd;
-            }
-            const mos_eval e = square_law(vsg, vsd, k, vth, lambda);
-            // Current flows source -> drain (out of rs into rd KCL-wise).
-            const double id = reversed ? -e.id : e.id;
-            add_current(residual, rs, rd, id);
-            const double sign = reversed ? -1.0 : 1.0;
-            auto add = [&](std::size_t col, double g) {
-                if (col == ground_row || g == 0.0) return;
-                if (rs != ground_row) jac.push_back({rs, col, sign * g});
-                if (rd != ground_row) jac.push_back({rd, col, -sign * g});
-            };
-            // vsg = v_effs - v_g, vsd = v_effs - v_effd
-            add(eff_s, e.gm + e.gds);
-            add(rg, -e.gm);
-            add(eff_d, -e.gds);
         });
 }
 

@@ -31,34 +31,40 @@ private:
     double n_;
 };
 
-/// Square-law NMOS transistor (level-1 style, continuous across regions).
-class nmos : public component {
+/// Square-law MOS transistor (level-1 style, continuous across regions),
+/// symmetric in drain and source.  A p-channel device is the n-channel one
+/// with every node voltage negated, so its parameters are positive too.
+class mos : public component {
 public:
     terminal d, g, s;
 
+    void stamp(network& net) override;
+
+protected:
     /// `k` is the transconductance parameter (A/V^2), `vth` the threshold,
     /// `lambda` the channel-length modulation.
-    nmos(const std::string& name, network& net, pin drain, pin gate, pin source,
-         double k = 2e-3, double vth = 0.7, double lambda = 0.01);
-
-    void stamp(network& net) override;
+    mos(const std::string& name, network& net, pin drain, pin gate, pin source, double k,
+        double vth, double lambda, bool p_channel);
 
 private:
     double k_, vth_, lambda_;
+    bool p_channel_;
+};
+
+/// Square-law NMOS transistor.
+class nmos : public mos {
+public:
+    nmos(const std::string& name, network& net, pin drain, pin gate, pin source,
+         double k = 2e-3, double vth = 0.7, double lambda = 0.01)
+        : mos(name, net, drain, gate, source, k, vth, lambda, false) {}
 };
 
 /// Square-law PMOS transistor (parameters given as positive quantities).
-class pmos : public component {
+class pmos : public mos {
 public:
-    terminal d, g, s;
-
     pmos(const std::string& name, network& net, pin drain, pin gate, pin source,
-         double k = 1e-3, double vth = 0.7, double lambda = 0.01);
-
-    void stamp(network& net) override;
-
-private:
-    double k_, vth_, lambda_;
+         double k = 1e-3, double vth = 0.7, double lambda = 0.01)
+        : mos(name, net, drain, gate, source, k, vth, lambda, true) {}
 };
 
 /// General nonlinear voltage-controlled current source:

@@ -54,8 +54,6 @@ simulation_context& simulation_context::current() {
     return *g_current;
 }
 
-bool simulation_context::has_current() noexcept { return g_current != nullptr; }
-
 void simulation_context::make_current() noexcept { g_current = this; }
 
 void simulation_context::register_object(object& obj) { objects_.push_back(&obj); }

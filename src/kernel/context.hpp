@@ -40,7 +40,6 @@ public:
     /// The context new kernel objects register with. Never null once a
     /// context exists; throws if none.
     static simulation_context& current();
-    static bool has_current() noexcept;
 
     /// Make this context current (e.g. when juggling several in tests).
     void make_current() noexcept;

@@ -87,11 +87,9 @@ time scheduler::next_event_time() const noexcept {
     return timed_queue_.front().at;
 }
 
-time scheduler::next_event_time_ignoring(
-    const std::vector<const event*>& ignored) const noexcept {
-    const auto eligible = [&ignored](const timed_entry& entry) {
-        return entry.live() &&
-               std::find(ignored.begin(), ignored.end(), entry.ev) == ignored.end();
+time scheduler::next_event_time_ignoring_rearms() const noexcept {
+    const auto eligible = [](const timed_entry& entry) {
+        return !entry.ev->batch_rearm() && entry.live();
     };
     if (timed_queue_.empty()) return time::max();
     // The common case is O(1): the heap's front is the earliest entry.

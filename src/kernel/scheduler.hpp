@@ -86,10 +86,9 @@ public:
     [[nodiscard]] time next_event_time() const noexcept;
 
     /// Like next_event_time(), but skipping cancelled notifications and the
-    /// given events (used by TDF batch planning to ignore the re-arm events
-    /// of independent peer clusters).
-    [[nodiscard]] time next_event_time_ignoring(
-        const std::vector<const event*>& ignored) const noexcept;
+    /// events marked as batch re-arms (event::mark_batch_rearm): TDF batch
+    /// planning ignores the re-arm events of independent peer clusters.
+    [[nodiscard]] time next_event_time_ignoring_rearms() const noexcept;
 
     /// End bound of the in-progress (or most recent) run() call; time::max()
     /// before the first run.  The TDF synchronization layer uses it to keep

@@ -7,6 +7,14 @@
 
 namespace sca::lib {
 
+namespace {
+
+// PI controller gains: a well-damped lock for loop_bw ~ f0/100.
+constexpr double k_kp = 4.0;
+constexpr double k_ki = 4000.0;
+
+}  // namespace
+
 pll::pll(const de::module_name& nm, double f0, double kv, double loop_bw)
     : tdf::module(nm), ref("ref"), out("out"), control("control"), f0_(f0), kv_(kv),
       loop_bw_(loop_bw) {
@@ -30,8 +38,8 @@ void pll::processing() {
     // One-pole loop filter strips the 2f product.
     lf_state_ += alpha_ * (pd - lf_state_);
     // PI control drives the VCO.
-    integ_ += ki_ * lf_state_ * h_;
-    const double vctrl = kp_ * lf_state_ + integ_;
+    integ_ += k_ki * lf_state_ * h_;
+    const double vctrl = k_kp * lf_state_ + integ_;
     f_now_ = f0_ + kv_ * vctrl;
     phase_ += 2.0 * std::numbers::pi * f_now_ * h_;
     if (phase_ > 2.0 * std::numbers::pi * 1e6) {

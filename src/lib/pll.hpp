@@ -20,13 +20,6 @@ public:
     /// `loop_bw` loop-filter bandwidth (Hz).
     pll(const de::module_name& nm, double f0, double kv, double loop_bw);
 
-    /// PI controller gains (defaults give a well-damped lock for
-    /// loop_bw ~ f0/100).
-    void set_pi_gains(double kp, double ki) {
-        kp_ = kp;
-        ki_ = ki;
-    }
-
     void initialize() override;
     void processing() override;
 
@@ -37,8 +30,6 @@ private:
     double f0_;
     double kv_;
     double loop_bw_;
-    double kp_ = 4.0;
-    double ki_ = 4000.0;
     double h_ = 0.0;        // resolved timestep
     double alpha_ = 1.0;    // loop-filter smoothing coefficient
     double phase_ = 0.0;    // VCO phase

@@ -95,11 +95,6 @@ void equation_system::stamp_b(stamp_handle h, std::size_t row, std::size_t col,
     b_.add(row, col, weight * slot_values_[h]);
 }
 
-double equation_system::stamp_value(stamp_handle h) const {
-    util::require(h < slot_values_.size(), "equation_system", "invalid stamp handle");
-    return slot_values_[h];
-}
-
 void equation_system::finalize_stamps() {
     if (!slots_finalized_) {
         slot_entries_.assign(slot_values_.size(), {});

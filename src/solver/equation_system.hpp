@@ -111,7 +111,6 @@ public:
     /// bit-identical to a full restamp with the new value) and advances the
     /// values generation. No-op when the value is unchanged.
     void set_stamp(stamp_handle h, double value);
-    [[nodiscard]] double stamp_value(stamp_handle h) const;
     /// Every slot value, by handle.  Under one stamp generation these decide
     /// the values of A and B.
     [[nodiscard]] std::span<const double> stamp_values() const noexcept {

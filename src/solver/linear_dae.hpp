@@ -59,11 +59,11 @@ public:
     /// Change the timestep (forces a refactor at the next step).
     void set_timestep(double h);
 
-    /// Take the next step with backward Euler even in trapezoidal mode.
-    /// Required after discontinuities (switch events, restamps): the
-    /// trapezoidal rule rings indefinitely on algebraic constraints whose
-    /// stamps changed, BE re-establishes consistency in one step.
-    void force_backward_euler_next() noexcept { be_next_ = true; }
+    /// The equations jumped (switch events, restamps): restart from the
+    /// present state with one backward-Euler step, even in trapezoidal mode.
+    /// The trapezoidal rule rings indefinitely on algebraic constraints
+    /// whose stamps changed; BE re-establishes consistency in one step.
+    void restart() noexcept { be_next_ = true; }
 
     /// Numeric factorization passes performed (full factorizations
     /// included); re-activating a cached factorization is not a pass.

@@ -4,21 +4,24 @@
 #include <cmath>
 
 #include "numeric/sparse.hpp"
-#include "solver/dc.hpp"
 #include "util/bytes.hpp"
 #include "util/report.hpp"
 
 namespace sca::solver {
+
+namespace {
+
+constexpr int k_newton_max_iterations = 50;
+constexpr double k_newton_abstol = 1e-10;
+constexpr double k_newton_reltol = 1e-7;
+
+}  // namespace
 
 nonlinear_dae_solver::nonlinear_dae_solver(equation_system& sys, nonlinear_options opt)
     : sys_(&sys), opt_(opt), h_(opt.h_init) {
     util::require(opt.h_init > 0.0 && opt.h_min > 0.0 && opt.h_max >= opt.h_init,
                   "nonlinear_dae_solver", "inconsistent step-size options");
     x_.assign(sys.size(), 0.0);
-}
-
-void nonlinear_dae_solver::initialize(double t0) {
-    set_initial_state(dc_solve(*sys_, t0), t0);
 }
 
 void nonlinear_dae_solver::set_initial_state(std::vector<double> x0, double t0) {
@@ -78,7 +81,7 @@ bool nonlinear_dae_solver::try_step(double h) {
 
     std::vector<double> f = eval_f(x_candidate_, true);
     double fnorm = num::norm_inf(f);
-    for (int it = 0; it < opt_.newton.max_iterations; ++it) {
+    for (int it = 0; it < k_newton_max_iterations; ++it) {
         ++newton_iters_;
         // Rebuild the Jacobian values into the persistent matrix; entries a
         // model stops reporting stay as explicit zeros, so the pattern only
@@ -104,7 +107,7 @@ bool nonlinear_dae_solver::try_step(double h) {
             for (std::size_t i = 0; i < xn.size(); ++i) xn[i] -= damping * dx[i];
             std::vector<double> fn = eval_f(xn, true);
             const double fn_norm = num::norm_inf(fn);
-            if (fn_norm <= fnorm || fn_norm < opt_.newton.abstol) {
+            if (fn_norm <= fnorm || fn_norm < k_newton_abstol) {
                 x_candidate_ = std::move(xn);
                 f = std::move(fn);
                 fnorm = fn_norm;
@@ -117,7 +120,7 @@ bool nonlinear_dae_solver::try_step(double h) {
 
         const double dx_norm = num::norm_inf(dx) * damping;
         const double x_norm = num::norm_inf(x_candidate_);
-        if (dx_norm < opt_.newton.abstol + opt_.newton.reltol * x_norm) return true;
+        if (dx_norm < k_newton_abstol + k_newton_reltol * x_norm) return true;
     }
     return false;
 }
@@ -151,7 +154,7 @@ void nonlinear_dae_solver::advance_to(double t_end) {
                               "Newton failed to converge at the minimum step size");
                 continue;
             }
-            if (!opt_.adaptive) break;
+            if (restart_) break;  // the step crosses the jump: no LTE check
             const double err = lte_estimate(h);
             if (err <= 1.0) {
                 accepted = true;
@@ -165,11 +168,13 @@ void nonlinear_dae_solver::advance_to(double t_end) {
                               "nonlinear_dae_solver",
                               "cannot meet the error tolerance at the minimum step size");
             }
-            if (!opt_.adaptive) break;
         }
         x_prev_ = x_;
         h_prev_ = h;
-        have_prev_ = true;
+        // A predictor through the step that crossed the jump would
+        // extrapolate the jump itself.
+        have_prev_ = !restart_;
+        restart_ = false;
         x_ = x_candidate_;
         t_ += h;
         ++accepted_;
@@ -209,8 +214,11 @@ num::sparse_matrix_d restore_pattern(util::byte_reader& r) {
 void nonlinear_dae_solver::save_state(util::byte_writer& w) const {
     w.f64(t_);
     w.f64(h_);
+    w.f64(opt_.h_init);
+    w.f64(opt_.h_max);
     w.f64(h_prev_);
     w.boolean(have_prev_);
+    w.boolean(restart_);
     w.f64_vec(x_);
     w.f64_vec(x_prev_);
     w.u64(accepted_);
@@ -232,8 +240,11 @@ void nonlinear_dae_solver::save_state(util::byte_writer& w) const {
 void nonlinear_dae_solver::restore_state(util::byte_reader& r) {
     t_ = r.f64();
     h_ = r.f64();
+    opt_.h_init = r.f64();
+    opt_.h_max = r.f64();
     h_prev_ = r.f64();
     have_prev_ = r.boolean();
+    restart_ = r.boolean();
     x_ = r.f64_vec();
     util::require(x_.size() == sys_->size(), "snapshot",
                   "nonlinear solver: state dimension differs from rebuilt system");

@@ -23,12 +23,6 @@
 
 namespace sca::solver {
 
-struct newton_options {
-    int max_iterations = 50;
-    double abstol = 1e-10;
-    double reltol = 1e-7;
-};
-
 struct nonlinear_options {
     double h_init = 1e-6;
     double h_min = 1e-15;
@@ -36,22 +30,25 @@ struct nonlinear_options {
     /// LTE tolerance scales: error is normalized by (lte_abstol + lte_reltol*|x|).
     double lte_abstol = 1e-6;
     double lte_reltol = 1e-4;
-    bool adaptive = true;  // false = fixed step h_init (comparison benches)
-    newton_options newton;
 };
 
 class nonlinear_dae_solver {
 public:
     nonlinear_dae_solver(equation_system& sys, nonlinear_options opt = {});
 
-    /// Compute the DC operating point at t0 and start from it.
-    void initialize(double t0);
-
-    /// Start from an explicit state instead of a DC solve.
+    /// Start from the state x0 at t0 (e.g. a DC operating point).
     void set_initial_state(std::vector<double> x0, double t0);
 
     /// Integrate up to exactly t_end (the last step is shortened to hit it).
     void advance_to(double t_end);
+
+    /// The equations jumped (switch events, restamps): restart from the
+    /// present state.  The next step is accepted on Newton convergence
+    /// alone and leaves no predictor history; error control resumes after.
+    void restart() noexcept {
+        have_prev_ = false;
+        restart_ = true;
+    }
 
     [[nodiscard]] const std::vector<double>& x() const noexcept { return x_; }
     [[nodiscard]] double time() const noexcept { return t_; }
@@ -68,15 +65,17 @@ public:
     }
 
     // --- checkpoint/restore ----------------------------------------------------
-    /// Serialize integration state (t, h, x, predictor history), the grown
+    /// Serialize integration state (t, h, x, predictor history, the step
+    /// bounds it was built with, a pending restart), the grown
     /// iteration/Jacobian sparsity patterns, the cached Newton LU symbolic
     /// analysis, and statistics.  Matrix *values* are not saved: every
     /// Newton iteration rewrites them from scratch, so only pattern
     /// continuity (and with it the frozen pivot order) matters for
     /// bit-identical resumption.
     void save_state(util::byte_writer& w) const;
-    /// Restore onto a freshly constructed solver (same options, equation
-    /// system already overlaid).
+    /// Restore onto a freshly constructed solver (same h_min and LTE
+    /// tolerances, equation system already overlaid); h_init and h_max,
+    /// which the view derives from its timestep, come from the snapshot.
     void restore_state(util::byte_reader& r);
 
 private:
@@ -96,6 +95,7 @@ private:
     double h_prev_ = 0.0;
     std::vector<double> x_candidate_;
     bool have_prev_ = false;
+    bool restart_ = false;  // accept the next step without an LTE check
 
     // Persistent matrices: iter_mat_ holds A + B/h (values rewritten per
     // step), newton_mat_ the full Jacobian.  Their patterns only ever grow

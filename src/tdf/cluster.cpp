@@ -332,7 +332,8 @@ void cluster::install_signature(const attribute_signature& sig) {
 void cluster::attach(de::simulation_context& ctx) {
     ctx_ = &ctx;
     proc_ = &ctx.register_method("tdf_cluster_exec", [this] { on_wake(); });
-    proc_->ensure_timeout_event();  // the re-arm event peers ignore
+    de::event& rearm = proc_->ensure_timeout_event();
+    if (!de_writer_) rearm.mark_batch_rearm();  // peers' batch plans ignore it
 }
 
 void cluster::set_max_batch_periods(std::uint64_t n) {
@@ -340,9 +341,7 @@ void cluster::set_max_batch_periods(std::uint64_t n) {
     max_batch_ = n;
 }
 
-void cluster::set_batch_bounds(std::vector<const de::event*> peer_rearms,
-                               std::vector<const cluster*> writers) {
-    peer_rearms_ = std::move(peer_rearms);
+void cluster::set_batch_bounds(std::vector<const cluster*> writers) {
     writers_ = std::move(writers);
 }
 
@@ -405,7 +404,7 @@ std::uint64_t cluster::plan_batch_ahead() const {
         n = std::min(n, static_cast<std::uint64_t>((end - s).value_fs() / p) + 1);
     }
     for (const cluster* w : writers_) bound_by(w->next_cycle_start_);
-    const de::time next_ev = sch.next_event_time_ignoring(peer_rearms_);
+    const de::time next_ev = sch.next_event_time_ignoring_rearms();
     if (next_ev != de::time::max()) bound_by(next_ev);
     return n;
 }
@@ -681,19 +680,14 @@ void registry::elaborate_clusters() {
     }
 
     // Clusters that write no DE signal cannot observe one another, so batch
-    // planning may ignore their re-arm events; a DE-writing cluster's next
-    // wake bounds every batch.
-    std::vector<const de::event*> batchable;
+    // planning ignores their re-arm events (marked at attach); a DE-writing
+    // cluster's next wake bounds every batch.
     std::vector<const cluster*> writers;
     for (const auto& c : clusters_) {
-        if (c->de_writer()) {
-            writers.push_back(c.get());
-        } else {
-            batchable.push_back(c->process()->timeout_event());
-        }
+        if (c->de_writer()) writers.push_back(c.get());
     }
     for (const auto& c : clusters_) {
-        if (!c->de_writer()) c->set_batch_bounds(batchable, writers);
+        if (!c->de_writer()) c->set_batch_bounds(writers);
     }
 }
 

@@ -64,12 +64,11 @@ public:
     /// every cluster re-arms its next timed wake.
     void attach(de::simulation_context& ctx);
 
-    /// Set by the registry: the re-arm events of the batchable clusters,
-    /// which batch planning may ignore (they cannot observe one another),
-    /// and the clusters that write DE signals, whose next wakes bound every
-    /// batch (at a shared instant their re-arm may still be pending).
-    void set_batch_bounds(std::vector<const de::event*> peer_rearms,
-                          std::vector<const cluster*> writers);
+    /// Set by the registry: the clusters that write DE signals, whose next
+    /// wakes bound every batch (at a shared instant their re-arm may still
+    /// be pending).  The re-arm events of the other clusters, which cannot
+    /// observe one another, are marked at attach() and bound nothing.
+    void set_batch_bounds(std::vector<const cluster*> writers);
 
     /// The driving DE process (valid after attach()).
     [[nodiscard]] const de::method_process* process() const noexcept { return proc_; }
@@ -201,7 +200,6 @@ private:
     std::vector<module*> modules_;
     std::vector<signal_base*> signals_;
     std::vector<program_entry> program_;
-    std::vector<const de::event*> peer_rearms_;
     std::vector<const cluster*> writers_;
     std::vector<module*> dynamic_modules_;
     schedule_cache cache_;

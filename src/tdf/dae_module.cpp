@@ -9,16 +9,6 @@
 
 namespace sca::tdf {
 
-namespace {
-void nonlinear_options_fixup(solver::nonlinear_options& o, double h) {
-    // The TDF timestep bounds the nonlinear solver's step: it must never
-    // overshoot a synchronization point, and a sensible default starts at
-    // the TDF step and refines from there.
-    if (o.h_max > h || o.h_max <= 0.0) o.h_max = h;
-    if (o.h_init > o.h_max) o.h_init = o.h_max;
-}
-}  // namespace
-
 // ------------------------------------------------------------- elements --
 
 dae_element::dae_element(std::string name, dae_module& view)
@@ -83,7 +73,7 @@ void dae_module::build_now() {
 
 void dae_module::update_stamp_value(solver::stamp_handle h, double v) {
     sys_.set_stamp(h, v);
-    request_value_update();
+    stamps_changed_ = true;
 }
 
 std::vector<double> dae_module::initial_state() {
@@ -118,8 +108,13 @@ void dae_module::start_solver(double h, double t0) {
         linear_ = std::make_unique<solver::linear_dae_solver>(sys_, method_, h);
         linear_->set_initial_state(state_, t0);
     } else {
-        nonlinear_options_fixup(nl_options_, h);
-        nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_, nl_options_);
+        // The TDF timestep bounds the Newton solver's step, so it never
+        // overshoots a synchronization point; it starts at most one TDF
+        // step long and refines from there.
+        solver::nonlinear_options opt;
+        opt.h_max = std::min(opt.h_max, h);
+        opt.h_init = std::min(opt.h_init, opt.h_max);
+        nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_, opt);
         nonlinear_->set_initial_state(state_, t0);
     }
 }
@@ -149,19 +144,26 @@ void dae_module::processing() try {
 
     // A restamp re-runs symbolic analysis; a values-only update refactors
     // numerically against the cached pattern.  Either way the stamps moved
-    // discontinuously, so one BE step re-establishes algebraic consistency
-    // (the trapezoidal rule rings forever on a stamp discontinuity).
+    // discontinuously, so the running solver restarts from the present
+    // state: the linear one takes one BE step (the trapezoidal rule rings
+    // forever on a stamp discontinuity), the Newton one accepts its next
+    // step without reading the jump as truncation error.
     if (restamp_requested_) rebuild();
     // An element added since the solver started brought new unknowns or
-    // nonlinear stamps: restart the solver from the present state, with the
-    // new unknowns at 0.
+    // nonlinear stamps: start the solver over from the present state, with
+    // the new unknowns at 0.
     if (state_.size() != sys_.size() || (linear_ && !sys_.is_linear())) {
         state_.resize(sys_.size(), 0.0);
         start_solver(h, t_prev);
     }
-    const bool discontinuity = stamps_changed_;
-    stamps_changed_ = false;
-    if (discontinuity && linear_) linear_->force_backward_euler_next();
+    if (stamps_changed_) {
+        if (linear_) {
+            linear_->restart();
+        } else {
+            nonlinear_->restart();
+        }
+        stamps_changed_ = false;
+    }
 
     // Dynamic TDF: a rescheduled cluster hands this module a new timestep.
     // For the linear solver that is a values-only change of the iteration
@@ -196,16 +198,6 @@ void dae_module::save_state(util::byte_writer& w) const {
     w.u8(static_cast<std::uint8_t>(method_));
     w.f64(solve_time_);
     w.f64_vec(state_);
-    // Nonlinear options after the timestep fixup the first activation applied.
-    w.f64(nl_options_.h_init);
-    w.f64(nl_options_.h_min);
-    w.f64(nl_options_.h_max);
-    w.f64(nl_options_.lte_abstol);
-    w.f64(nl_options_.lte_reltol);
-    w.boolean(nl_options_.adaptive);
-    w.i64(nl_options_.newton.max_iterations);
-    w.f64(nl_options_.newton.abstol);
-    w.f64(nl_options_.newton.reltol);
     if (built_) sys_.save_state(w);
     w.u8(linear_ ? 1 : (nonlinear_ ? 2 : 0));
     if (linear_) linear_->save_state(w);
@@ -220,15 +212,6 @@ void dae_module::restore_state(util::byte_reader& r) {
     method_ = static_cast<solver::integration_method>(r.u8());
     solve_time_ = r.f64();
     state_ = r.f64_vec();
-    nl_options_.h_init = r.f64();
-    nl_options_.h_min = r.f64();
-    nl_options_.h_max = r.f64();
-    nl_options_.lte_abstol = r.f64();
-    nl_options_.lte_reltol = r.f64();
-    nl_options_.adaptive = r.boolean();
-    nl_options_.newton.max_iterations = static_cast<int>(r.i64());
-    nl_options_.newton.abstol = r.f64();
-    nl_options_.newton.reltol = r.f64();
     if (was_built) {
         // Fresh assembly from the rebuilt components, then value overlay:
         // component hooks restoring their own state (a switch position) run
@@ -244,7 +227,8 @@ void dae_module::restore_state(util::byte_reader& r) {
         linear_ = std::make_unique<solver::linear_dae_solver>(sys_, method_, 1.0);
         linear_->restore_state(r);
     } else if (solver_kind == 2) {
-        nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_, nl_options_);
+        // The solver's own restore reads the step bounds it was built with.
+        nonlinear_ = std::make_unique<solver::nonlinear_dae_solver>(sys_);
         nonlinear_->restore_state(r);
     }
 }

@@ -90,12 +90,9 @@ public:
     /// symbolic analysis.  Element construction and destruction request it.
     void request_restamp() { restamp_requested_ = true; }
 
-    /// Schedule a values-only refresh after stamp-slot values were rewritten
-    /// (switch toggle, parameter change): no rebuild, the solver refactors
+    /// Write a new stamp-slot value (switch toggle, parameter change) and
+    /// schedule a values-only refresh: no rebuild, the solver refactors
     /// numerically.
-    void request_value_update() { stamps_changed_ = true; }
-
-    /// Write a new stamp-slot value and schedule the values-only refresh.
     void update_stamp_value(solver::stamp_handle h, double v);
 
     /// Per-step solver statistics: numeric factorization passes, and full
@@ -121,12 +118,11 @@ public:
     void processing() final;
 
     // --- checkpoint/restore (core/snapshot) ---------------------------------
-    /// Serialize assembly flags, the continuous state, the (possibly
-    /// fixed-up) nonlinear options, the equation system's values, and the
-    /// active solver.  Restore re-runs build_equations() on the rebuilt
-    /// components, overlays the equation values (refusing on a sparsity-
-    /// pattern mismatch), then recreates and restores the solver so its
-    /// frozen pivot order replays bit-identically.
+    /// Serialize assembly flags, the continuous state, the equation
+    /// system's values, and the active solver.  Restore re-runs
+    /// build_equations() on the rebuilt components, overlays the equation
+    /// values (refusing on a sparsity-pattern mismatch), then recreates and
+    /// restores the solver so its frozen pivot order replays bit-identically.
     [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
     void save_state(util::byte_writer& w) const override;
     void restore_state(util::byte_reader& r) override;
@@ -174,7 +170,6 @@ private:
     std::unique_ptr<solver::nonlinear_dae_solver> nonlinear_;
     std::vector<double> state_;
     solver::integration_method method_ = solver::integration_method::trapezoidal;
-    solver::nonlinear_options nl_options_;
     bool built_ = false;
     bool first_activation_ = true;
     bool restamp_requested_ = false;

@@ -7,10 +7,12 @@
 #include <optional>
 
 #include "core/scenario.hpp"
+#include "eln/converter.hpp"
 #include "eln/network.hpp"
 #include "eln/nonlinear.hpp"
 #include "eln/primitives.hpp"
 #include "eln/sources.hpp"
+#include "kernel/signal.hpp"
 #include "util/measure.hpp"
 #include "util/object_bag.hpp"
 
@@ -18,6 +20,24 @@ namespace de = sca::de;
 namespace eln = sca::eln;
 namespace core = sca::core;
 using namespace sca::de::literals;
+
+namespace {
+
+/// Where a conductance g and a default diode (Is = 1e-14 A, n = 1,
+/// Vt = 25.852 mV) in parallel share 1 mA: the root of
+/// g v + Is (e^{v/(n Vt)} - 1) = 1 mA, by bisection on [0, 1] V.
+double diode_node_root(double g) {
+    double lo = 0.0;
+    double hi = 1.0;
+    for (int i = 0; i < 200; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        const double i_mid = g * mid + 1e-14 * (std::exp(mid / 0.025852) - 1.0);
+        (i_mid > 1e-3 ? hi : lo) = mid;
+    }
+    return 0.5 * (lo + hi);
+}
+
+}  // namespace
 
 TEST(nonlinear, diode_forward_voltage) {
     de::simulation_context sim;
@@ -224,4 +244,69 @@ TEST(nonlinear, diode_built_on_running_linear_network_takes_newton_path) {
     };
     // Both read 0.629 V, 2.9e-15 V apart.
     EXPECT_NEAR(settle(false), settle(true), 1e-9);
+}
+
+// A stamp jump on a nonlinear network restarts the Newton solver from the
+// present state: the step across the jump is accepted on Newton
+// convergence alone, so the node lands on the new algebraic root instead of
+// the jump reading as truncation error at every step size.
+
+TEST(nonlinear, resistor_step_on_a_diode_node_meets_the_new_root) {
+    de::simulation_context sim;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto n = net.create_node("n");
+    eln::isource is("is", net, gnd, n, eln::waveform::dc(1e-3));
+    eln::resistor r("r", net, n, gnd, 1000.0);
+    eln::diode d("d", net, n, gnd);
+
+    sim.run(10_us);
+    EXPECT_NEAR(net.voltage(n), diode_node_root(1e-3), 1e-9);
+    r.set_value(100.0);
+    sim.run(10_us);
+    EXPECT_NEAR(net.voltage(n), diode_node_root(1e-2), 1e-9);
+}
+
+TEST(nonlinear, diode_built_on_a_running_resistive_node_meets_the_root) {
+    de::simulation_context sim;
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto n = net.create_node("n");
+    eln::isource is("is", net, gnd, n, eln::waveform::dc(1e-3));
+    eln::resistor r("r", net, n, gnd, 1000.0);
+
+    sim.run(10_us);
+    EXPECT_NEAR(net.voltage(n), 1.0, 1e-12);
+    eln::diode d("d", net, n, gnd);
+    sim.run(10_us);
+    EXPECT_NEAR(net.voltage(n), diode_node_root(1e-3), 1e-9);
+}
+
+TEST(nonlinear, de_switch_on_a_diode_node_meets_the_root_after_every_toggle) {
+    de::simulation_context sim;
+    de::signal<bool> ctl("ctl", false);
+    eln::network net("net");
+    net.set_timestep(1.0, de::time_unit::us);
+    auto gnd = net.ground();
+    auto n = net.create_node("n");
+    eln::isource is("is", net, gnd, n, eln::waveform::dc(1e-3));
+    eln::resistor r("r", net, n, gnd, 1000.0);
+    eln::diode d("d", net, n, gnd);
+    eln::de_rswitch sw("sw", net, n, gnd, 100.0, 1e6);
+    sw.ctrl.bind(ctl);
+    sim.register_method("toggler", [&sim, &ctl] {
+        ctl.write(!ctl.read());
+        sim.next_trigger(10_us);
+    });
+
+    // Read half-way between toggles, where the network has sampled the
+    // switch position ctl holds.
+    sim.run(5_us);
+    for (int toggle = 0; toggle < 20; ++toggle) {
+        const double g = 1e-3 + (ctl.read() ? 1.0 / 100.0 : 1.0 / 1e6);
+        EXPECT_NEAR(net.voltage(n), diode_node_root(g), 1e-9) << "toggle " << toggle;
+        sim.run(10_us);
+    }
 }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -275,6 +276,30 @@ void define_nonlinear() {
         });
 }
 
+/// The resistor of the "snap_diode_step" bench built last.
+eln::resistor* g_step_resistor = nullptr;
+
+/// Nonlinear DAE with an algebraic jump: 1 mA into 1 kOhm || diode, whose
+/// resistor a test drops to 100 Ohm between two runs (the Newton solver
+/// restarts at the next step).
+void define_diode_step() {
+    core::scenario::define(
+        "snap_diode_step", core::params{},
+        [](core::testbench& tb, const core::params&) {
+            auto& net = tb.make<eln::network>("net");
+            net.set_timestep(1.0, de::time_unit::us);
+            auto gnd = net.ground();
+            auto n = net.create_node("n");
+            tb.make<eln::isource>("is", net, gnd, n, eln::waveform::dc(1e-3));
+            g_step_resistor = &tb.make<eln::resistor>("r", net, n, gnd, 1000.0);
+            tb.make<eln::diode>("d", net, n, gnd);
+            tb.probe("v", [&net, n] { return net.voltage(n); });
+            tb.measure("v_final", [&net, n] { return net.voltage(n); });
+            tb.set_sample_period(1_us);
+            tb.set_stop_time(20_us);
+        });
+}
+
 /// Batch cap the "snap_batch_cap" scenario builds with: set by the test, not
 /// a scenario parameter, so a resume can rebuild under another cap.
 std::uint64_t g_batch_cap = tdf::cluster::k_default_max_batch_periods;
@@ -321,20 +346,24 @@ std::string snap_path(const std::string& name) { return "snapshot_" + name + ".b
 /// The acceptance harness: uninterrupted run to T+D vs snapshot-at-T /
 /// restore-in-fresh-context / run-to-T+D.  The resumed trace covers (T, T+D];
 /// every sample (and its timestamp, and the end measurements) must be
-/// bit-equal to the uninterrupted run's tail.
+/// bit-equal to the uninterrupted run's tail.  `at_snap` runs at T on the
+/// bench just run there, before the snapshot.
 void expect_resume_bit_identical(const std::string& scenario_name,
                                  const std::string& probe_name,
                                  const std::string& measurement_name,
-                                 const de::time& t_snap, const de::time& t_extra) {
+                                 const de::time& t_snap, const de::time& t_extra,
+                                 const std::function<void()>& at_snap = [] {}) {
     auto sc = core::scenario::find(scenario_name);
     const std::string file = snap_path(scenario_name);
 
     auto ref = sc.build();
     ref->run(t_snap);
+    at_snap();
     ref->run(t_extra);
 
     auto original = sc.build();
     original->run(t_snap);
+    at_snap();
     original->snapshot(file);
     original.reset();  // fresh-process stand-in: the source bench is gone
 
@@ -439,6 +468,14 @@ TEST(snapshot, dynamic_tdf_retiming) {
 TEST(snapshot, nonlinear_dae_rectifier) {
     define_nonlinear();
     expect_resume_bit_identical("snap_nonlinear", "vout", "vout_final", 1_ms, 600_us);
+}
+
+TEST(snapshot, nonlinear_restart_pending_at_the_cut) {
+    // Saved between resistor::set_value and the step that restarts the
+    // Newton solver across the jump.
+    define_diode_step();
+    expect_resume_bit_identical("snap_diode_step", "v", "v_final", 10_us, 10_us,
+                                [] { g_step_resistor->set_value(100.0); });
 }
 
 TEST(snapshot, snapshot_at_different_cut_points_all_replay) {
@@ -590,8 +627,11 @@ TEST(snapshot_robustness, hostile_solver_pattern_counts_are_refused) {
         sca::util::byte_writer w;
         w.f64(0.0);     // t
         w.f64(1e-6);    // h
+        w.f64(1e-6);    // h_init
+        w.f64(1e-6);    // h_max
         w.f64(1e-6);    // h_prev
-        w.boolean(false);
+        w.boolean(false);  // predictor history
+        w.boolean(false);  // pending restart
         w.f64_vec({0.0});  // x
         w.f64_vec({0.0});  // x_prev
         for (int i = 0; i < 5; ++i) w.u64(0);  // step and factorization counters
