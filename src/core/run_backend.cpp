@@ -138,6 +138,8 @@ public:
     shutdown_guard(const shutdown_guard&) = delete;
     shutdown_guard& operator=(const shutdown_guard&) = delete;
     ~shutdown_guard() {
+        // Every worker gets its shutdown before any is reaped, so they exit
+        // in parallel instead of one after another.
         for (worker_conn& w : workers_) {
             try {
                 (void)wire::write_frame(w.fd, wire::msg_type::shutdown, {});
@@ -145,6 +147,8 @@ public:
                 // A failed shutdown write means the worker is already gone.
             }
             ::close(w.fd);
+        }
+        for (const worker_conn& w : workers_) {
             if (w.pid >= 0) ::waitpid(w.pid, nullptr, 0);
         }
     }

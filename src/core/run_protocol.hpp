@@ -46,7 +46,7 @@ inline constexpr std::uint32_t k_max_payload = 256U * 1024U * 1024U;
 /// Version of the SCA1 payload layouts.  The client's hello carries it (the
 /// server echoes it, or answers any other value with an error frame and
 /// hangs up), and so do the snapshot payload and the campaign header.
-inline constexpr std::uint8_t k_format_version = 7;
+inline constexpr std::uint8_t k_format_version = 8;
 
 /// Throw unless `found` equals k_format_version; `what` names the refused
 /// hello, file or journal in the diagnostic.

@@ -45,31 +45,22 @@ std::uint32_t structural_fingerprint(testbench& tb) {
 }
 
 // ----------------------------------------------------------- event identity --
-// Two stable namespaces identify an event across processes:
-//   kind 1: the lazily created timeout event of a process, keyed by the
-//           owning process's registration index (its creation time varies,
-//           so its position in the context's event list is NOT stable);
-//   kind 0: any other event, keyed by (name, occurrence index among
-//           same-named non-timeout events in registration order).  Build-time
-//           events register deterministically because the scenario factory
-//           replays the same construction; per-name occurrence also absorbs
-//           lazily created edge events, which restore recreates in hierarchy
-//           order rather than first-use order.
+// A saved event is keyed by kind 0, its name and its occurrence index among
+// same-named events in registration order.  Build-time events register
+// deterministically because the scenario factory replays the same
+// construction; per-name occurrence also absorbs lazily created edge events,
+// which restore recreates in hierarchy order rather than first-use order.
+// A timed-queue entry may instead be a process's own wake: kind 1 and the
+// process's registration index.
 
 struct event_namespace {
-    std::unordered_map<const de::event*, std::uint64_t> timeout_owner;
     std::unordered_map<const de::event*, std::uint64_t> occurrence;
     std::map<std::string, std::vector<de::event*>> by_name;
 };
 
 event_namespace build_event_namespace(de::simulation_context& ctx) {
     event_namespace ns;
-    const auto& procs = ctx.sched().processes();
-    for (std::uint64_t i = 0; i < procs.size(); ++i) {
-        if (const de::event* t = procs[i]->timeout_event()) ns.timeout_owner[t] = i;
-    }
     for (de::event* e : ctx.events()) {
-        if (ns.timeout_owner.count(e) != 0) continue;
         auto& same_name = ns.by_name[e->name()];
         ns.occurrence[e] = same_name.size();
         same_name.push_back(e);
@@ -78,12 +69,6 @@ event_namespace build_event_namespace(de::simulation_context& ctx) {
 }
 
 void write_event_key(util::byte_writer& w, const event_namespace& ns, const de::event& e) {
-    auto t = ns.timeout_owner.find(&e);
-    if (t != ns.timeout_owner.end()) {
-        w.u8(1);
-        w.u64(t->second);
-        return;
-    }
     auto o = ns.occurrence.find(&e);
     util::require(o != ns.occurrence.end(), "snapshot",
                   "event '" + e.name() + "' is not registered with the saved context");
@@ -92,16 +77,8 @@ void write_event_key(util::byte_writer& w, const event_namespace& ns, const de::
     w.u64(o->second);
 }
 
-de::event& read_event_key(util::byte_reader& r, const event_namespace& ns,
-                          const std::vector<de::method_process*>& procs) {
-    const std::uint8_t kind = r.u8();
-    if (kind == 1) {
-        const std::uint64_t idx = r.u64();
-        util::require(idx < procs.size(), "snapshot",
-                      "timeout-event process index out of range");
-        return procs[idx]->ensure_timeout_event();
-    }
-    util::require(kind == 0, "snapshot", "unknown event key kind");
+/// The event named by a kind-0 key whose kind byte has been read.
+de::event& read_event_name(util::byte_reader& r, const event_namespace& ns) {
     const std::string name = r.str();
     const std::uint64_t occurrence = r.u64();
     auto it = ns.by_name.find(name);
@@ -109,6 +86,18 @@ de::event& read_event_key(util::byte_reader& r, const event_namespace& ns,
                   "the rebuilt model has no event '" + name + "' (occurrence " +
                       std::to_string(occurrence) + ")");
     return *it->second[occurrence];
+}
+
+de::event& read_event_key(util::byte_reader& r, const event_namespace& ns) {
+    util::require(r.u8() == 0, "snapshot", "unknown event key kind");
+    return read_event_name(r, ns);
+}
+
+de::method_process& read_process_index(util::byte_reader& r,
+                                       const std::vector<de::method_process*>& procs) {
+    const std::uint64_t idx = r.u64();
+    util::require(idx < procs.size(), "snapshot", "process index out of range");
+    return *procs[idx];
 }
 
 // ------------------------------------------------------------------- save --
@@ -152,9 +141,10 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
 
     const event_namespace ns = build_event_namespace(ctx);
     const auto pending = sched.pending_timed_events();
-    for (const auto& [at, ev] : pending) {
-        util::require(at > sched.now(), "snapshot",
-                      "snapshot requires a settled instant: event '" + ev->name() +
+    for (const auto& entry : pending) {
+        util::require(entry.at > sched.now(), "snapshot",
+                      "snapshot requires a settled instant: '" +
+                          (entry.ev != nullptr ? entry.ev->name() : entry.proc->name()) +
                           "' is still pending at the current time");
     }
 
@@ -180,16 +170,24 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
 
     // --- processes (registration order) ------------------------------------
     const auto& procs = sched.processes();
+    std::unordered_map<const de::method_process*, std::uint64_t> proc_index;
     w.u64(procs.size());
     for (const de::method_process* p : procs) {
+        proc_index.emplace(p, proc_index.size());
         w.str(p->name());
         w.boolean(p->dynamically_waiting());
         w.u64(p->activation_count());
-        w.boolean(p->timeout_event() != nullptr);
         const auto& dyn = p->dynamic_events();
         w.u64(dyn.size());
         for (const de::event* e : dyn) write_event_key(w, ns, *e);
     }
+    // A process's identity is its registration index.
+    const auto write_process_index = [&](const de::method_process& p) {
+        auto it = proc_index.find(&p);
+        util::require(it != proc_index.end(), "snapshot",
+                      "process '" + p.name() + "' is not registered with the saved context");
+        w.u64(it->second);
+    };
 
     // --- events: dynamic subscriber lists, then the live timed queue -------
     std::vector<const de::event*> with_subs;
@@ -201,22 +199,19 @@ std::vector<std::uint8_t> encode_snapshot(testbench& tb) {
         write_event_key(w, ns, *e);
         const auto& subs = e->dynamic_subscribers();
         w.u64(subs.size());
-        for (const de::method_process* p : subs) {
-            // Subscriber identity is the process registration index.
-            std::uint64_t idx = 0;
-            while (idx < procs.size() && procs[idx] != p) ++idx;
-            util::require(idx < procs.size(), "snapshot",
-                          "dynamic subscriber of '" + e->name() +
-                              "' is not a registered process");
-            w.u64(idx);
-        }
+        for (const de::method_process* p : subs) write_process_index(*p);
     }
     // Queue order carries the same-instant firing order; restore replays the
-    // entries one by one so equal-time notifications keep it.
+    // entries one by one so equal-time notifications and wakes keep it.
     w.u64(pending.size());
-    for (const auto& [at, ev] : pending) {
-        w.i64(at.value_fs());
-        write_event_key(w, ns, *ev);
+    for (const auto& entry : pending) {
+        w.i64(entry.at.value_fs());
+        if (entry.ev != nullptr) {
+            write_event_key(w, ns, *entry.ev);
+        } else {
+            w.u8(1);
+            write_process_index(*entry.proc);
+        }
     }
 
     // --- TDF clusters -------------------------------------------------------
@@ -274,8 +269,7 @@ std::unique_ptr<testbench> decode_snapshot(const std::vector<std::uint8_t>& payl
     }
 
     // --- processes ----------------------------------------------------------
-    // Event keys resolve against the events the rebuilt model has now;
-    // timeout events, keyed by their process, are created on first use.
+    // Event keys resolve against the events the rebuilt model has now.
     const auto& procs = sched.processes();
     const std::uint64_t n_procs = r.u64();
     util::require(n_procs == procs.size(), "snapshot",
@@ -289,31 +283,32 @@ std::unique_ptr<testbench> decode_snapshot(const std::vector<std::uint8_t>& payl
                           "', rebuilt model has '" + p->name() + "'");
         p->restore_dynamic_wait(r.boolean());
         p->restore_activation_count(r.u64());
-        if (r.boolean()) (void)p->ensure_timeout_event();
         // Each key is at least a kind byte and a u64.
         const std::uint64_t n_keys = r.count64(9);
         for (std::uint64_t k = 0; k < n_keys; ++k) {
-            p->restore_dynamic_event(read_event_key(r, ns, procs));
+            p->restore_dynamic_event(read_event_key(r, ns));
         }
     }
 
     // --- events -------------------------------------------------------------
     const std::uint64_t n_with_subs = r.u64();
     for (std::uint64_t i = 0; i < n_with_subs; ++i) {
-        de::event& e = read_event_key(r, ns, procs);
+        de::event& e = read_event_key(r, ns);
         const std::uint64_t n_subs = r.u64();
         for (std::uint64_t s = 0; s < n_subs; ++s) {
-            const std::uint64_t idx = r.u64();
-            util::require(idx < procs.size(), "snapshot",
-                          "dynamic subscriber process index out of range");
-            e.add_dynamic_subscriber(*procs[idx]);
+            e.add_dynamic_subscriber(read_process_index(r, procs));
         }
     }
     const std::uint64_t n_timed = r.u64();
     for (std::uint64_t i = 0; i < n_timed; ++i) {
         const de::time at = de::time::from_fs(r.i64());
-        de::event& e = read_event_key(r, ns, procs);
-        e.restore_timed(at);
+        const std::uint8_t kind = r.u8();
+        if (kind == 1) {
+            sched.queue_timed_wake(read_process_index(r, procs), at);
+        } else {
+            util::require(kind == 0, "snapshot", "unknown event key kind");
+            read_event_name(r, ns).restore_timed(at);
+        }
     }
 
     // --- TDF clusters -------------------------------------------------------

@@ -37,6 +37,12 @@ public:
     /// Exclude this resistor from noise analysis (ideal element).
     void set_noisy(bool noisy) noexcept { noisy_ = noisy; }
 
+    // Checkpoint/restore: the value, which set_value may change at run time
+    // (the restored equation values already carry it).
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64(ohms_); }
+    void restore_state(util::byte_reader& r) override { ohms_ = r.f64(); }
+
 private:
     double ohms_;
     bool noisy_ = true;
@@ -57,6 +63,12 @@ public:
     void set_value(double farads);
     [[nodiscard]] double value() const noexcept { return farads_; }
 
+    // Checkpoint/restore: the value, which set_value may change at run time
+    // (the restored equation values already carry it).
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64(farads_); }
+    void restore_state(util::byte_reader& r) override { farads_ = r.f64(); }
+
 private:
     double farads_;
     solver::stamp_handle slot_ = solver::no_stamp_handle;
@@ -73,6 +85,12 @@ public:
     void set_value(double henries);
     [[nodiscard]] double value() const noexcept { return henries_; }
 
+    // Checkpoint/restore: the value, which set_value may change at run time
+    // (the restored equation values already carry it).
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64(henries_); }
+    void restore_state(util::byte_reader& r) override { henries_ = r.f64(); }
+
 private:
     double henries_;
     solver::stamp_handle slot_ = solver::no_stamp_handle;
@@ -87,6 +105,11 @@ public:
     void stamp(network& net) override;
     void set_gain(double gain);
 
+    // Checkpoint/restore: the gain, which set_gain may change at run time.
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64(gain_); }
+    void restore_state(util::byte_reader& r) override { gain_ = r.f64(); }
+
 private:
     double gain_;
     solver::stamp_handle slot_ = solver::no_stamp_handle;
@@ -100,6 +123,11 @@ public:
     vccs(const std::string& name, network& net, pin cp, pin cn, pin p, pin n, double gm);
     void stamp(network& net) override;
     void set_gm(double gm);
+
+    // Checkpoint/restore: the transconductance, which set_gm may change at run time.
+    [[nodiscard]] bool has_snapshot_state() const noexcept override { return true; }
+    void save_state(util::byte_writer& w) const override { w.f64(gm_); }
+    void restore_state(util::byte_reader& r) override { gm_ = r.f64(); }
 
 private:
     double gm_;

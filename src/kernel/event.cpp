@@ -16,9 +16,11 @@ event::event(std::string name) : name_(std::move(name)) {
 event::~event() {
     // Deregister from subscribers so their destructors do not come back to
     // this (freed) event — context teardown destroys events and processes
-    // in whatever order the owners were declared.
+    // in whatever order the owners were declared — and from the scheduler,
+    // whose queued entries (stale ones too) would read it when popped.
     for (method_process* p : static_subscribers_) p->event_destroyed(*this);
     for (method_process* p : dynamic_subscribers_) p->event_destroyed(*this);
+    context_->sched().forget_event(*this);
     context_->unregister_event(*this);
 }
 

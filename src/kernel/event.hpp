@@ -44,12 +44,6 @@ public:
     /// True if a delta or timed notification is pending.
     [[nodiscard]] bool pending() const noexcept { return pending_kind_ != kind::none; }
 
-    /// Marks the re-arm event of a TDF cluster that writes no DE signal.
-    /// Such clusters cannot observe one another, so batch planning ignores
-    /// these events (scheduler::next_event_time_ignoring_rearms).
-    void mark_batch_rearm() noexcept { batch_rearm_ = true; }
-    [[nodiscard]] bool batch_rearm() const noexcept { return batch_rearm_; }
-
     // --- used by processes and the scheduler -------------------------------
     void add_static_subscriber(method_process& p);
     void remove_static_subscriber(method_process& p);
@@ -87,7 +81,6 @@ private:
     // Empty outside trigger().
     std::vector<method_process*> firing_;
     kind pending_kind_ = kind::none;
-    bool batch_rearm_ = false;
     time pending_time_;
     std::uint64_t generation_ = 0;
 };

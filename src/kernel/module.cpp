@@ -14,10 +14,13 @@ module::module(const module_name& nm) : object(nm.str()) {
     context().push_construction_parent(*this);
 }
 
-module::~module() = default;
+module::~module() {
+    for (method_process* p : processes_) p->retire();
+}
 
 method_handle module::declare_method(const std::string& name, std::function<void()> body) {
     method_process& p = context().register_method(this->name() + "." + name, std::move(body));
+    processes_.push_back(&p);
     return method_handle(p);
 }
 

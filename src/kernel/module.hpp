@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernel/context.hpp"
 #include "kernel/object.hpp"
@@ -80,6 +81,8 @@ public:
 
 protected:
     explicit module(const module_name& nm);
+    /// Retires the processes this module declared (method_process::retire):
+    /// their bodies capture the module, which is going away.
     ~module() override;
 
     /// Register a method process owned by this module.
@@ -113,6 +116,7 @@ private:
         std::size_t depth_;
     };
 
+    std::vector<method_process*> processes_;
     util::object_bag children_bag_;
 };
 

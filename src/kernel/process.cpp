@@ -50,29 +50,27 @@ void method_process::next_trigger(event& e) {
 
 void method_process::next_trigger(const time& delay) {
     clear_dynamic_subscriptions();
-    ensure_timeout_event();
-    timeout_event_->notify(delay);
-    timeout_event_->add_dynamic_subscriber(*this);
-    dynamic_events_.push_back(timeout_event_.get());
+    arm_timeout(delay);
     dynamic_waiting_ = true;
     trigger_requested_ = true;
 }
 
 void method_process::next_trigger(const time& delay, event& e) {
     clear_dynamic_subscriptions();
-    ensure_timeout_event();
-    timeout_event_->notify(delay);
-    timeout_event_->add_dynamic_subscriber(*this);
-    dynamic_events_.push_back(timeout_event_.get());
+    arm_timeout(delay);
     e.add_dynamic_subscriber(*this);
     dynamic_events_.push_back(&e);
     dynamic_waiting_ = true;
     trigger_requested_ = true;
 }
 
-event& method_process::ensure_timeout_event() {
-    if (!timeout_event_) timeout_event_ = std::make_unique<event>(name_ + ".timeout");
-    return *timeout_event_;
+void method_process::arm_timeout(const time& delay) {
+    scheduler& sched = context_->sched();
+    if (delay == time::zero()) {
+        sched.queue_delta_wake(*this);
+    } else {
+        sched.queue_timed_wake(*this, sched.now() + delay);
+    }
 }
 
 void method_process::event_destroyed(event& e) {
@@ -85,16 +83,26 @@ void method_process::event_destroyed(event& e) {
 }
 
 void method_process::dynamic_trigger_fired() {
-    // One of the dynamic events fired; withdraw from all the others so this
+    // One of the dynamic triggers fired; withdraw from all the others so this
     // activation is one-shot.
     clear_dynamic_subscriptions();
     dynamic_waiting_ = false;
 }
 
+void method_process::retire() {
+    for (event* e : static_sensitivity_) e->remove_static_subscriber(*this);
+    static_sensitivity_.clear();
+    clear_dynamic_subscriptions();
+    dynamic_waiting_ = false;
+    context_->sched().unregister_process(*this);
+    // The body's captures belong to the destroyed module.
+    body_ = nullptr;
+}
+
 void method_process::clear_dynamic_subscriptions() {
     for (event* e : dynamic_events_) e->remove_dynamic_subscriber(*this);
     dynamic_events_.clear();
-    if (timeout_event_) timeout_event_->cancel();
+    ++wake_generation_;
 }
 
 }  // namespace sca::de

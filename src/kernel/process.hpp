@@ -8,8 +8,8 @@
 #ifndef SCA_KERNEL_PROCESS_HPP
 #define SCA_KERNEL_PROCESS_HPP
 
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,19 +42,33 @@ public:
     void execute();
 
     /// One-shot dynamic triggers (normally called via context::next_trigger).
+    /// A delay queues one scheduler entry naming this process (a zero delay
+    /// wakes it in the next delta cycle).
     void next_trigger(event& e);
     void next_trigger(const time& delay);
     void next_trigger(const time& delay, event& e);  // timeout or event
 
     [[nodiscard]] bool dynamically_waiting() const noexcept { return dynamic_waiting_; }
 
-    /// The lazily created timed-trigger event (nullptr until the first timed
-    /// wait).  The TDF synchronization layer uses its identity to ignore
-    /// peer-cluster re-arms when planning batched execution.
-    [[nodiscard]] const event* timeout_event() const noexcept { return timeout_event_.get(); }
+    /// Bumped whenever a dynamic wait ends: it fires, a newer next_trigger
+    /// replaces it, or the process retires.  A queued wake carries the
+    /// generation it was armed under and is stale once this moves on.
+    [[nodiscard]] std::uint64_t wake_generation() const noexcept { return wake_generation_; }
+
+    /// Marks the process of a TDF cluster that writes no DE signal.  Such
+    /// clusters cannot observe one another, so batch planning ignores their
+    /// wakes (scheduler::next_event_time_ignoring_rearms).
+    void mark_batch_rearm() noexcept { batch_rearm_ = true; }
+    [[nodiscard]] bool batch_rearm() const noexcept { return batch_rearm_; }
 
     /// Clear dynamic wait state when a dynamic trigger fires.
     void dynamic_trigger_fired();
+
+    /// Withdraw for good (the owning module is being destroyed): drop every
+    /// static and dynamic subscription and any queued wake, and leave the
+    /// scheduler, so the body never runs again.  The context still owns the
+    /// object until it is torn down.
+    void retire();
 
     /// An event this process subscribes to is being destroyed: drop every
     /// reference so the process destructor does not unsubscribe from freed
@@ -69,12 +83,6 @@ public:
     [[nodiscard]] std::uint64_t activation_count() const noexcept { return activations_; }
 
     // --- checkpoint/restore (core/snapshot) --------------------------------
-    /// Force-create the timed-trigger event without arming it.  Restore
-    /// path: the snapshot records that the saving process had created it;
-    /// pending notifications and subscriptions are replayed onto it
-    /// afterwards.
-    event& ensure_timeout_event();
-
     /// Ordered events this process is dynamically waiting on.
     [[nodiscard]] const std::vector<event*>& dynamic_events() const noexcept {
         return dynamic_events_;
@@ -88,18 +96,22 @@ public:
     void restore_activation_count(std::uint64_t n) noexcept { activations_ = n; }
 
 private:
+    /// End the current dynamic wait: unsubscribe and stale any queued wake.
     void clear_dynamic_subscriptions();
+    /// Queue this process's wake `delay` from now.
+    void arm_timeout(const time& delay);
 
     std::string name_;
     std::function<void()> body_;
     simulation_context* context_;
     std::vector<event*> static_sensitivity_;
-    std::unique_ptr<event> timeout_event_;  // lazily created for timed triggers
-    std::vector<event*> dynamic_events_;    // events we are dynamically waiting on
+    std::vector<event*> dynamic_events_;  // events we are dynamically waiting on
+    std::uint64_t wake_generation_ = 0;
     bool dynamic_waiting_ = false;
     bool trigger_requested_ = false;  // next_trigger called during current execute()
     bool dont_initialize_ = false;
     bool queued_ = false;
+    bool batch_rearm_ = false;
     std::uint64_t activations_ = 0;
 };
 

@@ -17,7 +17,17 @@ constexpr auto min_heap_order = [](const auto& a, const auto& b) { return a.fire
 }  // namespace
 
 bool scheduler::timed_entry::live() const noexcept {
-    return generation == ev->generation() && ev->pending();
+    if (what.ev == nullptr) return what.generation == what.proc->wake_generation();
+    return what.generation == what.ev->generation() && what.ev->pending();
+}
+
+void scheduler::fire(const wake_ref& w) {
+    if (w.ev != nullptr) {
+        w.ev->trigger();
+        return;
+    }
+    w.proc->dynamic_trigger_fired();
+    make_runnable(*w.proc);
 }
 
 void scheduler::report_metrics(util::metrics_snapshot& out) const {
@@ -58,13 +68,35 @@ void scheduler::make_runnable(method_process& p) {
     runnable_.push_back(&p);
 }
 
-void scheduler::queue_delta_event(event& e) { delta_events_.push_back(&e); }
+void scheduler::queue_delta_event(event& e) {
+    delta_queue_.push_back({&e, nullptr, e.generation()});
+}
 
 void scheduler::queue_timed_event(event& e, const time& at) {
+    queue_timed(at, {&e, nullptr, e.generation()});
+}
+
+void scheduler::queue_timed_wake(method_process& p, const time& at) {
+    queue_timed(at, {nullptr, &p, p.wake_generation()});
+}
+
+void scheduler::queue_timed(const time& at, const wake_ref& what) {
     util::require(at >= now_, "scheduler", "timed notification in the past");
     count_timed_notification();
-    timed_queue_.push_back({at, timed_seq_++, &e, e.generation()});
+    timed_queue_.push_back({at, timed_seq_++, what});
     std::push_heap(timed_queue_.begin(), timed_queue_.end(), min_heap_order);
+}
+
+void scheduler::queue_delta_wake(method_process& p) {
+    delta_queue_.push_back({nullptr, &p, p.wake_generation()});
+}
+
+void scheduler::forget_event(const event& e) {
+    std::erase_if(delta_queue_, [&e](const wake_ref& w) { return w.ev == &e; });
+    if (std::erase_if(timed_queue_,
+                      [&e](const timed_entry& entry) { return entry.what.ev == &e; }) != 0) {
+        std::make_heap(timed_queue_.begin(), timed_queue_.end(), min_heap_order);
+    }
 }
 
 void scheduler::request_update(signal_base& s) { update_queue_.push_back(&s); }
@@ -78,7 +110,7 @@ void scheduler::unregister_process(method_process& p) {
 }
 
 bool scheduler::idle() const noexcept {
-    return runnable_.empty() && delta_events_.empty() && update_queue_.empty() &&
+    return runnable_.empty() && delta_queue_.empty() && update_queue_.empty() &&
            timed_queue_.empty();
 }
 
@@ -89,7 +121,7 @@ time scheduler::next_event_time() const noexcept {
 
 time scheduler::next_event_time_ignoring_rearms() const noexcept {
     const auto eligible = [](const timed_entry& entry) {
-        return !entry.ev->batch_rearm() && entry.live();
+        return (entry.what.ev != nullptr || !entry.what.proc->batch_rearm()) && entry.live();
     };
     if (timed_queue_.empty()) return time::max();
     // The common case is O(1): the heap's front is the earliest entry.
@@ -110,7 +142,7 @@ void scheduler::initialization_phase() {
 }
 
 void scheduler::evaluate_update_loop() {
-    while (!runnable_.empty() || !update_queue_.empty() || !delta_events_.empty()) {
+    while (!runnable_.empty() || !update_queue_.empty() || !delta_queue_.empty()) {
         // Evaluation phase: run every runnable process. Processes made
         // runnable during this phase (immediate notification) run in the
         // same phase.
@@ -125,11 +157,12 @@ void scheduler::evaluate_update_loop() {
         for (signal_base* s : update_scratch_) s->update();
         update_scratch_.clear();
         // Delta notification phase.
-        delta_scratch_.swap(delta_events_);
+        delta_scratch_.swap(delta_queue_);
         bool any = false;
-        for (event* e : delta_scratch_) {
-            if (e->pending()) {
-                e->trigger();
+        for (const wake_ref& w : delta_scratch_) {
+            if (w.ev != nullptr ? w.ev->pending()
+                                : w.generation == w.proc->wake_generation()) {
+                fire(w);
                 any = true;
             }
         }
@@ -197,7 +230,7 @@ time scheduler::run(const time& end) {
             std::pop_heap(timed_queue_.begin(), timed_queue_.end(), min_heap_order);
             const timed_entry entry = timed_queue_.back();
             timed_queue_.pop_back();
-            if (entry.live()) entry.ev->trigger();
+            if (entry.live()) fire(entry.what);
         }
         settle();
     }
@@ -210,7 +243,7 @@ time scheduler::run(const time& end) {
     return now_;
 }
 
-std::vector<std::pair<time, event*>> scheduler::pending_timed_events() const {
+std::vector<scheduler::pending_timed> scheduler::pending_timed_events() const {
     std::vector<timed_entry> entries;
     for (const timed_entry& entry : timed_queue_) {
         if (entry.live()) entries.push_back(entry);
@@ -218,9 +251,11 @@ std::vector<std::pair<time, event*>> scheduler::pending_timed_events() const {
     // Firing order is (at, seq), the reverse of the heap comparator.
     std::sort(entries.begin(), entries.end(),
               [](const timed_entry& a, const timed_entry& b) { return b.fires_after(a); });
-    std::vector<std::pair<time, event*>> out;
+    std::vector<pending_timed> out;
     out.reserve(entries.size());
-    for (const timed_entry& entry : entries) out.emplace_back(entry.at, entry.ev);
+    for (const timed_entry& entry : entries) {
+        out.push_back({entry.at, entry.what.ev, entry.what.proc});
+    }
     return out;
 }
 
@@ -250,7 +285,7 @@ void scheduler::reset() {
     record_drift(0.0, true);
     pace_anchor_valid_ = false;
     runnable_.clear();
-    delta_events_.clear();
+    delta_queue_.clear();
     update_queue_.clear();
     pre_timestep_.clear();
     timed_queue_.clear();

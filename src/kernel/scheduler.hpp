@@ -60,6 +60,14 @@ public:
     void make_runnable(method_process& p);
     void queue_delta_event(event& e);
     void queue_timed_event(event& e, const time& at);
+    /// A process's own wake (method_process::next_trigger with a delay): one
+    /// queue entry naming the process, live while the process's wake
+    /// generation is unchanged.  Counts as a timed notification; the delta
+    /// form wakes in the next delta cycle.
+    void queue_timed_wake(method_process& p, const time& at);
+    void queue_delta_wake(method_process& p);
+    /// Drop every queued entry naming `e` (the event is being destroyed).
+    void forget_event(const event& e);
     void request_update(signal_base& s);
 
     /// Pre-timestep stage: call `cb` once the current instant (or the
@@ -85,9 +93,9 @@ public:
     /// Time of the next pending timed event (time::max() if none).
     [[nodiscard]] time next_event_time() const noexcept;
 
-    /// Like next_event_time(), but skipping cancelled notifications and the
-    /// events marked as batch re-arms (event::mark_batch_rearm): TDF batch
-    /// planning ignores the re-arm events of independent peer clusters.
+    /// Like next_event_time(), but skipping stale entries and the wakes of
+    /// processes marked as batch re-arms (method_process::mark_batch_rearm):
+    /// TDF batch planning ignores the re-arms of independent peer clusters.
     [[nodiscard]] time next_event_time_ignoring_rearms() const noexcept;
 
     /// End bound of the in-progress (or most recent) run() call; time::max()
@@ -115,17 +123,25 @@ public:
 
     // --- checkpoint/restore (core/snapshot) ----------------------------------
     /// Registered processes in registration order — the stable identity a
-    /// snapshot uses for processes and their timeout events (model
-    /// construction and elaboration register processes deterministically).
+    /// snapshot uses for processes and their timed wakes (model construction
+    /// and elaboration register processes deterministically).
     [[nodiscard]] const std::vector<method_process*>& processes() const noexcept {
         return all_processes_;
     }
 
+    /// A live timed-queue entry: the notification of `ev`, or, when `ev` is
+    /// null, the timed wake of `proc`.
+    struct pending_timed {
+        time at;
+        const event* ev;
+        const method_process* proc;
+    };
+
     /// Live timed-queue entries in firing order (stale generations and
     /// cancelled notifications skipped).  Same-time entries keep their
-    /// insertion order — the property restore must reproduce so that
-    /// same-instant notifications fire in the original registration order.
-    [[nodiscard]] std::vector<std::pair<time, event*>> pending_timed_events() const;
+    /// arming order — the property restore must reproduce so that
+    /// same-instant notifications and wakes fire in the original order.
+    [[nodiscard]] std::vector<pending_timed> pending_timed_events() const;
 
     /// True once the initialization phase has run (i.e. run() was called at
     /// least once).  A snapshot must capture an initialized scheduler:
@@ -138,7 +154,7 @@ public:
     /// run() always returns at a settled point; the snapshot writer asserts
     /// it rather than trying to serialize mid-instant evaluation state.
     [[nodiscard]] bool settled() const noexcept {
-        return runnable_.empty() && delta_events_.empty() && update_queue_.empty() &&
+        return runnable_.empty() && delta_queue_.empty() && update_queue_.empty() &&
                pre_timestep_.empty();
     }
 
@@ -183,36 +199,52 @@ private:
     time pace_anchor_sim_;
     std::chrono::steady_clock::time_point pace_anchor_wall_;
 
+    /// What a queued entry wakes: the notification of `ev`, or, when `ev` is
+    /// null, the dynamic wait of `proc`.  `generation` is the event's or the
+    /// process's generation when queued; cancelling the notification, or
+    /// ending the wait, bumps it.
+    struct wake_ref {
+        event* ev;
+        method_process* proc;
+        std::uint64_t generation;
+    };
+    void queue_timed(const time& at, const wake_ref& what);
+    /// Make the target of a live entry's wake runnable.
+    void fire(const wake_ref& w);
+
     std::vector<method_process*> all_processes_;
     // A LIFO stack: within one evaluation phase the last process made
     // runnable runs first.
     std::vector<method_process*> runnable_;
-    std::vector<event*> delta_events_;
+    // Delta notifications and delta wakes in queueing order.  An event entry
+    // fires while the event is pending, a process entry while its
+    // generation is current.
+    std::vector<wake_ref> delta_queue_;
     std::vector<signal_base*> update_queue_;
     // evaluate_update_loop() swaps the two queues above with these, so every
     // vector keeps its capacity and a steady-state delta cycle allocates
     // nothing.  Empty outside the loop.
-    std::vector<event*> delta_scratch_;
+    std::vector<wake_ref> delta_scratch_;
     std::vector<signal_base*> update_scratch_;
     // Pre-timestep requests of the current instant: a stack settle() pops.
     std::vector<pre_timestep_callback*> pre_timestep_;
 
     struct timed_entry {
         time at;
-        std::uint64_t seq;  ///< notification order; breaks ties between equal `at`
-        event* ev;
-        std::uint64_t generation;
+        std::uint64_t seq;  ///< arming order; breaks ties between equal `at`
+        wake_ref what;
 
-        /// Still the event's pending notification (not cancelled or superseded).
+        /// Still the event's pending notification or the process's current
+        /// wait (not cancelled, superseded or already fired).
         [[nodiscard]] bool live() const noexcept;
         /// Heap order: true when this entry fires after `o`.
         [[nodiscard]] bool fires_after(const timed_entry& o) const noexcept {
             return at != o.at ? at > o.at : seq > o.seq;
         }
     };
-    /// Binary min-heap on (at, seq): same-instant notifications fire in the
-    /// order they were made.  Cancelled or superseded entries stay until
-    /// popped and are skipped by their stale generation.
+    /// Binary min-heap on (at, seq): same-instant notifications and wakes
+    /// fire in the order they were armed.  Stale entries stay until popped
+    /// and are skipped by their generation.
     std::vector<timed_entry> timed_queue_;
     std::uint64_t timed_seq_ = 0;
 };

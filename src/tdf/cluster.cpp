@@ -332,8 +332,7 @@ void cluster::install_signature(const attribute_signature& sig) {
 void cluster::attach(de::simulation_context& ctx) {
     ctx_ = &ctx;
     proc_ = &ctx.register_method("tdf_cluster_exec", [this] { on_wake(); });
-    de::event& rearm = proc_->ensure_timeout_event();
-    if (!de_writer_) rearm.mark_batch_rearm();  // peers' batch plans ignore it
+    if (!de_writer_) proc_->mark_batch_rearm();  // peers' batch plans ignore it
 }
 
 void cluster::set_max_batch_periods(std::uint64_t n) {
@@ -680,7 +679,7 @@ void registry::elaborate_clusters() {
     }
 
     // Clusters that write no DE signal cannot observe one another, so batch
-    // planning ignores their re-arm events (marked at attach); a DE-writing
+    // planning ignores their wakes (marked at attach); a DE-writing
     // cluster's next wake bounds every batch.
     std::vector<const cluster*> writers;
     for (const auto& c : clusters_) {

@@ -66,8 +66,9 @@ public:
 
     /// Set by the registry: the clusters that write DE signals, whose next
     /// wakes bound every batch (at a shared instant their re-arm may still
-    /// be pending).  The re-arm events of the other clusters, which cannot
-    /// observe one another, are marked at attach() and bound nothing.
+    /// be pending).  The processes of the other clusters, which cannot
+    /// observe one another, are marked at attach(), and their wakes bound
+    /// nothing.
     void set_batch_bounds(std::vector<const cluster*> writers);
 
     /// The driving DE process (valid after attach()).

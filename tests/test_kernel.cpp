@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "kernel/context.hpp"
 #include "kernel/event.hpp"
 #include "kernel/module.hpp"
+#include "kernel/process.hpp"
 #include "kernel/signal.hpp"
 #include "util/report.hpp"
 
@@ -135,7 +137,8 @@ TEST(event, cancel_stops_pending) {
 
 TEST(scheduler, same_instant_timed_notifications_fire_in_notification_order) {
     // Probes, cluster re-arms and PWM edges share instants, and the golden
-    // traces depend on the order they fire in: first notified, first fired.
+    // traces depend on the order they fire in: first armed, first fired,
+    // whether an event notification or a process's own timed wake.
     // pending_timed_events() is what a snapshot saves, so it must list the
     // live entries in exactly that order.
     simulation_context ctx;
@@ -148,28 +151,45 @@ TEST(scheduler, same_instant_timed_notifications_fire_in_notification_order) {
         p.dont_initialize();
         p.make_sensitive(*ev);
     }
+    // Two processes woken by their own next_trigger(delay).
+    const auto waker = [&](const std::string& name) -> de::method_process& {
+        auto& p = ctx.register_method(
+            name, [&ran, &ctx, name] { ran.push_back(name + "@" + ctx.now().to_string()); });
+        p.dont_initialize();
+        return p;
+    };
+    de::method_process& w1 = waker("w1");
+    de::method_process& w2 = waker("w2");
     c.notify(10_ns);
+    w1.next_trigger(10_ns);
     a.notify(10_ns);
     e.notify(10_ns);
+    w2.next_trigger(30_ns);
     d.notify(30_ns);
     b.notify(10_ns);
-    d.notify(10_ns);  // supersedes the pending 30 ns notification, after b
-    e.cancel();       // never fires
+    w2.next_trigger(10_ns);  // supersedes the pending 30 ns wake, after b
+    d.notify(10_ns);         // supersedes the pending 30 ns notification, after w2
+    e.cancel();              // never fires
     a.cancel();
     a.notify(10_ns);  // the new notification queues last
 
     const auto pending = ctx.sched().pending_timed_events();
-    const std::vector<const event*> firing_order{&c, &b, &d, &a};
+    const std::vector<std::string> firing_order{"c", "w1", "b", "w2", "d", "a"};
     ASSERT_EQ(pending.size(), firing_order.size());
     for (std::size_t i = 0; i < pending.size(); ++i) {
-        EXPECT_EQ(pending[i].first, 10_ns) << i;
-        EXPECT_EQ(pending[i].second, firing_order[i]) << i;
+        EXPECT_EQ(pending[i].at, 10_ns) << i;
+        EXPECT_EQ(pending[i].ev != nullptr ? pending[i].ev->name() : pending[i].proc->name(),
+                  firing_order[i])
+            << i;
     }
 
     ctx.run(50_ns);
-    // Fired c, b, d, a at 10 ns.  The runnable set is a LIFO stack, so the
-    // processes ran in reverse; the stale 30 ns entry did not fire d again.
-    EXPECT_EQ(ran, (std::vector<std::string>{"a@10 ns", "d@10 ns", "b@10 ns", "c@10 ns"}));
+    // Fired c, w1, b, w2, d, a at 10 ns.  The runnable set is a LIFO stack,
+    // so the processes ran in reverse; the stale 30 ns entries did not fire
+    // d or w2 again.
+    EXPECT_EQ(ran, (std::vector<std::string>{"a@10 ns", "d@10 ns", "w2@10 ns", "b@10 ns",
+                                             "w1@10 ns", "c@10 ns"}));
+    EXPECT_EQ(ctx.sched().timed_notification_count(), 10U);
 }
 
 namespace {
@@ -414,6 +434,163 @@ TEST(process, next_trigger_timeout_repeats) {
     });
     ctx.run(95_ns);
     EXPECT_EQ(ticks, 10);  // t = 0, 10, ..., 90
+}
+
+TEST(process, event_before_the_timeout_ends_the_wait) {
+    // next_trigger(delay, e): whichever comes first wakes the process once.
+    simulation_context ctx;
+    event e("e");
+    std::vector<std::string> ran;
+    ctx.register_method("waiter", [&] {
+        ran.push_back(ctx.now().to_string());
+        if (ran.size() == 1) ctx.running_process()->next_trigger(20_ns, e);
+    });
+    e.notify(5_ns);
+    ctx.run(50_ns);
+    EXPECT_EQ(ran, (std::vector<std::string>{"0 s", "5 ns"}));  // not again at 20 ns
+}
+
+TEST(process, timeout_before_the_event_drops_the_subscription) {
+    simulation_context ctx;
+    event e("e");
+    std::vector<std::string> ran;
+    ctx.register_method("waiter", [&] {
+        ran.push_back(ctx.now().to_string());
+        if (ran.size() == 1) ctx.running_process()->next_trigger(20_ns, e);
+    });
+    e.notify(30_ns);
+    ctx.run(25_ns);
+    EXPECT_EQ(ran, (std::vector<std::string>{"0 s", "20 ns"}));
+    EXPECT_TRUE(e.dynamic_subscribers().empty());
+    ctx.run(25_ns);
+    EXPECT_EQ(ran.size(), 2U);  // e fired at 30 ns without waking it
+}
+
+TEST(process, superseded_timed_wake_does_not_fire) {
+    // A newer next_trigger replaces the pending one, earlier or later.
+    for (const bool earlier_second : {true, false}) {
+        simulation_context ctx;
+        std::vector<std::string> ran;
+        ctx.register_method("waiter", [&] {
+            ran.push_back(ctx.now().to_string());
+            if (ran.size() > 1) return;
+            ctx.next_trigger(earlier_second ? 30_ns : 10_ns);
+            ctx.next_trigger(earlier_second ? 10_ns : 30_ns);
+        });
+        ctx.run(50_ns);
+        EXPECT_EQ(ran, (std::vector<std::string>{
+                           "0 s", earlier_second ? "10 ns" : "30 ns"}))
+            << earlier_second;
+        EXPECT_EQ(ctx.sched().timed_notification_count(), 2U);
+    }
+}
+
+TEST(process, zero_delay_trigger_wakes_in_the_next_delta_cycle) {
+    // next_trigger(time::zero()) is a delta wake: it runs again at the same
+    // instant, one delta cycle later, after a delta notification made before
+    // it in that cycle made its watcher runnable (the runnable set is LIFO).
+    simulation_context ctx;
+    event ev("ev");
+    std::vector<std::string> ran;
+    auto& watcher = ctx.register_method("watch", [&] {
+        ran.push_back("watch/" + std::to_string(ctx.sched().delta_count()));
+    });
+    watcher.dont_initialize();
+    watcher.make_sensitive(ev);
+    ctx.register_method("self", [&] {
+        ran.push_back("self/" + std::to_string(ctx.sched().delta_count()));
+        if (ctx.sched().delta_count() < 2) {
+            ev.notify_delta();
+            ctx.next_trigger(de::time::zero());
+        }
+    });
+    ctx.run(10_ns);
+    EXPECT_EQ(ran, (std::vector<std::string>{"self/0", "self/1", "watch/1", "self/2",
+                                             "watch/2"}));
+    EXPECT_EQ(ctx.now(), 10_ns);
+    EXPECT_EQ(ctx.sched().delta_count(), 2U);
+    EXPECT_EQ(ctx.sched().timed_notification_count(), 0U);
+}
+
+namespace {
+
+/// Re-arms itself every microsecond and counts its wakes in `*wakes`, which
+/// outlives the module.
+struct pulse_module : module {
+    int* wakes;
+    pulse_module(const module_name& nm, int& w) : module(nm), wakes(&w) {
+        declare_method("step", [this] {
+            ++*wakes;
+            next_trigger(1_us);
+        });
+    }
+};
+
+/// Counts, in `*hits`, the changes of a signal it does not own.
+struct watcher_module : module {
+    int* hits;
+    watcher_module(const module_name& nm, de::signal<int>& level, int& h)
+        : module(nm), hits(&h) {
+        declare_method("watch", [this] { ++*hits; })
+            .sensitive(level.value_changed_event())
+            .dont_initialize();
+    }
+};
+
+}  // namespace
+
+TEST(lifetime, destroyed_module_with_a_pending_wake_never_runs_again) {
+    simulation_context ctx;
+    int wakes = 0;
+    auto pulse = std::make_unique<pulse_module>("pulse", wakes);
+    ctx.run(3_us);
+    EXPECT_EQ(wakes, 4);  // 0, 1, 2 and 3 us; the 4 us wake is pending
+    pulse.reset();
+    EXPECT_TRUE(ctx.sched().processes().empty());  // retired with its module
+    ctx.run(5_us);
+    EXPECT_EQ(wakes, 4);
+    EXPECT_TRUE(ctx.sched().idle());
+}
+
+TEST(lifetime, destroyed_module_leaves_the_signals_it_watched) {
+    simulation_context ctx;
+    de::signal<int> level("level", 0);
+    ctx.register_method("writer", [&] {
+        level.write(level.read() + 1);
+        ctx.next_trigger(1_us);
+    });
+    int hits = 0;
+    auto watcher = std::make_unique<watcher_module>("watcher", level, hits);
+    ctx.run(2_us);
+    EXPECT_EQ(hits, 3);  // the writes at 0, 1 and 2 us
+    watcher.reset();
+    ctx.run(2_us);
+    EXPECT_EQ(hits, 3);
+    EXPECT_EQ(level.read(), 5);
+}
+
+TEST(lifetime, destroyed_event_leaves_the_queues) {
+    simulation_context ctx;
+    int fired = 0;
+    auto& p = ctx.register_method("watch", [&fired] { ++fired; });
+    p.dont_initialize();
+    {
+        event timed("timed");
+        p.make_sensitive(timed);
+        timed.notify(5_ns);
+        event stale("stale");
+        stale.notify(7_ns);
+        stale.cancel();  // a cancelled entry names the event until popped
+    }
+    EXPECT_EQ(ctx.sched().next_event_time(), de::time::max());
+    {
+        event delta("delta");
+        p.make_sensitive(delta);
+        delta.notify_delta();
+    }
+    EXPECT_TRUE(ctx.sched().settled());
+    ctx.run(10_ns);
+    EXPECT_EQ(fired, 0);
 }
 
 TEST(process, dynamic_trigger_overrides_static_once) {

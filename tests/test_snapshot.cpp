@@ -300,6 +300,55 @@ void define_diode_step() {
         });
 }
 
+/// The resistor and network of the "snap_rc_value" bench built last.
+eln::resistor* g_rc_resistor = nullptr;
+eln::network* g_rc_network = nullptr;
+
+/// 1 mA into 1 kOhm || 1 nF, whose resistor a test changes at run time.
+void define_rc_value() {
+    core::scenario::define(
+        "snap_rc_value", core::params{},
+        [](core::testbench& tb, const core::params&) {
+            auto& net = tb.make<eln::network>("net");
+            g_rc_network = &net;
+            net.set_timestep(1.0, de::time_unit::us);
+            auto gnd = net.ground();
+            auto n = net.create_node("n");
+            tb.make<eln::isource>("is", net, gnd, n, eln::waveform::dc(1e-3));
+            g_rc_resistor = &tb.make<eln::resistor>("r", net, n, gnd, 1000.0);
+            tb.make<eln::capacitor>("c", net, n, gnd, 1e-9);
+            tb.probe("v", [&net, n] { return net.voltage(n); });
+            tb.measure("v_final", [&net, n] { return net.voltage(n); });
+            tb.set_sample_period(1_us);
+            tb.set_stop_time(60_us);
+        });
+}
+
+/// Kernel wakes only: "kicker" notifies the event "kick" 2 us after each of
+/// its own timed wakes, 7 us apart; "waiter" waits for kick or a 5 us
+/// timeout, whichever comes first, and folds each wake time into a signal.
+void define_wakes() {
+    core::scenario::define(
+        "snap_wakes", core::params{},
+        [](core::testbench& tb, const core::params&) {
+            de::simulation_context& ctx = tb.context();
+            auto& kick = tb.make<de::event>("kick");
+            auto& s = tb.make<de::signal<double>>("s", 0.0);
+            ctx.register_method("kicker", [&ctx, &kick] {
+                kick.notify(2_us);
+                ctx.next_trigger(7_us);
+            });
+            ctx.register_method("waiter", [&ctx, &kick, &s] {
+                s.write(0.5 * s.read() + ctx.now().to_seconds() * 1e6);
+                ctx.running_process()->next_trigger(5_us, kick);
+            });
+            tb.probe("s", s);
+            tb.measure("s_final", [&s] { return s.read(); });
+            tb.set_sample_period(1_us);
+            tb.set_stop_time(200_us);
+        });
+}
+
 /// Batch cap the "snap_batch_cap" scenario builds with: set by the test, not
 /// a scenario parameter, so a resume can rebuild under another cap.
 std::uint64_t g_batch_cap = tdf::cluster::k_default_max_batch_periods;
@@ -478,6 +527,55 @@ TEST(snapshot, nonlinear_restart_pending_at_the_cut) {
                                 [] { g_step_resistor->set_value(100.0); });
 }
 
+TEST(snapshot, value_set_at_run_time_survives_a_restamp) {
+    // resistor::set_value at 10 us, snapshot at 20 us, then a restamp, which
+    // stamps the resistor's own value again: the resumed bench must hold
+    // the value set at run time, not the one it was built with.
+    define_rc_value();
+    auto sc = core::scenario::find("snap_rc_value");
+    const std::string file = snap_path("snap_rc_value");
+
+    auto ref = sc.build();
+    ref->run(10_us);
+    g_rc_resistor->set_value(100.0);
+    ref->run(10_us);
+    g_rc_network->request_restamp();
+    ref->run(30_us);
+
+    auto original = sc.build();
+    original->run(10_us);
+    g_rc_resistor->set_value(100.0);
+    original->run(10_us);
+    original->snapshot(file);
+    original.reset();
+    auto resumed = core::scenario::resume(file);
+    std::remove(file.c_str());
+    EXPECT_EQ(g_rc_resistor->value(), 100.0);
+    g_rc_network->request_restamp();
+    resumed->run(30_us);
+
+    const auto full = ref->waveform("v");
+    const auto tail = resumed->waveform("v");
+    ASSERT_EQ(tail.size(), 30U);
+    ASSERT_EQ(full.size(), 51U);
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+        ASSERT_EQ(full[full.size() - tail.size() + i], tail[i]) << i;
+    }
+    EXPECT_EQ(ref->measurement("v_final"), resumed->measurement("v_final"));
+    EXPECT_NEAR(resumed->measurement("v_final"), 0.1, 1e-8);
+}
+
+TEST(snapshot, pending_process_wakes_resume_bit_identically) {
+    // The waiter wakes at 2, 7, 9, 14, 16, ... 30, 35 us.  Cut while the
+    // kicker's own timed wake is pending (and the recorder's), at instants
+    // where the waiter's next wake is its timeout (12 us, 30 us) and where
+    // it is the kick (8 us, 35 us).
+    define_wakes();
+    for (const de::time t_snap : {8_us, 12_us, 30_us, 35_us}) {
+        expect_resume_bit_identical("snap_wakes", "s", "s_final", t_snap, 60_us);
+    }
+}
+
 TEST(snapshot, snapshot_at_different_cut_points_all_replay) {
     // The cut must be immaterial: any settled T yields the same T+D tail.
     define_static_tdf();
@@ -584,7 +682,7 @@ TEST(snapshot_robustness, trailing_bytes_are_refused) {
 TEST(snapshot_robustness, hostile_process_key_count_is_refused) {
     // A process record's u64 event-key count must fit in the bytes left
     // before the decoder reserves it.  The record follows the process
-    // count: str(name), dynamic_waiting, activations, has_timeout, n_keys.
+    // count: str(name), dynamic_waiting, activations, n_keys.
     define_tiny();
     sca::util::byte_writer head;
     {
@@ -605,7 +703,7 @@ TEST(snapshot_robustness, hostile_process_key_count_is_refused) {
     ASSERT_EQ(std::search(at + 1, f.payload.end(), needle.begin(), needle.end()),
               f.payload.end());
     const auto record = static_cast<std::size_t>(at - f.payload.begin()) + needle.size();
-    const std::size_t n_keys = record + 1 + 8 + 1;
+    const std::size_t n_keys = record + 1 + 8;
     ASSERT_LE(n_keys + 8, f.payload.size());
     for (int i = 0; i < 8; ++i) f.payload[n_keys + i] = i == 5 ? 0x01 : 0x00;  // 2^40
 
