@@ -305,14 +305,36 @@ public:
         // relies on to reuse it for different values.
         std::vector<std::vector<std::size_t>> rows_idx(n_);
         std::vector<std::vector<T>> rows_val(n_);
+        // Column -> rows index: per column, a list threaded through `links`
+        // of the rows holding a structural entry in it, named by original
+        // row (perm_[i] is the row at position i, pos_of its inverse).  A
+        // row gains columns by fill-in and loses only the column it is
+        // eliminated in, so column k's list is exact by the time column k
+        // is reached.  Flat arrays: a small system pays a few allocations,
+        // not one per column.
+        constexpr std::size_t no_link = static_cast<std::size_t>(-1);
+        struct link {
+            std::size_t row;
+            std::size_t next;
+        };
+        std::vector<std::size_t> col_head(n_, no_link);
+        std::vector<link> links;
+        links.reserve(a.nonzeros());
+        const auto index_entry = [&](std::size_t c, std::size_t row) {
+            links.push_back({row, col_head[c]});
+            col_head[c] = links.size() - 1;
+        };
         for (std::size_t r = 0; r < n_; ++r) {
             const auto idx = a.row_indices(r);
             const auto val = a.row_values(r);
             rows_idx[r].assign(idx.begin(), idx.end());
             rows_val[r].assign(val.begin(), val.end());
+            for (std::size_t c : idx) index_entry(c, r);
         }
         perm_.resize(n_);
         for (std::size_t i = 0; i < n_; ++i) perm_[i] = i;
+        std::vector<std::size_t> pos_of = perm_;
+        std::vector<std::size_t> candidates;  // positions >= k with an entry in column k
         std::vector<std::vector<std::size_t>> lower_idx(n_);
         std::vector<std::vector<T>> lower_val(n_);
 
@@ -329,13 +351,23 @@ public:
         };
 
         for (std::size_t k = 0; k < n_; ++k) {
+            // Only rows with a structural entry in column k can pivot or need
+            // elimination; visit them in ascending position order, as a scan
+            // of every row would.
+            candidates.clear();
+            for (std::size_t e = col_head[k]; e != no_link; e = links[e].next) {
+                const std::size_t pos = pos_of[links[e].row];
+                if (pos >= k) candidates.push_back(pos);
+            }
+            std::sort(candidates.begin(), candidates.end());
+
             // --- pivot selection: largest |a_ik| among rows i >= k, but accept
             // the diagonal row when it is within `k_pivot_threshold` of the
             // best (keeps permutations, and therefore fill, low).
             std::size_t pivot = n_;
             double best = 0.0;
             double diag_mag = 0.0;
-            for (std::size_t r = k; r < n_; ++r) {
+            for (std::size_t r : candidates) {
                 const T v = entry_at(r, k);
                 const double mag = pivot_magnitude(v);
                 if (r == k) diag_mag = mag;
@@ -350,6 +382,8 @@ public:
                 std::swap(rows_idx[k], rows_idx[pivot]);
                 std::swap(rows_val[k], rows_val[pivot]);
                 std::swap(perm_[k], perm_[pivot]);
+                pos_of[perm_[k]] = k;
+                pos_of[perm_[pivot]] = pivot;
                 // The already-accumulated L multipliers travel with the row.
                 std::swap(lower_idx[k], lower_idx[pivot]);
                 std::swap(lower_val[k], lower_val[pivot]);
@@ -360,8 +394,10 @@ public:
 
             // --- eliminate column k from all rows below.  Rows are touched
             // on *structural* presence of (r, k), not value, so the L
-            // pattern is value-independent given the pivot sequence.
-            for (std::size_t r = k + 1; r < n_; ++r) {
+            // pattern is value-independent given the pivot sequence.  After
+            // a swap the old row k sits at a candidate position too.
+            for (std::size_t r : candidates) {
+                if (r <= k) continue;
                 const auto& ridx0 = rows_idx[r];
                 const auto kit = std::lower_bound(ridx0.begin(), ridx0.end(), k);
                 if (kit == ridx0.end() || *kit != k) continue;
@@ -389,6 +425,7 @@ public:
                         std::find(work_touched.begin(), work_touched.end(), kidx[j]) ==
                             work_touched.end()) {
                         work_touched.push_back(kidx[j]);
+                        index_entry(kidx[j], perm_[r]);  // fill-in
                     }
                     work[kidx[j]] -= mult * kval[j];
                 }

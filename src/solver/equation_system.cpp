@@ -116,24 +116,25 @@ void equation_system::finalize_stamps() {
     compiled_b_pattern_ = b_.pattern_version();
 }
 
-void equation_system::rewrite_entry(const entry_ledger& e) {
-    // Replay every contribution in original stamping order: the sum is
-    // bit-identical to what a full restamp with the current slot values
-    // would have accumulated through sparse_matrix::add.
-    double total = 0.0;
-    for (const auto& term : e.terms) {
-        total += term.slot == no_stamp_handle ? term.weight
-                                              : term.weight * slot_values_[term.slot];
-    }
-    matrix(e.which).values()[e.pos] = total;
-}
-
 void equation_system::set_stamp(stamp_handle h, double value) {
     util::require(h < slot_values_.size(), "equation_system", "invalid stamp handle");
     if (slot_values_[h] == value) return;
     finalize_stamps();
     slot_values_[h] = value;
-    for (const std::size_t e : slot_entries_[h]) rewrite_entry(ledgers_[e]);
+    // Replay every contribution of each dependent entry in original stamping
+    // order: the sum is bit-identical to what a full restamp with the
+    // current slot values would have accumulated through sparse_matrix::add.
+    const std::span<double> a = a_.values();
+    const std::span<double> b = b_.values();
+    for (const std::size_t k : slot_entries_[h]) {
+        const entry_ledger& e = ledgers_[k];
+        double total = 0.0;
+        for (const auto& term : e.terms) {
+            total += term.slot == no_stamp_handle ? term.weight
+                                                  : term.weight * slot_values_[term.slot];
+        }
+        (e.which == matrix_id::a ? a : b)[e.pos] = total;
+    }
     ++values_generation_;
 }
 

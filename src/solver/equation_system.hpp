@@ -220,7 +220,6 @@ private:
     void append_static_term(matrix_id which, std::size_t row, std::size_t col, double v);
     void append_slot_term(matrix_id which, std::size_t row, std::size_t col,
                           stamp_handle h, double weight);
-    void rewrite_entry(const entry_ledger& e);
 
     std::vector<std::string> names_;
     num::sparse_matrix_d a_;

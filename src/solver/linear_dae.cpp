@@ -1,8 +1,8 @@
 #include "solver/linear_dae.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "util/bytes.hpp"
@@ -44,24 +44,28 @@ void linear_dae_solver::fill_key(double ca, std::vector<double>& key) const {
     std::copy(slots.begin(), slots.end(), key.begin() + 2);
 }
 
-void linear_dae_solver::ensure_factored(integration_method m) {
-    const bool pattern_stale = !iter_mat_valid_ ||
-                               stamp_generation_ != sys_->stamp_generation() ||
+bool linear_dae_solver::key_matches(const std::vector<double>& key, double ca) const {
+    const auto same = [](double x, double y) {
+        return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+    };
+    const auto slots = sys_->stamp_values();
+    return key.size() == 2 + slots.size() && same(key[0], ca) && same(key[1], h_) &&
+           std::equal(slots.begin(), slots.end(), key.begin() + 2, same);
+}
+
+void linear_dae_solver::revalidate(integration_method m) {
+    const bool pattern_stale = stamp_generation_ != sys_->stamp_generation() ||
                                a_pattern_ != sys_->a().pattern_version() ||
                                b_pattern_ != sys_->b().pattern_version();
-    const bool values_stale = values_generation_ != sys_->values_generation() ||
-                              factored_method_ != m;
-    if (factored_ && !pattern_stale && !values_stale) return;
     // M = c_a * A + B / h   (c_a = 1 for BE, 1/2 for trapezoidal)
     const double ca = m == integration_method::backward_euler ? 1.0 : 0.5;
-    fill_key(ca, probe_);
     if (pattern_stale) {
         build_iteration_matrix(ca);
-        key_.swap(probe_);
+        fill_key(ca, key_);
         analyze();
-    } else if (!activate_cached()) {
+    } else if (!activate_cached(ca)) {
         stash_active();
-        key_.swap(probe_);
+        fill_key(ca, key_);
         assemble_iteration_values(ca);
         refactor();
     }
@@ -81,7 +85,6 @@ void linear_dae_solver::build_iteration_matrix(double ca) {
     iter_mat_ = num::sparse_matrix_d(n);
     iter_mat_.add_scaled(a, ca);
     iter_mat_.add_scaled(b, 1.0 / h_);
-    iter_mat_valid_ = true;
     const auto map_into = [&](const num::sparse_matrix_d& src,
                               std::vector<num::sparse_matrix_d::position>& map) {
         const auto ptr = src.row_pointers();
@@ -95,6 +98,8 @@ void linear_dae_solver::build_iteration_matrix(double ca) {
     };
     map_into(a, a_map_);
     map_into(b, b_map_);
+    a_csr_ = {a.row_pointers().data(), a.columns().data(), a.values().data()};
+    b_csr_ = {b.row_pointers().data(), b.columns().data(), b.values().data()};
     a_pattern_ = a.pattern_version();
     b_pattern_ = b.pattern_version();
     rhs_.resize(n);
@@ -113,16 +118,12 @@ void linear_dae_solver::assemble_iteration_values(double ca) {
     for (std::size_t k = 0; k < b.size(); ++k) m[b_map_[k]] += inv_h * b[k];
 }
 
-bool linear_dae_solver::activate_cached() {
+bool linear_dae_solver::activate_cached(double ca) {
     // Every cached entry shares the LU's current analysis: a new one
     // empties the cache (analyze()).
-    const auto same = [this](const std::vector<double>& key) {
-        return key.size() == probe_.size() &&
-               std::memcmp(key.data(), probe_.data(), key.size() * sizeof(double)) == 0;
-    };
-    if (lu_.factored() && same(key_)) return true;
+    if (lu_.factored() && key_matches(key_, ca)) return true;
     for (auto& entry : cache_) {
-        if (!same(entry.key)) continue;
+        if (!key_matches(entry.key, ca)) continue;
         lu_.swap_numeric(entry.factors);
         entry.key.swap(key_);
         entry.last_use = ++cache_clock_;
@@ -169,27 +170,21 @@ void linear_dae_solver::size_cache() {
     cache_capacity_ = std::min(factor_cache_entries, factor_cache_bytes / bytes);
 }
 
-void linear_dae_solver::step() {
+void linear_dae_solver::solve_step(integration_method m) {
     // All scratch vectors are members reused across steps: when the TDF
     // synchronization layer batches many firings per DE interaction, each
     // step is one rhs assembly, one pass over the rows of A and B, and one
     // triangular solve against the active factorization — no allocations,
-    // no refactor (ensure_factored is a generation check unless the system
-    // changed).
-    const integration_method m =
-        be_next_ ? integration_method::backward_euler : method_;
-    be_next_ = false;
-    ensure_factored(m);
+    // no refactor, and no look at the matrices' bookkeeping (step() has
+    // checked that the CSR arrays taken at the last validation still hold).
     const double t1 = t_ + h_;
     sys_->rhs_into(t1, q1_);
 
     // Per row: B·x, then (trapezoidal) A·x, then the rhs — each product
     // summed in column order from zero, as sparse_matrix::multiply does.
-    const auto& a = sys_->a();
-    const auto& b = sys_->b();
-    const std::size_t* b_ptr = b.row_pointers().data();
-    const std::size_t* b_col = b.columns().data();
-    const double* b_val = b.values().data();
+    const std::size_t* b_ptr = b_csr_.ptr;
+    const std::size_t* b_col = b_csr_.col;
+    const double* b_val = b_csr_.val;
     const double* x = x_.data();
     const double* q1 = q1_.data();
     double* rhs = rhs_.data();
@@ -201,9 +196,9 @@ void linear_dae_solver::step() {
             rhs[i] = q1[i] + bx / h_;
         }
     } else {
-        const std::size_t* a_ptr = a.row_pointers().data();
-        const std::size_t* a_col = a.columns().data();
-        const double* a_val = a.values().data();
+        const std::size_t* a_ptr = a_csr_.ptr;
+        const std::size_t* a_col = a_csr_.col;
+        const double* a_val = a_csr_.val;
         const double* q0 = q_prev_.data();
         for (std::size_t i = 0; i < n; ++i) {
             double bx = 0.0;
@@ -270,7 +265,7 @@ void linear_dae_solver::restore_state(util::byte_reader& r) {
     if (has_symbolic) symbolic = r.u64_vec();
 
     factored_ = false;
-    iter_mat_valid_ = false;
+    a_pattern_ = b_pattern_ = 0;  // the next step rebuilds unless restored below
     if (was_factored) {
         // Rebuild the iteration matrix the saving process held: its values
         // follow from the (already restored) A/B values and the factored

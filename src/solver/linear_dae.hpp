@@ -16,7 +16,11 @@
 // symbolic phase, and that empties the cache.
 //
 // A step is one pass over the CSR rows of A and B (B·x, A·x and the rhs of
-// each row) and one triangular solve, with no allocation.
+// each row) and one triangular solve, with no allocation.  Validation is
+// paid per change, not per step: the solver takes A's and B's CSR arrays
+// when it builds, restores or re-validates its iteration matrix, and a step
+// tests one inline condition (method, stamp and values generations, A/B
+// pattern versions) before it runs on them.
 #ifndef SCA_SOLVER_LINEAR_DAE_HPP
 #define SCA_SOLVER_LINEAR_DAE_HPP
 
@@ -46,7 +50,13 @@ public:
     void set_initial_state(std::vector<double> x0, double t0);
 
     /// Advance one step of size h; afterwards x() is the solution at time().
-    void step();
+    void step() {
+        const integration_method m =
+            be_next_ ? integration_method::backward_euler : method_;
+        be_next_ = false;
+        if (!current(m)) revalidate(m);
+        solve_step(m);
+    }
 
     /// Advance until `t_end` (an integer number of steps; t_end must be
     /// aligned with the step grid within rounding).
@@ -102,18 +112,45 @@ private:
         std::uint64_t last_use = 0;
     };
 
-    void ensure_factored(integration_method m);
+    /// The CSR arrays of A or B.  Valid while that matrix's pattern version
+    /// equals the one recorded beside them (a_pattern_ / b_pattern_): only a
+    /// structural edit, which changes the version, reallocates them.
+    struct csr_arrays {
+        const std::size_t* ptr = nullptr;
+        const std::size_t* col = nullptr;
+        const double* val = nullptr;
+    };
+
+    /// True while the active factors and the CSR arrays fit the system and
+    /// method `m`: nothing moved since the last (re)validation.
+    [[nodiscard]] bool current(integration_method m) const noexcept {
+        return factored_ && m == factored_method_ &&
+               stamp_generation_ == sys_->stamp_generation() &&
+               values_generation_ == sys_->values_generation() &&
+               a_pattern_ == sys_->a().pattern_version() &&
+               b_pattern_ == sys_->b().pattern_version();
+    }
+    /// Bring the factors and the CSR arrays up to date for method `m`: a
+    /// fresh analysis after a pattern change, else a factor-cache lookup or
+    /// a numeric refactor.
+    void revalidate(integration_method m);
+    /// One step on validated factors and arrays.
+    void solve_step(integration_method m);
     /// The factor-cache key of the iteration matrix for c_a = `ca`: c_a, h
     /// and the stamp-slot values.
     void fill_key(double ca, std::vector<double>& key) const;
-    /// Fresh iteration matrix and pattern: rebuild it from A/B and record
-    /// where each A/B value lands in it.
+    /// True when `key` is the key fill_key(ca) would write, compared bit
+    /// for bit against the live stamp-slot values without copying them.
+    [[nodiscard]] bool key_matches(const std::vector<double>& key, double ca) const;
+    /// Fresh iteration matrix and pattern: rebuild it from A/B, record where
+    /// each A/B value lands in it, and take the CSR arrays of A and B.
     void build_iteration_matrix(double ca);
     /// Values-only rewrite of the iteration matrix through the index maps.
     void assemble_iteration_values(double ca);
-    /// Make the factors keyed `probe_` active if the LU holds them or the
-    /// cache does (an exchange: the active ones take the cached slot).
-    bool activate_cached();
+    /// Make the factors keyed (ca, h, live slot values) active if the LU
+    /// holds them or the cache does (an exchange: the active ones take the
+    /// cached slot).
+    bool activate_cached(double ca);
     /// Move the active factors into the cache, evicting the least recently
     /// used entry when it is full.
     void stash_active();
@@ -137,16 +174,17 @@ private:
     std::vector<double> rhs_;
     std::vector<double> x_next_;
     num::sparse_matrix_d iter_mat_;  // persistent c_a·A + B/h (pattern reused)
-    bool iter_mat_valid_ = false;
-    // Position in iter_mat_ of each A / B value, in storage order; valid for
-    // the A / B pattern versions recorded beside them.
+    // Position in iter_mat_ of each A / B value, in storage order, and the
+    // CSR arrays of A / B; valid for the A / B pattern versions recorded
+    // beside them (0: none yet).
     std::vector<num::sparse_matrix_d::position> a_map_;
     std::vector<num::sparse_matrix_d::position> b_map_;
+    csr_arrays a_csr_;
+    csr_arrays b_csr_;
     std::uint64_t a_pattern_ = 0;
     std::uint64_t b_pattern_ = 0;
     num::sparse_lu_d lu_;
-    std::vector<double> key_;    // key of the factors active in lu_
-    std::vector<double> probe_;  // scratch: key of the factors a step needs
+    std::vector<double> key_;  // key of the factors active in lu_
     std::vector<cached_factors> cache_;
     std::size_t cache_capacity_ = 0;
     std::uint64_t cache_clock_ = 0;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <unordered_set>
 
 #include "kernel/process.hpp"
 #include "kernel/signal.hpp"
@@ -35,14 +36,14 @@ de_coupling subtree_de_coupling(const de::object* o) {
 }  // namespace
 
 cluster::cluster(std::vector<module*> modules) : modules_(std::move(modules)) {
-    // Collect the signals touched by member ports (unique, writer required).
+    // Collect the signals touched by member ports (unique, writer required),
+    // in first-seen order: ring allocation and snapshots follow it.
+    std::unordered_set<const signal_base*> seen;
     for (module* m : modules_) {
         for (port_base* p : m->ports()) {
             signal_base* s = p->bound_signal();
             util::require(s != nullptr, p->name(), "TDF port is unbound");
-            if (std::find(signals_.begin(), signals_.end(), s) == signals_.end()) {
-                signals_.push_back(s);
-            }
+            if (seen.insert(s).second) signals_.push_back(s);
         }
     }
     for (signal_base* s : signals_) {

@@ -125,7 +125,7 @@ void dae_module::processing() try {
     const double t_prev = solve_time_;
     solve_time_ = tdf_time().to_seconds();
 
-    build_now();
+    if (!built_) build_now();
     read_elements();
 
     if (first_activation_) {
@@ -152,7 +152,8 @@ void dae_module::processing() try {
     // An element added since the solver started brought new unknowns or
     // nonlinear stamps: start the solver over from the present state, with
     // the new unknowns at 0.
-    if (state_.size() != sys_.size() || (linear_ && !sys_.is_linear())) {
+    if (state().size() != sys_.size() || (linear_ && !sys_.is_linear())) {
+        state_ = state();
         state_.resize(sys_.size(), 0.0);
         start_solver(h, t_prev);
     }
@@ -176,10 +177,8 @@ void dae_module::processing() try {
         SCA_TRACE_SPAN_T(&context().tracer(), "dae.step", "solver", solve_time_);
         if (linear_) {
             linear_->step();
-            state_ = linear_->x();
         } else {
             nonlinear_->advance_to(solve_time_);
-            state_ = nonlinear_->x();
         }
     }
     write_elements();
@@ -197,7 +196,7 @@ void dae_module::save_state(util::byte_writer& w) const {
     w.boolean(stamps_changed_);
     w.u8(static_cast<std::uint8_t>(method_));
     w.f64(solve_time_);
-    w.f64_vec(state_);
+    w.f64_vec(state());
     if (built_) sys_.save_state(w);
     w.u8(linear_ ? 1 : (nonlinear_ ? 2 : 0));
     if (linear_) linear_->save_state(w);

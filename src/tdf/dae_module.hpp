@@ -76,8 +76,16 @@ public:
     /// applies a pending restamp, so it always reflects the live elements.
     [[nodiscard]] solver::equation_system& equations();
 
-    /// Current continuous state vector (valid after the first activation).
-    [[nodiscard]] const std::vector<double>& state() const { return state_; }
+    /// Current continuous state vector (valid after the first activation):
+    /// the running solver's solution, or the state before any solver ran.
+    /// The reference follows the running solver: it shows each new solution
+    /// but ends when the solver is replaced (new unknowns, a restore), so
+    /// index or copy it where it is read.
+    [[nodiscard]] const std::vector<double>& state() const noexcept {
+        if (linear_) return linear_->x();
+        if (nonlinear_) return nonlinear_->x();
+        return state_;
+    }
 
     /// Integration method for the linear fixed-step path.
     void set_integration_method(solver::integration_method m) { method_ = m; }
@@ -168,6 +176,7 @@ private:
     solver::equation_system sys_;
     std::unique_ptr<solver::linear_dae_solver> linear_;
     std::unique_ptr<solver::nonlinear_dae_solver> nonlinear_;
+    // The state a solver starts from; while one runs, state() reads its x().
     std::vector<double> state_;
     solver::integration_method method_ = solver::integration_method::trapezoidal;
     bool built_ = false;

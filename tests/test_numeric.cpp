@@ -1,8 +1,13 @@
 // Dense/sparse linear algebra unit and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include "numeric/dense.hpp"
 #include "numeric/sparse.hpp"
@@ -360,6 +365,216 @@ TEST(sparse_lu, repeated_refactor_matches_dense_reference) {
     }
     EXPECT_EQ(lu.symbolic_count(), 1U);
     EXPECT_EQ(lu.numeric_count(), 11U);
+}
+
+// --- sparse_lu::factor against the row-scan elimination it replaced -----
+
+namespace {
+
+/// What a full factorization decides: the export_symbolic() words, the L/U
+/// values, or the column found singular.
+template <typename T>
+struct factor_outcome {
+    bool singular = false;
+    std::size_t singular_column = 0;
+    std::vector<std::uint64_t> symbolic;
+    std::vector<T> u_val, l_val;
+};
+
+/// The elimination sparse_lu::factor ran before it kept a column -> rows
+/// index: the pivot search and the elimination scan every row r >= k.
+/// Test-only reference for bit identity.
+template <typename T>
+factor_outcome<T> row_scan_factor(const num::sparse_matrix<T>& a) {
+    const std::size_t n = a.size();
+    std::vector<std::vector<std::size_t>> rows_idx(n), lower_idx(n);
+    std::vector<std::vector<T>> rows_val(n), lower_val(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        const auto idx = a.row_indices(r);
+        const auto val = a.row_values(r);
+        rows_idx[r].assign(idx.begin(), idx.end());
+        rows_val[r].assign(val.begin(), val.end());
+    }
+    std::vector<std::size_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+    std::vector<T> work(n, T{});
+    std::vector<std::size_t> touched;
+    const auto entry_at = [&](std::size_t r, std::size_t c) -> T {
+        const auto& idx = rows_idx[r];
+        const auto it = std::lower_bound(idx.begin(), idx.end(), c);
+        return it != idx.end() && *it == c
+                   ? rows_val[r][static_cast<std::size_t>(it - idx.begin())]
+                   : T{};
+    };
+    factor_outcome<T> out;
+    for (std::size_t k = 0; k < n; ++k) {
+        std::size_t pivot = n;
+        double best = 0.0, diag_mag = 0.0;
+        for (std::size_t r = k; r < n; ++r) {
+            const double mag = num::pivot_magnitude(entry_at(r, k));
+            if (r == k) diag_mag = mag;
+            if (mag > best) {
+                best = mag;
+                pivot = r;
+            }
+        }
+        if (best == 0.0) {
+            out.singular = true;
+            out.singular_column = k;
+            return out;
+        }
+        if (diag_mag >= 0.1 * best) pivot = k;
+        if (pivot != k) {
+            std::swap(rows_idx[k], rows_idx[pivot]);
+            std::swap(rows_val[k], rows_val[pivot]);
+            std::swap(perm[k], perm[pivot]);
+            std::swap(lower_idx[k], lower_idx[pivot]);
+            std::swap(lower_val[k], lower_val[pivot]);
+        }
+        const T inv_piv = T(1) / entry_at(k, k);
+        for (std::size_t r = k + 1; r < n; ++r) {
+            const auto kit = std::lower_bound(rows_idx[r].begin(), rows_idx[r].end(), k);
+            if (kit == rows_idx[r].end() || *kit != k) continue;
+            const T mult =
+                rows_val[r][static_cast<std::size_t>(kit - rows_idx[r].begin())] * inv_piv;
+            lower_idx[r].push_back(k);
+            lower_val[r].push_back(mult);
+            touched.clear();
+            for (std::size_t j = 0; j < rows_idx[r].size(); ++j) {
+                if (rows_idx[r][j] > k) {
+                    work[rows_idx[r][j]] = rows_val[r][j];
+                    touched.push_back(rows_idx[r][j]);
+                }
+            }
+            for (std::size_t j = 0; j < rows_idx[k].size(); ++j) {
+                const std::size_t c = rows_idx[k][j];
+                if (c <= k) continue;
+                if (work[c] == T{} &&
+                    std::find(touched.begin(), touched.end(), c) == touched.end()) {
+                    touched.push_back(c);
+                }
+                work[c] -= mult * rows_val[k][j];
+            }
+            std::sort(touched.begin(), touched.end());
+            rows_idx[r].clear();
+            rows_val[r].clear();
+            for (std::size_t c : touched) {
+                rows_idx[r].push_back(c);
+                rows_val[r].push_back(work[c]);
+                work[c] = T{};
+            }
+        }
+    }
+    // The export_symbolic() layout: sizes, permutation, row pointers, columns.
+    std::vector<std::uint64_t> u_ptr{0}, l_ptr{0}, u_col, l_col;
+    for (std::size_t i = 0; i < n; ++i) {
+        u_col.insert(u_col.end(), rows_idx[i].begin(), rows_idx[i].end());
+        l_col.insert(l_col.end(), lower_idx[i].begin(), lower_idx[i].end());
+        out.u_val.insert(out.u_val.end(), rows_val[i].begin(), rows_val[i].end());
+        out.l_val.insert(out.l_val.end(), lower_val[i].begin(), lower_val[i].end());
+        u_ptr.push_back(u_col.size());
+        l_ptr.push_back(l_col.size());
+    }
+    out.symbolic = {n, u_col.size(), l_col.size()};
+    out.symbolic.insert(out.symbolic.end(), perm.begin(), perm.end());
+    out.symbolic.insert(out.symbolic.end(), u_ptr.begin() + 1, u_ptr.end());
+    out.symbolic.insert(out.symbolic.end(), l_ptr.begin() + 1, l_ptr.end());
+    out.symbolic.insert(out.symbolic.end(), u_col.begin(), u_col.end());
+    out.symbolic.insert(out.symbolic.end(), l_col.begin(), l_col.end());
+    return out;
+}
+
+template <typename T>
+factor_outcome<T> indexed_factor(const num::sparse_matrix<T>& a) {
+    factor_outcome<T> out;
+    num::sparse_lu<T> lu;
+    try {
+        lu.factor(a);
+    } catch (const num::singular_matrix& e) {
+        out.singular = true;
+        out.singular_column = e.column();
+        return out;
+    }
+    out.symbolic = lu.export_symbolic();
+    typename num::sparse_lu<T>::numeric_factors f;
+    lu.swap_numeric(f);
+    out.u_val = std::move(f.u_val);
+    out.l_val = std::move(f.l_val);
+    return out;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& x, const std::vector<T>& y) {
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+/// A random sparse matrix of at most 30 unknowns: explicit-zero structural
+/// entries, magnitudes that tie (so the first row in ascending order must
+/// win), missing and small diagonals (so rows swap), some singular.
+template <typename T>
+num::sparse_matrix<T> random_lu_input(std::mt19937& rng) {
+    const std::size_t n = 1 + rng() % 30;
+    const double density = 0.05 + 0.05 * static_cast<double>(rng() % 8);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto value = [&]() -> T {
+        const double u = unit(rng);
+        if (u < 0.15) return T{};
+        if (u < 0.5) {
+            static constexpr double ties[] = {1.0, -1.0, 2.0, -2.0, 0.5, 0.05};
+            return T(ties[rng() % 6]);
+        }
+        return T((2.0 * unit(rng) - 1.0) * std::pow(10.0, 6.0 * unit(rng) - 3.0));
+    };
+    num::sparse_matrix<T> m(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < n; ++c) {
+            const bool want = r == c ? unit(rng) < 0.7 : unit(rng) < density;
+            if (want) m.add(r, c, value());
+        }
+    }
+    return m;
+}
+
+template <typename T>
+void expect_factor_matches_row_scan(unsigned seeds) {
+    std::size_t singular = 0, pivoted = 0;
+    for (unsigned seed = 0; seed < seeds; ++seed) {
+        std::mt19937 rng(seed);
+        const auto m = random_lu_input<T>(rng);
+        const auto want = row_scan_factor(m);
+        const auto got = indexed_factor(m);
+        ASSERT_EQ(got.singular, want.singular) << "seed " << seed;
+        if (want.singular) {
+            ++singular;
+            EXPECT_EQ(got.singular_column, want.singular_column) << "seed " << seed;
+            continue;
+        }
+        EXPECT_EQ(got.symbolic, want.symbolic) << "seed " << seed;
+        EXPECT_TRUE(same_bits(got.u_val, want.u_val)) << "seed " << seed;
+        EXPECT_TRUE(same_bits(got.l_val, want.l_val)) << "seed " << seed;
+        const std::size_t n = m.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (want.symbolic[3 + i] != i) {
+                ++pivoted;
+                break;
+            }
+        }
+    }
+    // Singular and regular inputs, with and without row swaps, all occur.
+    EXPECT_GT(singular, 0U);
+    EXPECT_GT(pivoted, seeds / 10);
+    EXPECT_LT(singular + pivoted, seeds);
+}
+
+}  // namespace
+
+TEST(sparse_lu, factor_matches_the_row_scan_elimination_bit_for_bit) {
+    expect_factor_matches_row_scan<double>(400);
+}
+
+TEST(sparse_lu, complex_factor_matches_the_row_scan_elimination_bit_for_bit) {
+    expect_factor_matches_row_scan<std::complex<double>>(100);
 }
 
 // --- property sweep: random diagonally dominant systems, sparse vs dense ---

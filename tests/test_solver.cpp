@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "solver/external.hpp"
 #include "solver/linear_dae.hpp"
 #include "solver/nonlinear_dae.hpp"
+#include "util/bytes.hpp"
 #include "util/report.hpp"
 
 namespace solver = sca::solver;
@@ -509,6 +511,60 @@ TEST(linear_dae, factors_over_the_byte_budget_refactor_on_every_revisit) {
         EXPECT_EQ(s.factor_count(), before + 1) << "toggle " << i;
     }
     EXPECT_EQ(s.symbolic_factor_count(), 1U);
+}
+
+TEST(linear_dae, cached_views_follow_every_change) {
+    // A step reads the CSR arrays of A and B taken at the last validation
+    // without asking the matrices.  One solver steps across every change the
+    // system and the solver can make; after each, its steps must equal,
+    // bit for bit, those of a fresh solver built on the changed system.  A
+    // stale array reads freed memory under ASan (the restamp reallocates).
+    constexpr std::size_t n = 4;
+    constexpr auto trap = solver::integration_method::trapezoidal;
+    solver::stamp_handle slot = solver::no_stamp_handle;
+    auto sys = switched_ladder(n, 1e-3, &slot);
+    solver::linear_dae_solver run(sys, trap, 1e-6);
+    run.set_initial_state(std::vector<double>(n, 0.0), 0.0);
+    for (int i = 0; i < 5; ++i) run.step();
+
+    const auto steps_match_a_fresh_solver = [&](const std::string& change) {
+        solver::linear_dae_solver fresh(sys, trap, run.timestep());
+        fresh.set_initial_state(run.x(), run.time());
+        for (int i = 0; i < 5; ++i) {
+            run.step();
+            fresh.step();
+            ASSERT_TRUE(same_bits(run.x(), fresh.x())) << change << ", step " << i;
+        }
+    };
+
+    sys.set_stamp(slot, 5e-3);
+    steps_match_a_fresh_solver("set_stamp");
+
+    const auto a_values_at = [&] {
+        return reinterpret_cast<std::uintptr_t>(sys.a().values().data());
+    };
+    const std::uintptr_t a_values_before = a_values_at();
+    sys.clear_stamps();
+    stamp_switched_ladder(sys, n, 2e-3, &slot);
+    sys.add_a(0, n - 1, 1e-4);  // an entry the old pattern lacks
+    ASSERT_NE(a_values_at(), a_values_before);
+    steps_match_a_fresh_solver("clear_stamps + restamp with a new A entry");
+    EXPECT_EQ(run.symbolic_factor_count(), 2U);
+
+    run.set_timestep(2e-6);
+    steps_match_a_fresh_solver("set_timestep");
+
+    sca::util::byte_writer w;
+    sys.save_state(w);
+    run.save_state(w);
+    const std::vector<double> saved_x = run.x();
+    sys.set_stamp(slot, 7e-3);
+    for (int i = 0; i < 3; ++i) run.step();
+    sca::util::byte_reader r(w.bytes());
+    sys.restore_state(r);
+    run.restore_state(r);
+    ASSERT_TRUE(same_bits(run.x(), saved_x));
+    steps_match_a_fresh_solver("save_state/restore_state round trip");
 }
 
 TEST(linear_dae, forced_oscillator_tracks_input) {
